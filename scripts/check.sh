@@ -11,6 +11,12 @@ cmake -B build -S .
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
+# hermetic: every case that writes files gets its own ScopedTempDir
+# (tests/support). Re-run those cases in parallel, five times over, so a
+# path shared between cases fails the check instead of flaking.
+(cd build && ctest --output-on-failure -j --repeat until-fail:5 \
+  -R '^(IoEnvTest|JsonlTest|CheckpointTest|EndToEndFiles|ResourcePipelineTest|CheckpointResumeTest|ProvenanceResumeTest)\.|^RunReport\.ResumeProvenanceIsRecorded$|^ProvLedger\.FileRoundTrip$')
+
 # Data-race check. Only the thread-touching suites are worth the TSan
 # slowdown: the pool itself, the batched/pooled PaCE paths, and the
 # fault-injected simulator runtime (failure marks cross threads).

@@ -64,14 +64,6 @@ enum class EditOp : std::uint8_t {
                                                 const ScoringScheme& scheme,
                                                 std::vector<EditOp>& path);
 
-/// Semiglobal ("glocal") alignment: a is consumed end-to-end, b's leading
-/// and trailing flanks are free. The natural exact formulation of the
-/// Definition-1 containment test (a's coverage is 1 by construction; only
-/// the similarity cutoff remains).
-[[nodiscard]] AlignmentResult semiglobal_align(std::string_view a,
-                                               std::string_view b,
-                                               const ScoringScheme& scheme);
-
 /// Local (best-region) alignment; empty result (score 0, zero-length
 /// region) if no positive-scoring alignment exists.
 [[nodiscard]] AlignmentResult local_align(std::string_view a,
@@ -90,23 +82,14 @@ enum class EditOp : std::uint8_t {
 
 // --- Score-only fast path -------------------------------------------------
 //
-// Same results as the aligners above — score, region coordinates, and all
-// column statistics are bit-identical — but computed with two rolling DP
-// rows per state instead of full matrices and a traceback pass. Alignment
-// statistics are propagated forward along the argmax predecessor of each
-// cell using the same tie-breaking rules the traceback replays. Use these
-// wherever the column-by-column path is not needed (all of the paper's
-// containment/overlap predicates): DP memory drops from O(m*n) to O(band)
-// and the traceback pass disappears.
-
-/// Score-only global alignment; equals global_align(a, b, scheme).
-[[nodiscard]] AlignmentResult global_align_score(std::string_view a,
-                                                 std::string_view b,
-                                                 const ScoringScheme& scheme);
-
-/// Score-only semiglobal alignment; equals semiglobal_align(a, b, scheme).
-[[nodiscard]] AlignmentResult semiglobal_align_score(
-    std::string_view a, std::string_view b, const ScoringScheme& scheme);
+// Same results as the local aligners above — score, region coordinates,
+// and all column statistics are bit-identical — but computed with two
+// rolling DP rows per state instead of full matrices and a traceback pass.
+// Alignment statistics are propagated forward along the argmax predecessor
+// of each cell using the same tie-breaking rules the traceback replays. Use
+// these wherever the column-by-column path is not needed (all of the
+// paper's containment/overlap predicates): DP memory drops from O(m*n) to
+// O(band) and the traceback pass disappears.
 
 /// Score-only local alignment; equals local_align(a, b, scheme).
 [[nodiscard]] AlignmentResult local_align_score(std::string_view a,

@@ -23,12 +23,6 @@ namespace pclust::align {
 struct ContainmentParams {
   double min_similarity = 0.95;  // identity over the aligned region
   double min_coverage = 0.95;    // fraction of the contained sequence aligned
-  /// Use the semiglobal ("glocal") formulation instead of local alignment:
-  /// the inner sequence is consumed end-to-end (coverage is 1 by
-  /// construction) and only the similarity cutoff decides. Stricter on
-  /// inner sequences with noisy flanks; never accepts what local rejects
-  /// on similarity.
-  bool semiglobal = false;
 };
 
 struct OverlapParams {

@@ -21,9 +21,8 @@ enum Tb : std::uint8_t { kFromM = 0, kFromX = 1, kFromY = 2, kStart = 3 };
 
 // DP variants sharing one engine.
 enum class Mode {
-  kGlobal,      // end-to-end in both sequences
-  kLocal,       // best positive region (Smith-Waterman)
-  kSemiglobal,  // a end-to-end; b's flanks are free ("glocal")
+  kGlobal,  // end-to-end in both sequences
+  kLocal,   // best positive region (Smith-Waterman)
 };
 
 /// Shared DP engine. When `global` is true, borders are initialized with
@@ -55,40 +54,25 @@ AlignmentResult align_impl(std::string_view a, std::string_view b,
   std::vector<std::uint8_t> tbY((m + 1) * W, kFromM);
 
   if (lay.in_window(0, 0)) M[lay.idx(0, 0)] = 0;
-  switch (mode) {
-    case Mode::kGlobal:
-      for (std::size_t i = 1; i <= m; ++i) {
-        if (!lay.in_window(i, 0)) continue;
-        X[lay.idx(i, 0)] = -open - static_cast<std::int32_t>(i - 1) * extend;
-        tbX[lay.idx(i, 0)] = (i == 1) ? kFromM : kFromX;
-      }
-      for (std::size_t j = 1; j <= n && lay.in_window(0, j); ++j) {
-        Y[lay.idx(0, j)] = -open - static_cast<std::int32_t>(j - 1) * extend;
-        tbY[lay.idx(0, j)] = (j == 1) ? kFromM : kFromY;
-      }
-      break;
-    case Mode::kLocal:
-      // Every cell can start fresh; model by M=0 on the borders (traceback
-      // stops at kStart anyway).
-      for (std::size_t i = 0; i <= m; ++i) {
-        if (lay.in_window(i, 0)) M[lay.idx(i, 0)] = 0;
-      }
-      for (std::size_t j = 0; j <= n && lay.in_window(0, j); ++j) {
-        M[lay.idx(0, j)] = 0;
-      }
-      break;
-    case Mode::kSemiglobal:
-      // a must be consumed entirely (X border charged as global); b may
-      // start anywhere for free.
-      for (std::size_t i = 1; i <= m; ++i) {
-        if (!lay.in_window(i, 0)) continue;
-        X[lay.idx(i, 0)] = -open - static_cast<std::int32_t>(i - 1) * extend;
-        tbX[lay.idx(i, 0)] = (i == 1) ? kFromM : kFromX;
-      }
-      for (std::size_t j = 0; j <= n && lay.in_window(0, j); ++j) {
-        M[lay.idx(0, j)] = 0;
-      }
-      break;
+  if (global) {
+    for (std::size_t i = 1; i <= m; ++i) {
+      if (!lay.in_window(i, 0)) continue;
+      X[lay.idx(i, 0)] = -open - static_cast<std::int32_t>(i - 1) * extend;
+      tbX[lay.idx(i, 0)] = (i == 1) ? kFromM : kFromX;
+    }
+    for (std::size_t j = 1; j <= n && lay.in_window(0, j); ++j) {
+      Y[lay.idx(0, j)] = -open - static_cast<std::int32_t>(j - 1) * extend;
+      tbY[lay.idx(0, j)] = (j == 1) ? kFromM : kFromY;
+    }
+  } else {
+    // Every cell can start fresh; model by M=0 on the borders (traceback
+    // stops at kStart anyway).
+    for (std::size_t i = 0; i <= m; ++i) {
+      if (lay.in_window(i, 0)) M[lay.idx(i, 0)] = 0;
+    }
+    for (std::size_t j = 0; j <= n && lay.in_window(0, j); ++j) {
+      M[lay.idx(0, j)] = 0;
+    }
   }
 
   std::uint64_t cells = 0;
@@ -166,8 +150,8 @@ AlignmentResult align_impl(std::string_view a, std::string_view b,
   AlignmentResult result;
   result.cells = cells;
 
-  // Defaulting accessors for the traceback (and the semiglobal end scan):
-  // out-of-window cells read as the untouched full-matrix defaults.
+  // Defaulting accessors for the traceback: out-of-window cells read as
+  // the untouched full-matrix defaults.
   const auto m_at = [&](std::size_t i, std::size_t j) {
     return lay.in_window(i, j) ? M[lay.idx(i, j)] : kNegInf;
   };
@@ -192,7 +176,7 @@ AlignmentResult align_impl(std::string_view a, std::string_view b,
 
   std::uint8_t state = kFromM;
   std::size_t i = m, j = n;
-  if (mode == Mode::kGlobal) {
+  if (global) {
     best = m_at(m, n);
     state = kFromM;
     if (x_at(m, n) > best) {
@@ -202,22 +186,6 @@ AlignmentResult align_impl(std::string_view a, std::string_view b,
     if (y_at(m, n) > best) {
       best = y_at(m, n);
       state = kFromY;
-    }
-    result.score = best;
-  } else if (mode == Mode::kSemiglobal) {
-    // a fully consumed; b's trailing flank is free: best M/X over row m.
-    best = kNegInf;
-    for (std::size_t jj = 0; jj <= n; ++jj) {
-      if (m_at(m, jj) > best) {
-        best = m_at(m, jj);
-        j = jj;
-        state = kFromM;
-      }
-      if (x_at(m, jj) > best) {
-        best = x_at(m, jj);
-        j = jj;
-        state = kFromX;
-      }
     }
     result.score = best;
   } else {
@@ -231,11 +199,10 @@ AlignmentResult align_impl(std::string_view a, std::string_view b,
   result.a_end = static_cast<std::uint32_t>(i);
   result.b_end = static_cast<std::uint32_t>(j);
 
-  // Traceback. Stops at (0,0) for global; at row 0 for semiglobal (b's
-  // leading flank is free); for local, at the first zero-score M cell
-  // (standard Smith-Waterman semantics) or a fresh-start marker.
+  // Traceback. Stops at (0,0) for global; for local, at the first
+  // zero-score M cell (standard Smith-Waterman semantics) or a fresh-start
+  // marker.
   while (i > 0 || j > 0) {
-    if (mode == Mode::kSemiglobal && i == 0) break;
     if (mode == Mode::kLocal && state == kFromM && m_at(i, j) <= 0) break;
     if (state == kFromM) {
       const std::uint8_t tb = tbm_at(i, j);
@@ -404,12 +371,11 @@ struct WideBundle {
   }
 };
 
-template <typename Policy, Mode mode, bool UseProfile>
+template <typename Policy, bool UseProfile>
 AlignmentResult score_impl_t(std::string_view a, std::string_view b,
                              const ScoringScheme& scheme,
                              std::int64_t diagonal, std::int64_t band) {
   using Bundle = typename Policy::Bundle;
-  constexpr bool local = mode == Mode::kLocal;
   const std::size_t m = a.size();
   const std::size_t n = b.size();
   const std::int32_t open =
@@ -438,29 +404,13 @@ AlignmentResult score_impl_t(std::string_view a, std::string_view b,
               row.bundle.begin() + static_cast<std::ptrdiff_t>(hi), Bundle{});
   };
 
-  // Row 0 borders (into the prev buffers). The gap borders of the global
-  // and semiglobal modes start at (0, 0) with zero substitution columns,
-  // which is exactly the default bundle — only scores need setting.
+  // Row 0 borders (into the prev buffers): every cell can start a fresh
+  // local alignment.
   {
     const std::size_t b0 = lay.base(0);
-    if (lay.in_window(0, 0)) {
-      if (mode != Mode::kLocal) m_prev.score[0 - b0] = 0;
-    }
-    switch (mode) {
-      case Mode::kGlobal:
-        for (std::size_t j = std::max<std::size_t>(1, b0);
-             j <= n && lay.in_window(0, j); ++j) {
-          y_prev.score[j - b0] =
-              -open - static_cast<std::int32_t>(j - 1) * extend;
-        }
-        break;
-      case Mode::kLocal:
-      case Mode::kSemiglobal:
-        for (std::size_t j = b0; j <= n && lay.in_window(0, j); ++j) {
-          m_prev.score[j - b0] = 0;
-          m_prev.bundle[j - b0] = Policy::start(0, j);
-        }
-        break;
+    for (std::size_t j = b0; j <= n && lay.in_window(0, j); ++j) {
+      m_prev.score[j - b0] = 0;
+      m_prev.bundle[j - b0] = Policy::start(0, j);
     }
   }
 
@@ -521,16 +471,10 @@ AlignmentResult score_impl_t(std::string_view a, std::string_view b,
       }
     }
 
-    // Column-0 borders for this row.
+    // Column-0 border for this row.
     if (lay.in_window(i, 0)) {
-      if (local) {
-        m_cur.score[0 - bi] = 0;
-        m_cur.bundle[0 - bi] = Policy::start(i, 0);
-      } else {
-        x_cur.score[0 - bi] =
-            -open - static_cast<std::int32_t>(i - 1) * extend;
-        x_cur.bundle[0 - bi] = Bundle{};  // begin (0, 0), no substitutions
-      }
+      m_cur.score[0 - bi] = 0;
+      m_cur.bundle[0 - bi] = Policy::start(i, 0);
     }
 
     if (j_lo <= j_hi) {
@@ -593,12 +537,10 @@ AlignmentResult score_impl_t(std::string_view a, std::string_view b,
         const bool y_beats = yp_s[jq] > ps;
         ps = y_beats ? yp_s[jq] : ps;
         pb = Policy::select(y_beats, yp_b[jq], pb);
-        if constexpr (local) {
-          // Fresh local start at (i-1, j-1).
-          const bool fresh = ps < 0;
-          pb = Policy::select(fresh, start_prev, pb);
-          ps = fresh ? 0 : ps;
-        }
+        // Fresh local start at (i-1, j-1).
+        const bool fresh = ps < 0;
+        pb = Policy::select(fresh, start_prev, pb);
+        ps = fresh ? 0 : ps;
         std::int32_t subv;
         std::uint64_t incv;
         if constexpr (UseProfile) {
@@ -611,26 +553,22 @@ AlignmentResult score_impl_t(std::string_view a, std::string_view b,
         }
         const std::int32_t value = ps + subv;
         mc_s[jc] = value;
-        if constexpr (local) {
-          // A local traceback reaching a non-positive M cell stops there:
-          // the bundle restarts empty at (i, j).
-          const bool restart = value <= 0;
-          mc_b[jc] = Policy::select(restart, start_here,
-                                    Policy::add_inc(pb, incv));
-          // Local best tracking: same scan order as the interleaved loop
-          // (i ascending, then j ascending, strict > to switch), so the
-          // first occurrence of the maximum wins exactly as align_impl's.
-          if (value > best_score) {
-            best_score = value;
-            best_bundle = mc_b[jc];
-            best_i = i;
-            best_j = j;
-          }
-          Policy::bump_j(start_prev);
-          Policy::bump_j(start_here);
-        } else {
-          mc_b[jc] = Policy::add_inc(pb, incv);
+        // A local traceback reaching a non-positive M cell stops there:
+        // the bundle restarts empty at (i, j).
+        const bool restart = value <= 0;
+        mc_b[jc] = Policy::select(restart, start_here,
+                                  Policy::add_inc(pb, incv));
+        // Local best tracking: same scan order as the interleaved loop
+        // (i ascending, then j ascending, strict > to switch), so the
+        // first occurrence of the maximum wins exactly as align_impl's.
+        if (value > best_score) {
+          best_score = value;
+          best_bundle = mc_b[jc];
+          best_i = i;
+          best_j = j;
         }
+        Policy::bump_j(start_prev);
+        Policy::bump_j(start_here);
       }
 
       // Y: gap in a (consume b[j-1]); the serial chain, carried in
@@ -658,46 +596,14 @@ AlignmentResult score_impl_t(std::string_view a, std::string_view b,
 
   AlignmentResult result;
   result.cells = cells;
+  if (best_score <= 0) return result;  // no positive local alignment
 
-  const std::size_t bm = lay.base(m);
-  const auto row_score = [&](const Rows& row, std::size_t j) {
-    return lay.in_window(m, j) ? row.score[j - bm] : kNegInf;
-  };
-
-  std::int32_t end_score = kNegInf;
-  Bundle end_bundle{};
-  std::size_t end_i = m, end_j = n;
-  const auto consider = [&](const Rows& row, std::size_t j) {
-    if (row_score(row, j) > end_score) {
-      end_score = row.score[j - bm];
-      end_bundle = row.bundle[j - bm];
-      end_j = j;
-    }
-  };
-  if (mode == Mode::kGlobal) {
-    consider(m_prev, n);
-    consider(x_prev, n);
-    consider(y_prev, n);
-    if (end_score == kNegInf) end_bundle = Bundle{};
-  } else if (mode == Mode::kSemiglobal) {
-    for (std::size_t jj = 0; jj <= n; ++jj) {
-      consider(m_prev, jj);
-      consider(x_prev, jj);
-    }
-  } else {
-    if (best_score <= 0) return result;  // no positive local alignment
-    end_score = best_score;
-    end_bundle = best_bundle;
-    end_i = best_i;
-    end_j = best_j;
-  }
-
-  const BundleFields f = Policy::unpack(end_bundle);
-  const auto rows_used = static_cast<std::uint32_t>(end_i) - f.a_begin;
-  const auto cols_used = static_cast<std::uint32_t>(end_j) - f.b_begin;
-  result.score = end_score;
-  result.a_end = static_cast<std::uint32_t>(end_i);
-  result.b_end = static_cast<std::uint32_t>(end_j);
+  const BundleFields f = Policy::unpack(best_bundle);
+  const auto rows_used = static_cast<std::uint32_t>(best_i) - f.a_begin;
+  const auto cols_used = static_cast<std::uint32_t>(best_j) - f.b_begin;
+  result.score = best_score;
+  result.a_end = static_cast<std::uint32_t>(best_i);
+  result.b_end = static_cast<std::uint32_t>(best_j);
   result.a_begin = f.a_begin;
   result.b_begin = f.b_begin;
   result.columns = rows_used + cols_used - f.subs;
@@ -707,49 +613,35 @@ AlignmentResult score_impl_t(std::string_view a, std::string_view b,
   return result;
 }
 
-/// Lift the runtime mode and profile choice to template arguments so the
-/// hot loop specializes per mode (the local fresh/restart selects vanish
-/// from the global and semiglobal instantiations) and per lookup strategy.
+/// Lift the runtime profile choice to a template argument so the hot loop
+/// specializes per lookup strategy.
 template <typename Policy>
 AlignmentResult score_dispatch(std::string_view a, std::string_view b,
-                               const ScoringScheme& scheme, Mode mode,
+                               const ScoringScheme& scheme,
                                std::int64_t diagonal, std::int64_t band,
                                bool use_profile) {
-  const auto run = [&]<Mode kMode>() {
-    return use_profile
-               ? score_impl_t<Policy, kMode, true>(a, b, scheme, diagonal,
-                                                   band)
-               : score_impl_t<Policy, kMode, false>(a, b, scheme, diagonal,
-                                                    band);
-  };
-  switch (mode) {
-    case Mode::kGlobal:
-      return run.template operator()<Mode::kGlobal>();
-    case Mode::kSemiglobal:
-      return run.template operator()<Mode::kSemiglobal>();
-    case Mode::kLocal:
-      break;
-  }
-  return run.template operator()<Mode::kLocal>();
+  return use_profile
+             ? score_impl_t<Policy, true>(a, b, scheme, diagonal, band)
+             : score_impl_t<Policy, false>(a, b, scheme, diagonal, band);
 }
 
 AlignmentResult score_impl(std::string_view a, std::string_view b,
-                           const ScoringScheme& scheme, Mode mode,
-                           std::int64_t diagonal, std::int64_t band) {
+                           const ScoringScheme& scheme, std::int64_t diagonal,
+                           std::int64_t band) {
   const std::size_t m = a.size();
   const std::size_t n = b.size();
   if (m > kScoreCellMax || n > kScoreCellMax) {
-    return align_impl(a, b, scheme, mode, diagonal, band);
+    return align_impl(a, b, scheme, Mode::kLocal, diagonal, band);
   }
   // Narrow windows sweep too few cells to amortize the O(alphabet * n)
   // profile build; the crossover against the per-cell inline lookup sits
   // around a window width of ~100–130 columns on current hardware.
   const bool use_profile = BandLayout(m, n, diagonal, band).W > 128;
   if (m <= PackedBundle::kMaxLen && n <= PackedBundle::kMaxLen) {
-    return score_dispatch<PackedBundle>(a, b, scheme, mode, diagonal, band,
+    return score_dispatch<PackedBundle>(a, b, scheme, diagonal, band,
                                         use_profile);
   }
-  return score_dispatch<WideBundle>(a, b, scheme, mode, diagonal, band,
+  return score_dispatch<WideBundle>(a, b, scheme, diagonal, band,
                                     use_profile);
 }
 
@@ -768,12 +660,6 @@ AlignmentResult global_align_path(std::string_view a, std::string_view b,
                     static_cast<std::int64_t>(a.size() + b.size()), &path);
 }
 
-AlignmentResult semiglobal_align(std::string_view a, std::string_view b,
-                                 const ScoringScheme& scheme) {
-  return align_impl(a, b, scheme, Mode::kSemiglobal, 0,
-                    static_cast<std::int64_t>(a.size() + b.size()));
-}
-
 AlignmentResult local_align(std::string_view a, std::string_view b,
                             const ScoringScheme& scheme) {
   return align_impl(a, b, scheme, Mode::kLocal, 0,
@@ -788,21 +674,9 @@ AlignmentResult banded_local_align(std::string_view a, std::string_view b,
                     static_cast<std::int64_t>(band_halfwidth));
 }
 
-AlignmentResult global_align_score(std::string_view a, std::string_view b,
-                                   const ScoringScheme& scheme) {
-  return score_impl(a, b, scheme, Mode::kGlobal, 0,
-                    static_cast<std::int64_t>(a.size() + b.size()));
-}
-
-AlignmentResult semiglobal_align_score(std::string_view a, std::string_view b,
-                                       const ScoringScheme& scheme) {
-  return score_impl(a, b, scheme, Mode::kSemiglobal, 0,
-                    static_cast<std::int64_t>(a.size() + b.size()));
-}
-
 AlignmentResult local_align_score(std::string_view a, std::string_view b,
                                   const ScoringScheme& scheme) {
-  return score_impl(a, b, scheme, Mode::kLocal, 0,
+  return score_impl(a, b, scheme, 0,
                     static_cast<std::int64_t>(a.size() + b.size()));
 }
 
@@ -811,7 +685,7 @@ AlignmentResult banded_local_align_score(std::string_view a,
                                          const ScoringScheme& scheme,
                                          std::int64_t diagonal,
                                          std::uint32_t band_halfwidth) {
-  return score_impl(a, b, scheme, Mode::kLocal, diagonal,
+  return score_impl(a, b, scheme, diagonal,
                     static_cast<std::int64_t>(band_halfwidth));
 }
 

@@ -34,10 +34,8 @@ PredicateOutcome test_containment(std::string_view inner,
                                   const ContainmentParams& params) {
   // Predicates only cut on scores and region statistics, never on the
   // column path, so they always take the score-only fast path.
-  const AlignmentResult r = params.semiglobal
-                                ? semiglobal_align_score(inner, outer, scheme)
-                                : local_align_score(inner, outer, scheme);
-  return containment_outcome(r, inner.size(), params);
+  return containment_outcome(local_align_score(inner, outer, scheme),
+                             inner.size(), params);
 }
 
 PredicateOutcome test_overlap(std::string_view a, std::string_view b,

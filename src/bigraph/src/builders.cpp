@@ -51,9 +51,9 @@ ComponentGraph build_bd(const seq::SequenceSet& set,
           const auto res_b = set.residues(m.b);
           const align::PredicateOutcome res =
               pp.band > 0 ? align::test_overlap_banded(
-                                res_a, res_b, pp.scheme(), m.diagonal(),
+                                res_a, res_b, align::blosum62(), m.diagonal(),
                                 pp.band, pp.overlap)
-                          : align::test_overlap(res_a, res_b, pp.scheme(),
+                          : align::test_overlap(res_a, res_b, align::blosum62(),
                                                 pp.overlap);
           out.alignment_cells += res.alignment.cells;
           if (res.accepted) {

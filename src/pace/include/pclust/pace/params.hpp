@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "pclust/align/predicates.hpp"
-#include "pclust/align/scoring.hpp"
 
 namespace pclust::pace {
 
@@ -40,11 +39,10 @@ struct PaceParams {
   /// slow-but-healthy thread is indistinguishable from a hung one.
   double heartbeat_timeout = 0.0;
 
-  /// Extra timed-out receives — each with the timeout multiplied by
-  /// heartbeat_backoff — before a silent worker is declared dead, so a
-  /// transient stall does not trigger a (correct but wasteful) reassignment.
+  /// Extra timed-out receives — each with the timeout doubled — before a
+  /// silent worker is declared dead, so a transient stall does not trigger
+  /// a (correct but wasteful) reassignment.
   std::uint32_t heartbeat_retries = 2;
-  double heartbeat_backoff = 2.0;
   /// Ceiling on the backed-off per-retry timeout, wall seconds (0 = grow
   /// unbounded). With many retries an uncapped exponential ladder waits far
   /// past any useful point; the ceiling bounds each wait while keeping the
@@ -76,14 +74,6 @@ struct PaceParams {
   align::ContainmentParams containment{};
   /// Definition 2 cutoffs (similarity and longer-sequence coverage).
   align::OverlapParams overlap{};
-
-  /// Scoring scheme for verification alignments (defaults to BLOSUM62 when
-  /// null).
-  const align::ScoringScheme* scoring = nullptr;
-
-  [[nodiscard]] const align::ScoringScheme& scheme() const {
-    return scoring ? *scoring : align::blosum62();
-  }
 };
 
 /// The paper's ψ derivation (§IV-A): if two sequences must align over

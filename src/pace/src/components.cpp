@@ -139,10 +139,10 @@ class CcdWorker final : public WorkerPolicy {
     const auto b = set_.residues(task.b);
     const align::PredicateOutcome out =
         params_.band > 0
-            ? align::test_overlap_banded(a, b, params_.scheme(),
+            ? align::test_overlap_banded(a, b, align::blosum62(),
                                          task.diagonal(), params_.band,
                                          params_.overlap)
-            : align::test_overlap(a, b, params_.scheme(), params_.overlap);
+            : align::test_overlap(a, b, align::blosum62(), params_.overlap);
     if (cells) *cells += out.alignment.cells;
     return make_verdict(task, out);
   }
@@ -161,7 +161,7 @@ class CcdWorker final : public WorkerPolicy {
                       tasks[k].diagonal(), band});
     }
     std::vector<align::AlignmentResult> results(count);
-    align::align_score_batch(jobs.data(), count, params_.scheme(),
+    align::align_score_batch(jobs.data(), count, align::blosum62(),
                              results.data());
     for (std::size_t k = 0; k < count; ++k) {
       const align::PredicateOutcome out = align::overlap_outcome(

@@ -51,7 +51,6 @@ mpsim::MwOptions mw_options(const PaceParams& params) {
   opt.generation_batches = params.generation_batches;
   opt.heartbeat_timeout = params.heartbeat_timeout;
   opt.heartbeat_retries = params.heartbeat_retries;
-  opt.heartbeat_backoff = params.heartbeat_backoff;
   opt.heartbeat_max_timeout = params.heartbeat_max_timeout;
   opt.deadline_seconds = params.phase_deadline;
   opt.task_bytes = kPairBytes;

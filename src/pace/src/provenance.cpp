@@ -33,7 +33,7 @@ std::vector<prov::Edge> derive_rr_provenance(const seq::SequenceSet& set,
     if (!rr.removed[id]) continue;
     const seq::SeqId container = rr.container[id];
     const align::PredicateOutcome out = align::test_containment(
-        set.residues(id), set.residues(container), params.scheme(),
+        set.residues(id), set.residues(container), align::blosum62(),
         params.containment);
     // The phase's (possibly banded) decision already stands; the canonical
     // full-DP alignment is recorded as evidence even in the rare case its
@@ -93,10 +93,10 @@ std::vector<prov::Edge> derive_ccd_provenance(
         params.band > 0
             ? align::test_overlap_banded(set.residues(task.a),
                                          set.residues(task.b),
-                                         params.scheme(), task.diagonal(),
+                                         align::blosum62(), task.diagonal(),
                                          params.band, params.overlap)
             : align::test_overlap(set.residues(task.a), set.residues(task.b),
-                                  params.scheme(), params.overlap);
+                                  align::blosum62(), params.overlap);
     ++realigned;
     if (!out.accepted) continue;
     uf.merge(da, db);

@@ -95,14 +95,9 @@ class RrWorker final : public WorkerPolicy {
   /// Batched form: both containment directions of every admitted task are
   /// enqueued into one pair-batch call so the SIMD engine can pack them
   /// into lanes. Verdicts and per-task cell counts are bit-identical to
-  /// per-pair evaluate(). The semiglobal containment variant has no batched
-  /// kernel and keeps the scalar loop.
+  /// per-pair evaluate().
   void evaluate_batch(const PairTask* tasks, std::size_t count,
                       Verdict* verdicts, std::uint64_t* cells) override {
-    if (params_.containment.semiglobal) {
-      WorkerPolicy::evaluate_batch(tasks, count, verdicts, cells);
-      return;
-    }
     const std::int64_t band =
         params_.band > 0 ? static_cast<std::int64_t>(params_.band)
                          : std::int64_t{-1};
@@ -123,7 +118,7 @@ class RrWorker final : public WorkerPolicy {
       }
     }
     std::vector<align::AlignmentResult> results(jobs.size());
-    align::align_score_batch(jobs.data(), jobs.size(), params_.scheme(),
+    align::align_score_batch(jobs.data(), jobs.size(), align::blosum62(),
                              results.data());
 
     std::vector<std::uint8_t> a_in_b(count, 0), b_in_a(count, 0);
@@ -160,10 +155,10 @@ class RrWorker final : public WorkerPolicy {
             std::int64_t diagonal, std::uint64_t* cells) const {
     const align::PredicateOutcome out =
         params_.band > 0
-            ? align::test_containment_banded(inner, outer, params_.scheme(),
+            ? align::test_containment_banded(inner, outer, align::blosum62(),
                                              diagonal, params_.band,
                                              params_.containment)
-            : align::test_containment(inner, outer, params_.scheme(),
+            : align::test_containment(inner, outer, align::blosum62(),
                                       params_.containment);
     if (cells) *cells += out.alignment.cells;
     return out.accepted;

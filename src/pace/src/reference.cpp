@@ -12,7 +12,7 @@ namespace pclust::pace {
 std::vector<std::uint8_t> remove_redundant_bruteforce(
     const seq::SequenceSet& set, const PaceParams& params,
     BruteForceStats* stats) {
-  const auto& scheme = params.scheme();
+  const auto& scheme = align::blosum62();
   std::vector<std::uint8_t> removed(set.size(), 0);
   for (seq::SeqId a = 0; a < set.size(); ++a) {
     for (seq::SeqId b = a + 1; b < set.size(); ++b) {
@@ -47,7 +47,7 @@ std::vector<std::uint8_t> remove_redundant_bruteforce(
 std::vector<std::vector<seq::SeqId>> detect_components_bruteforce(
     const seq::SequenceSet& set, const std::vector<seq::SeqId>& ids,
     const PaceParams& params, BruteForceStats* stats, exec::Pool* pool) {
-  const auto& scheme = params.scheme();
+  const auto& scheme = align::blosum62();
   dsu::UnionFind uf(ids.size());
   if (pool && pool->size() > 1 && ids.size() > 2) {
     // Flatten the upper triangle and evaluate rows in parallel; merges and

@@ -43,7 +43,6 @@ mpsim::MwOptions dsd_options(const pace::PaceParams& engine) {
   opt.generation_batches = 1;
   opt.heartbeat_timeout = engine.heartbeat_timeout;
   opt.heartbeat_retries = engine.heartbeat_retries;
-  opt.heartbeat_backoff = engine.heartbeat_backoff;
   opt.heartbeat_max_timeout = engine.heartbeat_max_timeout;
   opt.deadline_seconds = engine.phase_deadline;
   opt.task_bytes = 4;       // one graph id

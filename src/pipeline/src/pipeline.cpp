@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
@@ -74,7 +75,7 @@ std::uint64_t fingerprint(const seq::SequenceSet& set,
   mix(cfg.rr_band);
   mix_f(cfg.pace.containment.min_similarity);
   mix_f(cfg.pace.containment.min_coverage);
-  mix(cfg.pace.containment.semiglobal ? 1 : 0);
+  mix(0);  // slot of a retired containment flag: old checkpoints still resume
   mix_f(cfg.pace.overlap.min_similarity);
   mix_f(cfg.pace.overlap.min_long_coverage);
   mix(static_cast<std::uint64_t>(cfg.reduction));
@@ -107,14 +108,15 @@ class Checkpoints {
 
   [[nodiscard]] bool enabled() const { return !dir_.empty(); }
   [[nodiscard]] bool resuming() const { return enabled() && resume_; }
-  [[nodiscard]] std::filesystem::path path(const char* name) const {
+  [[nodiscard]] std::uint64_t fingerprint() const { return fp_; }
+  [[nodiscard]] std::filesystem::path path(const std::string& name) const {
     return std::filesystem::path(dir_) / name;
   }
 
   /// Writes rotate the previous generation to "<name>.1" first, so a crash
   /// mid-write (or later corruption of the primary) still leaves a
   /// last-good file to roll back to.
-  void write(const char* name, std::uint32_t tag,
+  void write(const std::string& name, std::uint32_t tag,
              const util::CheckpointWriter& payload) const {
     if (enabled()) {
       write_checkpoint(path(name), tag, kPayloadV3, payload,
@@ -132,14 +134,14 @@ class Checkpoints {
   /// stored phase duration and @p from_backup whether the backup
   /// generation was used.
   [[nodiscard]] std::optional<util::CheckpointReader> open(
-      const char* name, std::uint32_t tag, double* seconds_out = nullptr,
+      const std::string& name, std::uint32_t tag, double* seconds_out = nullptr,
       bool* from_backup = nullptr) {
     if (!resuming()) return std::nullopt;
     util::CheckpointRecovery rec =
         util::recover_checkpoint(path(name), tag, kPayloadV3);
     for (const std::string& event : rec.events) {
       PCLUST_WARN << "pipeline: " << name << ": " << event;
-      recovery_log_.push_back(std::string(name) + ": " + event);
+      recovery_log_.push_back(name + ": " + event);
     }
     if (!rec.reader || rec.payload_version != kPayloadV3) return std::nullopt;
     if (rec.reader->u64() != fp_) {
@@ -157,7 +159,7 @@ class Checkpoints {
       PCLUST_WARN << "pipeline: " << name << ": checkpoint written by a run "
                   << "with masters=" << written_by << " (this run uses "
                   << masters_ << "); results are bit-identical, resuming";
-      recovery_log_.push_back(std::string(name) + ": provenance masters=" +
+      recovery_log_.push_back(name + ": provenance masters=" +
                               std::to_string(written_by));
     }
     if (seconds_out) *seconds_out = seconds;
@@ -203,6 +205,13 @@ class Checkpoints {
 constexpr std::string_view kSidecarSchema = "pclust-provenance-sidecar";
 constexpr int kSidecarVersion = 1;
 
+/// One phase's merge evidence: its ledger edges plus the number of
+/// union–find merges they must cover (the ledger's expected-merge count).
+struct Evidence {
+  std::vector<prov::Edge> edges;
+  std::uint64_t merges = 0;
+};
+
 /// Hex rendering for the u64 hashes in sidecar meta lines (JSON numbers
 /// are doubles — a full-range u64 would lose precision).
 std::string hex_u64(std::uint64_t v) {
@@ -240,9 +249,10 @@ std::uint64_t components_hash(
   return f.h;
 }
 
-std::string render_sidecar(std::string_view phase, std::uint64_t fp,
-                           std::uint64_t result_hash, std::uint64_t merges,
-                           const std::vector<prov::Edge>& edges) {
+/// A sidecar's meta line (see above).
+std::string sidecar_meta(std::string_view phase, std::uint64_t fp,
+                         std::uint64_t result_hash, std::uint64_t merges,
+                         std::uint64_t edges) {
   util::JsonWriter w;
   w.begin_object()
       .key("schema").value(kSidecarSchema)
@@ -251,52 +261,37 @@ std::string render_sidecar(std::string_view phase, std::uint64_t fp,
       .key("fingerprint").value(hex_u64(fp))
       .key("result").value(hex_u64(result_hash))
       .key("merges").value(merges)
-      .key("edges").value(static_cast<std::uint64_t>(edges.size()))
+      .key("edges").value(edges)
       .end_object();
-  std::string out = w.str();
-  out += '\n';
-  for (const prov::Edge& e : edges) {
-    out += prov::render_edge(e);
-    out += '\n';
-  }
-  return out;
+  return w.str();
 }
 
-/// Load a render_sidecar file. nullopt (never a throw) when the file is
+/// Load a commit_sidecar file. nullopt (never a throw) when the file is
 /// missing, damaged, truncated, or bound to a different fingerprint or
-/// phase result — the caller re-derives. On success @p merges_out (if
-/// given) receives the stored expected-merge count.
-std::optional<std::vector<prov::Edge>> load_sidecar(
-    const std::filesystem::path& path, std::string_view phase,
-    std::uint64_t fp, std::uint64_t result_hash,
-    std::uint64_t* merges_out = nullptr) {
+/// phase result — the caller re-derives.
+std::optional<Evidence> load_sidecar(const std::filesystem::path& path,
+                                     std::string_view phase, std::uint64_t fp,
+                                     std::uint64_t result_hash) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
+  std::string line;
+  if (!in || !std::getline(in, line)) return std::nullopt;
   try {
-    std::string line;
-    if (!std::getline(in, line)) return std::nullopt;
     const util::JsonValue meta = util::parse_json(line);
-    const util::JsonValue* schema = meta.find("schema");
-    if (!schema || !schema->is_string() ||
-        schema->as_string() != kSidecarSchema) {
-      return std::nullopt;
-    }
-    if (static_cast<int>(meta.at("version").as_number()) != kSidecarVersion ||
-        meta.at("phase").as_string() != phase ||
-        meta.at("fingerprint").as_string() != hex_u64(fp) ||
-        meta.at("result").as_string() != hex_u64(result_hash)) {
-      return std::nullopt;
-    }
+    Evidence evidence;
+    evidence.merges = meta.at("merges").as_u64();
     const std::uint64_t declared = meta.at("edges").as_u64();
-    std::vector<prov::Edge> edges;
-    edges.reserve(static_cast<std::size_t>(declared));
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      edges.push_back(prov::parse_edge(line));
+    // Schema, version, phase, fingerprint and result hash all match only
+    // when the meta line is exactly the one this run would write.
+    if (line != sidecar_meta(phase, fp, result_hash, evidence.merges,
+                             declared)) {
+      return std::nullopt;
     }
-    if (edges.size() != declared) return std::nullopt;
-    if (merges_out) *merges_out = meta.at("merges").as_u64();
-    return edges;
+    evidence.edges.reserve(static_cast<std::size_t>(declared));
+    while (std::getline(in, line)) {
+      if (!line.empty()) evidence.edges.push_back(prov::parse_edge(line));
+    }
+    if (evidence.edges.size() != declared) return std::nullopt;
+    return evidence;
   } catch (const std::exception& err) {
     PCLUST_WARN << "pipeline: damaged provenance sidecar " << path.string()
                 << ": " << err.what() << " (re-deriving)";
@@ -304,11 +299,20 @@ std::optional<std::vector<prov::Edge>> load_sidecar(
   }
 }
 
-/// Commit a sidecar through the IoEnv. Failures warn and continue: the
-/// requested audit artifact is the FINAL ledger (whose write is fatal,
-/// see prov::write_ledger) — sidecars only make `--resume` cheaper.
-void commit_sidecar(const std::filesystem::path& path,
-                    const std::string& bytes) {
+/// Render a sidecar and commit it through the IoEnv. Failures warn and
+/// continue: the requested audit artifact is the FINAL ledger (whose write
+/// is fatal, see prov::write_ledger) — sidecars only make `--resume`
+/// cheaper.
+void commit_sidecar(const std::filesystem::path& path, std::string_view phase,
+                    std::uint64_t fp, std::uint64_t result_hash,
+                    const Evidence& evidence) {
+  std::string bytes = sidecar_meta(phase, fp, result_hash, evidence.merges,
+                                   evidence.edges.size());
+  bytes += '\n';
+  for (const prov::Edge& e : evidence.edges) {
+    bytes += prov::render_edge(e);
+    bytes += '\n';
+  }
   try {
     util::io::io().commit_file(util::io::ArtifactClass::kProvenance, path,
                                bytes);
@@ -319,13 +323,121 @@ void commit_sidecar(const std::filesystem::path& path,
   }
 }
 
-/// Record the process RSS at a phase boundary as a `mem.rss.<phase>`
-/// gauge; the run report's memory section reads the high-water marks. A
-/// no-op (gauge stays 0) where /proc is unavailable.
-void sample_phase_rss(const char* phase) {
+// ---- Phase runner ----------------------------------------------------------
+
+/// What a phase's compute step hands back to the runner: the duration to
+/// record (wall time, or the simulated makespan on mpsim ranks) and the
+/// phase-log verb ("resumed-partial" when CCD re-entered its pair stream
+/// from a mid-phase snapshot).
+struct Computed {
+  double seconds = 0.0;
+  const char* how = "computed";
+};
+
+/// The phase-specific steps of one pipeline phase. run_phase() does
+/// everything the phases have in common around them.
+struct PhaseSteps {
+  const char* name;      // phase-log entry; checkpoint "<name>.ckpt"
+  const char* stage;     // trace span, telemetry, governor, mem.rss.<stage>
+  const char* evidence;  // provenance sidecar "<evidence>.prov.jsonl"
+  std::uint32_t tag;     // checkpoint header tag
+  double& seconds;       // where PipelineResult keeps the phase duration
+  // Telemetry phase shape: simulated ranks, or one wall-clock rank.
+  bool simulated = false;
+  int ranks = 1;
+  int masters = 1;
+  /// A mid-phase snapshot file that the phase checkpoint supersedes.
+  const char* partial = nullptr;
+  /// The last phase has no boundary after it: the run is complete, so the
+  /// memory budget is not enforced there.
+  bool last = false;
+
+  std::function<void(util::CheckpointReader&)> restore{};
+  std::function<Computed(const util::Timer&)> compute{};
+  std::function<void(util::CheckpointWriter&)> save{};
+  /// Hash of the result the phase's evidence is bound to.
+  std::function<std::uint64_t()> result_hash{};
+  /// Canonical evidence for the current result (called only when merge
+  /// provenance is on and no matching sidecar was spliced).
+  std::function<Evidence()> derive{};
+};
+
+/// The phase-boundary protocol, written once for every phase: resume from
+/// the phase checkpoint (rolling back to the last-good generation when the
+/// primary is damaged) or compute inside the phase's trace span and
+/// telemetry window and checkpoint the result; append the phase-log entry;
+/// splice the evidence sidecar of a resumed phase, or derive the evidence
+/// and commit its sidecar; then sample RSS, enforce the memory budget and
+/// poll the watchdog deadline.
+void run_phase(const PhaseSteps& phase, Checkpoints& ckpt, bool want_prov,
+               std::vector<std::string>& phase_log, Evidence& evidence) {
+  util::governor().set_phase(phase.stage);
+  const std::string file = std::string(phase.name) + ".ckpt";
+  bool resumed = false;
+  bool from_backup = false;
+  const char* how = nullptr;
+  if (auto reader = ckpt.open(file, phase.tag, &phase.seconds, &from_backup)) {
+    phase.restore(*reader);
+    resumed = true;
+    how = from_backup ? "resumed-backup" : "resumed";
+  } else {
+    const util::trace::WallSpan span(phase.stage);
+    util::telemetry::phase_begin(phase.stage, phase.simulated, phase.ranks,
+                                 phase.masters);
+    const util::Timer timer;
+    const Computed computed = phase.compute(timer);
+    phase.seconds = computed.seconds;
+    util::telemetry::phase_end(phase.stage, phase.seconds);
+    if (ckpt.enabled()) {
+      util::CheckpointWriter payload = ckpt.payload(phase.seconds);
+      phase.save(payload);
+      ckpt.write(file, phase.tag, payload);
+      if (phase.partial) {
+        std::error_code ec;
+        std::filesystem::remove(ckpt.path(phase.partial), ec);
+        std::filesystem::remove(
+            util::checkpoint_backup_path(ckpt.path(phase.partial)), ec);
+      }
+    }
+    how = computed.how;
+  }
+  if (ckpt.enabled()) {
+    phase_log.push_back(std::string(phase.name) + ":" + how);
+    PCLUST_INFO << "pipeline: phase " << phase.name << " " << how;
+  }
+
+  if (want_prov) {
+    // Resumed phases splice the sidecar written by the run that computed
+    // them; everything else derives canonically (see pace/provenance.hpp).
+    const std::filesystem::path sidecar =
+        ckpt.path(std::string(phase.evidence) + ".prov.jsonl");
+    const std::uint64_t hash = phase.result_hash();
+    std::optional<Evidence> loaded;
+    if (resumed) {
+      loaded = load_sidecar(sidecar, phase.evidence, ckpt.fingerprint(), hash);
+    }
+    if (loaded) {
+      evidence = std::move(*loaded);
+    } else {
+      evidence = phase.derive();
+      if (ckpt.enabled()) {
+        commit_sidecar(sidecar, phase.evidence, ckpt.fingerprint(), hash,
+                       evidence);
+      }
+    }
+  }
+
+  // The report's memory section reads these high-water marks (the gauge
+  // stays 0 where /proc is unavailable).
   util::metrics()
-      .gauge(std::string("mem.rss.") + phase)
+      .gauge(std::string("mem.rss.") + phase.stage)
       .set(util::current_rss_bytes());
+  // Past this point the phase checkpoint (if any) is flushed: a hopelessly
+  // over-budget run exits structured and resumable here, not OOM-killed.
+  if (!phase.last) {
+    util::governor().check_phase_boundary(phase.stage, ckpt.enabled());
+  }
+  util::telemetry::poll_deadline();
 }
 
 /// Open a trace timeline for a simulated phase and label its rank lanes;
@@ -358,37 +470,6 @@ void trace_sim_result(const mpsim::RunResult& run) {
                           run.rank_times[r] * 1e6);
   }
   util::trace::set_current_pid(0);
-}
-
-/// Table-I aggregates over result.families; the shared tail of the compute
-/// and resume paths (families arrive sorted either way).
-PipelineResult finalize(PipelineResult result) {
-  result.dense_subgraph_count = result.families.size();
-  double degree_weighted = 0.0;
-  double density_sum = 0.0;
-  static util::SizeHistogram& sizes =
-      util::metrics().histogram("families.family_size");
-  for (const Family& f : result.families) {
-    sizes.add(f.members.size());
-    result.sequences_in_subgraphs += f.members.size();
-    result.largest_subgraph =
-        std::max(result.largest_subgraph, f.members.size());
-    degree_weighted += f.mean_degree * static_cast<double>(f.members.size());
-    density_sum += f.density;
-  }
-  if (result.sequences_in_subgraphs > 0) {
-    result.mean_degree =
-        degree_weighted / static_cast<double>(result.sequences_in_subgraphs);
-  }
-  if (!result.families.empty()) {
-    result.mean_density =
-        density_sum / static_cast<double>(result.families.size());
-  }
-  PCLUST_INFO << "pipeline: " << result.dense_subgraph_count
-              << " dense subgraphs covering "
-              << result.sequences_in_subgraphs << " sequences ("
-              << util::format_duration(result.bgg_dsd_seconds) << ")";
-  return result;
 }
 
 }  // namespace
@@ -431,119 +512,61 @@ PipelineResult run(const seq::SequenceSet& input,
   }
   const seq::SequenceSet& set = config.mask_low_complexity ? masked : input;
 
-  const std::uint64_t fp =
-      config.checkpoint_dir.empty() ? 0 : fingerprint(set, config);
-  Checkpoints ckpt(config, fp);
-  const mpsim::FaultPlan* rr_plan =
-      config.rr_fault_plan ? config.rr_fault_plan : config.fault_plan;
-  const mpsim::FaultPlan* ccd_plan =
-      config.ccd_fault_plan ? config.ccd_fault_plan : config.fault_plan;
-  const auto log_phase = [&](const char* phase, const char* how) {
-    if (!ckpt.enabled()) return;
-    result.phase_log.push_back(std::string(phase) + ":" + how);
-    PCLUST_INFO << "pipeline: phase " << phase << " " << how;
-  };
+  Checkpoints ckpt(config,
+                   config.checkpoint_dir.empty() ? 0 : fingerprint(set, config));
 
-  // Merge-provenance capture state. Edges accumulate per phase and are
-  // assembled into result.provenance at every function exit; the ledger is
-  // a canonical derivation (see pace/provenance.hpp), so these vectors end
-  // up bit-identical however each phase actually executed.
+  // Merge-provenance evidence, one slot per phase. The ledger is a
+  // canonical derivation (see pace/provenance.hpp), so these end up
+  // bit-identical however each phase actually executed.
   const bool want_prov = config.provenance;
-  std::vector<prov::Edge> rr_edges;
-  std::vector<prov::Edge> ccd_edges;
-  std::vector<prov::Edge> dsd_edges;
-  std::uint64_t dsd_expected_merges = 0;
-  const prov::Rule dsd_rule = config.reduction == bigraph::Reduction::kDuplicate
-                                  ? prov::Rule::kBd
-                                  : prov::Rule::kBm;
-  const auto append_dsd_edges =
-      [&](const std::vector<shingle::ShingleMerge>& merges) {
-        for (const shingle::ShingleMerge& m : merges) {
-          prov::Edge e;
-          e.a = m.a;
-          e.b = m.b;
-          e.phase = prov::Phase::kDsd;
-          e.rule = dsd_rule;
-          e.score = static_cast<std::int32_t>(m.matches);
-          e.matches = m.matches;
-          e.columns = m.columns;
-          dsd_edges.push_back(e);
-        }
-      };
+  Evidence rr_evidence;
+  Evidence ccd_evidence;
+  Evidence dsd_evidence;
 
   // ---- Phase 1: redundancy removal --------------------------------------
-  util::governor().set_phase("rr");
-  bool from_backup = false;
-  bool rr_resumed = false;
-  if (auto reader =
-          ckpt.open("rr.ckpt", kTagRr, &result.rr_seconds, &from_backup)) {
-    result.rr.removed = reader->u8_vec();
-    const std::vector<std::uint32_t> containers = reader->u32_vec();
-    result.rr.container.assign(containers.begin(), containers.end());
+  // RR applies containment verdicts order-dependently (removed/container
+  // bookkeeping is not confluent), so it always runs flat regardless of the
+  // configured master count; only CCD and DSD go hierarchical.
+  PhaseSteps rr{.name = "rr", .stage = "rr", .evidence = "rr", .tag = kTagRr,
+                .seconds = result.rr_seconds, .simulated = parallel,
+                .ranks = parallel ? config.processors : 1};
+  rr.restore = [&](util::CheckpointReader& in) {
+    result.rr.removed = in.u8_vec();
+    result.rr.container = in.u32_vec();
     if (result.rr.removed.size() != set.size() ||
         result.rr.container.size() != set.size()) {
       throw util::CheckpointError(
           "rr.ckpt does not cover the current input set");
     }
-    log_phase("rr", from_backup ? "resumed-backup" : "resumed");
-    rr_resumed = true;
-  } else {
-    const util::trace::WallSpan span("rr");
-    if (parallel) trace_sim_phase("sim:rr", config.processors);
-    // RR always runs flat (see below), so masters is 1 either way.
-    util::telemetry::phase_begin("rr", parallel,
-                                 parallel ? config.processors : 1, 1);
-    util::Timer timer;
+  };
+  rr.compute = [&](const util::Timer& timer) -> Computed {
     pace::PaceParams rr_params = config.pace;
     rr_params.band = config.rr_band;
     rr_params.phase_label = "rr";
-    // RR applies containment verdicts order-dependently (removed/container
-    // bookkeeping is not confluent), so it always runs flat regardless of
-    // the configured master count; only CCD and DSD go hierarchical.
     rr_params.masters = 1;
-    result.rr = parallel
-                    ? pace::remove_redundant(set, config.processors,
-                                             config.model, rr_params, pool_arg,
-                                             rr_plan)
-                    : pace::remove_redundant_serial(set, rr_params, pool_arg);
-    result.rr_seconds =
-        parallel ? result.rr.run.makespan : timer.elapsed_seconds();
-    util::telemetry::phase_end("rr", result.rr_seconds);
-    if (parallel) trace_sim_result(result.rr.run);
-    if (ckpt.enabled()) {
-      util::CheckpointWriter payload = ckpt.payload(result.rr_seconds);
-      payload.u8_vec(result.rr.removed);
-      payload.u32_vec(std::vector<std::uint32_t>(result.rr.container.begin(),
-                                                 result.rr.container.end()));
-      ckpt.write("rr.ckpt", kTagRr, payload);
+    if (!parallel) {
+      result.rr = pace::remove_redundant_serial(set, rr_params, pool_arg);
+      return {timer.elapsed_seconds()};
     }
-    log_phase("rr", "computed");
-  }
-  if (want_prov) {
-    // RR evidence: re-derived from the removal result (full-DP containment
-    // stats, canonical ascending order — see pace/provenance.hpp). Resumed
-    // phases splice the sidecar written by the run that computed them.
-    const std::uint64_t rr_hash = rr_result_hash(result.rr);
-    std::optional<std::vector<prov::Edge>> loaded;
-    if (rr_resumed && ckpt.enabled()) {
-      loaded = load_sidecar(ckpt.path("rr.prov.jsonl"), "rr", fp, rr_hash);
-    }
-    if (loaded) {
-      rr_edges = std::move(*loaded);
-    } else {
-      rr_edges = pace::derive_rr_provenance(set, result.rr, config.pace);
-      if (ckpt.enabled()) {
-        commit_sidecar(ckpt.path("rr.prov.jsonl"),
-                       render_sidecar("rr", fp, rr_hash,
-                                      result.rr.removed_count(), rr_edges));
-      }
-    }
-  }
-  sample_phase_rss("rr");
-  // Past this point the rr checkpoint (if any) is flushed: a hopelessly
-  // over-budget run exits structured and resumable here, not OOM-killed.
-  util::governor().check_phase_boundary("rr", ckpt.enabled());
-  util::telemetry::poll_deadline();
+    trace_sim_phase("sim:rr", config.processors);
+    result.rr = pace::remove_redundant(
+        set, config.processors, config.model, rr_params, pool_arg,
+        config.rr_fault_plan ? config.rr_fault_plan : config.fault_plan);
+    trace_sim_result(result.rr.run);
+    return {result.rr.run.makespan};
+  };
+  rr.save = [&](util::CheckpointWriter& out) {
+    out.u8_vec(result.rr.removed);
+    out.u32_vec(result.rr.container);
+  };
+  rr.result_hash = [&] { return rr_result_hash(result.rr); };
+  // Re-derived from the removal result: full-DP containment stats in
+  // canonical ascending order.
+  rr.derive = [&] {
+    return Evidence{pace::derive_rr_provenance(set, result.rr, config.pace),
+                    result.rr.removed_count()};
+  };
+  run_phase(rr, ckpt, want_prov, result.phase_log, rr_evidence);
   const std::vector<seq::SeqId> survivors = result.rr.survivors();
   result.non_redundant_sequences = survivors.size();
   PCLUST_INFO << "pipeline: RR kept " << survivors.size() << " of "
@@ -551,35 +574,33 @@ PipelineResult run(const seq::SequenceSet& input,
               << ")";
 
   // ---- Phase 2: connected components -------------------------------------
-  util::governor().set_phase("ccd");
   pace::PaceParams ccd_params = config.pace;
   ccd_params.phase_label = "ccd";
-  bool ccd_resumed = false;
-  // True when the serial CCD path recorded its merges at decision time
-  // (from-scratch runs only — a partial resume replays instead, because
-  // the merges before the watermark happened in an earlier process).
-  bool ccd_captured = false;
-  if (auto reader =
-          ckpt.open("ccd.ckpt", kTagCcd, &result.ccd_seconds, &from_backup)) {
-    const std::uint64_t count = reader->u64();
+  const int ccd_masters = std::max(1, ccd_params.masters);
+  PhaseSteps ccd{.name = "ccd", .stage = "ccd", .evidence = "ccd",
+                 .tag = kTagCcd, .seconds = result.ccd_seconds,
+                 .simulated = parallel,
+                 .ranks = parallel ? config.processors : 1,
+                 .masters = parallel ? ccd_masters : 1,
+                 .partial = "ccd_partial.ckpt"};
+  ccd.restore = [&](util::CheckpointReader& in) {
+    const std::uint64_t count = in.u64();
     result.ccd.components.reserve(static_cast<std::size_t>(count));
     for (std::uint64_t i = 0; i < count; ++i) {
-      const std::vector<std::uint32_t> members = reader->u32_vec();
-      result.ccd.components.emplace_back(members.begin(), members.end());
+      result.ccd.components.push_back(in.u32_vec());
     }
-    log_phase("ccd", from_backup ? "resumed-backup" : "resumed");
-    ccd_resumed = true;
-  } else {
-    const util::trace::WallSpan span("ccd");
+  };
+  std::optional<std::vector<prov::Edge>> ccd_captured;
+  ccd.compute = [&](const util::Timer& timer) -> Computed {
     if (parallel) {
-      trace_sim_phase("sim:ccd", config.processors,
-                      std::max(1, ccd_params.masters));
+      trace_sim_phase("sim:ccd", config.processors, ccd_masters);
+      result.ccd = pace::detect_components(
+          set, survivors, config.processors, config.model, ccd_params,
+          pool_arg,
+          config.ccd_fault_plan ? config.ccd_fault_plan : config.fault_plan);
+      trace_sim_result(result.ccd.run);
+      return {result.ccd.run.makespan};
     }
-    util::telemetry::phase_begin("ccd", parallel,
-                                 parallel ? config.processors : 1,
-                                 parallel ? std::max(1, ccd_params.masters)
-                                          : 1);
-    util::Timer timer;
     // Mid-stream progress snapshots (serial path only: the pair stream
     // index is only a meaningful watermark there). `prior_seconds` carries
     // the time the interrupted run(s) already spent, so the recorded phase
@@ -587,102 +608,80 @@ PipelineResult run(const seq::SequenceSet& input,
     pace::CcdProgress partial;
     bool have_partial = false;
     double prior_seconds = 0.0;
-    if (!parallel) {
-      if (auto part =
-              ckpt.open("ccd_partial.ckpt", kTagCcdPartial, &prior_seconds)) {
-        partial.parents = part->u32_vec();
-        partial.next_pair = part->u64();
-        have_partial = partial.parents.size() == survivors.size();
-        if (!have_partial) prior_seconds = 0.0;
-      }
+    if (auto part = ckpt.open(ccd.partial, kTagCcdPartial, &prior_seconds)) {
+      partial.parents = part->u32_vec();
+      partial.next_pair = part->u64();
+      have_partial = partial.parents.size() == survivors.size();
+      if (!have_partial) prior_seconds = 0.0;
     }
-    const auto on_checkpoint = [&](const pace::CcdProgress& progress) {
-      util::CheckpointWriter payload =
-          ckpt.payload(prior_seconds + timer.elapsed_seconds());
-      payload.u32_vec(progress.parents);
-      payload.u64(progress.next_pair);
-      ckpt.write("ccd_partial.ckpt", kTagCcdPartial, payload);
-    };
     const std::uint64_t stride =
-        ckpt.enabled() && !parallel ? config.ccd_checkpoint_stride : 0;
-    // From-scratch serial CCD captures its evidence at the point of
-    // decision for free (the recorder fires on every successful union-find
-    // merge); the parallel and partially-resumed paths re-derive by
-    // canonical replay below, provably yielding the same edges.
-    ccd_captured = want_prov && !parallel && !have_partial;
-    std::function<void(const pace::Verdict&)> on_merge;
-    if (ccd_captured) {
-      on_merge = [&](const pace::Verdict& v) {
-        ccd_edges.push_back(pace::ccd_edge_from_verdict(v));
+        ckpt.enabled() ? config.ccd_checkpoint_stride : 0;
+    std::function<void(const pace::CcdProgress&)> on_checkpoint;
+    if (stride > 0) {
+      on_checkpoint = [&](const pace::CcdProgress& progress) {
+        util::CheckpointWriter payload =
+            ckpt.payload(prior_seconds + timer.elapsed_seconds());
+        payload.u32_vec(progress.parents);
+        payload.u64(progress.next_pair);
+        ckpt.write(ccd.partial, kTagCcdPartial, payload);
       };
     }
-    result.ccd =
-        parallel
-            ? pace::detect_components(set, survivors, config.processors,
-                                      config.model, ccd_params, pool_arg,
-                                      ccd_plan)
-            : pace::detect_components_serial(
-                  set, survivors, ccd_params, pool_arg,
-                  have_partial ? &partial : nullptr, stride,
-                  stride > 0 ? on_checkpoint
-                             : std::function<void(const pace::CcdProgress&)>(),
-                  on_merge);
-    result.ccd_seconds = parallel ? result.ccd.run.makespan
-                                  : prior_seconds + timer.elapsed_seconds();
-    util::telemetry::phase_end("ccd", result.ccd_seconds);
-    if (parallel) trace_sim_result(result.ccd.run);
-    if (ckpt.enabled()) {
-      util::CheckpointWriter payload = ckpt.payload(result.ccd_seconds);
-      payload.u64(result.ccd.components.size());
-      for (const auto& component : result.ccd.components) {
-        payload.u32_vec(std::vector<std::uint32_t>(component.begin(),
-                                                   component.end()));
-      }
-      ckpt.write("ccd.ckpt", kTagCcd, payload);
-      std::error_code ec;
-      std::filesystem::remove(ckpt.path("ccd_partial.ckpt"), ec);
-      std::filesystem::remove(
-          util::checkpoint_backup_path(ckpt.path("ccd_partial.ckpt")), ec);
+    // From-scratch serial CCD captures its evidence at the point of decision
+    // for free (the recorder fires on every successful union-find merge).
+    // The parallel path and a partial resume (whose merges before the
+    // watermark happened in an earlier process) re-derive by canonical
+    // replay, provably yielding the same edges.
+    std::function<void(const pace::Verdict&)> on_merge;
+    if (want_prov && !have_partial) {
+      ccd_captured.emplace();
+      on_merge = [&](const pace::Verdict& v) {
+        ccd_captured->push_back(pace::ccd_edge_from_verdict(v));
+      };
     }
-    log_phase("ccd", have_partial ? "resumed-partial" : "computed");
+    result.ccd = pace::detect_components_serial(
+        set, survivors, ccd_params, pool_arg,
+        have_partial ? &partial : nullptr, stride, on_checkpoint, on_merge);
+    return {prior_seconds + timer.elapsed_seconds(),
+            have_partial ? "resumed-partial" : "computed"};
+  };
+  ccd.save = [&](util::CheckpointWriter& out) {
+    out.u64(result.ccd.components.size());
+    for (const auto& component : result.ccd.components) out.u32_vec(component);
+  };
+  ccd.result_hash = [&] { return components_hash(result.ccd.components); };
+  ccd.derive = [&] {
+    return Evidence{ccd_captured ? std::move(*ccd_captured)
+                                 : pace::derive_ccd_provenance(
+                                       set, survivors, ccd_params,
+                                       result.ccd.components, pool_arg),
+                    survivors.size() - result.ccd.components.size()};
+  };
+  run_phase(ccd, ckpt, want_prov, result.phase_log, ccd_evidence);
+  static util::SizeHistogram& component_sizes =
+      util::metrics().histogram("ccd.component_size");
+  for (const auto& component : result.ccd.components) {
+    component_sizes.add(component.size());
   }
-  if (want_prov) {
-    const std::uint64_t ccd_hash = components_hash(result.ccd.components);
-    std::optional<std::vector<prov::Edge>> loaded;
-    if (ccd_resumed && ckpt.enabled()) {
-      loaded = load_sidecar(ckpt.path("ccd.prov.jsonl"), "ccd", fp, ccd_hash);
-    }
-    if (loaded) {
-      ccd_edges = std::move(*loaded);
-    } else {
-      if (!ccd_captured) {
-        ccd_edges = pace::derive_ccd_provenance(
-            set, survivors, ccd_params, result.ccd.components, pool_arg);
-      }
-      if (ckpt.enabled()) {
-        commit_sidecar(
-            ckpt.path("ccd.prov.jsonl"),
-            render_sidecar("ccd", fp, ccd_hash,
-                           survivors.size() - result.ccd.components.size(),
-                           ccd_edges));
-      }
-    }
-  }
-  {
-    static util::SizeHistogram& sizes =
-        util::metrics().histogram("ccd.component_size");
-    for (const auto& component : result.ccd.components) {
-      sizes.add(component.size());
-    }
-  }
-  sample_phase_rss("ccd");
-  util::governor().check_phase_boundary("ccd", ckpt.enabled());
-  util::telemetry::poll_deadline();
   result.components_min_size =
       result.ccd.count_with_min_size(config.min_component);
   PCLUST_INFO << "pipeline: CCD found " << result.components_min_size
               << " components of size >= " << config.min_component << " ("
               << util::format_duration(result.ccd_seconds) << ")";
+
+  // ---- Phases 3 + 4: bipartite graphs + dense subgraphs -------------------
+  std::size_t qualifying = 0;
+  for (const auto& component : result.ccd.components) {
+    if (component.size() >= config.min_component) ++qualifying;
+  }
+  const bool dsd_parallel = config.dsd_processors >= 2 && qualifying > 0;
+  // DSD may run on a different rank count than CCD; when it is too narrow
+  // to host the configured master tree (needs >= masters + 2 ranks), the
+  // stage falls back to the flat protocol rather than failing the whole
+  // run — results are bit-identical either way.
+  pace::PaceParams dsd_engine = config.pace;
+  const bool dsd_flat_fallback = dsd_parallel && dsd_engine.masters > 1 &&
+                                 config.dsd_processors < dsd_engine.masters + 2;
+  if (dsd_flat_fallback) dsd_engine.masters = 1;
 
   const auto build_graph =
       [&](const std::vector<seq::SeqId>& component) -> bigraph::ComponentGraph {
@@ -693,202 +692,65 @@ PipelineResult run(const seq::SequenceSet& input,
     }
     return bigraph::build_bm(set, component, config.bm);
   };
-
-  // Assemble the final ledger (phase order rr, ccd, dsd; counts from the
-  // phase results, NOT from the edge lists — that is what makes the
-  // summary's `complete` flag a real coverage check).
-  const auto assemble_provenance = [&] {
-    if (!want_prov) return;
-    prov::Ledger& ledger = result.provenance;
-    ledger.sequences = set.size();
-    ledger.edges.reserve(rr_edges.size() + ccd_edges.size() +
-                         dsd_edges.size());
-    ledger.edges.insert(ledger.edges.end(), rr_edges.begin(), rr_edges.end());
-    ledger.edges.insert(ledger.edges.end(), ccd_edges.begin(),
-                        ccd_edges.end());
-    ledger.edges.insert(ledger.edges.end(), dsd_edges.begin(),
-                        dsd_edges.end());
-    ledger.recount();
-    ledger.counts.rr_merges = result.rr.removed_count();
-    ledger.counts.ccd_merges =
-        survivors.size() - result.ccd.components.size();
-    ledger.counts.dsd_merges = dsd_expected_merges;
-    if (!ledger.counts.identity_holds()) {
-      PCLUST_WARN << "pipeline: provenance merge identity violated (edges "
-                  << ledger.counts.total_edges() << ", expected merges "
-                  << (ledger.counts.rr_merges + ledger.counts.ccd_merges +
-                      ledger.counts.dsd_merges)
-                  << ") — the ledger's summary records complete=false";
-    }
-  };
-
-  // ---- Phases 3 + 4: bipartite graphs + dense subgraphs -------------------
-  if (auto reader = ckpt.open("families.ckpt", kTagFamilies,
-                              &result.bgg_dsd_seconds, &from_backup)) {
-    const std::uint64_t count = reader->u64();
-    result.families.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      Family family;
-      const std::vector<std::uint32_t> members = reader->u32_vec();
-      family.members.assign(members.begin(), members.end());
-      family.mean_degree = reader->f64();
-      family.density = reader->f64();
-      result.families.push_back(std::move(family));
-    }
-    log_phase("families", from_backup ? "resumed-backup" : "resumed");
-    if (want_prov) {
-      // The DSD phase itself is skipped, so its evidence comes from the
-      // sidecar (bound to the CCD partition it was derived from) or, when
-      // that is missing, from re-running Shingle capture per qualifying
-      // component — families are already final, so the re-run's family
-      // output is discarded and only the merge evidence kept.
-      const std::uint64_t ccd_hash = components_hash(result.ccd.components);
-      std::optional<std::vector<prov::Edge>> loaded;
-      if (ckpt.enabled()) {
-        loaded = load_sidecar(ckpt.path("dsd.prov.jsonl"), "dsd", fp,
-                              ccd_hash, &dsd_expected_merges);
-      }
-      if (loaded) {
-        dsd_edges = std::move(*loaded);
-      } else {
-        std::uint64_t s1 = 0;
-        std::uint64_t raw = 0;
-        for (const auto& component : result.ccd.components) {
-          if (component.size() < config.min_component) continue;
-          const bigraph::ComponentGraph graph = build_graph(component);
-          shingle::DsdStats stats;
-          std::vector<shingle::ShingleMerge> merges;
-          (void)shingle::report_families(graph, config.shingle, &stats,
-                                         pool_arg, &merges);
-          s1 += stats.first_level_shingles;
-          raw += stats.raw_components;
-          append_dsd_edges(merges);
-        }
-        dsd_expected_merges = s1 - raw;
-        if (ckpt.enabled()) {
-          commit_sidecar(ckpt.path("dsd.prov.jsonl"),
-                         render_sidecar("dsd", fp, ccd_hash,
-                                        dsd_expected_merges, dsd_edges));
-        }
-      }
-      assemble_provenance();
-    }
-    result.recovery_log = ckpt.recovery_log();
-    return finalize(std::move(result));
-  }
-
-  // ---- Phase 3: bipartite graph generation --------------------------------
-  const util::trace::WallSpan bgg_dsd_span("bgg+dsd");
-  std::size_t qualifying = 0;
-  for (const auto& component : result.ccd.components) {
-    if (component.size() >= config.min_component) ++qualifying;
-  }
-  const bool dsd_parallel = config.dsd_processors >= 2 && qualifying > 0;
-  int dsd_masters = 1;
-  if (dsd_parallel) {
-    // Mirrors the narrow-topology fallback below so the phase record names
-    // the master count the protocol will actually run with.
-    dsd_masters = std::max(1, config.pace.masters);
-    if (dsd_masters > 1 && config.dsd_processors < dsd_masters + 2) {
-      dsd_masters = 1;
-    }
-  }
-  util::telemetry::phase_begin("bgg+dsd", dsd_parallel,
-                               dsd_parallel ? config.dsd_processors : 1,
-                               dsd_masters);
-  util::Timer dsd_timer;
-  util::governor().set_phase("bgg+dsd");
-
   const auto graph_bytes = [](const bigraph::ComponentGraph& g) {
     return g.graph.memory_usage().total() + util::vector_bytes(g.members) +
            util::vector_bytes(g.words);
   };
   // Density report (duplicate reduction only: left index == right index).
-  // Folding a family needs only ITS component graph, which is what lets
-  // the serial path below drop each graph as soon as it is processed.
-  const auto fold_family = [&](const bigraph::ComponentGraph& graph,
-                               std::vector<seq::SeqId> members) {
-    Family family;
-    family.members = std::move(members);
+  // Folding a graph's families needs only THAT graph, which is what lets
+  // the serial path drop each graph as soon as it is processed.
+  const auto fold_families = [&](const bigraph::ComponentGraph& graph,
+                                 std::vector<std::vector<seq::SeqId>> found) {
+    std::unordered_map<seq::SeqId, std::uint32_t> dense;
     if (config.reduction == bigraph::Reduction::kDuplicate) {
-      std::unordered_map<seq::SeqId, std::uint32_t> dense;
       dense.reserve(graph.members.size());
       for (std::uint32_t i = 0; i < graph.members.size(); ++i) {
         dense[graph.members[i]] = i;
       }
-      std::vector<std::uint32_t> nodes;
-      nodes.reserve(family.members.size());
-      for (seq::SeqId id : family.members) nodes.push_back(dense.at(id));
-      family.mean_degree = bigraph::mean_subgraph_degree(graph.graph, nodes);
-      family.density = bigraph::subgraph_density(graph.graph, nodes);
     }
-    result.families.push_back(std::move(family));
+    for (auto& members : found) {
+      Family family;
+      family.members = std::move(members);
+      if (config.reduction == bigraph::Reduction::kDuplicate) {
+        std::vector<std::uint32_t> nodes;
+        nodes.reserve(family.members.size());
+        for (seq::SeqId id : family.members) nodes.push_back(dense.at(id));
+        family.mean_degree = bigraph::mean_subgraph_degree(graph.graph, nodes);
+        family.density = bigraph::subgraph_density(graph.graph, nodes);
+      }
+      result.families.push_back(std::move(family));
+    }
   };
-
-  // ---- Phase 4: dense subgraph detection ----------------------------------
-  std::uint64_t dsd_s1 = 0;
-  std::uint64_t dsd_raw = 0;
-  if (dsd_parallel) {
-    // LPT distribution needs every graph's cost estimate up front, so the
-    // protocol path always materializes; the memory charge still makes the
-    // footprint visible to the governor and the budget-exceeded exit.
-    std::vector<bigraph::ComponentGraph> graphs;
-    util::MemoryCharge graphs_charge;
-    for (const auto& component : result.ccd.components) {
-      if (component.size() < config.min_component) continue;
-      graphs.push_back(build_graph(component));
-      graphs_charge.add("bgg.graphs", graph_bytes(graphs.back()));
+  // DSD evidence of one component graph: its surviving Shingle merges plus
+  // its share of the expected merge count (first-level shingles minus raw
+  // components). Every path notes graphs in component order.
+  const prov::Rule dsd_rule = config.reduction == bigraph::Reduction::kDuplicate
+                                  ? prov::Rule::kBd
+                                  : prov::Rule::kBm;
+  Evidence dsd_noted;
+  const auto note_dsd = [&](std::uint64_t s1_nodes,
+                            std::uint64_t raw_components,
+                            const std::vector<shingle::ShingleMerge>& merges) {
+    dsd_noted.merges += s1_nodes - raw_components;
+    for (const shingle::ShingleMerge& m : merges) {
+      prov::Edge e;
+      e.a = m.a;
+      e.b = m.b;
+      e.phase = prov::Phase::kDsd;
+      e.rule = dsd_rule;
+      e.score = static_cast<std::int32_t>(m.matches);
+      e.matches = m.matches;
+      e.columns = m.columns;
+      dsd_noted.edges.push_back(e);
     }
-    // The paper's batched distribution (LPT on the estimated shingle cost,
-    // ~ edges x c1 hash-and-select operations) on the resilient
-    // master-worker protocol: a rank death mid-phase requeues its graphs
-    // and replays its generation stream on a survivor, and the graph-keyed
-    // verdict slots keep the family output bit-identical to the serial
-    // path under any fault plan. See pipeline/dsd.hpp.
-    // DSD may run on a different rank count than CCD; when it is too
-    // narrow to host the configured master tree (needs >= masters + 2
-    // ranks), fall back to the flat protocol for this stage only rather
-    // than failing the whole run — results are bit-identical either way.
-    pace::PaceParams dsd_engine = config.pace;
-    if (dsd_engine.masters > 1 &&
-        config.dsd_processors < dsd_engine.masters + 2) {
-      PCLUST_WARN << "pipeline: dsd: " << config.dsd_processors
-                  << " ranks cannot host masters=" << dsd_engine.masters
-                  << " (need >= masters + 2); running the DSD stage flat";
-      dsd_engine.masters = 1;
-    }
-    trace_sim_phase("sim:dsd", config.dsd_processors,
-                    std::max(1, dsd_engine.masters));
-    DsdParallelResult dsd = run_dsd_parallel(
-        graphs, config.shingle, config.dsd_processors, config.dsd_model,
-        dsd_engine, pool_arg, config.dsd_fault_plan, want_prov);
-    result.dsd_simulated_seconds = dsd.run.makespan;
-    trace_sim_result(dsd.run);
-    result.dsd_run = std::move(dsd.run);
-    for (std::size_t g = 0; g < graphs.size(); ++g) {
-      for (auto& members : dsd.families_per_graph[g]) {
-        fold_family(graphs[g], std::move(members));
-      }
-    }
-    if (want_prov) {
-      // Graph order == component order, so the concatenated evidence is
-      // bit-identical to the serial drain's regardless of which rank
-      // evaluated which graph.
-      for (std::size_t g = 0; g < graphs.size(); ++g) {
-        dsd_s1 += dsd.s1_nodes_per_graph[g];
-        dsd_raw += dsd.raw_components_per_graph[g];
-        append_dsd_edges(dsd.merges_per_graph[g]);
-      }
-    }
-  } else {
-    // Serial DSD: one progress unit per component graph, the same
-    // granularity the protocol path reports via its verdict stream.
-    // Graphs are built, processed, and folded strictly in component order,
-    // so the family output is bit-identical whether every graph is
-    // materialized first (fault-free default) or the governor switches to
-    // streaming mid-build (each pending graph drained and dropped as soon
-    // as pressure crosses the threshold).
-    util::telemetry::progress_enqueued(qualifying);
+  };
+  // Serial BGG + DSD: build each qualifying component's graph, run Shingle
+  // on it (noting its evidence when provenance is on) and hand its families
+  // to @p fold, strictly in component order. The output is bit-identical
+  // whether every graph is materialized first (the default) or the
+  // governor switches to streaming mid-build (each pending graph drained
+  // and dropped as soon as pressure crosses the threshold).
+  const auto drain_serial = [&](const auto& fold) {
     std::vector<bigraph::ComponentGraph> pending;
     util::MemoryCharge pending_charge;
     bool streaming = false;
@@ -896,18 +758,13 @@ PipelineResult run(const seq::SequenceSet& input,
       for (bigraph::ComponentGraph& graph : pending) {
         shingle::DsdStats stats;
         std::vector<shingle::ShingleMerge> merges;
-        for (auto& members : shingle::report_families(
-                 graph, config.shingle, want_prov ? &stats : nullptr,
-                 pool_arg, want_prov ? &merges : nullptr)) {
-          fold_family(graph, std::move(members));
-        }
+        auto found = shingle::report_families(
+            graph, config.shingle, want_prov ? &stats : nullptr, pool_arg,
+            want_prov ? &merges : nullptr);
         if (want_prov) {
-          dsd_s1 += stats.first_level_shingles;
-          dsd_raw += stats.raw_components;
-          append_dsd_edges(merges);
+          note_dsd(stats.first_level_shingles, stats.raw_components, merges);
         }
-        util::telemetry::progress_done(1);
-        util::telemetry::poll_deadline();
+        fold(graph, std::move(found));
       }
       pending.clear();
       pending_charge.reset();
@@ -920,44 +777,166 @@ PipelineResult run(const seq::SequenceSet& input,
       if (streaming) drain();
     }
     drain();
-  }
-  result.bgg_dsd_seconds = dsd_timer.elapsed_seconds();
-  util::telemetry::phase_end("bgg+dsd", result.bgg_dsd_seconds);
-  sample_phase_rss("bgg+dsd");
-  util::telemetry::poll_deadline();
-  if (want_prov) {
-    dsd_expected_merges = dsd_s1 - dsd_raw;
-    if (ckpt.enabled()) {
-      commit_sidecar(ckpt.path("dsd.prov.jsonl"),
-                     render_sidecar("dsd", fp,
-                                    components_hash(result.ccd.components),
-                                    dsd_expected_merges, dsd_edges));
+  };
+
+  PhaseSteps families{
+      .name = "families", .stage = "bgg+dsd", .evidence = "dsd",
+      .tag = kTagFamilies, .seconds = result.bgg_dsd_seconds,
+      .simulated = dsd_parallel,
+      .ranks = dsd_parallel ? config.dsd_processors : 1,
+      .masters = dsd_parallel ? std::max(1, dsd_engine.masters) : 1,
+      .last = true};
+  families.restore = [&](util::CheckpointReader& in) {
+    const std::uint64_t count = in.u64();
+    result.families.resize(static_cast<std::size_t>(count));
+    for (Family& family : result.families) {
+      family.members = in.u32_vec();
+      family.mean_degree = in.f64();
+      family.density = in.f64();
     }
-  }
-
-  std::sort(result.families.begin(), result.families.end(),
-            [](const Family& a, const Family& b) {
-              if (a.members.size() != b.members.size()) {
-                return a.members.size() > b.members.size();
-              }
-              return a.members.front() < b.members.front();
-            });
-
-  if (ckpt.enabled()) {
-    util::CheckpointWriter payload = ckpt.payload(result.bgg_dsd_seconds);
-    payload.u64(result.families.size());
+  };
+  bool dsd_computed = false;
+  families.compute = [&](const util::Timer& timer) -> Computed {
+    if (dsd_parallel) {
+      // LPT distribution needs every graph's cost estimate up front, so the
+      // protocol path always materializes; the memory charge still makes
+      // the footprint visible to the governor and the budget-exceeded exit.
+      std::vector<bigraph::ComponentGraph> graphs;
+      util::MemoryCharge graphs_charge;
+      for (const auto& component : result.ccd.components) {
+        if (component.size() < config.min_component) continue;
+        graphs.push_back(build_graph(component));
+        graphs_charge.add("bgg.graphs", graph_bytes(graphs.back()));
+      }
+      // The paper's batched distribution (LPT on the estimated shingle
+      // cost, ~ edges x c1 hash-and-select operations) on the resilient
+      // master-worker protocol: a rank death mid-phase requeues its graphs
+      // and replays its generation stream on a survivor, and the
+      // graph-keyed verdict slots keep the family output bit-identical to
+      // the serial path under any fault plan. See pipeline/dsd.hpp.
+      if (dsd_flat_fallback) {
+        PCLUST_WARN << "pipeline: dsd: " << config.dsd_processors
+                    << " ranks cannot host masters=" << config.pace.masters
+                    << " (need >= masters + 2); running the DSD stage flat";
+      }
+      trace_sim_phase("sim:dsd", config.dsd_processors, families.masters);
+      DsdParallelResult dsd = run_dsd_parallel(
+          graphs, config.shingle, config.dsd_processors, config.dsd_model,
+          dsd_engine, pool_arg, config.dsd_fault_plan, want_prov);
+      result.dsd_simulated_seconds = dsd.run.makespan;
+      trace_sim_result(dsd.run);
+      result.dsd_run = std::move(dsd.run);
+      // Graph order == component order, so the noted evidence is
+      // bit-identical to the serial drain's whichever rank evaluated which
+      // graph.
+      for (std::size_t g = 0; g < graphs.size(); ++g) {
+        fold_families(graphs[g], std::move(dsd.families_per_graph[g]));
+        if (want_prov) {
+          note_dsd(dsd.s1_nodes_per_graph[g], dsd.raw_components_per_graph[g],
+                   dsd.merges_per_graph[g]);
+        }
+      }
+    } else {
+      // One progress unit per component graph, the same granularity the
+      // protocol path reports via its verdict stream.
+      util::telemetry::progress_enqueued(qualifying);
+      drain_serial([&](const bigraph::ComponentGraph& graph,
+                       std::vector<std::vector<seq::SeqId>> found) {
+        fold_families(graph, std::move(found));
+        util::telemetry::progress_done(1);
+        util::telemetry::poll_deadline();
+      });
+    }
+    const double seconds = timer.elapsed_seconds();
+    std::sort(result.families.begin(), result.families.end(),
+              [](const Family& a, const Family& b) {
+                if (a.members.size() != b.members.size()) {
+                  return a.members.size() > b.members.size();
+                }
+                return a.members.front() < b.members.front();
+              });
+    dsd_computed = true;
+    return {seconds};
+  };
+  families.save = [&](util::CheckpointWriter& out) {
+    out.u64(result.families.size());
     for (const Family& f : result.families) {
-      payload.u32_vec(
-          std::vector<std::uint32_t>(f.members.begin(), f.members.end()));
-      payload.f64(f.mean_degree);
-      payload.f64(f.density);
+      out.u32_vec(f.members);
+      out.f64(f.mean_degree);
+      out.f64(f.density);
     }
-    ckpt.write("families.ckpt", kTagFamilies, payload);
+  };
+  // DSD evidence is bound to the CCD partition it was derived from.
+  families.result_hash = [&] {
+    return components_hash(result.ccd.components);
+  };
+  // A computed phase noted its evidence as Shingle ran. A resumed one
+  // replays the same serial drain; its families are final already, so the
+  // re-run's family output is discarded.
+  families.derive = [&] {
+    if (!dsd_computed) {
+      drain_serial([](const bigraph::ComponentGraph&,
+                      std::vector<std::vector<seq::SeqId>>) {});
+    }
+    return std::move(dsd_noted);
+  };
+  run_phase(families, ckpt, want_prov, result.phase_log, dsd_evidence);
+
+  // Assemble the final ledger (phase order rr, ccd, dsd; expected merge
+  // counts come with each phase's evidence — from the phase results or the
+  // Shingle tallies, NOT from the edge lists — which is what makes the
+  // summary's `complete` flag a real coverage check).
+  if (want_prov) {
+    prov::Ledger& ledger = result.provenance;
+    ledger.sequences = set.size();
+    ledger.edges.reserve(rr_evidence.edges.size() + ccd_evidence.edges.size() +
+                         dsd_evidence.edges.size());
+    for (const Evidence* evidence : {&rr_evidence, &ccd_evidence,
+                                     &dsd_evidence}) {
+      ledger.edges.insert(ledger.edges.end(), evidence->edges.begin(),
+                          evidence->edges.end());
+    }
+    ledger.recount();
+    ledger.counts.rr_merges = rr_evidence.merges;
+    ledger.counts.ccd_merges = ccd_evidence.merges;
+    ledger.counts.dsd_merges = dsd_evidence.merges;
+    if (!ledger.counts.identity_holds()) {
+      PCLUST_WARN << "pipeline: provenance merge identity violated (edges "
+                  << ledger.counts.total_edges() << ", expected merges "
+                  << (ledger.counts.rr_merges + ledger.counts.ccd_merges +
+                      ledger.counts.dsd_merges)
+                  << ") — the ledger's summary records complete=false";
+    }
   }
-  log_phase("families", "computed");
-  assemble_provenance();
   result.recovery_log = ckpt.recovery_log();
-  return finalize(std::move(result));
+
+  // Table-I aggregates (families arrive sorted from either phase path).
+  result.dense_subgraph_count = result.families.size();
+  double degree_weighted = 0.0;
+  double density_sum = 0.0;
+  static util::SizeHistogram& family_sizes =
+      util::metrics().histogram("families.family_size");
+  for (const Family& f : result.families) {
+    family_sizes.add(f.members.size());
+    result.sequences_in_subgraphs += f.members.size();
+    result.largest_subgraph =
+        std::max(result.largest_subgraph, f.members.size());
+    degree_weighted += f.mean_degree * static_cast<double>(f.members.size());
+    density_sum += f.density;
+  }
+  if (result.sequences_in_subgraphs > 0) {
+    result.mean_degree =
+        degree_weighted / static_cast<double>(result.sequences_in_subgraphs);
+  }
+  if (!result.families.empty()) {
+    result.mean_density =
+        density_sum / static_cast<double>(result.families.size());
+  }
+  PCLUST_INFO << "pipeline: " << result.dense_subgraph_count
+              << " dense subgraphs covering "
+              << result.sequences_in_subgraphs << " sequences ("
+              << util::format_duration(result.bgg_dsd_seconds) << ")";
+  return result;
 }
 
 std::string table1_row(const PipelineResult& r) {

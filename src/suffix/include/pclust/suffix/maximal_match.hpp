@@ -102,16 +102,4 @@ class MaximalMatchEnumerator {
   MaximalMatchParams params_;
 };
 
-class SuffixTree;
-
-/// Alternative backend: enumerate the same maximal-match pairs by walking a
-/// materialized generalized suffix tree (children from the tree topology
-/// instead of LCP re-scans). Produces the IDENTICAL pair sequence as
-/// MaximalMatchEnumerator::enumerate over the whole text — property-tested;
-/// compared in bench_ablation_index.
-EnumerationStats enumerate_from_tree(
-    const SuffixTree& tree, const ConcatText& text,
-    const std::vector<std::int32_t>& sa, const MaximalMatchParams& params,
-    const std::function<bool(const MaximalMatch&)>& visit);
-
 }  // namespace pclust::suffix

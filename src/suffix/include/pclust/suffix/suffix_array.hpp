@@ -1,10 +1,11 @@
 // Suffix array construction via SA-IS (Nong, Zhang & Chan 2009): linear
 // time, linear extra space, induced sorting.
 //
-// pclust's generalized suffix tree (suffix_tree.hpp) is materialized from
-// the suffix array plus the separator-truncated LCP array — the LCP-interval
-// tree of a suffix array is exactly the suffix tree topology (Abouelhoda,
-// Kurtz & Ohlebusch 2004), and building it this way sidesteps the classic
+// pclust's generalized suffix tree is never materialized: maximal-match
+// enumeration (maximal_match.hpp) walks the LCP intervals of the suffix
+// array plus the separator-truncated LCP array — the LCP-interval tree of a
+// suffix array is exactly the suffix tree topology (Abouelhoda, Kurtz &
+// Ohlebusch 2004), and working on it this way sidesteps the classic
 // single-separator ambiguity of online constructions over concatenated
 // multi-sequence text.
 #pragma once

@@ -4,7 +4,6 @@
 
 #include "pclust/exec/pool.hpp"
 #include "pclust/seq/alphabet.hpp"
-#include "pclust/suffix/suffix_tree.hpp"
 #include "pclust/util/metrics.hpp"
 
 namespace pclust::suffix {
@@ -170,76 +169,6 @@ std::vector<MaximalMatch> MaximalMatchEnumerator::all() const {
               return true;
             });
   return out;
-}
-
-EnumerationStats enumerate_from_tree(
-    const SuffixTree& tree, const ConcatText& text,
-    const std::vector<std::int32_t>& sa, const MaximalMatchParams& params,
-    const std::function<bool(const MaximalMatch&)>& visit) {
-  EnumerationStats stats;
-  const StatsRecorder recorder{stats};
-  const auto min_len = static_cast<std::int32_t>(params.min_length);
-
-  std::vector<Leaf> prev;
-  std::vector<Leaf> block;
-  const auto make_leaf = [&](std::int32_t k) {
-    const auto pos = static_cast<std::size_t>(sa[static_cast<std::size_t>(k)]);
-    return Leaf{text.sequence_at(pos), text.offset_at(pos),
-                text.left_char(pos)};
-  };
-
-  for (const SuffixTree::NodeId v : tree.nodes_by_depth(min_len)) {
-    ++stats.nodes_visited;
-    const auto& node = tree.node(v);
-    const auto occurrences =
-        static_cast<std::uint32_t>(node.rb - node.lb + 1);
-    if (params.max_node_occurrences != 0 &&
-        occurrences > params.max_node_occurrences) {
-      ++stats.nodes_skipped_big;
-      continue;
-    }
-
-    prev.clear();
-    const auto flush_block = [&]() -> bool {
-      for (const Leaf& x : block) {
-        for (const Leaf& y : prev) {
-          if (x.sequence == y.sequence) continue;
-          if (x.left == y.left && x.left < seq::kRankSeparator) continue;
-          MaximalMatch m;
-          if (x.sequence < y.sequence) {
-            m = MaximalMatch{x.sequence, y.sequence, x.offset, y.offset,
-                             static_cast<std::uint32_t>(node.depth)};
-          } else {
-            m = MaximalMatch{y.sequence, x.sequence, y.offset, x.offset,
-                             static_cast<std::uint32_t>(node.depth)};
-          }
-          ++stats.pairs_emitted;
-          if (!visit(m)) return false;
-        }
-      }
-      prev.insert(prev.end(), block.begin(), block.end());
-      block.clear();
-      return true;
-    };
-
-    // Blocks = child subtrees plus singleton leaves in the gaps between
-    // them, in ascending SA order (matching the flat backend exactly).
-    std::int32_t cursor = node.lb;
-    for (const SuffixTree::NodeId child : tree.children(v)) {
-      const auto& c = tree.node(child);
-      for (; cursor < c.lb; ++cursor) {
-        block.push_back(make_leaf(cursor));
-        if (!flush_block()) return stats;
-      }
-      for (; cursor <= c.rb; ++cursor) block.push_back(make_leaf(cursor));
-      if (!flush_block()) return stats;
-    }
-    for (; cursor <= node.rb; ++cursor) {
-      block.push_back(make_leaf(cursor));
-      if (!flush_block()) return stats;
-    }
-  }
-  return stats;
 }
 
 std::vector<MaximalMatchEnumerator::Bucket>

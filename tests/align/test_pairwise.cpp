@@ -173,63 +173,3 @@ TEST(CellsAccounting, FullMatrixCellCount) {
 
 }  // namespace
 }  // namespace pclust::align
-
-namespace pclust::align {
-namespace {
-
-TEST(SemiglobalAlign, ExactSubstringScoresAsSelfMatch) {
-  const auto inner = encode("DEFGHIKLMN");
-  const auto outer = encode("WWWWDEFGHIKLMNWWWW");
-  const auto r = semiglobal_align(inner, outer, kId);
-  EXPECT_EQ(r.score, 2 * 10);  // flanks are free, no gap charges
-  EXPECT_EQ(r.matches, 10u);
-  EXPECT_EQ(r.gap_columns, 0u);
-  EXPECT_EQ(r.a_begin, 0u);
-  EXPECT_EQ(r.a_end, 10u);       // inner consumed end-to-end
-  EXPECT_EQ(r.b_begin, 4u);
-  EXPECT_EQ(r.b_end, 14u);
-  EXPECT_DOUBLE_EQ(r.a_coverage(inner.size()), 1.0);
-}
-
-TEST(SemiglobalAlign, InnerCoverageAlwaysComplete) {
-  const auto inner = encode("DEFXHIKLMN");  // one mismatch vs the outer
-  const auto outer = encode("MMDEFGHIKLMNMM");
-  const auto r = semiglobal_align(inner, outer, kId);
-  EXPECT_EQ(r.a_end - r.a_begin, inner.size());
-  EXPECT_EQ(r.matches, 9u);
-}
-
-TEST(SemiglobalAlign, ScoreBetweenGlobalAndLocal) {
-  const auto a = encode("ACDEFGHIKL");
-  const auto b = encode("WWACDEFGGIKLWW");
-  const auto global = global_align(a, b, kId);
-  const auto semi = semiglobal_align(a, b, kId);
-  const auto local = local_align(a, b, kId);
-  EXPECT_GE(semi.score, global.score);  // more freedom than global
-  EXPECT_GE(local.score, semi.score);   // less constrained than semiglobal
-}
-
-TEST(SemiglobalAlign, EqualsGlobalOnEqualLengthFullOverlap) {
-  const auto a = encode("ACDEFGHIKL");
-  EXPECT_EQ(semiglobal_align(a, a, kId).score, global_align(a, a, kId).score);
-}
-
-TEST(SemiglobalAlign, InnerLongerThanOuterPaysGaps) {
-  const auto inner = encode("ACDEFGHIKL");
-  const auto outer = encode("DEFG");
-  const auto r = semiglobal_align(inner, outer, kId);
-  // All of inner must be consumed: 4 matches minus gaps for the other 6.
-  EXPECT_EQ(r.a_end - r.a_begin, inner.size());
-  EXPECT_GT(r.gap_columns, 0u);
-  EXPECT_LT(r.score, 4 * 2);
-}
-
-TEST(SemiglobalAlign, EmptyOuter) {
-  const auto inner = encode("ACD");
-  const auto r = semiglobal_align(inner, "", kId);
-  EXPECT_EQ(r.score, -(4 + 3 * 1));  // gap_open + 3 * gap_extend
-  EXPECT_EQ(r.gap_columns, 3u);
-}
-
-}  // namespace
-}  // namespace pclust::align

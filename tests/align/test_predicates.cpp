@@ -122,31 +122,3 @@ TEST(Overlap, BandedComputesFewerCells) {
 
 }  // namespace
 }  // namespace pclust::align
-
-namespace pclust::align {
-namespace {
-
-TEST(Containment, SemiglobalModeAcceptsExactSubstring) {
-  ContainmentParams params;
-  params.semiglobal = true;
-  const auto outer = encode("WWWWDEFGHIKLMNPQWWWW");
-  const auto inner = encode("DEFGHIKLMNPQ");
-  EXPECT_TRUE(test_containment(inner, outer, kId, params).accepted);
-}
-
-TEST(Containment, SemiglobalStricterOnNoisyFlanks) {
-  // Inner = true fragment plus an unrelated tail. Local alignment trims the
-  // tail (coverage drops below 95% -> reject); semiglobal charges the tail
-  // against similarity (also reject) — both reject, but via different
-  // routes; verify the semiglobal coverage is reported as complete.
-  const auto inner = encode("DEFGHIKLMNPQRSTV" "WYWYWYWY");
-  const auto outer = encode("AADEFGHIKLMNPQRSTVAA");
-  ContainmentParams semi;
-  semi.semiglobal = true;
-  const auto out = test_containment(inner, outer, kId, semi);
-  EXPECT_FALSE(out.accepted);
-  EXPECT_DOUBLE_EQ(out.alignment.a_coverage(inner.size()), 1.0);
-}
-
-}  // namespace
-}  // namespace pclust::align

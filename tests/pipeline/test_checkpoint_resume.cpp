@@ -13,6 +13,7 @@
 #include "pclust/pipeline/pipeline.hpp"
 #include "pclust/synth/generator.hpp"
 #include "pclust/util/checkpoint.hpp"
+#include "scoped_temp_dir.hpp"
 
 namespace pclust::pipeline {
 namespace {
@@ -47,21 +48,7 @@ void expect_same_result(const PipelineResult& a, const PipelineResult& b) {
 
 class CheckpointResumeTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("pclust_resume_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-
-  fs::path dir_;
+  const test::ScopedTempDir dir_;
 };
 
 TEST_F(CheckpointResumeTest, FreshRunWritesAllPhaseCheckpoints) {
@@ -77,6 +64,20 @@ TEST_F(CheckpointResumeTest, FreshRunWritesAllPhaseCheckpoints) {
   EXPECT_TRUE(fs::exists(dir_ / "families.ckpt"));
   // The final CCD checkpoint supersedes any mid-phase partial.
   EXPECT_FALSE(fs::exists(dir_ / "ccd_partial.ckpt"));
+}
+
+TEST_F(CheckpointResumeTest, FingerprintMatchesEarlierReleases) {
+  // Checkpoint directories written by earlier builds must stay resumable:
+  // this fixed input under the default configuration fingerprints to the
+  // value those builds stored at the head of every checkpoint payload.
+  const auto d = make_data(61);
+  PipelineConfig config;
+  config.checkpoint_dir = dir_.string();
+  (void)run(d.sequences, config);
+  util::CheckpointReader rr_reader =
+      util::read_checkpoint(dir_ / "rr.ckpt", /*phase_tag=*/1,
+                            /*max_payload_version=*/3);
+  EXPECT_EQ(rr_reader.u64(), 0x0d0e5c1be78c56b0ull);
 }
 
 TEST_F(CheckpointResumeTest, FullResumeReproducesResultBitIdentically) {

@@ -11,24 +11,18 @@
 #include "pclust/quality/metrics.hpp"
 #include "pclust/seq/fasta.hpp"
 #include "pclust/synth/generator.hpp"
+#include "scoped_temp_dir.hpp"
 
 namespace pclust::pipeline {
 namespace {
 
 class EndToEndFiles : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("pclust_e2e_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   [[nodiscard]] std::string path(const char* name) const {
     return (dir_ / name).string();
   }
 
-  std::filesystem::path dir_;
+  const test::ScopedTempDir dir_;
 };
 
 TEST_F(EndToEndFiles, GenerateRunCompare) {

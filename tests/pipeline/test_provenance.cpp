@@ -20,6 +20,7 @@
 #include "pclust/synth/generator.hpp"
 #include "pclust/util/checkpoint.hpp"
 #include "pclust/util/json.hpp"
+#include "scoped_temp_dir.hpp"
 
 namespace pclust::pipeline {
 namespace {
@@ -135,41 +136,39 @@ TEST(PipelineProvenance, LedgerBytesInvariantUnderHealedFaults) {
 
 class ProvenanceResumeTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("pclust_prov_resume_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-
-  fs::path dir_;
+  const test::ScopedTempDir dir_;
 };
+
+/// Both bipartite reductions: DSD evidence is B_d overlap edges under one
+/// and B_m shared-word edges under the other, and a families resume must
+/// recover either from its sidecar or by re-running the per-graph drain.
+constexpr bigraph::Reduction kReductions[] = {
+    bigraph::Reduction::kDuplicate, bigraph::Reduction::kMatchBased};
 
 TEST_F(ProvenanceResumeTest, ResumeSplicesSidecarsByteIdentically) {
   const auto d = make_data(305);
-  PipelineConfig config = base_config();
-  config.checkpoint_dir = dir_.string();
-  const std::string fresh =
-      prov::render_ledger(run(d.sequences, config).provenance);
+  for (const bigraph::Reduction reduction : kReductions) {
+    SCOPED_TRACE(reduction == bigraph::Reduction::kDuplicate ? "B_d" : "B_m");
+    const fs::path dir = dir_ / std::to_string(static_cast<int>(reduction));
+    PipelineConfig config = base_config();
+    config.reduction = reduction;
+    config.checkpoint_dir = dir.string();
+    const auto fresh = run(d.sequences, config);
+    EXPECT_GT(fresh.provenance.counts.dsd_edges, 0u);
 
-  // The fresh run leaves one provenance sidecar per phase.
-  EXPECT_TRUE(fs::exists(dir_ / "rr.prov.jsonl"));
-  EXPECT_TRUE(fs::exists(dir_ / "ccd.prov.jsonl"));
-  EXPECT_TRUE(fs::exists(dir_ / "dsd.prov.jsonl"));
+    // The fresh run leaves one provenance sidecar per phase.
+    EXPECT_TRUE(fs::exists(dir / "rr.prov.jsonl"));
+    EXPECT_TRUE(fs::exists(dir / "ccd.prov.jsonl"));
+    EXPECT_TRUE(fs::exists(dir / "dsd.prov.jsonl"));
 
-  config.resume = true;
-  const auto resumed = run(d.sequences, config);
-  EXPECT_EQ(resumed.phase_log,
-            (std::vector<std::string>{"rr:resumed", "ccd:resumed",
-                                      "families:resumed"}));
-  EXPECT_EQ(prov::render_ledger(resumed.provenance), fresh);
+    config.resume = true;
+    const auto resumed = run(d.sequences, config);
+    EXPECT_EQ(resumed.phase_log,
+              (std::vector<std::string>{"rr:resumed", "ccd:resumed",
+                                        "families:resumed"}));
+    EXPECT_EQ(prov::render_ledger(resumed.provenance),
+              prov::render_ledger(fresh.provenance));
+  }
 }
 
 TEST_F(ProvenanceResumeTest, DamagedSidecarIsReDerivedNotTrusted) {
@@ -199,18 +198,29 @@ TEST_F(ProvenanceResumeTest, DamagedSidecarIsReDerivedNotTrusted) {
 
 TEST_F(ProvenanceResumeTest, MissingSidecarsAreReDerived) {
   const auto d = make_data(307);
-  PipelineConfig config = base_config();
-  config.checkpoint_dir = dir_.string();
-  const std::string fresh =
-      prov::render_ledger(run(d.sequences, config).provenance);
+  for (const bigraph::Reduction reduction : kReductions) {
+    SCOPED_TRACE(reduction == bigraph::Reduction::kDuplicate ? "B_d" : "B_m");
+    const fs::path dir = dir_ / std::to_string(static_cast<int>(reduction));
+    PipelineConfig config = base_config();
+    config.reduction = reduction;
+    config.checkpoint_dir = dir.string();
+    const auto fresh = run(d.sequences, config);
+    EXPECT_GT(fresh.provenance.counts.dsd_edges, 0u);
 
-  fs::remove(dir_ / "rr.prov.jsonl");
-  fs::remove(dir_ / "ccd.prov.jsonl");
-  fs::remove(dir_ / "dsd.prov.jsonl");
+    fs::remove(dir / "rr.prov.jsonl");
+    fs::remove(dir / "ccd.prov.jsonl");
+    fs::remove(dir / "dsd.prov.jsonl");
 
-  config.resume = true;
-  const auto resumed = run(d.sequences, config);
-  EXPECT_EQ(prov::render_ledger(resumed.provenance), fresh);
+    config.resume = true;
+    const auto resumed = run(d.sequences, config);
+    EXPECT_EQ(resumed.phase_log,
+              (std::vector<std::string>{"rr:resumed", "ccd:resumed",
+                                        "families:resumed"}));
+    EXPECT_EQ(prov::render_ledger(resumed.provenance),
+              prov::render_ledger(fresh.provenance));
+    // The re-derived evidence is committed again for the next resume.
+    EXPECT_TRUE(fs::exists(dir / "dsd.prov.jsonl"));
+  }
 }
 
 TEST_F(ProvenanceResumeTest, CaptureOnResumeOfAProvenancelessRun) {

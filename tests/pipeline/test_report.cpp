@@ -14,6 +14,7 @@
 #include "pclust/util/json.hpp"
 #include "pclust/util/metrics.hpp"
 #include "pclust/util/trace.hpp"
+#include "scoped_temp_dir.hpp"
 
 namespace pclust::pipeline {
 namespace {
@@ -103,10 +104,7 @@ TEST(RunReport, FaultedHealedParallelRunSatisfiesIdentity) {
 
 TEST(RunReport, ResumeProvenanceIsRecorded) {
   const auto d = make_data(83);
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "pclust_report_resume_test";
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
+  const test::ScopedTempDir dir;
   PipelineConfig config;
   config.checkpoint_dir = dir.string();
   util::metrics().reset();
@@ -125,7 +123,6 @@ TEST(RunReport, ResumeProvenanceIsRecorded) {
   EXPECT_GT(report.at("phases").array[0].at("seconds").as_number(), 0.0);
   // A resumed phase did no alignment work; the identity still holds (0+0=0).
   expect_identity(report.at("phases").array[0], "rr resumed");
-  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(RunReport, MalformedReportsAreRejected) {

@@ -14,6 +14,7 @@
 #include "pclust/synth/generator.hpp"
 #include "pclust/util/memgov.hpp"
 #include "pclust/util/metrics.hpp"
+#include "scoped_temp_dir.hpp"
 
 namespace pclust::pipeline {
 namespace {
@@ -78,10 +79,7 @@ TEST(ResourcePipelineTest, HopelessBudgetExitsStructuredAndResumes) {
   PipelineConfig plain;
   const auto golden = run(d.sequences, plain);
 
-  const fs::path dir =
-      fs::temp_directory_path() / "pclust_resource_test_resume";
-  std::error_code ec;
-  fs::remove_all(dir, ec);
+  const test::ScopedTempDir dir;
 
   PipelineConfig tiny = plain;
   tiny.checkpoint_dir = dir.string();
@@ -99,7 +97,6 @@ TEST(ResourcePipelineTest, HopelessBudgetExitsStructuredAndResumes) {
   const auto resumed = run(d.sequences, retry);
   EXPECT_EQ(resumed.phase_log[0], "rr:resumed");
   expect_same_families(golden, resumed);
-  fs::remove_all(dir, ec);
 }
 
 TEST(ResourcePipelineTest, AccountingRunsEvenUnbudgeted) {

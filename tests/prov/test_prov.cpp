@@ -13,6 +13,7 @@
 #include "pclust/prov/edge.hpp"
 #include "pclust/prov/explain.hpp"
 #include "pclust/prov/ledger.hpp"
+#include "scoped_temp_dir.hpp"
 
 namespace pclust::prov {
 namespace {
@@ -155,15 +156,13 @@ TEST(ProvLedger, TruncatedLedgerIsRejected) {
 }
 
 TEST(ProvLedger, FileRoundTrip) {
-  const std::filesystem::path path =
-      std::filesystem::temp_directory_path() /
-      ("pclust_prov_roundtrip_" + std::to_string(::getpid()) + ".jsonl");
+  const test::ScopedTempDir dir;
+  const std::filesystem::path path = dir / "roundtrip.jsonl";
   const Ledger ledger = small_ledger();
   write_ledger(path.string(), ledger);
   const Ledger back = read_ledger(path.string());
   EXPECT_EQ(back.edges, ledger.edges);
   EXPECT_EQ(back.sequences, ledger.sequences);
-  std::filesystem::remove(path);
 }
 
 // ---- evidence forest -------------------------------------------------------

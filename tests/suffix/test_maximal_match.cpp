@@ -253,72 +253,3 @@ TEST(PrefixBuckets, UnionOfBucketEnumerationsEqualsWhole) {
 
 }  // namespace
 }  // namespace pclust::suffix
-
-// -- Tree-backend equivalence -------------------------------------------
-#include "pclust/suffix/suffix_tree.hpp"
-
-namespace pclust::suffix {
-namespace {
-
-class TreeBackendEquivalence : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(TreeBackendEquivalence, IdenticalPairSequence) {
-  synth::DatasetSpec spec;
-  spec.seed = GetParam();
-  spec.num_sequences = 50;
-  spec.num_families = 4;
-  spec.mean_length = 70;
-  spec.noise_fraction = 0.2;
-  spec.redundant_fraction = 0.1;
-  const auto d = synth::generate(spec);
-  Fixture f(d.sequences);
-
-  MaximalMatchParams p;
-  p.min_length = 8;
-  MaximalMatchEnumerator flat(*f.text, f.sa, f.lcp, p);
-  std::vector<MaximalMatch> from_flat;
-  flat.enumerate(0, static_cast<std::int32_t>(f.sa.size()) - 1,
-                 [&](const MaximalMatch& m) {
-                   from_flat.push_back(m);
-                   return true;
-                 });
-
-  const SuffixTree tree(*f.text, f.sa, f.lcp);
-  std::vector<MaximalMatch> from_tree;
-  const auto stats = enumerate_from_tree(tree, *f.text, f.sa, p,
-                                         [&](const MaximalMatch& m) {
-                                           from_tree.push_back(m);
-                                           return true;
-                                         });
-  // Not just the same set: the identical emission sequence.
-  EXPECT_EQ(from_flat, from_tree);
-  EXPECT_EQ(stats.pairs_emitted, from_flat.size());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, TreeBackendEquivalence,
-                         ::testing::Values(61, 62, 63, 64));
-
-TEST(TreeBackend, EarlyStopAndBigNodeSkip) {
-  seq::SequenceSet set;
-  for (int i = 0; i < 8; ++i) set.add("s" + std::to_string(i), "DEFGHIKLMN");
-  Fixture f(set);
-  MaximalMatchParams p;
-  p.min_length = 4;
-  const SuffixTree tree(*f.text, f.sa, f.lcp);
-  int count = 0;
-  enumerate_from_tree(tree, *f.text, f.sa, p, [&count](const MaximalMatch&) {
-    return ++count < 3;
-  });
-  EXPECT_EQ(count, 3);
-
-  p.max_node_occurrences = 4;
-  const auto stats = enumerate_from_tree(tree, *f.text, f.sa, p,
-                                         [](const MaximalMatch&) {
-                                           return true;
-                                         });
-  EXPECT_GT(stats.nodes_skipped_big, 0u);
-}
-
-}  // namespace
-}  // namespace pclust::suffix

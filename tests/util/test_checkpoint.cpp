@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "scoped_temp_dir.hpp"
+
 namespace pclust::util {
 namespace {
 
@@ -15,23 +17,9 @@ namespace fs = std::filesystem;
 
 class CheckpointTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("pclust_ckpt_test_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
-    fs::create_directories(dir_);
-  }
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-
   fs::path file(const char* name) const { return dir_ / name; }
 
-  fs::path dir_;
+  const test::ScopedTempDir dir_;
 };
 
 TEST_F(CheckpointTest, Crc32MatchesKnownVector) {

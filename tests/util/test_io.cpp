@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "pclust/util/metrics.hpp"
+#include "scoped_temp_dir.hpp"
 
 namespace pclust::util::io {
 namespace {
@@ -28,16 +29,10 @@ class IoEnvTest : public ::testing::Test {
   void SetUp() override {
     io().reset();
     util::metrics().reset();
-    dir_ = fs::temp_directory_path() / "pclust-test-io";
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
   }
-  void TearDown() override {
-    io().reset();
-    fs::remove_all(dir_);
-  }
+  void TearDown() override { io().reset(); }
 
-  fs::path dir_;
+  const test::ScopedTempDir dir_;
 };
 
 // ---- fault plan parsing ------------------------------------------------

@@ -2,24 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "scoped_temp_dir.hpp"
+
 namespace pclust::util {
 namespace {
 
-namespace fs = std::filesystem;
-
 class JsonlTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = (fs::temp_directory_path() / "pclust-test-tail.jsonl").string();
-    fs::remove(path_);
-  }
-  void TearDown() override { fs::remove(path_); }
-
   void write(const std::string& bytes) {
     std::ofstream out(path_, std::ios::binary);
     out << bytes;
@@ -29,7 +22,8 @@ class JsonlTest : public ::testing::Test {
     out << bytes;
   }
 
-  std::string path_;
+  const test::ScopedTempDir dir_;
+  const std::string path_ = (dir_ / "tail.jsonl").string();
 };
 
 TEST_F(JsonlTest, MissingFileIsNotAnError) {
