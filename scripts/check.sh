@@ -18,13 +18,16 @@ cmake --build build -j
   -R '^(IoEnvTest|JsonlTest|CheckpointTest|EndToEndFiles|ResourcePipelineTest|CheckpointResumeTest|ProvenanceResumeTest)\.|^RunReport\.ResumeProvenanceIsRecorded$|^ProvLedger\.FileRoundTrip$')
 
 # Data-race check. Only the thread-touching suites are worth the TSan
-# slowdown: the pool itself, the batched/pooled PaCE paths, and the
-# fault-injected simulator runtime (failure marks cross threads).
+# slowdown: the pool itself, the batched/pooled PaCE paths, the pooled B_d
+# builder, and the fault-injected simulator runtime (failure marks cross
+# threads).
 cmake --preset tsan
-cmake --build build-tsan -j --target test_exec test_pace test_mpsim
+cmake --build build-tsan -j --target test_exec test_pace test_mpsim \
+  test_bigraph
 (cd build-tsan
  ./tests/test_exec
  ./tests/test_pace --gtest_filter='Determinism*:FaultTolerance*'
+ ./tests/test_bigraph --gtest_filter='Pools/BuildBdPool*'
  ./tests/test_mpsim)
 
 # Memory-error check. The suites that parse untrusted bytes (FASTA,
@@ -44,14 +47,19 @@ cmake --build build-asan -j --target test_util test_seq test_align \
    --gtest_filter='CheckpointResumeTest*:ResourcePipelineTest*:PipelineProvenance*:ProvenanceResumeTest*')
 
 # simd-matrix: the alignment suites (including the batch bit-identity fuzz
-# tests) must pass at every --simd setting. PCLUST_SIMD is clamped to the
-# host, so on a machine without AVX2 the avx2 leg degenerates to the best
-# available tier rather than failing — the matrix is portable.
+# tests) must pass at every --simd setting, and so must the PaCE and
+# bipartite-graph suites: every pipeline alignment goes through the batch
+# engine, so its scalar fallback (off) serves them all. PCLUST_SIMD is
+# clamped to the host, so on a machine without AVX2 the avx2 leg
+# degenerates to the best available tier rather than failing — the matrix
+# is portable.
 for simd in off sse2 avx2; do
-  PCLUST_SIMD="$simd" build/tests/test_align >/dev/null \
-    || { echo "test_align failed under PCLUST_SIMD=$simd"; exit 1; }
+  for suite in test_align test_pace test_bigraph; do
+    PCLUST_SIMD="$simd" "build/tests/$suite" >/dev/null \
+      || { echo "$suite failed under PCLUST_SIMD=$simd"; exit 1; }
+  done
 done
-echo "check.sh: simd-matrix green (off sse2 avx2)"
+echo "check.sh: simd-matrix green (off sse2 avx2; align, pace, bigraph)"
 
 # CLI fault/checkpoint smoke matrix: crash healing, kill-and-resume, and
 # the documented exit codes.
@@ -118,9 +126,11 @@ echo "check.sh: io-chaos green (storms, exit codes, budget bit-identity)"
 
 # metrics-smoke: run reports + traces end to end. A serial run on a dense
 # single-family workload must validate against the report schema AND show
-# the paper's cluster-filter effect (CCD skip ratio > 0.99); a faulted,
-# healed, threaded run must still satisfy the alignment-work identity; and
-# the report diff mode must accept both documents.
+# the paper's cluster-filter effect (CCD skip ratio > 0.99); the same run
+# on 4 threads must count exactly the same RR and CCD alignment work
+# (speculative alignments are re-checked into the skipped count); a
+# faulted, healed, threaded run must still satisfy the alignment-work
+# identity; and the report diff mode must accept both documents.
 "$pclust" generate --n 1400 --families 1 --noise 0.05 --mean-length 60 \
   --redundant 0.05 --seed 7 --out "$smoke/dense.fa" >/dev/null
 "$pclust" families "$smoke/dense.fa" --rr-band 32 \
@@ -129,6 +139,16 @@ echo "check.sh: io-chaos green (storms, exit codes, budget bit-identity)"
 "$pclust" report-check "$smoke/serial.json" --min-ccd-skip-ratio 0.99
 grep -q '"traceEvents"' "$smoke/serial.trace.json" \
   || { echo "trace output is not a trace-event document"; exit 1; }
+"$pclust" families "$smoke/dense.fa" --rr-band 32 --threads 4 \
+  --report-out "$smoke/threaded.json" >/dev/null
+"$pclust" report-check "$smoke/threaded.json" --min-ccd-skip-ratio 0.99
+phase_work() {  # the RR and CCD phase entries' attempted/skipped counters
+  grep -o '"name":"\(rr\|ccd\)"[^}]*' "$1" \
+    | grep -o '"name":"[a-z]*"\|"attempted":[0-9]*\|"skipped_by_cluster_filter":[0-9]*'
+}
+[ -n "$(phase_work "$smoke/serial.json")" ] \
+  && [ "$(phase_work "$smoke/serial.json")" = "$(phase_work "$smoke/threaded.json")" ] \
+  || { echo "alignment work counters differ between --threads 1 and 4"; exit 1; }
 "$pclust" families "$smoke/in.fa" --processors 4 --threads 4 \
   --crash 2@0.01 --straggle 3@2 --report-out "$smoke/faulted.json" >/dev/null
 "$pclust" report-check "$smoke/faulted.json"

@@ -20,6 +20,10 @@
 #include "pclust/align/pairwise.hpp"
 #include "pclust/align/scoring.hpp"
 
+namespace pclust::exec {
+class Pool;
+}
+
 namespace pclust::align {
 
 /// One independent score-only local alignment job.
@@ -40,5 +44,17 @@ struct PairJob {
 /// unbanded ones — whichever ISA is dispatched.
 void align_score_batch(const PairJob* jobs, std::size_t count,
                        const ScoringScheme& scheme, AlignmentResult* out);
+
+/// The same, split across @p pool: slices of at most kPoolGrain jobs (fewer
+/// under memory pressure) each go through one call above on a pool lane.
+/// Results land at their job's index, so they are bit-identical for every
+/// pool size; a null or one-lane pool scores the whole list in one call.
+void align_score_batch(const PairJob* jobs, std::size_t count,
+                       const ScoringScheme& scheme, AlignmentResult* out,
+                       exec::Pool* pool);
+
+/// Jobs per pooled slice: enough for the length sort to form uniform lane
+/// chunks, few enough to load-balance across pool lanes.
+inline constexpr std::size_t kPoolGrain = 256;
 
 }  // namespace pclust::align

@@ -36,7 +36,7 @@ struct PredicateOutcome {
 };
 
 /// Decision layer of Definition 1 over a precomputed score-only local
-/// alignment of (inner, outer) — shared by test_containment* and callers
+/// alignment of (inner, outer) — shared by test_containment and callers
 /// that score pairs through the batched SIMD engine.
 [[nodiscard]] PredicateOutcome containment_outcome(
     const AlignmentResult& r, std::size_t inner_len,
@@ -60,13 +60,8 @@ struct PredicateOutcome {
                                             const ScoringScheme& scheme,
                                             const OverlapParams& params = {});
 
-/// Banded variants seeded on the diagonal of a shared maximal match
+/// Banded variant seeded on the diagonal of a shared maximal match
 /// (diagonal = position-in-first - position-in-second).
-[[nodiscard]] PredicateOutcome test_containment_banded(
-    std::string_view inner, std::string_view outer,
-    const ScoringScheme& scheme, std::int64_t diagonal,
-    std::uint32_t band_halfwidth, const ContainmentParams& params = {});
-
 [[nodiscard]] PredicateOutcome test_overlap_banded(
     std::string_view a, std::string_view b, const ScoringScheme& scheme,
     std::int64_t diagonal, std::uint32_t band_halfwidth,

@@ -9,6 +9,8 @@
 #include "band_layout.hpp"
 #include "batch_detail.hpp"
 #include "pclust/align/simd.hpp"
+#include "pclust/exec/pool.hpp"
+#include "pclust/util/memgov.hpp"
 #include "pclust/util/metrics.hpp"
 
 namespace pclust::align {
@@ -227,6 +229,21 @@ void align_score_batch(const PairJob* jobs, std::size_t count,
       run_chunk(chunk, jobs, scheme, isa, out);
     }
   }
+}
+
+void align_score_batch(const PairJob* jobs, std::size_t count,
+                       const ScoringScheme& scheme, AlignmentResult* out,
+                       exec::Pool* pool) {
+  if (!pool || pool->size() <= 1 || count <= kPoolGrain) {
+    align_score_batch(jobs, count, scheme, out);
+    return;
+  }
+  // The governor may shrink the slices under memory pressure; that moves
+  // only the transient scratch footprint, never a result.
+  pool->for_range(count, util::governor().recommend_grain(kPoolGrain),
+                  [&](std::size_t lo, std::size_t hi) {
+                    align_score_batch(jobs + lo, hi - lo, scheme, out + lo);
+                  });
 }
 
 }  // namespace pclust::align

@@ -45,17 +45,6 @@ PredicateOutcome test_overlap(std::string_view a, std::string_view b,
                       params);
 }
 
-PredicateOutcome test_containment_banded(std::string_view inner,
-                                         std::string_view outer,
-                                         const ScoringScheme& scheme,
-                                         std::int64_t diagonal,
-                                         std::uint32_t band_halfwidth,
-                                         const ContainmentParams& params) {
-  return containment_outcome(
-      banded_local_align_score(inner, outer, scheme, diagonal, band_halfwidth),
-      inner.size(), params);
-}
-
 PredicateOutcome test_overlap_banded(std::string_view a, std::string_view b,
                                      const ScoringScheme& scheme,
                                      std::int64_t diagonal,

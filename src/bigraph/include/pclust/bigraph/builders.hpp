@@ -18,6 +18,10 @@
 #include "pclust/pace/params.hpp"
 #include "pclust/seq/sequence_set.hpp"
 
+namespace pclust::exec {
+class Pool;
+}
+
 namespace pclust::bigraph {
 
 enum class Reduction : std::uint8_t { kDuplicate, kMatchBased };
@@ -47,10 +51,14 @@ struct BmParams {
   std::uint32_t max_sequences_per_word = 0;    // low-complexity guard
 };
 
-/// Build the global-similarity reduction B_d for one component.
+/// Build the global-similarity reduction B_d for one component. The
+/// candidate pairs are aligned through the SIMD batch engine, split across
+/// @p pool when given; the graph and its work statistics are bit-identical
+/// at every pool size.
 ComponentGraph build_bd(const seq::SequenceSet& set,
                         const std::vector<seq::SeqId>& members,
-                        const BdParams& params = {});
+                        const BdParams& params = {},
+                        exec::Pool* pool = nullptr);
 
 /// Build the domain-based reduction B_m for one component.
 ComponentGraph build_bm(const seq::SequenceSet& set,

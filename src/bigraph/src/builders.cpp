@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
+#include "pclust/align/batch.hpp"
 #include "pclust/align/predicates.hpp"
 #include "pclust/suffix/kmer_index.hpp"
 #include "pclust/suffix/lcp.hpp"
@@ -15,7 +17,7 @@ namespace pclust::bigraph {
 
 ComponentGraph build_bd(const seq::SequenceSet& set,
                         const std::vector<seq::SeqId>& members,
-                        const BdParams& params) {
+                        const BdParams& params, exec::Pool* pool) {
   ComponentGraph out;
   out.reduction = Reduction::kDuplicate;
   out.members = members;
@@ -35,9 +37,34 @@ ComponentGraph build_bd(const seq::SequenceSet& set,
   const suffix::MaximalMatchEnumerator enumerator(text, sa, lcp, mp);
 
   // One alignment per candidate pair: keep the longest maximal match per
-  // pair as the banded-alignment seed (pairs arrive longest-first).
+  // pair as the banded-alignment seed (pairs arrive longest-first). The
+  // pairs are scored as SIMD batches of kFlushPairs, on the pool when there
+  // is one, and their edges appended in enumeration order.
+  constexpr std::size_t kFlushPairs = 16 * 1024;
+  const std::int64_t band =
+      pp.band > 0 ? static_cast<std::int64_t>(pp.band) : -1;
   std::unordered_set<std::uint64_t> seen;
+  std::vector<align::PairJob> jobs;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> ends;  // dense (i, j)
+  std::vector<align::AlignmentResult> results;
   std::vector<Edge> edges;
+  const auto flush = [&] {
+    results.resize(jobs.size());
+    align::align_score_batch(jobs.data(), jobs.size(), align::blosum62(),
+                             results.data(), pool);
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+      const align::PredicateOutcome res = align::overlap_outcome(
+          results[k], jobs[k].a.size(), jobs[k].b.size(), pp.overlap);
+      out.alignment_cells += res.alignment.cells;
+      if (res.accepted) {
+        const auto [i, j] = ends[k];
+        edges.push_back(Edge{i, j});
+        edges.push_back(Edge{j, i});
+      }
+    }
+    jobs.clear();
+    ends.clear();
+  };
   if (!sa.empty()) {
     enumerator.enumerate(
         0, static_cast<std::int32_t>(sa.size()) - 1,
@@ -47,24 +74,14 @@ ComponentGraph build_bd(const seq::SequenceSet& set,
               (static_cast<std::uint64_t>(m.a) << 32) | m.b;
           if (!seen.insert(key).second) return true;
           ++out.aligned_pairs;
-          const auto res_a = set.residues(m.a);
-          const auto res_b = set.residues(m.b);
-          const align::PredicateOutcome res =
-              pp.band > 0 ? align::test_overlap_banded(
-                                res_a, res_b, align::blosum62(), m.diagonal(),
-                                pp.band, pp.overlap)
-                          : align::test_overlap(res_a, res_b, align::blosum62(),
-                                                pp.overlap);
-          out.alignment_cells += res.alignment.cells;
-          if (res.accepted) {
-            const std::uint32_t i = dense.at(m.a);
-            const std::uint32_t j = dense.at(m.b);
-            edges.push_back(Edge{i, j});
-            edges.push_back(Edge{j, i});
-          }
+          jobs.push_back(
+              {set.residues(m.a), set.residues(m.b), m.diagonal(), band});
+          ends.emplace_back(dense.at(m.a), dense.at(m.b));
+          if (jobs.size() >= kFlushPairs) flush();
           return true;
         });
   }
+  flush();
   out.graph = BipartiteGraph(static_cast<std::uint32_t>(members.size()),
                              static_cast<std::uint32_t>(members.size()),
                              std::move(edges));

@@ -53,13 +53,14 @@ struct CcdProgress {
   std::uint64_t next_pair = 0;
 };
 
-/// Serial driver with identical semantics. With a pool, verdicts are
-/// batched onto real threads; the final component partition is identical to
-/// the pure serial run.
+/// Serial version (run_serial in engine.hpp) with identical semantics.
+/// Verdicts are computed in SIMD batches, on @p pool when given; the
+/// component partition and the counters are identical at every thread
+/// count.
 /// @p resume (optional) restores union–find state from a CcdProgress
 /// snapshot and skips the already-folded prefix of the pair stream;
 /// @p checkpoint_stride > 0 invokes @p on_checkpoint with a fresh snapshot
-/// roughly every that many pairs. The resumed partition is bit-identical
+/// every that many inspected pairs. The resumed partition is bit-identical
 /// to an uninterrupted run.
 /// @p on_merge (optional) is the merge-provenance recorder: invoked exactly
 /// once per SURVIVING union–find merge, with the accepting verdict, in the

@@ -128,45 +128,45 @@ class MasterPolicy {
   virtual std::unique_ptr<ShardPolicy> make_shard() { return nullptr; }
 };
 
-/// Worker-side policy: computes the verdict for one pair. evaluate() may be
-/// called CONCURRENTLY from pool threads on the same policy object, so
+/// Worker-side policy: computes the verdicts for a batch of pairs, the
+/// engine's one alignment path. evaluate_batch() may be called
+/// CONCURRENTLY from pool threads on the same policy object, so
 /// implementations must be stateless apart from read-only captures.
 class WorkerPolicy {
  public:
   virtual ~WorkerPolicy() = default;
-  /// Evaluate the pair; implementations accumulate the DP cells computed
-  /// into @p cells (may be null). The engine folds the counts into the
-  /// virtual clock serially, in task order, so pooled evaluation leaves the
-  /// simulated timing deterministic.
-  virtual Verdict evaluate(const PairTask& task, std::uint64_t* cells) = 0;
-
   /// Evaluate @p count independent pairs, writing verdicts[k] for tasks[k]
   /// and accumulating each pair's DP cells into cells[k] (cells may be
-  /// null). Verdicts and per-pair cell counts must be bit-identical to
-  /// count calls of evaluate() — the default does exactly that — but
-  /// implementations may batch the underlying alignments into SIMD lanes
-  /// (align_score_batch). Same concurrency contract as evaluate().
+  /// null). Implementations score the alignments through the SIMD batch
+  /// engine (align_score_batch), whose results are bit-identical to the
+  /// scalar engines whatever the batch composition. The engine folds the
+  /// cell counts into the virtual clock serially, in task order, so pooled
+  /// evaluation leaves the simulated timing deterministic.
   virtual void evaluate_batch(const PairTask* tasks, std::size_t count,
-                              Verdict* verdicts, std::uint64_t* cells) {
-    for (std::size_t k = 0; k < count; ++k) {
-      verdicts[k] = evaluate(tasks[k], cells ? cells + k : nullptr);
-    }
-  }
+                              Verdict* verdicts, std::uint64_t* cells) = 0;
 };
 
 struct EngineCounters {
   std::uint64_t promising_pairs = 0;   // generated by workers (with dups)
   std::uint64_t duplicate_pairs = 0;   // dropped by the master's seen-set
   std::uint64_t filtered_pairs = 0;    // dropped by the policy filter
-  std::uint64_t aligned_pairs = 0;     // dispatched for alignment
+  std::uint64_t aligned_pairs = 0;     // decisive alignments (see below)
+  /// run_serial only: pairs aligned in a batch but dropped by the
+  /// in-order re-check, because an earlier verdict of the same batch made
+  /// the filter reject them. They are counted in filtered_pairs, not
+  /// aligned_pairs, so every counter above equals the one-pair-at-a-time
+  /// schedule's; this one is the extra alignment work batching paid for.
+  std::uint64_t speculative_pairs = 0;
+
+  bool operator==(const EngineCounters&) const = default;
 };
 
 /// Run the engine on p >= 2 simulated ranks. @p make_worker_policy is
 /// invoked once per worker rank (thread) so policies need no sharing.
-/// The master policy is single-threaded by protocol. When @p pool is given
-/// (and larger than 1), index construction and each rank's verdict batches
-/// run on real pool threads — mpsim ranks SHARE the pool; results are
-/// merged in task order so the outcome is identical to pool = nullptr.
+/// The master policy is single-threaded by protocol. When @p pool is given,
+/// index construction and each rank's verdict batches run on real pool
+/// threads — mpsim ranks SHARE the pool; results are merged in task order
+/// so the outcome is identical to pool = nullptr.
 /// With a @p plan the run is fault injected: planned worker crashes are
 /// healed by the protocol (see file comment) and the final master-policy
 /// state matches the fault-free run bit for bit. Throws
@@ -198,8 +198,9 @@ struct SerialHooks {
   /// whose application is a no-op, so the final state is unaffected (pair
   /// COUNTS cover the resumed segment only).
   std::uint64_t start_pair = 0;
-  /// Call @p checkpoint roughly every this many pairs (0 = never). In
-  /// pooled mode checkpoints land on batch-flush boundaries.
+  /// Call @p checkpoint every this many inspected pairs (0 = never). The
+  /// loop flushes its pending batch first, so checkpoints keep this
+  /// stride at any batch size.
   std::uint64_t checkpoint_stride = 0;
   /// Invoked with the watermark; the callee snapshots master-policy state.
   std::function<void(std::uint64_t next_pair)> checkpoint;
@@ -207,12 +208,16 @@ struct SerialHooks {
 
 /// Serial driver: identical pair stream (global decreasing match length),
 /// identical filtering and verdict application. Returns engine counters.
-/// With a pool (> 1 lane), verdicts are computed in batches of
-/// params.batch_size on pool threads and applied in task order: the final
-/// policy STATE is identical to the pure serial run (a batched pair whose
-/// filter outcome would have changed mid-batch yields a verdict whose
-/// application is a no-op), though filtered/aligned pair COUNTS may differ,
-/// exactly as they do for the round-based parallel engine.
+/// Pairs that pass the filter are collected into batches of
+/// params.batch_size and evaluated through WorkerPolicy::evaluate_batch,
+/// on @p pool when there is one. Before each verdict is applied, in task
+/// order, the filter is asked again; a pair it now rejects is counted as
+/// filtered (and speculative) and its verdict dropped. Filters only ever
+/// turn from admit to reject (RR removals and CCD merges are permanent), so
+/// the admit-then-re-check decision is exactly the one-pair-at-a-time
+/// schedule's: the final policy state AND every counter but
+/// speculative_pairs match that schedule at every batch size and thread
+/// count.
 EngineCounters run_serial(const seq::SequenceSet& set,
                           const std::vector<seq::SeqId>& ids,
                           const PaceParams& params,

@@ -22,9 +22,10 @@
 //
 // Replay equals capture by induction on the stream position: both walk
 // the same pairs in the same order, and at every position the replay
-// union-find equals the serial master's apply-time forest (batched/pooled
-// runs admit extra lagging pairs, but their verdicts apply as no-op
-// merges, which neither path records). See DESIGN.md §16.
+// union-find equals the serial master's apply-time forest (both align in
+// batches and re-check each pair in stream order before applying it, so a
+// pair connected earlier in its own batch is dropped by both). See
+// DESIGN.md §16.
 //
 // RR provenance is derived post hoc: the removal chain guard ("a sequence
 // is removed only if its container is itself still present") makes
@@ -32,6 +33,10 @@
 // conceptual merge. The evidence alignment is recomputed with the FULL
 // dynamic program (no band) so the recorded stats are canonical even when
 // the phase cut corners with a banded filter.
+//
+// Both derivers score their alignments through the SIMD batch engine
+// (align/batch.hpp), split across the optional pool; results are
+// bit-identical at every pool size.
 #pragma once
 
 #include <vector>
@@ -54,15 +59,15 @@ namespace pclust::pace {
 /// alignment of (removed, container). Pure function of (set, rr, params).
 [[nodiscard]] std::vector<prov::Edge> derive_rr_provenance(
     const seq::SequenceSet& set, const RedundancyResult& rr,
-    const PaceParams& params);
+    const PaceParams& params, exec::Pool* pool = nullptr);
 
 /// Canonical CCD evidence by replay (see file comment): exactly one edge
 /// per surviving union-find merge, in canonical stream order. @p
 /// components is the FINAL partition over @p ids (any order); it gates
 /// the provable-reject fast path and is what makes the replay a pure
 /// function of the final result rather than of the schedule. A pool
-/// parallelizes index construction only — the edge list is bit-identical
-/// without one.
+/// parallelizes index construction and the alignments — the edge list is
+/// bit-identical without one.
 [[nodiscard]] std::vector<prov::Edge> derive_ccd_provenance(
     const seq::SequenceSet& set, const std::vector<seq::SeqId>& ids,
     const PaceParams& params,

@@ -44,9 +44,10 @@ RedundancyResult remove_redundant(const seq::SequenceSet& set, int p,
                                   exec::Pool* pool = nullptr,
                                   const mpsim::FaultPlan* plan = nullptr);
 
-/// Serial driver: same filter and verdict semantics, no simulation. With a
-/// pool, verdicts are batched onto real threads; the final removed/container
-/// state is identical to the pure serial run.
+/// Serial version (run_serial in engine.hpp): same filter and verdict
+/// semantics, no simulation. Verdicts are computed in SIMD batches, on
+/// @p pool when given; the removed/container state and the counters are
+/// identical at every thread count.
 RedundancyResult remove_redundant_serial(const seq::SequenceSet& set,
                                          const PaceParams& params = {},
                                          exec::Pool* pool = nullptr);

@@ -134,21 +134,8 @@ class CcdWorker final : public WorkerPolicy {
   CcdWorker(const seq::SequenceSet& set, const PaceParams& params)
       : set_(set), params_(params) {}
 
-  Verdict evaluate(const PairTask& task, std::uint64_t* cells) override {
-    const auto a = set_.residues(task.a);
-    const auto b = set_.residues(task.b);
-    const align::PredicateOutcome out =
-        params_.band > 0
-            ? align::test_overlap_banded(a, b, align::blosum62(),
-                                         task.diagonal(), params_.band,
-                                         params_.overlap)
-            : align::test_overlap(a, b, align::blosum62(), params_.overlap);
-    if (cells) *cells += out.alignment.cells;
-    return make_verdict(task, out);
-  }
-
-  /// Batched form: one overlap alignment per task, packed into SIMD lanes
-  /// by the pair-batch engine. Bit-identical to per-pair evaluate().
+  /// One overlap alignment per task, packed into SIMD lanes by the
+  /// pair-batch engine.
   void evaluate_batch(const PairTask* tasks, std::size_t count,
                       Verdict* verdicts, std::uint64_t* cells) override {
     const std::int64_t band =

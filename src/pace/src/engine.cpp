@@ -22,13 +22,14 @@ namespace {
 /// One phase's EngineCounters folded into the registry. These back the
 /// report's alignment-work identity: promising == aligned + filtered +
 /// duplicate, where `filtered` is the paper's skipped-by-cluster-filter
-/// count.
+/// count. Speculative alignments are a subset of `filtered`.
 void record_engine_counters(const EngineCounters& c) {
   auto& m = util::metrics();
   m.counter("pace.promising_pairs").add(c.promising_pairs);
   m.counter("pace.duplicate_pairs").add(c.duplicate_pairs);
   m.counter("pace.skipped_by_cluster_filter").add(c.filtered_pairs);
   m.counter("pace.alignments_attempted").add(c.aligned_pairs);
+  m.counter("pace.alignments_speculative").add(c.speculative_pairs);
 }
 
 // Wire-size estimates for the virtual clock (bytes per element). The
@@ -421,11 +422,6 @@ EngineCounters run_serial(const seq::SequenceSet& set,
   const std::uint64_t stride =
       hooks && hooks->checkpoint ? hooks->checkpoint_stride : 0;
   std::uint64_t last_ckpt = start;
-  const auto maybe_checkpoint = [&](std::uint64_t next_pair) {
-    if (stride == 0 || next_pair - last_ckpt < stride) return;
-    hooks->checkpoint(next_pair);
-    last_ckpt = next_pair;
-  };
 
   // Telemetry: serial progress is pairs INSPECTED over the full stream
   // (dup/filtered pairs advance it too), reported at batch granularity so
@@ -445,72 +441,55 @@ EngineCounters run_serial(const seq::SequenceSet& set,
   EngineCounters c;
   std::unordered_set<std::uint64_t> seen;
 
-  if (pool && pool->size() > 1) {
-    // Batched mode: collect up to batch_size filter-surviving pairs, align
-    // them on the pool, apply verdicts in task order. Like the round-based
-    // engine, the filter sees state that lags the batch by construction;
-    // the extra verdicts this admits are no-ops under apply (RR's
-    // removed/dependents guards, CCD's idempotent merges), so the final
-    // state matches the unbatched run bit for bit. Checkpoints land on
-    // flush boundaries, where every inspected pair is fully resolved.
-    std::vector<PairTask> batch;
-    std::vector<Verdict> verdicts;
-    const auto flush = [&] {
-      verdicts.clear();
-      evaluate_tasks(batch, worker_policy, nullptr, pool, verdicts);
-      for (const Verdict& v : verdicts) master_policy.apply(v);
-      batch.clear();
-    };
-    for (std::uint64_t i = 0; i < pairs.size(); ++i) {
-      if (i < start) continue;  // already folded into the resumed state
-      if ((i & 1023u) == 0) report_progress(i);  // filtered streaks count
-      const PairTask& task = pairs[static_cast<std::size_t>(i)];
-      ++c.promising_pairs;
-      if (!seen.insert(task.pair_key()).second) {
-        ++c.duplicate_pairs;
-        continue;
-      }
-      if (!master_policy.needs_alignment(task)) {
+  // Admit-then-re-check: collect the pairs the filter admits, align them as
+  // one batch (on the pool when there is one), then walk the verdicts in
+  // task order and ask the filter again. Every earlier pair is resolved by
+  // then, so the re-check sees exactly the state the one-pair-at-a-time
+  // schedule would have filtered against: a pair it rejects was aligned
+  // speculatively and is counted as filtered, not applied. Flushes also
+  // fall on checkpoint boundaries, where every inspected pair is resolved.
+  std::vector<PairTask> batch;
+  std::vector<Verdict> verdicts;
+  const auto flush = [&](std::uint64_t next_pair) {
+    verdicts.clear();
+    evaluate_tasks(batch, worker_policy, nullptr, pool, verdicts);
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      if (!master_policy.needs_alignment(batch[k])) {
         ++c.filtered_pairs;
+        ++c.speculative_pairs;
         continue;
       }
       ++c.aligned_pairs;
-      batch.push_back(task);
-      // Flush threshold, not grouping: verdicts apply in task order at any
-      // batch size (PR6 guarantee), so the governor shrinking the batch
-      // under memory pressure trades throughput for footprint only.
-      if (batch.size() >= util::governor().recommend_batch(params.batch_size)) {
-        flush();
-        report_progress(i + 1);
-        maybe_checkpoint(i + 1);
-      }
+      master_policy.apply(verdicts[k]);
     }
-    flush();
-    report_progress(pairs.size());
-    record_engine_counters(c);
-    return c;
-  }
-
-  for (std::uint64_t i = 0; i < pairs.size(); ++i) {
-    if (i < start) continue;  // already folded into the resumed state
+    batch.clear();
+    report_progress(next_pair);
+  };
+  for (std::uint64_t i = start; i < pairs.size(); ++i) {
     if ((i & 1023u) == 0) report_progress(i);  // filtered streaks count
     const PairTask& task = pairs[static_cast<std::size_t>(i)];
     ++c.promising_pairs;
+    bool full = false;
     if (!seen.insert(task.pair_key()).second) {
       ++c.duplicate_pairs;
-      continue;
-    }
-    if (!master_policy.needs_alignment(task)) {
+    } else if (!master_policy.needs_alignment(task)) {
       ++c.filtered_pairs;
-      continue;
+    } else {
+      batch.push_back(task);
+      // Flush threshold, not grouping: verdicts apply in task order at any
+      // batch size, so the governor shrinking the batch under memory
+      // pressure trades throughput for footprint only.
+      full = batch.size() >=
+             util::governor().recommend_batch(params.batch_size);
     }
-    ++c.aligned_pairs;
-    std::uint64_t cells = 0;
-    master_policy.apply(worker_policy.evaluate(task, &cells));
-    if (((i + 1) & 255u) == 0) report_progress(i + 1);
-    maybe_checkpoint(i + 1);
+    const bool checkpoint_due = stride > 0 && i + 1 - last_ckpt >= stride;
+    if (full || checkpoint_due) flush(i + 1);
+    if (checkpoint_due) {
+      hooks->checkpoint(i + 1);
+      last_ckpt = i + 1;
+    }
   }
-  report_progress(pairs.size());
+  flush(pairs.size());
   record_engine_counters(c);
   return c;
 }

@@ -76,26 +76,9 @@ class RrWorker final : public WorkerPolicy {
   RrWorker(const seq::SequenceSet& set, const PaceParams& params)
       : set_(set), params_(params) {}
 
-  Verdict evaluate(const PairTask& task, std::uint64_t* cells) override {
-    const auto res_a = set_.residues(task.a);
-    const auto res_b = set_.residues(task.b);
-
-    Verdict v{task.a, task.b, kNone};
-    bool a_in_b = false, b_in_a = false;
-    if (gate(res_a, res_b)) {
-      a_in_b = test(res_a, res_b, task.diagonal(), cells);
-    }
-    if (gate(res_b, res_a)) {
-      b_in_a = test(res_b, res_a, -task.diagonal(), cells);
-    }
-    v.code = code_of(a_in_b, b_in_a);
-    return v;
-  }
-
-  /// Batched form: both containment directions of every admitted task are
-  /// enqueued into one pair-batch call so the SIMD engine can pack them
-  /// into lanes. Verdicts and per-task cell counts are bit-identical to
-  /// per-pair evaluate().
+  /// Both containment directions of every task (each only when the inner
+  /// sequence can reach the coverage cutoff) are enqueued into one
+  /// pair-batch call so the SIMD engine can pack them into lanes.
   void evaluate_batch(const PairTask* tasks, std::size_t count,
                       Verdict* verdicts, std::uint64_t* cells) override {
     const std::int64_t band =
@@ -149,19 +132,6 @@ class RrWorker final : public WorkerPolicy {
     if (a_in_b) return kAInB;
     if (b_in_a) return kBInA;
     return kNone;
-  }
-
-  bool test(std::string_view inner, std::string_view outer,
-            std::int64_t diagonal, std::uint64_t* cells) const {
-    const align::PredicateOutcome out =
-        params_.band > 0
-            ? align::test_containment_banded(inner, outer, align::blosum62(),
-                                             diagonal, params_.band,
-                                             params_.containment)
-            : align::test_containment(inner, outer, align::blosum62(),
-                                      params_.containment);
-    if (cells) *cells += out.alignment.cells;
-    return out.accepted;
   }
 
   const seq::SequenceSet& set_;

@@ -563,8 +563,9 @@ PipelineResult run(const seq::SequenceSet& input,
   // Re-derived from the removal result: full-DP containment stats in
   // canonical ascending order.
   rr.derive = [&] {
-    return Evidence{pace::derive_rr_provenance(set, result.rr, config.pace),
-                    result.rr.removed_count()};
+    return Evidence{
+        pace::derive_rr_provenance(set, result.rr, config.pace, pool_arg),
+        result.rr.removed_count()};
   };
   run_phase(rr, ckpt, want_prov, result.phase_log, rr_evidence);
   const std::vector<seq::SeqId> survivors = result.rr.survivors();
@@ -688,7 +689,7 @@ PipelineResult run(const seq::SequenceSet& input,
     if (config.reduction == bigraph::Reduction::kDuplicate) {
       bigraph::BdParams bd;
       bd.pace = config.pace;
-      return bigraph::build_bd(set, component, bd);
+      return bigraph::build_bd(set, component, bd, pool_arg);
     }
     return bigraph::build_bm(set, component, config.bm);
   };

@@ -25,6 +25,7 @@ struct PhaseWork {
   std::uint64_t duplicate = 0;
   std::uint64_t filtered = 0;
   std::uint64_t aligned = 0;
+  std::uint64_t speculative = 0;  // of `filtered`: aligned, then re-checked
 
   [[nodiscard]] std::uint64_t candidates() const {
     return promising - duplicate;
@@ -38,7 +39,7 @@ struct PhaseWork {
 
 PhaseWork work_of(const pace::EngineCounters& c) {
   return PhaseWork{c.promising_pairs, c.duplicate_pairs, c.filtered_pairs,
-                   c.aligned_pairs};
+                   c.aligned_pairs, c.speculative_pairs};
 }
 
 /// Provenance of @p phase from the phase log ("computed" when checkpoints
@@ -66,6 +67,7 @@ void emit_phase(util::JsonWriter& w, const char* name, double seconds,
     w.key("attempted").value(work->aligned);
     w.key("skipped_by_cluster_filter").value(work->filtered);
     w.key("skip_ratio").value(work->skip_ratio());
+    w.key("speculative").value(work->speculative);
   }
   w.end_object();
 }
@@ -234,6 +236,15 @@ bool check_identity(const util::JsonValue& obj, const std::string& where,
   const double ratio = obj.at("skip_ratio").as_number();
   if (ratio < 0.0 || ratio > 1.0) {
     return fail(error, where + ": skip_ratio out of [0, 1]");
+  }
+  // Speculative alignments were re-checked into the skipped count, so they
+  // can never outnumber it (absent in reports that predate the field).
+  if (const util::JsonValue* speculative = obj.find("speculative");
+      speculative && speculative->as_u64() > skipped) {
+    return fail(error, where + ": speculative (" +
+                           std::to_string(speculative->as_u64()) +
+                           ") > skipped_by_cluster_filter (" +
+                           std::to_string(skipped) + ")");
   }
   return true;
 }

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
 
+#include "pclust/align/batch.hpp"
 #include "pclust/align/predicates.hpp"
+#include "pclust/align/simd.hpp"
+#include "pclust/exec/pool.hpp"
 #include "pclust/pace/components.hpp"
 #include "pclust/synth/generator.hpp"
 
@@ -105,6 +109,41 @@ TEST(BuildBd, NoFilterSkipsEdges) {
   EXPECT_GT(cg.aligned_pairs,
             cg.candidate_pairs / 50);  // sanity: dedup is not everything
 }
+
+/// Pool size for build_bd; 0 means no pool.
+class BuildBdPool : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(BuildBdPool, SameGraphAndWorkAsScalarEngine) {
+  // Enough pairs for several pooled slices, banded and unbanded.
+  const auto d = family_data(59, 120);
+  for (const std::uint32_t band : {0u, 16u}) {
+    BdParams params;
+    params.pace.band = band;
+    const align::Isa saved = align::current_isa();
+    align::set_isa(align::Isa::kScalar);
+    const auto golden = build_bd(d.sequences, all_ids(d.sequences), params);
+    align::set_isa(saved);
+
+    std::optional<exec::Pool> pool;
+    if (GetParam() > 0) pool.emplace(GetParam());
+    const auto cg = build_bd(d.sequences, all_ids(d.sequences), params,
+                             pool ? &*pool : nullptr);
+    ASSERT_GT(golden.aligned_pairs, align::kPoolGrain) << "band=" << band;
+    EXPECT_EQ(cg.candidate_pairs, golden.candidate_pairs) << "band=" << band;
+    EXPECT_EQ(cg.aligned_pairs, golden.aligned_pairs) << "band=" << band;
+    EXPECT_EQ(cg.alignment_cells, golden.alignment_cells) << "band=" << band;
+    ASSERT_EQ(cg.graph.edge_count(), golden.graph.edge_count());
+    for (std::uint32_t i = 0; i < cg.graph.left_count(); ++i) {
+      const auto got = cg.graph.out_links(i);
+      const auto want = golden.graph.out_links(i);
+      EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
+                std::vector<std::uint32_t>(want.begin(), want.end()))
+          << "band=" << band << " vertex " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Pools, BuildBdPool, ::testing::Values(0u, 2u, 8u));
 
 TEST(BuildBm, WordsConnectContainingSequences) {
   seq::SequenceSet set;

@@ -1,7 +1,7 @@
 // Thread-count independence of the PaCE phases: the final cluster STATE
 // (removed/container for RR, the component partition for CCD) must be
-// bit-identical for every pool size. Counters are deliberately excluded —
-// batched filters may admit extra no-op verdicts (see engine.hpp).
+// bit-identical for every pool size, and so must run_serial's
+// engine counters.
 #include <gtest/gtest.h>
 
 #include "pclust/exec/pool.hpp"
@@ -24,25 +24,55 @@ synth::Dataset make_data(std::uint64_t seed, std::uint32_t n = 160) {
   return synth::generate(spec);
 }
 
+/// The one-pair-at-a-time schedule's counters: every field of a batched
+/// run but the speculative alignments it paid for.
+EngineCounters decisive(EngineCounters c) {
+  c.speculative_pairs = 0;
+  return c;
+}
+
+/// Parameters that flush after every admitted pair: the one-pair-at-a-time
+/// schedule, which can never align speculatively.
+PaceParams one_pair_at_a_time() {
+  PaceParams params;
+  params.batch_size = 1;
+  return params;
+}
+
 TEST(Determinism, SerialRrStateIndependentOfThreads) {
   const auto d = make_data(31);
-  const auto golden = remove_redundant_serial(d.sequences);
+  const auto golden =
+      remove_redundant_serial(d.sequences, one_pair_at_a_time());
+  EXPECT_EQ(golden.counters.speculative_pairs, 0u);
+  const auto batched = remove_redundant_serial(d.sequences);
+  EXPECT_EQ(decisive(batched.counters), golden.counters);
   for (unsigned threads : {1u, 2u, 8u}) {
     exec::Pool pool(threads);
     const auto r = remove_redundant_serial(d.sequences, {}, &pool);
     EXPECT_EQ(r.removed, golden.removed) << "threads=" << threads;
     EXPECT_EQ(r.container, golden.container) << "threads=" << threads;
+    EXPECT_EQ(r.counters, batched.counters) << "threads=" << threads;
   }
 }
 
 TEST(Determinism, SerialCcdStateIndependentOfThreads) {
   const auto d = make_data(32);
   const auto survivors = remove_redundant_serial(d.sequences).survivors();
-  const auto golden = detect_components_serial(d.sequences, survivors);
+  const auto golden =
+      detect_components_serial(d.sequences, survivors, one_pair_at_a_time());
+  EXPECT_EQ(golden.counters.speculative_pairs, 0u);
+  const auto batched = detect_components_serial(d.sequences, survivors);
+  EXPECT_EQ(decisive(batched.counters), golden.counters);
+  // Batching does align ahead of the filter on this workload; the re-check
+  // keeps that work out of every other counter.
+  EXPECT_GT(batched.counters.speculative_pairs, 0u);
+  EXPECT_LE(batched.counters.speculative_pairs,
+            batched.counters.filtered_pairs);
   for (unsigned threads : {1u, 2u, 8u}) {
     exec::Pool pool(threads);
     const auto r = detect_components_serial(d.sequences, survivors, {}, &pool);
     EXPECT_EQ(r.components, golden.components) << "threads=" << threads;
+    EXPECT_EQ(r.counters, batched.counters) << "threads=" << threads;
   }
 }
 

@@ -75,6 +75,12 @@ TEST(RunReport, SerialRunSatisfiesIdentityAndValidates) {
                 .at("pace.alignments_attempted")
                 .as_u64(),
             report.at("alignment").at("attempted").as_u64());
+  EXPECT_EQ(report.at("metrics")
+                .at("counters")
+                .at("pace.alignments_speculative")
+                .as_u64(),
+            report.at("phases").array[0].at("speculative").as_u64() +
+                report.at("phases").array[1].at("speculative").as_u64());
 }
 
 TEST(RunReport, FaultedHealedParallelRunSatisfiesIdentity) {
@@ -144,6 +150,13 @@ TEST(RunReport, MalformedReportsAreRejected) {
     "metrics":{"counters":{},"gauges":{},"histograms":{}}})";
   EXPECT_FALSE(validate_report(util::parse_json(broken), &error));
   EXPECT_NE(error.find("ccd"), std::string::npos);
+  // Speculative alignments are a subset of the skipped pairs.
+  const std::string attempted = R"("attempted":3)";
+  std::string speculative = broken;
+  speculative.replace(speculative.find(attempted), attempted.size(),
+                      R"("attempted":5,"speculative":6)");
+  EXPECT_FALSE(validate_report(util::parse_json(speculative), &error));
+  EXPECT_NE(error.find("speculative"), std::string::npos);
 }
 
 TEST(RunReport, TraceAroundRunIsValidAndHasPhaseSpans) {

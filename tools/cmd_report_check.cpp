@@ -1,3 +1,4 @@
+#include <cstdint>
 #include <cstdio>
 
 #include <fstream>
@@ -79,15 +80,22 @@ int cmd_report_check(int argc, const char* const* argv) {
   }
 
   const util::JsonValue& alignment = report.at("alignment");
+  std::uint64_t speculative = 0;
+  for (const util::JsonValue& phase : report.at("phases").array) {
+    if (const util::JsonValue* s = phase.find("speculative")) {
+      speculative += s->as_u64();
+    }
+  }
   std::printf(
       "%s: valid run report (candidate_pairs=%llu attempted=%llu "
-      "skipped=%llu skip_ratio=%.6f)\n",
+      "skipped=%llu speculative=%llu skip_ratio=%.6f)\n",
       path.c_str(),
       static_cast<unsigned long long>(
           alignment.at("candidate_pairs").as_u64()),
       static_cast<unsigned long long>(alignment.at("attempted").as_u64()),
       static_cast<unsigned long long>(
           alignment.at("skipped_by_cluster_filter").as_u64()),
+      static_cast<unsigned long long>(speculative),
       alignment.at("skip_ratio").as_number());
   if (const util::JsonValue* degr = report.find("degradation")) {
     std::printf(
