@@ -129,19 +129,6 @@ void BM_SuffixArray(benchmark::State& state) {
 }
 BENCHMARK(BM_SuffixArray)->Arg(200)->Arg(1000)->Arg(4000);
 
-void BM_SuffixArrayPooled(benchmark::State& state) {
-  const auto set = bench_sequences(1000, 160);
-  const suffix::ConcatText text(set);
-  exec::Pool pool(static_cast<unsigned>(state.range(0)));
-  for (auto _ : state) {
-    auto sa = suffix::build_suffix_array_parallel(text, pool);
-    benchmark::DoNotOptimize(sa.data());
-  }
-  state.counters["chars/s"] = benchmark::Counter(
-      static_cast<double>(text.size()), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SuffixArrayPooled)->Arg(1)->Arg(2)->Arg(4);
-
 void BM_LcpArray(benchmark::State& state) {
   const auto set = bench_sequences(1000, 160);
   const suffix::ConcatText text(set);

@@ -18,15 +18,15 @@ cmake --build build -j
   -R '^(IoEnvTest|JsonlTest|CheckpointTest|EndToEndFiles|ResourcePipelineTest|CheckpointResumeTest|ProvenanceResumeTest)\.|^RunReport\.ResumeProvenanceIsRecorded$|^ProvLedger\.FileRoundTrip$')
 
 # Data-race check. Only the thread-touching suites are worth the TSan
-# slowdown: the pool itself, the batched/pooled PaCE paths, the pooled B_d
-# builder, and the fault-injected simulator runtime (failure marks cross
-# threads).
+# slowdown: the pool itself, the batched/pooled PaCE paths (the CCD
+# provenance replay included), the pooled B_d builder, and the
+# fault-injected simulator runtime (failure marks cross threads).
 cmake --preset tsan
 cmake --build build-tsan -j --target test_exec test_pace test_mpsim \
   test_bigraph
 (cd build-tsan
  ./tests/test_exec
- ./tests/test_pace --gtest_filter='Determinism*:FaultTolerance*'
+ ./tests/test_pace --gtest_filter='Determinism*:FaultTolerance*:CcdProvenance*'
  ./tests/test_bigraph --gtest_filter='Pools/BuildBdPool*'
  ./tests/test_mpsim)
 
@@ -41,7 +41,7 @@ cmake --build build-asan -j --target test_util test_seq test_align \
  ./tests/test_seq
  ./tests/test_align --gtest_filter='BatchSimd*:ScorePath*'
  ./tests/test_mpsim
- ./tests/test_pace --gtest_filter='FaultTolerance*'
+ ./tests/test_pace --gtest_filter='FaultTolerance*:CcdProvenance*'
  ./tests/test_prov
  ./tests/test_pipeline \
    --gtest_filter='CheckpointResumeTest*:ResourcePipelineTest*:PipelineProvenance*:ProvenanceResumeTest*')

@@ -18,9 +18,8 @@
 namespace pclust::gos {
 
 struct SeededAlignerParams {
-  std::uint32_t word_size = 4;       // BLASTP default word size ~3-4
-  std::uint32_t band = 24;           // half width around the seed diagonal
-  bool full_matrix_fallback = false; // true: ignore band (exact mode)
+  std::uint32_t word_size = 4;  // BLASTP default word size ~3-4
+  std::uint32_t band = 24;      // half width around the seed diagonal
 };
 
 class SeededAligner {

@@ -85,11 +85,8 @@ std::optional<align::AlignmentResult> SeededAligner::align(seq::SeqId a,
   ++seeded_pairs_;
   const auto res_a = set_.residues(a);
   const auto res_b = set_.residues(b);
-  const align::AlignmentResult r =
-      params_.full_matrix_fallback
-          ? align::local_align(res_a, res_b, scheme_)
-          : align::banded_local_align(res_a, res_b, scheme_, *diagonal,
-                                      params_.band);
+  const align::AlignmentResult r = align::banded_local_align_score(
+      res_a, res_b, scheme_, *diagonal, params_.band);
   total_cells_ += r.cells;
   return r;
 }

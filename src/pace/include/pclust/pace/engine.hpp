@@ -38,9 +38,9 @@
 //     if every worker dies the run aborts with a clear error.
 //
 // The same policy objects drive a serial (p = 1) path that produces the
-// same final state, used as the test reference and by callers without a
-// simulated machine. The serial path can checkpoint its progress and
-// resume mid-stream (SerialHooks).
+// same final state, used as the test reference, by callers without a
+// simulated machine, and by the CCD merge-provenance replay. The serial
+// path can checkpoint its progress and resume mid-stream (SerialHooks).
 #pragma once
 
 #include <cstdint>
@@ -207,7 +207,13 @@ struct SerialHooks {
 };
 
 /// Serial driver: identical pair stream (global decreasing match length),
-/// identical filtering and verdict application. Returns engine counters.
+/// identical filtering and verdict application. Returns engine counters
+/// and records none in the metrics registry: callers whose run is a phase
+/// fold them in with record_engine_counters, and the merge-provenance
+/// replay (pace/provenance.hpp), which reruns this loop, adds nothing.
+/// The pair stream is a pure function of (set, ids, params) — independent
+/// of thread count, master topology, faults and resume points; a pool only
+/// parallelizes index construction and alignment.
 /// Pairs that pass the filter are collected into batches of
 /// params.batch_size and evaluated through WorkerPolicy::evaluate_batch,
 /// on @p pool when there is one. Before each verdict is applied, in task
@@ -226,16 +232,11 @@ EngineCounters run_serial(const seq::SequenceSet& set,
                           exec::Pool* pool = nullptr,
                           const SerialHooks* hooks = nullptr);
 
-/// The canonical promising-pair stream over @p ids: exactly the pairs the
-/// serial driver inspects, in its exact order (global decreasing match
-/// length; ties keep the deterministic bucket-append order). A pure
-/// function of (set, ids, params) — independent of thread count, master
-/// topology, faults, and resume points — which is what lets the
-/// merge-provenance replay (pace/provenance.hpp) reconstruct the serial
-/// decision sequence after ANY run. A pool only parallelizes index
-/// construction; the returned stream is bit-identical without one.
-[[nodiscard]] std::vector<PairTask> canonical_pairs(
-    const seq::SequenceSet& set, const std::vector<seq::SeqId>& ids,
-    const PaceParams& params, exec::Pool* pool = nullptr);
+/// Fold one phase's counters into the registry's `pace.*` counters. These
+/// back the report's alignment-work identity: promising == aligned +
+/// filtered + duplicate, where `filtered` is the paper's
+/// skipped-by-cluster-filter count. Speculative alignments are a subset of
+/// `filtered`. run_parallel's masters record their own share.
+void record_engine_counters(const EngineCounters& c);
 
 }  // namespace pclust::pace

@@ -4,28 +4,24 @@
 // alignment triggers a union depends on batching, rank interleaving,
 // faults, and resume points), but the final PARTITION is invariant. The
 // provenance ledger therefore records the canonical decision sequence:
-// the one the serial driver produces when it walks the canonical pair
-// stream (engine.hpp canonical_pairs) from scratch. Two capture paths
-// produce that sequence:
+// the one the serial driver (engine.hpp run_serial) produces when it walks
+// the pair stream from scratch. There is one loop and two ways to run it:
 //
-//   * decision-time capture — the serial CCD driver's merge recorder
-//     (components.hpp, detect_components_serial on_merge) emits the edge
-//     at the moment uf_.merge succeeds; zero extra alignments. Valid only
-//     for a from-scratch serial run.
-//   * canonical replay (derive_ccd_provenance) — for parallel,
-//     hierarchical, faulted, or resumed runs: walk the canonical pair
-//     stream against a fresh union-find, skip duplicates and
-//     already-connected pairs, skip (WITHOUT aligning) pairs whose
-//     endpoints end in different final components (an accepted overlap
-//     would have merged them — provably rejected), realign the rest
-//     exactly like the CCD worker, and emit an edge per accepting merge.
+//   * decision-time capture — a from-scratch serial CCD run records live:
+//     its merge recorder (components.hpp, detect_components_serial
+//     on_merge) emits the edge at the moment the union–find merge
+//     succeeds; zero extra alignments.
+//   * replay (derive_ccd_provenance) — every other run (parallel,
+//     hierarchical, faulted, resumed) reruns run_serial with the CCD
+//     worker and a replay master policy: a fresh union–find that also
+//     skips, WITHOUT aligning, pairs whose endpoints end in different
+//     final components (an accepted overlap would have merged them — a
+//     provable reject), and emits an edge per merge.
 //
-// Replay equals capture by induction on the stream position: both walk
-// the same pairs in the same order, and at every position the replay
-// union-find equals the serial master's apply-time forest (both align in
-// batches and re-check each pair in stream order before applying it, so a
-// pair connected earlier in its own batch is dropped by both). See
-// DESIGN.md §16.
+// Both are the same run_serial loop over the same pair stream. The extra
+// filter drops only pairs the capture aligns and rejects, which changes no
+// union–find, so the two forests agree at every stream position and the
+// replay's merges are the capture's by construction. See DESIGN.md §16.
 //
 // RR provenance is derived post hoc: the removal chain guard ("a sequence
 // is removed only if its container is itself still present") makes
@@ -64,10 +60,13 @@ namespace pclust::pace {
 /// Canonical CCD evidence by replay (see file comment): exactly one edge
 /// per surviving union-find merge, in canonical stream order. @p
 /// components is the FINAL partition over @p ids (any order); it gates
-/// the provable-reject fast path and is what makes the replay a pure
+/// the provable-reject filter and is what makes the replay a pure
 /// function of the final result rather than of the schedule. A pool
 /// parallelizes index construction and the alignments — the edge list is
-/// bit-identical without one.
+/// bit-identical without one. Adds its decisive alignment count to the
+/// `prov.ccd_replay_alignments` counter and nothing to `pace.*` or
+/// `ccd.uf_merges`. Throws std::invalid_argument if a component member is
+/// not in @p ids.
 [[nodiscard]] std::vector<prov::Edge> derive_ccd_provenance(
     const seq::SequenceSet& set, const std::vector<seq::SeqId>& ids,
     const PaceParams& params,

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
 #include "pclust/align/batch.hpp"
 #include "pclust/align/predicates.hpp"
 #include "pclust/dsu/union_find.hpp"
+#include "pclust/pace/provenance.hpp"
 #include "pclust/util/memsize.hpp"
 #include "pclust/util/metrics.hpp"
 
@@ -15,7 +17,14 @@ namespace pclust::pace {
 
 namespace {
 
-class CcdMaster;
+/// Dense union–find index of each id in @p ids.
+std::unordered_map<seq::SeqId, std::uint32_t> dense_index(
+    const std::vector<seq::SeqId>& ids) {
+  std::unordered_map<seq::SeqId, std::uint32_t> dense;
+  dense.reserve(ids.size());
+  for (std::uint32_t i = 0; i < ids.size(); ++i) dense[ids[i]] = i;
+  return dense;
+}
 
 /// One sub-master's replica of the CCD state: its own union–find over the
 /// same dense id universe, fed by the shard's verdicts plus the root's
@@ -47,9 +56,8 @@ class CcdShard final : public ShardPolicy {
 
 class CcdMaster final : public MasterPolicy {
  public:
-  explicit CcdMaster(const std::vector<seq::SeqId>& ids) : ids_(ids) {
-    dense_.reserve(ids.size());
-    for (std::uint32_t i = 0; i < ids.size(); ++i) dense_[ids[i]] = i;
+  explicit CcdMaster(const std::vector<seq::SeqId>& ids)
+      : ids_(ids), dense_(dense_index(ids)) {
     uf_.reset(ids.size());
   }
 
@@ -68,7 +76,7 @@ class CcdMaster final : public MasterPolicy {
   /// merge, at the moment of decision, with the verdict that caused it.
   /// Sound for the serial driver (one authoritative state, in stream
   /// order); the parallel/hierarchical engines instead derive provenance
-  /// by canonical replay (pace/provenance.hpp).
+  /// by replaying the serial driver (CcdReplay below).
   void set_merge_recorder(std::function<void(const Verdict&)> recorder) {
     on_merge_ = std::move(recorder);
   }
@@ -177,6 +185,55 @@ class CcdWorker final : public WorkerPolicy {
   const PaceParams& params_;
 };
 
+/// Master policy of the merge-provenance replay (pace/provenance.hpp): a
+/// fresh union–find over the survivors that also rejects, unaligned, pairs
+/// straddling two final components (provable rejects), and emits the
+/// evidence edge of every merge. Records no metrics, so a replay leaves
+/// `ccd.uf_merges` untouched.
+class CcdReplay final : public MasterPolicy {
+ public:
+  CcdReplay(const std::vector<seq::SeqId>& ids,
+            const std::vector<std::vector<seq::SeqId>>& components)
+      : dense_(dense_index(ids)), label_(ids.size()) {
+    // Final component label per dense id (singletons keep a unique label).
+    for (std::uint32_t i = 0; i < label_.size(); ++i) label_[i] = i;
+    for (std::uint32_t c = 0; c < components.size(); ++c) {
+      for (const seq::SeqId member : components[c]) {
+        const auto it = dense_.find(member);
+        if (it == dense_.end()) {
+          throw std::invalid_argument(
+              "derive_ccd_provenance: component member is not in the id "
+              "set");
+        }
+        label_[it->second] = static_cast<std::uint32_t>(ids.size()) + c;
+      }
+    }
+    uf_.reset(ids.size());
+  }
+
+  bool needs_alignment(const PairTask& task) override {
+    const std::uint32_t a = dense_.at(task.a);
+    const std::uint32_t b = dense_.at(task.b);
+    return label_[a] == label_[b] && !uf_.same(a, b);
+  }
+
+  void apply(const Verdict& v) override {
+    if (v.code == 1 && uf_.merge(dense_.at(v.a), dense_.at(v.b))) {
+      edges_.push_back(ccd_edge_from_verdict(v));
+    }
+  }
+
+  [[nodiscard]] std::vector<prov::Edge> take_edges() {
+    return std::move(edges_);
+  }
+
+ private:
+  std::unordered_map<seq::SeqId, std::uint32_t> dense_;
+  std::vector<std::uint32_t> label_;
+  dsu::UnionFind uf_;
+  std::vector<prov::Edge> edges_;
+};
+
 }  // namespace
 
 std::size_t ComponentsResult::count_with_min_size(std::size_t min_size) const {
@@ -236,9 +293,22 @@ ComponentsResult detect_components_serial(
 
   result.counters = run_serial(set, ids, params, master, worker, pool,
                                use_hooks ? &hooks : nullptr);
+  record_engine_counters(result.counters);
   master.record_memory(params.phase_label);
   result.components = master.components();
   return result;
+}
+
+std::vector<prov::Edge> derive_ccd_provenance(
+    const seq::SequenceSet& set, const std::vector<seq::SeqId>& ids,
+    const PaceParams& params,
+    const std::vector<std::vector<seq::SeqId>>& components,
+    exec::Pool* pool) {
+  CcdReplay replay(ids, components);
+  CcdWorker worker(set, params);
+  const EngineCounters c = run_serial(set, ids, params, replay, worker, pool);
+  util::metrics().counter("prov.ccd_replay_alignments").add(c.aligned_pairs);
+  return replay.take_edges();
 }
 
 }  // namespace pclust::pace

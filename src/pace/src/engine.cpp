@@ -17,12 +17,6 @@
 
 namespace pclust::pace {
 
-namespace {
-
-/// One phase's EngineCounters folded into the registry. These back the
-/// report's alignment-work identity: promising == aligned + filtered +
-/// duplicate, where `filtered` is the paper's skipped-by-cluster-filter
-/// count. Speculative alignments are a subset of `filtered`.
 void record_engine_counters(const EngineCounters& c) {
   auto& m = util::metrics();
   m.counter("pace.promising_pairs").add(c.promising_pairs);
@@ -31,6 +25,8 @@ void record_engine_counters(const EngineCounters& c) {
   m.counter("pace.alignments_attempted").add(c.aligned_pairs);
   m.counter("pace.alignments_speculative").add(c.speculative_pairs);
 }
+
+namespace {
 
 // Wire-size estimates for the virtual clock (bytes per element). The
 // verdict estimate stays at the {a, b, code} wire size even though
@@ -81,17 +77,15 @@ struct SharedIndex {
           "PaceParams: bucket_prefix must be <= psi (nodes may not span "
           "buckets)");
     }
-    if (pool && pool->size() > 1) {
-      sa = suffix::build_suffix_array_parallel(text, *pool);
-      lcp = suffix::build_lcp_parallel(text, sa, *pool);
-      suffix::MaximalMatchEnumerator enumerator(text, sa, lcp, mp);
-      buckets = enumerator.prefix_buckets(params.bucket_prefix, *pool);
-    } else {
-      sa = suffix::build_suffix_array(text.text(), seq::kIndexAlphabetSize);
-      lcp = suffix::build_lcp(text, sa);
-      suffix::MaximalMatchEnumerator enumerator(text, sa, lcp, mp);
-      buckets = enumerator.prefix_buckets(params.bucket_prefix);
-    }
+    // SA-IS is linear and serial at every pool size; the LCP and bucket
+    // scans split across the pool (each falls back to its serial scan on a
+    // one-thread pool).
+    sa = suffix::build_suffix_array(text.text(), seq::kIndexAlphabetSize);
+    lcp = pool ? suffix::build_lcp_parallel(text, sa, *pool)
+               : suffix::build_lcp(text, sa);
+    const suffix::MaximalMatchEnumerator enumerator(text, sa, lcp, mp);
+    buckets = pool ? enumerator.prefix_buckets(params.bucket_prefix, *pool)
+                   : enumerator.prefix_buckets(params.bucket_prefix);
 
     // Longest-processing-time assignment of buckets to workers.
     bucket_owner.assign(buckets.size(), first_worker);
@@ -401,14 +395,6 @@ mpsim::RunResult run_parallel(
   return result;
 }
 
-std::vector<PairTask> canonical_pairs(const seq::SequenceSet& set,
-                                      const std::vector<seq::SeqId>& ids,
-                                      const PaceParams& params,
-                                      exec::Pool* pool) {
-  SharedIndex index(set, ids, params, /*workers=*/1, pool);
-  return index.worker_pairs(1);
-}
-
 EngineCounters run_serial(const seq::SequenceSet& set,
                           const std::vector<seq::SeqId>& ids,
                           const PaceParams& params,
@@ -490,7 +476,6 @@ EngineCounters run_serial(const seq::SequenceSet& set,
     }
   }
   flush(pairs.size());
-  record_engine_counters(c);
   return c;
 }
 

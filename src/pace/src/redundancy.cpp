@@ -182,6 +182,7 @@ RedundancyResult remove_redundant_serial(const seq::SequenceSet& set,
   RrWorker worker(set, params);
   result.counters =
       run_serial(set, all_ids(set), params, master, worker, pool);
+  record_engine_counters(result.counters);
   return result;
 }
 

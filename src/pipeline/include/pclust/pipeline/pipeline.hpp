@@ -53,11 +53,12 @@ struct PipelineConfig {
   int processors = 0;
   mpsim::MachineModel model = mpsim::MachineModel::bluegene_l();
 
-  /// REAL shared-memory threads (exec::Pool) used inside every phase:
-  /// suffix-array/LCP/bucket construction, batched RR/CCD verdicts, and the
-  /// Shingle passes. 1 = fully serial (the golden reference path);
-  /// 0 = hardware_concurrency. Composes with `processors`: mpsim ranks
-  /// share the one pool. All outputs are thread-count independent.
+  /// REAL shared-memory threads (exec::Pool) used inside every phase: LCP
+  /// and bucket construction, batched RR/CCD verdicts, and the Shingle
+  /// passes. The suffix array is SA-IS at every thread count. 1 = fully
+  /// serial (the golden reference path); 0 = hardware_concurrency.
+  /// Composes with `processors`: mpsim ranks share the one pool. All
+  /// outputs are thread-count independent.
   unsigned threads = 1;
 
   /// Parallel Shingle stage (the paper's §VI future work, and the batched
@@ -103,8 +104,8 @@ struct PipelineConfig {
   /// across thread counts, master topologies, checkpoint resume, and any
   /// fault plan under which the family output itself is invariant (see
   /// pace/provenance.hpp and DESIGN.md §16). The serial CCD path captures
-  /// at decision time for free; parallel/resumed runs derive by canonical
-  /// replay. With checkpointing enabled, per-phase provenance sidecars
+  /// at decision time for free; parallel/resumed runs replay the serial
+  /// engine. With checkpointing enabled, per-phase provenance sidecars
   /// (<phase>.prov.jsonl in checkpoint_dir) let `--resume` splice already-
   /// derived evidence instead of re-deriving it.
   bool provenance = false;

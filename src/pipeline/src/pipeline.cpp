@@ -630,8 +630,8 @@ PipelineResult run(const seq::SequenceSet& input,
     // From-scratch serial CCD captures its evidence at the point of decision
     // for free (the recorder fires on every successful union-find merge).
     // The parallel path and a partial resume (whose merges before the
-    // watermark happened in an earlier process) re-derive by canonical
-    // replay, provably yielding the same edges.
+    // watermark happened in an earlier process) re-derive by replaying the
+    // same serial loop, which yields the same edges by construction.
     std::function<void(const pace::Verdict&)> on_merge;
     if (want_prov && !have_partial) {
       ccd_captured.emplace();

@@ -14,10 +14,6 @@
 #include <span>
 #include <vector>
 
-namespace pclust::exec {
-class Pool;
-}
-
 namespace pclust::shingle {
 
 struct Shingle {
@@ -36,14 +32,5 @@ struct Shingle {
 [[nodiscard]] std::vector<std::uint64_t> shingle_values(
     std::span<const std::uint32_t> links, std::uint32_t s, std::uint32_t c,
     std::uint64_t seed);
-
-/// Pooled variant: the c permutations are hashed on pool threads (each
-/// permutation's min-s selection is independent) and the per-permutation
-/// shingles folded in permutation order, so the result is identical to the
-/// serial overload. Worthwhile for large link lists; pool size 1 falls back
-/// to the serial path.
-[[nodiscard]] std::vector<Shingle> shingle_set(
-    std::span<const std::uint32_t> links, std::uint32_t s, std::uint32_t c,
-    std::uint64_t seed, exec::Pool& pool);
 
 }  // namespace pclust::shingle

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "pclust/exec/pool.hpp"
 #include "pclust/util/rng.hpp"
 
 namespace pclust::shingle {
@@ -58,28 +57,6 @@ std::vector<Shingle> shingle_set(std::span<const std::uint32_t> links,
     auto elements = min_s(links, s, permutation_key(seed, k));
     out.push_back(Shingle{canonical_value(elements), std::move(elements)});
   }
-  std::sort(out.begin(), out.end(), [](const Shingle& a, const Shingle& b) {
-    return a.value < b.value;
-  });
-  out.erase(std::unique(out.begin(), out.end(),
-                        [](const Shingle& a, const Shingle& b) {
-                          return a.value == b.value;
-                        }),
-            out.end());
-  return out;
-}
-
-std::vector<Shingle> shingle_set(std::span<const std::uint32_t> links,
-                                 std::uint32_t s, std::uint32_t c,
-                                 std::uint64_t seed, exec::Pool& pool) {
-  if (pool.size() <= 1 || s == 0 || links.size() <= s || c < 2) {
-    return shingle_set(links, s, c, seed);
-  }
-  auto out = exec::parallel_map<Shingle>(pool, c, 8, [&](std::size_t k) {
-    auto elements =
-        min_s(links, s, permutation_key(seed, static_cast<std::uint32_t>(k)));
-    return Shingle{canonical_value(elements), std::move(elements)};
-  });
   std::sort(out.begin(), out.end(), [](const Shingle& a, const Shingle& b) {
     return a.value < b.value;
   });

@@ -23,9 +23,10 @@ namespace pclust::suffix {
 [[nodiscard]] std::vector<std::int32_t> build_lcp(
     const ConcatText& text, const std::vector<std::int32_t>& sa);
 
-/// Parallel Kasai: text positions are chunked across the pool; each chunk
-/// restarts the h counter at 0 (h is only a lower-bound optimization, so
-/// every lcp[rank[i]] write is independently correct). Bit-identical to
+/// Parallel Kasai: the same scan with text positions chunked across the
+/// pool (build_lcp is its one-chunk case); each chunk restarts the h
+/// counter at 0 (h is only a lower-bound optimization, so every
+/// lcp[rank[i]] write is independently correct). Bit-identical to
 /// build_lcp; pool size 1 falls back to the serial scan.
 [[nodiscard]] std::vector<std::int32_t> build_lcp_parallel(
     const ConcatText& text, const std::vector<std::int32_t>& sa,

@@ -28,11 +28,9 @@ class ConcatText;
 [[nodiscard]] std::vector<std::int32_t> build_suffix_array(
     std::string_view text, int alphabet);
 
-/// Parallel construction over a concatenated multi-sequence text. Returns
-/// EXACTLY build_suffix_array(text.text(), seq::kIndexAlphabetSize): text
-/// blocks are suffix-sorted concurrently with a global-text comparator
-/// (block-local SA-IS would mis-order suffixes whose tie extends past the
-/// block), then merged. Pool size 1 falls back to serial SA-IS.
+/// Same as build_suffix_array(text.text(), seq::kIndexAlphabetSize): SA-IS
+/// builds every index at every pool size (DESIGN.md §8). The pool is
+/// unused.
 [[nodiscard]] std::vector<std::int32_t> build_suffix_array_parallel(
     const ConcatText& text, exec::Pool& pool);
 

@@ -1,55 +1,29 @@
 #include "pclust/suffix/lcp.hpp"
 
-#include <algorithm>
-
 #include "pclust/exec/pool.hpp"
 #include "pclust/suffix/suffix_array.hpp"
 
 namespace pclust::suffix {
 
-std::vector<std::int32_t> build_lcp(const ConcatText& text,
-                                    const std::vector<std::int32_t>& sa) {
+namespace {
+
+/// Kasai et al. 2001 over text positions chunked across @p pool, or as one
+/// chunk without one. The comparison itself stops at separators so no
+/// post-truncation pass is needed: separators are compared as ordinary
+/// symbols, but a separator matching a separator terminates the scan.
+/// Each chunk starts with h = 0. h only ever LOWERS the comparison start (a
+/// proven lower bound carried from position i-1), so losing it at a chunk
+/// boundary costs a longer scan, never a wrong value; each lcp[rank[i]]
+/// slot is written by exactly one chunk.
+std::vector<std::int32_t> chunked_kasai(const ConcatText& text,
+                                        const std::vector<std::int32_t>& sa,
+                                        exec::Pool* pool) {
   const std::size_t n = text.size();
   std::vector<std::int32_t> lcp(n, 0);
   if (n == 0) return lcp;
 
   const auto rank = invert_suffix_array(sa);
-  // Kasai et al. 2001, with the comparison itself stopping at separators so
-  // no post-truncation pass is needed: separators are compared as ordinary
-  // symbols, but a separator matching a separator terminates the scan.
-  std::int32_t h = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int32_t r = rank[i];
-    if (r == 0) {
-      h = 0;
-      continue;
-    }
-    const auto j = static_cast<std::size_t>(sa[static_cast<std::size_t>(r - 1)]);
-    auto k = static_cast<std::size_t>(h > 0 ? h - 1 : 0);
-    while (i + k < n && j + k < n && text.at(i + k) == text.at(j + k) &&
-           !text.is_separator(i + k)) {
-      ++k;
-    }
-    lcp[static_cast<std::size_t>(r)] = static_cast<std::int32_t>(k);
-    h = static_cast<std::int32_t>(k);
-  }
-  return lcp;
-}
-
-std::vector<std::int32_t> build_lcp_parallel(const ConcatText& text,
-                                             const std::vector<std::int32_t>& sa,
-                                             exec::Pool& pool) {
-  const std::size_t n = text.size();
-  if (pool.size() <= 1 || n < 2 * pool.size()) return build_lcp(text, sa);
-
-  std::vector<std::int32_t> lcp(n, 0);
-  const auto rank = invert_suffix_array(sa);
-  // Each chunk runs Kasai with h restarted at 0. h only ever LOWERS the
-  // comparison start (a proven lower bound carried from position i-1), so
-  // losing it at a chunk boundary costs a longer scan, never a wrong value;
-  // each lcp[rank[i]] slot is written by exactly one chunk.
-  const std::size_t grain = (n + 4 * pool.size() - 1) / (4 * pool.size());
-  pool.for_range(n, grain, [&](std::size_t lo, std::size_t hi) {
+  const auto scan = [&](std::size_t lo, std::size_t hi) {
     std::int32_t h = 0;
     for (std::size_t i = lo; i < hi; ++i) {
       const std::int32_t r = rank[i];
@@ -67,8 +41,30 @@ std::vector<std::int32_t> build_lcp_parallel(const ConcatText& text,
       lcp[static_cast<std::size_t>(r)] = static_cast<std::int32_t>(k);
       h = static_cast<std::int32_t>(k);
     }
-  });
+  };
+  if (pool) {
+    const std::size_t grain = (n + 4 * pool->size() - 1) / (4 * pool->size());
+    pool->for_range(n, grain, scan);
+  } else {
+    scan(0, n);
+  }
   return lcp;
+}
+
+}  // namespace
+
+std::vector<std::int32_t> build_lcp(const ConcatText& text,
+                                    const std::vector<std::int32_t>& sa) {
+  return chunked_kasai(text, sa, nullptr);
+}
+
+std::vector<std::int32_t> build_lcp_parallel(const ConcatText& text,
+                                             const std::vector<std::int32_t>& sa,
+                                             exec::Pool& pool) {
+  if (pool.size() <= 1 || text.size() < 2 * pool.size()) {
+    return build_lcp(text, sa);
+  }
+  return chunked_kasai(text, sa, &pool);
 }
 
 }  // namespace pclust::suffix

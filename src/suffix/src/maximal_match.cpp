@@ -56,6 +56,33 @@ std::uint64_t bucket_key(const ConcatText& text,
   return key;
 }
 
+/// Bucket scan over SA ranks [lo, hi), appended to @p out. A bucket that
+/// crosses hi comes out cut there (the pooled scan stitches such parts).
+void scan_buckets(const ConcatText& text, const std::vector<std::int32_t>& sa,
+                  std::uint32_t prefix_len, std::int32_t lo, std::int32_t hi,
+                  std::vector<MaximalMatchEnumerator::Bucket>& out) {
+  std::int32_t i = lo;
+  while (i < hi) {
+    const auto pos = static_cast<std::size_t>(sa[static_cast<std::size_t>(i)]);
+    if (text.is_separator(pos)) {
+      ++i;  // separator-led suffixes carry no matches
+      continue;
+    }
+    const std::uint64_t key = bucket_key(text, sa, i, prefix_len);
+    MaximalMatchEnumerator::Bucket b{i, i, 0};
+    while (i < hi) {
+      const auto p = static_cast<std::size_t>(sa[static_cast<std::size_t>(i)]);
+      if (text.is_separator(p) || bucket_key(text, sa, i, prefix_len) != key) {
+        break;
+      }
+      b.rb = i;
+      b.weight += text.run_length(p);
+      ++i;
+    }
+    out.push_back(b);
+  }
+}
+
 }  // namespace
 
 MaximalMatchEnumerator::MaximalMatchEnumerator(
@@ -174,31 +201,8 @@ std::vector<MaximalMatch> MaximalMatchEnumerator::all() const {
 std::vector<MaximalMatchEnumerator::Bucket>
 MaximalMatchEnumerator::prefix_buckets(std::uint32_t prefix_len) const {
   std::vector<Bucket> out;
-  const auto& sa = *sa_;
-  const auto n = static_cast<std::int32_t>(sa.size());
-
-  const auto key_of = [&](std::int32_t i) {
-    return bucket_key(*text_, sa, i, prefix_len);
-  };
-
-  std::int32_t i = 0;
-  while (i < n) {
-    const auto pos = static_cast<std::size_t>(sa[static_cast<std::size_t>(i)]);
-    if (text_->is_separator(pos)) {
-      ++i;  // separator-led suffixes carry no matches
-      continue;
-    }
-    const std::uint64_t key = key_of(i);
-    Bucket b{i, i, 0};
-    while (i < n) {
-      const auto p = static_cast<std::size_t>(sa[static_cast<std::size_t>(i)]);
-      if (text_->is_separator(p) || key_of(i) != key) break;
-      b.rb = i;
-      b.weight += text_->run_length(p);
-      ++i;
-    }
-    out.push_back(b);
-  }
+  scan_buckets(*text_, *sa_, prefix_len, 0,
+               static_cast<std::int32_t>(sa_->size()), out);
   return out;
 }
 
@@ -225,26 +229,7 @@ MaximalMatchEnumerator::prefix_buckets(std::uint32_t prefix_len,
     const auto lo = static_cast<std::int32_t>(chunk * per_chunk);
     const auto hi = std::min(n, static_cast<std::int32_t>((chunk + 1) *
                                                           per_chunk));
-    auto& out = parts[chunk];
-    std::int32_t i = lo;
-    while (i < hi) {
-      const auto pos =
-          static_cast<std::size_t>(sa[static_cast<std::size_t>(i)]);
-      if (text_->is_separator(pos)) {
-        ++i;  // separator-led suffixes carry no matches
-        continue;
-      }
-      const std::uint64_t key = key_of(i);
-      Bucket b{i, i, 0};
-      while (i < hi) {
-        const auto p = static_cast<std::size_t>(sa[static_cast<std::size_t>(i)]);
-        if (text_->is_separator(p) || key_of(i) != key) break;
-        b.rb = i;
-        b.weight += text_->run_length(p);
-        ++i;
-      }
-      out.push_back(b);
-    }
+    scan_buckets(*text_, sa, prefix_len, lo, hi, parts[chunk]);
   });
 
   // Stitch: merge a chunk-leading bucket into the previous one only when

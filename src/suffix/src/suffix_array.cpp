@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "pclust/exec/pool.hpp"
 #include "pclust/seq/alphabet.hpp"
 #include "pclust/suffix/concat_text.hpp"
 
@@ -175,55 +174,8 @@ std::vector<std::int32_t> build_suffix_array(std::string_view text,
 }
 
 std::vector<std::int32_t> build_suffix_array_parallel(const ConcatText& text,
-                                                      exec::Pool& pool) {
-  const std::string& t = text.text();
-  if (pool.size() <= 1 || t.size() < 2 * pool.size()) {
-    return build_suffix_array(t, seq::kIndexAlphabetSize);
-  }
-  const auto n = static_cast<std::size_t>(t.size());
-
-  // Suffix order over the whole text. string_view comparison is unsigned
-  // bytewise with shorter-prefix-smaller, which matches SA-IS's implicit
-  // smallest sentinel. Comparing against the GLOBAL text is essential:
-  // suffixes that tie through their block (e.g. through equal separator
-  // symbols) are ordered by text beyond it.
-  const std::string_view sv(t);
-  const auto suffix_less = [sv](std::int32_t x, std::int32_t y) {
-    return sv.substr(static_cast<std::size_t>(x)) <
-           sv.substr(static_cast<std::size_t>(y));
-  };
-
-  // Sort equal-size position blocks concurrently...
-  const std::size_t block_count = pool.size();
-  const std::size_t per_block = (n + block_count - 1) / block_count;
-  std::vector<std::vector<std::int32_t>> runs(block_count);
-  exec::parallel_for(pool, block_count, 1, [&](std::size_t b) {
-    const std::size_t lo = b * per_block;
-    const std::size_t hi = std::min(n, lo + per_block);
-    auto& run = runs[b];
-    run.resize(hi > lo ? hi - lo : 0);
-    for (std::size_t i = lo; i < hi; ++i) {
-      run[i - lo] = static_cast<std::int32_t>(i);
-    }
-    std::sort(run.begin(), run.end(), suffix_less);
-  });
-
-  // ...then merge pairwise (each round's merges run concurrently too).
-  while (runs.size() > 1) {
-    std::vector<std::vector<std::int32_t>> next((runs.size() + 1) / 2);
-    exec::parallel_for(pool, next.size(), 1, [&](std::size_t k) {
-      if (2 * k + 1 < runs.size()) {
-        next[k].reserve(runs[2 * k].size() + runs[2 * k + 1].size());
-        std::merge(runs[2 * k].begin(), runs[2 * k].end(),
-                   runs[2 * k + 1].begin(), runs[2 * k + 1].end(),
-                   std::back_inserter(next[k]), suffix_less);
-      } else {
-        next[k] = std::move(runs[2 * k]);
-      }
-    });
-    runs = std::move(next);
-  }
-  return std::move(runs.front());
+                                                      exec::Pool& /*pool*/) {
+  return build_suffix_array(text.text(), seq::kIndexAlphabetSize);
 }
 
 std::vector<std::int32_t> invert_suffix_array(

@@ -108,6 +108,28 @@ TEST(RunReport, FaultedHealedParallelRunSatisfiesIdentity) {
   EXPECT_GT(report.at("faults").at("streams_adopted").as_u64(), 0u);
 }
 
+TEST(RunReport, ParallelProvenanceRunKeepsRegistryExact) {
+  const auto d = make_data(85, 160);
+  PipelineConfig config;
+  config.processors = 4;
+  config.provenance = true;
+
+  util::metrics().reset();
+  const auto result = run(d.sequences, config);
+  const util::JsonValue report = report_for(result, config);
+
+  std::string error;
+  EXPECT_TRUE(validate_report(report, &error)) << error;
+  // The CCD ledger of a simulated run comes from a replay of the serial
+  // engine; none of the replay's work may leak into the phase counters.
+  const util::JsonValue& counters = report.at("metrics").at("counters");
+  EXPECT_GT(counters.at("prov.ccd_replay_alignments").as_u64(), 0u);
+  EXPECT_EQ(counters.at("pace.alignments_attempted").as_u64(),
+            report.at("alignment").at("attempted").as_u64());
+  EXPECT_EQ(counters.at("ccd.uf_merges").as_u64(),
+            result.non_redundant_sequences - result.ccd.components.size());
+}
+
 TEST(RunReport, ResumeProvenanceIsRecorded) {
   const auto d = make_data(83);
   const test::ScopedTempDir dir;

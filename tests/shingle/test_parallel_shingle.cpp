@@ -1,56 +1,17 @@
-// Pooled min-wise hashing and the pooled dense_subgraphs passes must give
-// byte-identical results to the serial paths for every pool size.
+// The pooled dense_subgraphs passes must give byte-identical results to the
+// serial path for every pool size.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 #include "pclust/bigraph/bipartite_graph.hpp"
 #include "pclust/exec/pool.hpp"
-#include "pclust/shingle/minwise.hpp"
 #include "pclust/shingle/shingle.hpp"
 #include "pclust/util/rng.hpp"
 
 namespace pclust::shingle {
 namespace {
-
-std::vector<std::uint32_t> distinct_links(std::uint64_t seed,
-                                          std::uint32_t universe,
-                                          std::uint32_t count) {
-  std::vector<std::uint32_t> all(universe);
-  std::iota(all.begin(), all.end(), 0u);
-  util::Xoshiro256 rng(seed);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const auto j = i + static_cast<std::uint32_t>(
-                           rng.below(static_cast<std::uint64_t>(universe - i)));
-    std::swap(all[i], all[j]);
-  }
-  all.resize(count);
-  return all;
-}
-
-TEST(ParallelMinwise, ShingleSetMatchesSerial) {
-  for (std::uint32_t count : {4u, 20u, 300u}) {
-    const auto links = distinct_links(91, 5000, count);
-    for (std::uint32_t s : {2u, 5u}) {
-      for (std::uint32_t c : {1u, 37u, 300u}) {
-        const auto serial = shingle_set(links, s, c, 0xABCDu);
-        for (unsigned threads : {1u, 2u, 8u}) {
-          exec::Pool pool(threads);
-          const auto pooled = shingle_set(links, s, c, 0xABCDu, pool);
-          ASSERT_EQ(pooled.size(), serial.size())
-              << "count=" << count << " s=" << s << " c=" << c
-              << " threads=" << threads;
-          for (std::size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(pooled[i].value, serial[i].value);
-            EXPECT_EQ(pooled[i].elements, serial[i].elements);
-          }
-        }
-      }
-    }
-  }
-}
 
 bigraph::BipartiteGraph random_graph(std::uint64_t seed, std::uint32_t left,
                                      std::uint32_t right, double density) {
