@@ -19,15 +19,19 @@ cmake --build build -j
 
 # Data-race check. Only the thread-touching suites are worth the TSan
 # slowdown: the pool itself, the batched/pooled PaCE paths (the CCD
-# provenance replay included), the pooled B_d builder, and the
-# fault-injected simulator runtime (failure marks cross threads).
+# provenance replay included), the B_d builder (a pooled run_serial run),
+# the pooled Shingle passes and suffix-index scans (their pooled code is
+# the only code), and the fault-injected simulator runtime (failure marks
+# cross threads).
 cmake --preset tsan
 cmake --build build-tsan -j --target test_exec test_pace test_mpsim \
-  test_bigraph
+  test_bigraph test_shingle test_suffix
 (cd build-tsan
  ./tests/test_exec
  ./tests/test_pace --gtest_filter='Determinism*:FaultTolerance*:CcdProvenance*'
  ./tests/test_bigraph --gtest_filter='Pools/BuildBdPool*'
+ ./tests/test_shingle --gtest_filter='ParallelShingle*'
+ ./tests/test_suffix --gtest_filter='Parallel*'
  ./tests/test_mpsim)
 
 # Memory-error check. The suites that parse untrusted bytes (FASTA,
@@ -81,6 +85,14 @@ rc=0; "$pclust" families "$smoke/missing.fa" 2>/dev/null || rc=$?
 [ "$rc" -eq 3 ] || { echo "expected exit 3 for missing input, got $rc"; exit 1; }
 rc=0; "$pclust" families --psi 0 "$smoke/in.fa" 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || { echo "expected exit 2 for --psi 0, got $rc"; exit 1; }
+# Both commands share one fault-plan parser: crashing the master and a
+# sub-master fault without a master tree are usage errors in each.
+rc=0; "$pclust" simulate "$smoke/in.fa" --processors 4 --crash 0@1 \
+  >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for simulate --crash 0@1, got $rc"; exit 1; }
+rc=0; "$pclust" families "$smoke/in.fa" --processors 4 \
+  --submaster-crash 1@1 >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for --submaster-crash without --masters, got $rc"; exit 1; }
 rc=0; "$pclust" generate --n 300 --families 5 --seed 8 --out "$smoke/other.fa" >/dev/null \
   && "$pclust" families "$smoke/other.fa" --checkpoint-dir "$smoke/ckpt" \
      --resume 2>/dev/null || rc=$?
@@ -237,6 +249,7 @@ cmp "$smoke/a.tsv" "$smoke/prov-fams.tsv"
   --provenance-out "$smoke/prov-t4.jsonl" --out "$smoke/prov-t4.tsv" \
   >/dev/null
 cmp "$smoke/prov.jsonl" "$smoke/prov-t4.jsonl"
+cmp "$smoke/a.tsv" "$smoke/prov-t4.tsv"
 "$pclust" families "$smoke/in.fa" --processors 8 --masters 2 \
   --provenance-out "$smoke/prov-tree.jsonl" --out "$smoke/prov-tree.tsv" \
   >/dev/null

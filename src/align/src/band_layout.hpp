@@ -13,11 +13,6 @@ namespace pclust::align::detail {
 inline constexpr std::int32_t kNegInf =
     std::numeric_limits<std::int32_t>::min() / 4;
 
-// Beyond this the u16-based wide lanes of the score-only bundles could
-// overflow; such inputs take the full-matrix path instead — far beyond any
-// peptide.
-inline constexpr std::size_t kScoreCellMax = 32'767;
-
 /// Banded matrix geometry. When the band is narrower than the full row,
 /// each row i stores only a window of W = 2*band+3 columns around the band
 /// center (i - diagonal); the extra slots beyond 2*band+1 absorb the j and

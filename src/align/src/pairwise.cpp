@@ -13,7 +13,6 @@ namespace {
 
 using detail::BandLayout;
 using detail::kNegInf;
-using detail::kScoreCellMax;
 
 // Traceback codes. For the M (substitution) state the predecessor is the
 // best of {M, X, Y} at (i-1, j-1), or a fresh local start.
@@ -272,8 +271,9 @@ AlignmentResult align_impl(std::string_view a, std::string_view b,
 //  * PackedBundle — all five fields in 11-bit lanes of ONE u64; covers
 //    sequences up to 2047 residues (every metagenomic peptide), and a
 //    bundle moves through the recurrence as a single register.
-//  * WideBundle — begin pair in a u32 plus 16-bit count lanes in a u64;
-//    covers sequences up to 32767 residues.
+//  * WideBundle — 32-bit begin coordinates and counts; covers every
+//    sequence up to 2^32 - 1 residues, so the score-only path serves any
+//    length in O(band) memory.
 // Lane carries cannot happen in either tier: each count is bounded by
 // min(m, n), which is below the lane capacity by construction.
 // ---------------------------------------------------------------------------
@@ -327,46 +327,50 @@ struct PackedBundle {
 };
 
 struct WideBundle {
-  static constexpr std::size_t kMaxLen = kScoreCellMax;
   struct Bundle {
-    std::uint32_t pos = 0;    // a_begin<<16 | b_begin
-    std::uint64_t stats = 0;  // positives | matches<<16 | subs<<32
+    std::uint32_t a_begin = 0;
+    std::uint32_t b_begin = 0;
+    std::uint32_t subs = 0;
+    std::uint64_t hits = 0;  // positives | matches<<32
   };
-  static constexpr int kMatchShift = 16;
-  static constexpr int kSubShift = 32;
+  static constexpr int kMatchShift = 32;
 
   static Bundle start(std::size_t i, std::size_t j) {
     Bundle b;
-    b.pos = (static_cast<std::uint32_t>(i) << 16) |
-            static_cast<std::uint32_t>(j);
+    b.a_begin = static_cast<std::uint32_t>(i);
+    b.b_begin = static_cast<std::uint32_t>(j);
     return b;
   }
+  /// Every M step adds one substitution column, so the increment word
+  /// carries only the match and positive bits.
   static std::uint64_t make_inc(bool match, bool positive) {
-    return (std::uint64_t{1} << kSubShift) |
-           (static_cast<std::uint64_t>(match) << kMatchShift) |
+    return (static_cast<std::uint64_t>(match) << kMatchShift) |
            static_cast<std::uint64_t>(positive);
   }
   static Bundle add_inc(Bundle b, std::uint64_t inc) {
-    b.stats += inc;
+    b.hits += inc;
+    ++b.subs;
     return b;
   }
-  static void bump_j(Bundle& b) { b.pos += 1; }
+  static void bump_j(Bundle& b) { ++b.b_begin; }
   static Bundle select(bool take_first, Bundle first, Bundle second) {
     const std::uint64_t mask =
         -static_cast<std::uint64_t>(static_cast<unsigned>(take_first));
+    const auto mask32 = static_cast<std::uint32_t>(mask);
     Bundle out;
-    out.pos = (first.pos & static_cast<std::uint32_t>(mask)) |
-              (second.pos & static_cast<std::uint32_t>(~mask));
-    out.stats = (first.stats & mask) | (second.stats & ~mask);
+    out.a_begin = (first.a_begin & mask32) | (second.a_begin & ~mask32);
+    out.b_begin = (first.b_begin & mask32) | (second.b_begin & ~mask32);
+    out.subs = (first.subs & mask32) | (second.subs & ~mask32);
+    out.hits = (first.hits & mask) | (second.hits & ~mask);
     return out;
   }
   static BundleFields unpack(Bundle b) {
     BundleFields f;
-    f.a_begin = b.pos >> 16;
-    f.b_begin = b.pos & 0xFFFF;
-    f.positives = static_cast<std::uint32_t>(b.stats & 0xFFFF);
-    f.matches = static_cast<std::uint32_t>((b.stats >> kMatchShift) & 0xFFFF);
-    f.subs = static_cast<std::uint32_t>((b.stats >> kSubShift) & 0xFFFF);
+    f.a_begin = b.a_begin;
+    f.b_begin = b.b_begin;
+    f.positives = static_cast<std::uint32_t>(b.hits);
+    f.matches = static_cast<std::uint32_t>(b.hits >> kMatchShift);
+    f.subs = b.subs;
     return f;
   }
 };
@@ -630,9 +634,6 @@ AlignmentResult score_impl(std::string_view a, std::string_view b,
                            std::int64_t band) {
   const std::size_t m = a.size();
   const std::size_t n = b.size();
-  if (m > kScoreCellMax || n > kScoreCellMax) {
-    return align_impl(a, b, scheme, Mode::kLocal, diagonal, band);
-  }
   // Narrow windows sweep too few cells to amortize the O(alphabet * n)
   // profile build; the crossover against the per-cell inline lookup sits
   // around a window width of ~100–130 columns on current hardware.

@@ -3,9 +3,11 @@
 //
 //  - B_d (global similarity): the duplicate-vertex bipartite version of the
 //    similarity graph G restricted to the component. Edges are found with
-//    the "modified PaCE" scheme: maximal-match filtering only (no
-//    transitive-closure clustering — every surviving candidate pair is
-//    verified by alignment, because here the individual edges matter).
+//    the "modified PaCE" scheme: the PaCE engine (pace::run_serial) with
+//    the CCD overlap worker and a master policy that admits every pair —
+//    maximal-match filtering only, no transitive-closure clustering, so
+//    every distinct candidate pair is verified by alignment, because here
+//    the individual edges matter.
 //  - B_m (domain based): left vertices are the w-length words occurring in
 //    >= 2 member sequences; an edge connects a word to every member
 //    containing it.
@@ -51,9 +53,11 @@ struct BmParams {
   std::uint32_t max_sequences_per_word = 0;    // low-complexity guard
 };
 
-/// Build the global-similarity reduction B_d for one component. The
-/// candidate pairs are aligned through the SIMD batch engine, split across
-/// @p pool when given; the graph and its work statistics are bit-identical
+/// Build the global-similarity reduction B_d for one component: one
+/// run_serial run (phase label "bgg", so its suffix index is published as
+/// mem.bgg.suffix_index.* and charged to the memory governor) whose pairs
+/// are scored through the SIMD batch engine on @p pool's lanes (a null
+/// pool is one lane). The graph and its work statistics are bit-identical
 /// at every pool size.
 ComponentGraph build_bd(const seq::SequenceSet& set,
                         const std::vector<seq::SeqId>& members,

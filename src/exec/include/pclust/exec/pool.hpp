@@ -16,7 +16,9 @@
 //    folded serially in index order by the caller (see parallel_map), which
 //    keeps every pooled result bit-identical to the threads=1 run.
 //  - A Pool of size 1 never spawns threads and runs every loop inline, so
-//    threads=1 is exactly the serial code path.
+//    threads=1 is exactly the serial code path. A null Pool* means the same
+//    one lane (or_serial), so every pooled step is written once, against a
+//    pool, and has no hand-written serial twin.
 #pragma once
 
 #include <condition_variable>
@@ -75,6 +77,10 @@ class Pool {
   unsigned size_ = 1;
   bool stop_ = false;
 };
+
+/// The pool a null Pool* stands for: @p pool itself, or a shared one-lane
+/// pool that runs every loop inline on the caller's thread.
+Pool& or_serial(Pool* pool);
 
 /// Per-index convenience: f(i) for every i in [0, n).
 template <typename F>

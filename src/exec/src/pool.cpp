@@ -73,6 +73,11 @@ void Pool::worker_main() {
   }
 }
 
+Pool& or_serial(Pool* pool) {
+  static Pool serial(1);  // spawns no thread; its loops need no lock
+  return pool ? *pool : serial;
+}
+
 void Pool::for_range(
     std::size_t n, std::size_t grain,
     const std::function<void(std::size_t, std::size_t)>& body) {

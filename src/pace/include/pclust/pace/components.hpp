@@ -21,6 +21,24 @@
 
 namespace pclust::pace {
 
+/// The CCD worker: one Definition-2 overlap alignment per pair, banded on
+/// the pair's maximal-match diagonal when params.band > 0, scored through
+/// the SIMD batch engine. Verdict code 1 = overlap accepted. B_d edge
+/// construction (bigraph::build_bd) runs it under an always-admit master.
+class CcdWorker final : public WorkerPolicy {
+ public:
+  /// @p set and @p params must outlive the worker.
+  CcdWorker(const seq::SequenceSet& set, const PaceParams& params)
+      : set_(set), params_(params) {}
+
+  void evaluate_batch(const PairTask* tasks, std::size_t count,
+                      Verdict* verdicts, std::uint64_t* cells) override;
+
+ private:
+  const seq::SequenceSet& set_;
+  const PaceParams& params_;
+};
+
 struct ComponentsResult {
   /// Connected components over the input ids, descending size, each sorted
   /// ascending. Singletons included (filter by size at the call site).

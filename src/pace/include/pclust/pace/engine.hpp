@@ -38,9 +38,10 @@
 //     if every worker dies the run aborts with a clear error.
 //
 // The same policy objects drive a serial (p = 1) path that produces the
-// same final state, used as the test reference, by callers without a
-// simulated machine, and by the CCD merge-provenance replay. The serial
-// path can checkpoint its progress and resume mid-stream (SerialHooks).
+// same final state, used as the test reference and by callers without a
+// simulated machine: serial RR and CCD, the CCD merge-provenance replay,
+// and B_d edge construction (bigraph::build_bd). The serial path can
+// checkpoint its progress and resume mid-stream (SerialHooks).
 #pragma once
 
 #include <cstdint>
@@ -83,15 +84,18 @@ struct Verdict {
   /// b, 2 = b contained in a, 3 = mutually contained. 0 = rejected.
   std::uint8_t code = 0;
   // Alignment evidence behind the code, consumed by the merge-provenance
-  // recorder. Deliberately EXCLUDED from the simulated wire-size estimate
-  // (kVerdictBytes): provenance capture must not perturb virtual time, and
-  // a real implementation would ship these fields only when the ledger is
-  // requested.
+  // recorder and B_d's work statistics. Deliberately EXCLUDED from the
+  // simulated wire-size estimate (kVerdictBytes): provenance capture must
+  // not perturb virtual time, and a real implementation would ship these
+  // fields only when they are asked for.
   std::int32_t score = 0;
   std::uint32_t matches = 0;
   std::uint32_t columns = 0;
   std::uint32_t a_span = 0;
   std::uint32_t b_span = 0;
+  /// DP cells of the pair's alignments, filled in by the engine from the
+  /// worker's cell counts.
+  std::uint64_t cells = 0;
 };
 
 /// Sub-master-side policy (hierarchical mode): a local replica of the
@@ -207,18 +211,22 @@ struct SerialHooks {
 };
 
 /// Serial driver: identical pair stream (global decreasing match length),
-/// identical filtering and verdict application. Returns engine counters
-/// and records none in the metrics registry: callers whose run is a phase
-/// fold them in with record_engine_counters, and the merge-provenance
-/// replay (pace/provenance.hpp), which reruns this loop, adds nothing.
-/// The pair stream is a pure function of (set, ids, params) — independent
-/// of thread count, master topology, faults and resume points; a pool only
-/// parallelizes index construction and alignment.
+/// identical filtering and verdict application. The one pair loop of the
+/// library: serial RR and CCD, the CCD merge-provenance replay
+/// (pace/provenance.hpp) and B_d edge construction (bigraph::build_bd, an
+/// always-admit master over the CCD worker) all run it. Returns engine
+/// counters and records none in the metrics registry: callers whose run is
+/// a phase fold them in with record_engine_counters; the replay and B_d
+/// add nothing. The pair stream is a pure function of (set, ids, params) —
+/// independent of thread count, master topology, faults and resume points;
+/// the pool's lanes (a null pool is one lane) run index construction, pair
+/// enumeration and alignment.
 /// Pairs that pass the filter are collected into batches of
-/// params.batch_size and evaluated through WorkerPolicy::evaluate_batch,
-/// on @p pool when there is one. Before each verdict is applied, in task
-/// order, the filter is asked again; a pair it now rejects is counted as
-/// filtered (and speculative) and its verdict dropped. Filters only ever
+/// params.batch_size and evaluated through WorkerPolicy::evaluate_batch:
+/// one call per batch on one lane, 128-task slices across several; each
+/// verdict carries its pair's DP cells. Before each verdict is applied, in
+/// task order, the filter is asked again; a pair it now rejects is counted
+/// as filtered (and speculative) and its verdict dropped. Filters only ever
 /// turn from admit to reject (RR removals and CCD merges are permanent), so
 /// the admit-then-re-check decision is exactly the one-pair-at-a-time
 /// schedule's: the final policy state AND every counter but

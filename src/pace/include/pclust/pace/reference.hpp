@@ -31,10 +31,11 @@ std::vector<std::uint8_t> remove_redundant_bruteforce(
 
 /// All-pairs Definition-2 overlap graph, connected components via
 /// union–find. Components descending by size, members ascending. The pair
-/// tests are independent, so with a pool they are evaluated in parallel
-/// batches and merged in pair order — output and stats are identical to the
-/// serial sweep. (The Definition-1 sweep has a sequential dependence — the
-/// removal state feeds the skip conditions — and stays serial.)
+/// tests are independent, so their rows are evaluated on the pool's lanes
+/// (a null pool is one lane) and merged in pair order — output and stats
+/// are identical at every pool size. (The Definition-1 sweep has a
+/// sequential dependence — the removal state feeds the skip conditions —
+/// and stays serial.)
 std::vector<std::vector<seq::SeqId>> detect_components_bruteforce(
     const seq::SequenceSet& set, const std::vector<seq::SeqId>& ids,
     const PaceParams& params = {}, BruteForceStats* stats = nullptr,

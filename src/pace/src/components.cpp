@@ -137,54 +137,6 @@ class CcdMaster final : public MasterPolicy {
   std::function<void(const Verdict&)> on_merge_;
 };
 
-class CcdWorker final : public WorkerPolicy {
- public:
-  CcdWorker(const seq::SequenceSet& set, const PaceParams& params)
-      : set_(set), params_(params) {}
-
-  /// One overlap alignment per task, packed into SIMD lanes by the
-  /// pair-batch engine.
-  void evaluate_batch(const PairTask* tasks, std::size_t count,
-                      Verdict* verdicts, std::uint64_t* cells) override {
-    const std::int64_t band =
-        params_.band > 0 ? static_cast<std::int64_t>(params_.band)
-                         : std::int64_t{-1};
-    std::vector<align::PairJob> jobs;
-    jobs.reserve(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      jobs.push_back({set_.residues(tasks[k].a), set_.residues(tasks[k].b),
-                      tasks[k].diagonal(), band});
-    }
-    std::vector<align::AlignmentResult> results(count);
-    align::align_score_batch(jobs.data(), count, align::blosum62(),
-                             results.data());
-    for (std::size_t k = 0; k < count; ++k) {
-      const align::PredicateOutcome out = align::overlap_outcome(
-          results[k], jobs[k].a.size(), jobs[k].b.size(), params_.overlap);
-      if (cells) cells[k] += out.alignment.cells;
-      verdicts[k] = make_verdict(tasks[k], out);
-    }
-  }
-
- private:
-  static Verdict make_verdict(const PairTask& task,
-                              const align::PredicateOutcome& out) {
-    Verdict v;
-    v.a = task.a;
-    v.b = task.b;
-    v.code = static_cast<std::uint8_t>(out.accepted ? 1 : 0);
-    v.score = out.alignment.score;
-    v.matches = out.alignment.matches;
-    v.columns = out.alignment.columns;
-    v.a_span = out.alignment.a_end - out.alignment.a_begin;
-    v.b_span = out.alignment.b_end - out.alignment.b_begin;
-    return v;
-  }
-
-  const seq::SequenceSet& set_;
-  const PaceParams& params_;
-};
-
 /// Master policy of the merge-provenance replay (pace/provenance.hpp): a
 /// fresh union–find over the survivors that also rejects, unaligned, pairs
 /// straddling two final components (provable rejects), and emits the
@@ -235,6 +187,37 @@ class CcdReplay final : public MasterPolicy {
 };
 
 }  // namespace
+
+void CcdWorker::evaluate_batch(const PairTask* tasks, std::size_t count,
+                               Verdict* verdicts, std::uint64_t* cells) {
+  const std::int64_t band = params_.band > 0
+                                ? static_cast<std::int64_t>(params_.band)
+                                : std::int64_t{-1};
+  std::vector<align::PairJob> jobs;
+  jobs.reserve(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    jobs.push_back({set_.residues(tasks[k].a), set_.residues(tasks[k].b),
+                    tasks[k].diagonal(), band});
+  }
+  std::vector<align::AlignmentResult> results(count);
+  align::align_score_batch(jobs.data(), count, align::blosum62(),
+                           results.data());
+  for (std::size_t k = 0; k < count; ++k) {
+    const align::PredicateOutcome out = align::overlap_outcome(
+        results[k], jobs[k].a.size(), jobs[k].b.size(), params_.overlap);
+    if (cells) cells[k] += out.alignment.cells;
+    Verdict v;
+    v.a = tasks[k].a;
+    v.b = tasks[k].b;
+    v.code = static_cast<std::uint8_t>(out.accepted ? 1 : 0);
+    v.score = out.alignment.score;
+    v.matches = out.alignment.matches;
+    v.columns = out.alignment.columns;
+    v.a_span = out.alignment.a_end - out.alignment.a_begin;
+    v.b_span = out.alignment.b_end - out.alignment.b_begin;
+    verdicts[k] = v;
+  }
+}
 
 std::size_t ComponentsResult::count_with_min_size(std::size_t min_size) const {
   std::size_t n = 0;

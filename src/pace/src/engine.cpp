@@ -71,21 +71,19 @@ struct SharedIndex {
   SharedIndex(const seq::SequenceSet& set, const std::vector<seq::SeqId>& ids,
               const PaceParams& params, int workers,
               exec::Pool* pool = nullptr, int first_worker = 1)
-      : text(set, ids), mp(match_params(params)), pool_(pool) {
+      : text(set, ids), mp(match_params(params)),
+        lanes_(exec::or_serial(pool)) {
     if (params.bucket_prefix > params.psi) {
       throw std::invalid_argument(
           "PaceParams: bucket_prefix must be <= psi (nodes may not span "
           "buckets)");
     }
     // SA-IS is linear and serial at every pool size; the LCP and bucket
-    // scans split across the pool (each falls back to its serial scan on a
-    // one-thread pool).
+    // scans split across the pool's lanes.
     sa = suffix::build_suffix_array(text.text(), seq::kIndexAlphabetSize);
-    lcp = pool ? suffix::build_lcp_parallel(text, sa, *pool)
-               : suffix::build_lcp(text, sa);
+    lcp = suffix::build_lcp_parallel(text, sa, lanes_);
     const suffix::MaximalMatchEnumerator enumerator(text, sa, lcp, mp);
-    buckets = pool ? enumerator.prefix_buckets(params.bucket_prefix, *pool)
-                   : enumerator.prefix_buckets(params.bucket_prefix);
+    buckets = enumerator.prefix_buckets(params.bucket_prefix, lanes_);
 
     // Longest-processing-time assignment of buckets to workers.
     bucket_owner.assign(buckets.size(), first_worker);
@@ -132,9 +130,10 @@ struct SharedIndex {
   /// All promising pairs owned by @p worker_rank, decreasing match length.
   /// A pure function of the shared index — any rank can regenerate any
   /// other rank's stream, which is what makes stream adoption possible.
-  /// With a shared pool, owned buckets are enumerated concurrently and the
-  /// per-bucket lists concatenated in bucket order, which reproduces the
-  /// serial append order exactly (the stable sort then ties on it).
+  /// The owned buckets are split into runs of consecutive buckets that
+  /// are enumerated concurrently; their lists are concatenated in bucket
+  /// order, which is the order one run enumerating bucket by bucket
+  /// appends in (the stable sort then ties on it).
   [[nodiscard]] std::vector<PairTask> worker_pairs(int worker_rank) const {
     suffix::MaximalMatchEnumerator enumerator(text, sa, lcp, mp);
     std::vector<std::size_t> owned;
@@ -142,31 +141,30 @@ struct SharedIndex {
       if (bucket_owner[i] == worker_rank) owned.push_back(i);
     }
 
-    std::vector<PairTask> out;
-    if (pool_ && pool_->size() > 1 && owned.size() > 1) {
-      const auto per_bucket = exec::parallel_map<std::vector<PairTask>>(
-          *pool_, owned.size(), 1, [&](std::size_t k) {
-            std::vector<PairTask> pairs;
+    // Several lanes get about kRunsPerLane runs each, so dynamic chunking
+    // evens out uneven buckets; one lane enumerates every owned bucket as
+    // one run, whose list becomes the stream without a copy.
+    const std::size_t runs = std::min(
+        owned.size(),
+        lanes_.size() > 1 ? kRunsPerLane * std::size_t{lanes_.size()} : 1);
+    auto per_run = exec::parallel_map<std::vector<PairTask>>(
+        lanes_, runs, 1, [&](std::size_t r) {
+          std::vector<PairTask> pairs;
+          for (std::size_t k = owned.size() * r / runs;
+               k < owned.size() * (r + 1) / runs; ++k) {
             enumerator.enumerate(buckets[owned[k]].lb, buckets[owned[k]].rb,
                                  [&pairs](const suffix::MaximalMatch& m) {
                                    pairs.push_back(PairTask{m.a, m.b, m.a_pos,
                                                             m.b_pos, m.length});
                                    return true;
                                  });
-            return pairs;
-          });
-      for (const auto& pairs : per_bucket) {
-        out.insert(out.end(), pairs.begin(), pairs.end());
-      }
-    } else {
-      for (const std::size_t i : owned) {
-        enumerator.enumerate(buckets[i].lb, buckets[i].rb,
-                             [&out](const suffix::MaximalMatch& m) {
-                               out.push_back(PairTask{m.a, m.b, m.a_pos,
-                                                      m.b_pos, m.length});
-                               return true;
-                             });
-      }
+          }
+          return pairs;
+        });
+    if (per_run.empty()) return {};
+    std::vector<PairTask> out = std::move(per_run.front());
+    for (std::size_t r = 1; r < per_run.size(); ++r) {
+      out.insert(out.end(), per_run[r].begin(), per_run[r].end());
     }
     std::stable_sort(out.begin(), out.end(),
                      [](const PairTask& x, const PairTask& y) {
@@ -184,8 +182,14 @@ struct SharedIndex {
     return total;
   }
 
+  /// Bucket runs per pool lane in worker_pairs when there are several
+  /// lanes: enough for dynamic chunking to even out uneven buckets, few
+  /// enough that per-run lists and pool hand-offs stay cheap next to the
+  /// enumeration itself (one run per bucket flooded the pool).
+  static constexpr std::size_t kRunsPerLane = 8;
+
   suffix::MaximalMatchParams mp;
-  exec::Pool* pool_ = nullptr;
+  exec::Pool& lanes_;
   util::MemoryCharge charge_;
 };
 
@@ -195,7 +199,7 @@ struct SharedIndex {
 /// and small enough to load-balance across pool threads.
 constexpr std::size_t kEvalGrain = 128;
 
-/// Evaluate one chunk of tasks, pooled when possible. The policy sees
+/// Evaluate one chunk of tasks on the pool's lanes. The policy sees
 /// lane-width-friendly slices via evaluate_batch(); verdicts land in
 /// index-addressed slots and cell charges are folded into @p comm serially
 /// in task order, so both the results and the virtual clock are independent
@@ -207,21 +211,22 @@ void evaluate_tasks(const std::vector<PairTask>& tasks, WorkerPolicy& policy,
   const std::size_t base = verdicts.size();
   verdicts.resize(base + n);
   std::vector<std::uint64_t> cells(n, 0);
-  if (pool && pool->size() > 1 && n > 1) {
-    // Grain only sizes the pooled slices; verdict slots are index-addressed,
-    // so the governor shrinking it under memory pressure cannot change the
-    // output — only the transient footprint of in-flight batch scratch.
-    const std::size_t grain = util::governor().recommend_grain(kEvalGrain);
-    pool->for_range(n, grain, [&](std::size_t lo, std::size_t hi) {
-      policy.evaluate_batch(tasks.data() + lo, hi - lo,
-                            verdicts.data() + base + lo, cells.data() + lo);
-    });
-  } else {
-    policy.evaluate_batch(tasks.data(), n, verdicts.data() + base,
-                          cells.data());
-  }
-  if (comm) {
-    for (std::size_t k = 0; k < n; ++k) {
+  // One lane takes the whole chunk as one slice, the widest batch for lane
+  // packing. Several lanes split it into kEvalGrain slices; verdict slots
+  // are index-addressed, so the governor shrinking that grain under memory
+  // pressure cannot change the output — only the transient footprint of
+  // in-flight batch scratch.
+  exec::Pool& lanes = exec::or_serial(pool);
+  const std::size_t grain = lanes.size() > 1
+                                ? util::governor().recommend_grain(kEvalGrain)
+                                : n;
+  lanes.for_range(n, grain, [&](std::size_t lo, std::size_t hi) {
+    policy.evaluate_batch(tasks.data() + lo, hi - lo,
+                          verdicts.data() + base + lo, cells.data() + lo);
+  });
+  for (std::size_t k = 0; k < n; ++k) {
+    verdicts[base + k].cells = cells[k];
+    if (comm) {
       comm->charge_cells(cells[k]);
       comm->count("alignments_computed");
     }

@@ -49,47 +49,32 @@ std::vector<std::vector<seq::SeqId>> detect_components_bruteforce(
     const PaceParams& params, BruteForceStats* stats, exec::Pool* pool) {
   const auto& scheme = align::blosum62();
   dsu::UnionFind uf(ids.size());
-  if (pool && pool->size() > 1 && ids.size() > 2) {
-    // Flatten the upper triangle and evaluate rows in parallel; merges and
-    // stats fold serially in (i, j) order, matching the serial sweep.
-    struct RowOutcome {
-      std::vector<std::uint8_t> accepted;
-      std::uint64_t cells = 0;
-    };
-    const std::size_t rows = ids.size() - 1;
-    const auto outcomes = exec::parallel_map<RowOutcome>(
-        *pool, rows, 1, [&](std::size_t i) {
-          RowOutcome row;
-          row.accepted.resize(ids.size() - i - 1);
-          for (std::uint32_t j = static_cast<std::uint32_t>(i) + 1;
-               j < ids.size(); ++j) {
-            const auto out = align::test_overlap(set.residues(ids[i]),
-                                                 set.residues(ids[j]), scheme,
-                                                 params.overlap);
-            row.cells += out.alignment.cells;
-            row.accepted[j - i - 1] = out.accepted ? 1 : 0;
-          }
-          return row;
-        });
-    for (std::uint32_t i = 0; i < rows; ++i) {
-      if (stats) {
-        stats->alignments += ids.size() - i - 1;
-        stats->cells += outcomes[i].cells;
-      }
-      for (std::uint32_t j = i + 1; j < ids.size(); ++j) {
-        if (outcomes[i].accepted[j - i - 1]) uf.merge(i, j);
-      }
+  // Rows of the upper triangle are evaluated on the pool's lanes; merges
+  // and stats fold serially in (i, j) order.
+  struct RowOutcome {
+    std::vector<std::uint8_t> accepted;
+    std::uint64_t cells = 0;
+  };
+  const auto outcomes = exec::parallel_map<RowOutcome>(
+      exec::or_serial(pool), ids.size(), 1, [&](std::size_t i) {
+        RowOutcome row;
+        row.accepted.resize(ids.size() - i - 1);
+        for (std::size_t j = i + 1; j < ids.size(); ++j) {
+          const auto out = align::test_overlap(set.residues(ids[i]),
+                                               set.residues(ids[j]), scheme,
+                                               params.overlap);
+          row.cells += out.alignment.cells;
+          row.accepted[j - i - 1] = out.accepted ? 1 : 0;
+        }
+        return row;
+      });
+  for (std::uint32_t i = 0; i < ids.size(); ++i) {
+    if (stats) {
+      stats->alignments += ids.size() - i - 1;
+      stats->cells += outcomes[i].cells;
     }
-  } else {
-    for (std::uint32_t i = 0; i < ids.size(); ++i) {
-      for (std::uint32_t j = i + 1; j < ids.size(); ++j) {
-        if (stats) ++stats->alignments;
-        const auto out = align::test_overlap(set.residues(ids[i]),
-                                             set.residues(ids[j]), scheme,
-                                             params.overlap);
-        if (stats) stats->cells += out.alignment.cells;
-        if (out.accepted) uf.merge(i, j);
-      }
+    for (std::uint32_t j = i + 1; j < ids.size(); ++j) {
+      if (outcomes[i].accepted[j - i - 1]) uf.merge(i, j);
     }
   }
   auto sets = uf.extract_sets();

@@ -20,7 +20,6 @@
 #include "pclust/pace/params.hpp"
 #include "pclust/pace/redundancy.hpp"
 #include "pclust/prov/ledger.hpp"
-#include "pclust/seq/complexity.hpp"
 #include "pclust/seq/sequence_set.hpp"
 #include "pclust/shingle/shingle.hpp"
 
@@ -42,31 +41,31 @@ struct PipelineConfig {
   /// Components smaller than this skip the DSD stage (paper: 5).
   std::uint32_t min_component = 5;
 
-  /// SEG-style low-complexity masking of the input before any phase
-  /// (masked residues become 'X': they never seed exact matches and score
-  /// -1 in alignments). Off by default — the synthetic workloads carry no
-  /// low-complexity sequence; real metagenomic data does.
+  /// SEG-style low-complexity masking of the input before any phase, with
+  /// the default seq::ComplexityParams (masked residues become 'X': they
+  /// never seed exact matches and score -1 in alignments). Off by default —
+  /// the synthetic workloads carry no low-complexity sequence; real
+  /// metagenomic data does.
   bool mask_low_complexity = false;
-  seq::ComplexityParams complexity;
 
   /// 0 = serial; >= 2 = simulated ranks for the RR and CCD phases.
   int processors = 0;
   mpsim::MachineModel model = mpsim::MachineModel::bluegene_l();
 
   /// REAL shared-memory threads (exec::Pool) used inside every phase: LCP
-  /// and bucket construction, batched RR/CCD verdicts, and the Shingle
-  /// passes. The suffix array is SA-IS at every thread count. 1 = fully
-  /// serial (the golden reference path); 0 = hardware_concurrency.
-  /// Composes with `processors`: mpsim ranks share the one pool. All
-  /// outputs are thread-count independent.
+  /// and bucket construction, pair enumeration, batched RR/CCD/B_d
+  /// verdicts, and the Shingle passes. The suffix array is SA-IS at every
+  /// thread count. Every pooled step is one code path: 1 runs it on one
+  /// lane, inline; 0 = hardware_concurrency. Composes with `processors`:
+  /// mpsim ranks share the one pool. All outputs are thread-count
+  /// independent.
   unsigned threads = 1;
 
   /// Parallel Shingle stage (the paper's §VI future work, and the batched
   /// component distribution its experiments used on the Xeon cluster):
   /// 0/1 = serial DSD; >= 2 = components are LPT-batched across this many
-  /// simulated Xeon-cluster ranks.
+  /// simulated ranks of mpsim::MachineModel::xeon_cluster().
   int dsd_processors = 0;
-  mpsim::MachineModel dsd_model = mpsim::MachineModel::xeon_cluster();
 
   /// Directory for phase-level checkpoints (created if missing); empty
   /// disables checkpointing. Files: rr.ckpt, ccd_partial.ckpt, ccd.ckpt,
@@ -144,10 +143,9 @@ struct PipelineResult {
   double rr_seconds = 0.0;
   double ccd_seconds = 0.0;
   double bgg_dsd_seconds = 0.0;
-  /// Simulated DSD makespan when dsd_processors >= 2 (else 0).
-  double dsd_simulated_seconds = 0.0;
   /// Full simulated-run record of the DSD phase (counters, crashed ranks,
-  /// fault/healing events). Default-constructed when DSD ran serially.
+  /// fault/healing events; its makespan is the simulated DSD time).
+  /// Default-constructed, makespan 0, when DSD ran serially.
   mpsim::RunResult dsd_run;
 
   // -- Table-I quantities ---------------------------------------------------

@@ -14,6 +14,7 @@
 #include "pclust/mpsim/masterworker.hpp"
 #include "pclust/pace/provenance.hpp"
 #include "pclust/pipeline/dsd.hpp"
+#include "pclust/seq/complexity.hpp"
 #include "pclust/util/checkpoint.hpp"
 #include "pclust/util/io.hpp"
 #include "pclust/util/json.hpp"
@@ -90,8 +91,11 @@ std::uint64_t fingerprint(const seq::SequenceSet& set,
   mix_f(cfg.shingle.tau);
   mix(cfg.min_component);
   mix(cfg.mask_low_complexity ? 1 : 0);
-  mix(cfg.complexity.window);
-  mix_f(cfg.complexity.min_entropy);
+  // Masking always uses the default SEG parameters; they stay mixed in so
+  // checkpoints written when they were configurable keep resuming.
+  const seq::ComplexityParams complexity;
+  mix(complexity.window);
+  mix_f(complexity.min_entropy);
   return h;
 }
 
@@ -494,9 +498,8 @@ PipelineResult run(const seq::SequenceSet& input,
   util::governor().configure(config.mem_budget_bytes);
 
   // One pool for the whole run; every phase borrows it. threads == 1 never
-  // spawns a thread and is the exact serial path.
+  // spawns a thread: its one lane runs every pooled loop inline.
   exec::Pool pool(config.threads);
-  exec::Pool* pool_arg = pool.size() > 1 ? &pool : nullptr;
   if (pool.size() > 1) {
     PCLUST_INFO << "pipeline: execution pool with " << pool.size()
                 << " threads";
@@ -505,9 +508,10 @@ PipelineResult run(const seq::SequenceSet& input,
   // Optional SEG-style masking; all phases then see the masked residues.
   seq::SequenceSet masked;
   if (config.mask_low_complexity) {
-    masked = seq::mask_low_complexity(input, config.complexity);
+    const seq::ComplexityParams complexity;
+    masked = seq::mask_low_complexity(input, complexity);
     PCLUST_INFO << "pipeline: masked "
-                << seq::masked_fraction(input, config.complexity) * 100.0
+                << seq::masked_fraction(input, complexity) * 100.0
                 << "% of residues as low-complexity";
   }
   const seq::SequenceSet& set = config.mask_low_complexity ? masked : input;
@@ -545,12 +549,12 @@ PipelineResult run(const seq::SequenceSet& input,
     rr_params.phase_label = "rr";
     rr_params.masters = 1;
     if (!parallel) {
-      result.rr = pace::remove_redundant_serial(set, rr_params, pool_arg);
+      result.rr = pace::remove_redundant_serial(set, rr_params, &pool);
       return {timer.elapsed_seconds()};
     }
     trace_sim_phase("sim:rr", config.processors);
     result.rr = pace::remove_redundant(
-        set, config.processors, config.model, rr_params, pool_arg,
+        set, config.processors, config.model, rr_params, &pool,
         config.rr_fault_plan ? config.rr_fault_plan : config.fault_plan);
     trace_sim_result(result.rr.run);
     return {result.rr.run.makespan};
@@ -564,7 +568,7 @@ PipelineResult run(const seq::SequenceSet& input,
   // canonical ascending order.
   rr.derive = [&] {
     return Evidence{
-        pace::derive_rr_provenance(set, result.rr, config.pace, pool_arg),
+        pace::derive_rr_provenance(set, result.rr, config.pace, &pool),
         result.rr.removed_count()};
   };
   run_phase(rr, ckpt, want_prov, result.phase_log, rr_evidence);
@@ -596,8 +600,7 @@ PipelineResult run(const seq::SequenceSet& input,
     if (parallel) {
       trace_sim_phase("sim:ccd", config.processors, ccd_masters);
       result.ccd = pace::detect_components(
-          set, survivors, config.processors, config.model, ccd_params,
-          pool_arg,
+          set, survivors, config.processors, config.model, ccd_params, &pool,
           config.ccd_fault_plan ? config.ccd_fault_plan : config.fault_plan);
       trace_sim_result(result.ccd.run);
       return {result.ccd.run.makespan};
@@ -640,7 +643,7 @@ PipelineResult run(const seq::SequenceSet& input,
       };
     }
     result.ccd = pace::detect_components_serial(
-        set, survivors, ccd_params, pool_arg,
+        set, survivors, ccd_params, &pool,
         have_partial ? &partial : nullptr, stride, on_checkpoint, on_merge);
     return {prior_seconds + timer.elapsed_seconds(),
             have_partial ? "resumed-partial" : "computed"};
@@ -654,7 +657,7 @@ PipelineResult run(const seq::SequenceSet& input,
     return Evidence{ccd_captured ? std::move(*ccd_captured)
                                  : pace::derive_ccd_provenance(
                                        set, survivors, ccd_params,
-                                       result.ccd.components, pool_arg),
+                                       result.ccd.components, &pool),
                     survivors.size() - result.ccd.components.size()};
   };
   run_phase(ccd, ckpt, want_prov, result.phase_log, ccd_evidence);
@@ -689,7 +692,7 @@ PipelineResult run(const seq::SequenceSet& input,
     if (config.reduction == bigraph::Reduction::kDuplicate) {
       bigraph::BdParams bd;
       bd.pace = config.pace;
-      return bigraph::build_bd(set, component, bd, pool_arg);
+      return bigraph::build_bd(set, component, bd, &pool);
     }
     return bigraph::build_bm(set, component, config.bm);
   };
@@ -760,7 +763,7 @@ PipelineResult run(const seq::SequenceSet& input,
         shingle::DsdStats stats;
         std::vector<shingle::ShingleMerge> merges;
         auto found = shingle::report_families(
-            graph, config.shingle, want_prov ? &stats : nullptr, pool_arg,
+            graph, config.shingle, want_prov ? &stats : nullptr, &pool,
             want_prov ? &merges : nullptr);
         if (want_prov) {
           note_dsd(stats.first_level_shingles, stats.raw_components, merges);
@@ -822,9 +825,9 @@ PipelineResult run(const seq::SequenceSet& input,
       }
       trace_sim_phase("sim:dsd", config.dsd_processors, families.masters);
       DsdParallelResult dsd = run_dsd_parallel(
-          graphs, config.shingle, config.dsd_processors, config.dsd_model,
-          dsd_engine, pool_arg, config.dsd_fault_plan, want_prov);
-      result.dsd_simulated_seconds = dsd.run.makespan;
+          graphs, config.shingle, config.dsd_processors,
+          mpsim::MachineModel::xeon_cluster(), dsd_engine, &pool,
+          config.dsd_fault_plan, want_prov);
       trace_sim_result(dsd.run);
       result.dsd_run = std::move(dsd.run);
       // Graph order == component order, so the noted evidence is
@@ -839,7 +842,9 @@ PipelineResult run(const seq::SequenceSet& input,
       }
     } else {
       // One progress unit per component graph, the same granularity the
-      // protocol path reports via its verdict stream.
+      // protocol path reports via its verdict stream, plus each B_d
+      // graph's candidate pairs, which its engine run reports as it
+      // inspects them.
       util::telemetry::progress_enqueued(qualifying);
       drain_serial([&](const bigraph::ComponentGraph& graph,
                        std::vector<std::vector<seq::SeqId>> found) {

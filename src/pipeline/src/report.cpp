@@ -359,7 +359,7 @@ std::string render_report(const PipelineResult& result,
   w.key("rr_seconds").value(result.rr_seconds);
   w.key("ccd_seconds").value(result.ccd_seconds);
   w.key("bgg_dsd_seconds").value(result.bgg_dsd_seconds);
-  w.key("dsd_simulated_seconds").value(result.dsd_simulated_seconds);
+  w.key("dsd_simulated_seconds").value(result.dsd_run.makespan);
   w.end_object();
 
   // `telemetry` provenance: present only when a stream was active while

@@ -87,9 +87,10 @@ struct ShingleMerge {
 /// Run the two-pass algorithm on a bipartite graph. Returns RAW candidates
 /// (possibly overlapping), largest (|A|+|B|) first; disjointness and the
 /// min-size / τ rules are applied by report_families. Deterministic in
-/// params.seed. With a pool, Pass I shingles vertices and Pass II hashes
-/// first-level shingles on pool threads; both folds happen serially in
-/// index order, so the output is identical for every pool size.
+/// params.seed. Pass I shingles vertices and Pass II hashes first-level
+/// shingles on the pool's lanes (a null pool is one lane); both folds
+/// happen serially in index order, so the output is identical for every
+/// pool size.
 /// @p merges (optional) receives the surviving Pass II merges in decision
 /// order (appended; endpoints in the right-vertex universe).
 [[nodiscard]] std::vector<DenseSubgraph> dense_subgraphs(

@@ -26,6 +26,25 @@ void canonicalize(std::vector<std::uint32_t>& v) {
   v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
+/// Indices per pool lane mapped before their results are folded: bounds
+/// the unfolded per-index results alive at once (a vertex's shingle set is
+/// ~c1 element lists) while leaving each lane many grains per block.
+constexpr std::size_t kBlockPerLane = 256;
+
+/// map(i) for every i in [0, n) on the pool's lanes, handed to
+/// fold(i, result) serially in index order, one block at a time.
+template <typename Map, typename Fold>
+void map_then_fold(exec::Pool& lanes, std::size_t n, const Map& map,
+                   const Fold& fold) {
+  const std::size_t block = kBlockPerLane * lanes.size();
+  for (std::size_t lo = 0; lo < n; lo += block) {
+    auto results = exec::parallel_map<decltype(map(lo))>(
+        lanes, std::min(block, n - lo), 16,
+        [&](std::size_t k) { return map(lo + k); });
+    for (std::size_t k = 0; k < results.size(); ++k) fold(lo + k, results[k]);
+  }
+}
+
 }  // namespace
 
 std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
@@ -34,36 +53,25 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
                                            std::vector<ShingleMerge>* merges) {
   util::Timer timer;
   DsdStats local;
-  const bool pooled = pool && pool->size() > 1;
+  exec::Pool& lanes = exec::or_serial(pool);
 
   // ---- Pass I: (s1, c1)-shingles of every left vertex -----------------
-  // Pooled: vertices are shingled concurrently (each vertex's shingle set
-  // depends only on its own links), then folded in vertex order — the exact
-  // append order of the serial loop.
+  // Vertices are shingled on the pool's lanes (each vertex's shingle set
+  // depends only on its own links), then folded in vertex order.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> tuples;
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> elements_of;
-  if (pooled && graph.left_count() > 1) {
-    auto per_vertex = exec::parallel_map<std::vector<Shingle>>(
-        *pool, graph.left_count(), 16, [&](std::size_t l) {
-          return shingle_set(graph.out_links(static_cast<std::uint32_t>(l)),
-                             params.s1, params.c1, params.seed);
-        });
-    for (std::uint32_t l = 0; l < graph.left_count(); ++l) {
-      for (Shingle& sh : per_vertex[l]) {
-        tuples.emplace_back(sh.value, l);
-        elements_of.try_emplace(sh.value, std::move(sh.elements));
-      }
-    }
-  } else {
-    for (std::uint32_t l = 0; l < graph.left_count(); ++l) {
-      for (Shingle& sh :
-           shingle_set(graph.out_links(l), params.s1, params.c1,
-                       params.seed)) {
-        tuples.emplace_back(sh.value, l);
-        elements_of.try_emplace(sh.value, std::move(sh.elements));
-      }
-    }
-  }
+  map_then_fold(
+      lanes, graph.left_count(),
+      [&](std::size_t l) {
+        return shingle_set(graph.out_links(static_cast<std::uint32_t>(l)),
+                           params.s1, params.c1, params.seed);
+      },
+      [&](std::size_t l, std::vector<Shingle>& shingles) {
+        for (Shingle& sh : shingles) {
+          tuples.emplace_back(sh.value, static_cast<std::uint32_t>(l));
+          elements_of.try_emplace(sh.value, std::move(sh.elements));
+        }
+      });
   local.tuples = tuples.size();
   std::sort(tuples.begin(), tuples.end());
 
@@ -148,24 +156,18 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
       merged_nodes.emplace_back(i, it->second);
     }
   };
-  if (pooled && s1.size() > 1) {
-    // Hash concurrently, merge serially in node order: union-find state
-    // evolves exactly as in the serial loop.
-    auto per_node = exec::parallel_map<std::vector<std::uint64_t>>(
-        *pool, s1.size(), 16, [&](std::size_t i) {
-          return shingle_values(s1[i].producers, params.s2, params.c2, seed2);
-        });
-    for (std::uint32_t i = 0; i < s1.size(); ++i) {
-      for (std::uint64_t value : per_node[i]) fold(i, value);
-    }
-  } else {
-    for (std::uint32_t i = 0; i < s1.size(); ++i) {
-      for (std::uint64_t value :
-           shingle_values(s1[i].producers, params.s2, params.c2, seed2)) {
-        fold(i, value);
-      }
-    }
-  }
+  // Hash on the pool's lanes, merge serially in node order: union-find
+  // state evolves in one fixed order at every pool size.
+  map_then_fold(
+      lanes, s1.size(),
+      [&](std::size_t i) {
+        return shingle_values(s1[i].producers, params.s2, params.c2, seed2);
+      },
+      [&](std::size_t i, const std::vector<std::uint64_t>& values) {
+        for (const std::uint64_t value : values) {
+          fold(static_cast<std::uint32_t>(i), value);
+        }
+      });
   local.second_level_shingles = s2_first_owner.size();
 
   // Peak working set of the two-level shingling pass: everything (except

@@ -24,10 +24,10 @@ namespace pclust::suffix {
     const ConcatText& text, const std::vector<std::int32_t>& sa);
 
 /// Parallel Kasai: the same scan with text positions chunked across the
-/// pool (build_lcp is its one-chunk case); each chunk restarts the h
-/// counter at 0 (h is only a lower-bound optimization, so every
+/// pool (build_lcp is its one-lane, one-chunk case); each chunk restarts
+/// the h counter at 0 (h is only a lower-bound optimization, so every
 /// lcp[rank[i]] write is independently correct). Bit-identical to
-/// build_lcp; pool size 1 falls back to the serial scan.
+/// build_lcp at every pool size.
 [[nodiscard]] std::vector<std::int32_t> build_lcp_parallel(
     const ConcatText& text, const std::vector<std::int32_t>& sa,
     exec::Pool& pool);

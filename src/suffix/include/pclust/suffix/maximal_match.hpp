@@ -89,10 +89,10 @@ class MaximalMatchEnumerator {
   [[nodiscard]] std::vector<Bucket> prefix_buckets(
       std::uint32_t prefix_len) const;
 
-  /// Parallel bucket scan: SA chunks are scanned concurrently with the
-  /// serial overload's scan (which is its one-chunk case), then buckets
+  /// Parallel bucket scan: SA chunks are scanned concurrently, then buckets
   /// split by a chunk boundary are stitched back together (contiguous ranges
-  /// with equal prefix keys). Identical output to the serial overload.
+  /// with equal prefix keys). The overload above is its one-lane case, and
+  /// the output is identical at every pool size.
   [[nodiscard]] std::vector<Bucket> prefix_buckets(std::uint32_t prefix_len,
                                                    exec::Pool& pool) const;
 

@@ -5,19 +5,17 @@
 
 namespace pclust::suffix {
 
-namespace {
-
-/// Kasai et al. 2001 over text positions chunked across @p pool, or as one
-/// chunk without one. The comparison itself stops at separators so no
-/// post-truncation pass is needed: separators are compared as ordinary
-/// symbols, but a separator matching a separator terminates the scan.
-/// Each chunk starts with h = 0. h only ever LOWERS the comparison start (a
-/// proven lower bound carried from position i-1), so losing it at a chunk
-/// boundary costs a longer scan, never a wrong value; each lcp[rank[i]]
-/// slot is written by exactly one chunk.
-std::vector<std::int32_t> chunked_kasai(const ConcatText& text,
-                                        const std::vector<std::int32_t>& sa,
-                                        exec::Pool* pool) {
+/// Kasai et al. 2001 over text positions chunked across @p pool. The
+/// comparison itself stops at separators so no post-truncation pass is
+/// needed: separators are compared as ordinary symbols, but a separator
+/// matching a separator terminates the scan. Each chunk starts with h = 0.
+/// h only ever LOWERS the comparison start (a proven lower bound carried
+/// from position i-1), so losing it at a chunk boundary costs a longer
+/// scan, never a wrong value; each lcp[rank[i]] slot is written by exactly
+/// one chunk.
+std::vector<std::int32_t> build_lcp_parallel(const ConcatText& text,
+                                             const std::vector<std::int32_t>& sa,
+                                             exec::Pool& pool) {
   const std::size_t n = text.size();
   std::vector<std::int32_t> lcp(n, 0);
   if (n == 0) return lcp;
@@ -42,29 +40,17 @@ std::vector<std::int32_t> chunked_kasai(const ConcatText& text,
       h = static_cast<std::int32_t>(k);
     }
   };
-  if (pool) {
-    const std::size_t grain = (n + 4 * pool->size() - 1) / (4 * pool->size());
-    pool->for_range(n, grain, scan);
-  } else {
-    scan(0, n);
-  }
+  // Four chunks per lane balance a pooled scan; one lane scans the text as
+  // one chunk, which is plain Kasai.
+  const std::size_t chunks =
+      pool.size() > 1 ? 4 * static_cast<std::size_t>(pool.size()) : 1;
+  pool.for_range(n, (n + chunks - 1) / chunks, scan);
   return lcp;
 }
 
-}  // namespace
-
 std::vector<std::int32_t> build_lcp(const ConcatText& text,
                                     const std::vector<std::int32_t>& sa) {
-  return chunked_kasai(text, sa, nullptr);
-}
-
-std::vector<std::int32_t> build_lcp_parallel(const ConcatText& text,
-                                             const std::vector<std::int32_t>& sa,
-                                             exec::Pool& pool) {
-  if (pool.size() <= 1 || text.size() < 2 * pool.size()) {
-    return build_lcp(text, sa);
-  }
-  return chunked_kasai(text, sa, &pool);
+  return build_lcp_parallel(text, sa, exec::or_serial(nullptr));
 }
 
 }  // namespace pclust::suffix

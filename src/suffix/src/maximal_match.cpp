@@ -200,10 +200,7 @@ std::vector<MaximalMatch> MaximalMatchEnumerator::all() const {
 
 std::vector<MaximalMatchEnumerator::Bucket>
 MaximalMatchEnumerator::prefix_buckets(std::uint32_t prefix_len) const {
-  std::vector<Bucket> out;
-  scan_buckets(*text_, *sa_, prefix_len, 0,
-               static_cast<std::int32_t>(sa_->size()), out);
-  return out;
+  return prefix_buckets(prefix_len, exec::or_serial(nullptr));
 }
 
 std::vector<MaximalMatchEnumerator::Bucket>
@@ -211,17 +208,15 @@ MaximalMatchEnumerator::prefix_buckets(std::uint32_t prefix_len,
                                        exec::Pool& pool) const {
   const auto& sa = *sa_;
   const auto n = static_cast<std::int32_t>(sa.size());
-  if (pool.size() <= 1 || static_cast<std::size_t>(n) < 2 * pool.size()) {
-    return prefix_buckets(prefix_len);
-  }
-
   const auto key_of = [&](std::int32_t i) {
     return bucket_key(*text_, sa, i, prefix_len);
   };
 
   // Scan SA chunks independently; a bucket crossing a chunk boundary comes
-  // out split into contiguous parts with the same key.
-  const std::size_t chunk_count = 4 * pool.size();
+  // out split into contiguous parts with the same key. Four chunks per lane
+  // balance a pooled scan; one lane scans the whole array as one chunk.
+  const std::size_t chunk_count =
+      pool.size() > 1 ? 4 * static_cast<std::size_t>(pool.size()) : 1;
   const std::size_t per_chunk =
       (static_cast<std::size_t>(n) + chunk_count - 1) / chunk_count;
   std::vector<std::vector<Bucket>> parts(chunk_count);

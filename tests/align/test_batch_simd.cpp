@@ -157,8 +157,7 @@ TEST(BatchSimd, MixedLengthsAndLengthTierFallback) {
   seqs.reserve(15);  // jobs hold views into seqs: no reallocation allowed
   std::vector<PairJob> jobs;
   // Lengths straddling the 2047 lane cap: longer pairs must fall back to
-  // the scalar engine inside the same batch (and, above 32767, that
-  // engine itself promotes to the full-matrix tier).
+  // the scalar engine inside the same batch.
   for (const std::size_t len : {5u, 60u, 500u, 2000u, 2047u, 2048u, 2600u}) {
     seqs.push_back(random_peptide(rng, len));
     seqs.push_back(mutate(rng, seqs.back(), 0.15));

@@ -122,6 +122,23 @@ TEST(ScorePath, WideBundleTierMatchesFullMatrix) {
   const std::string short_b = random_peptide(rng, 90);
   expect_identical(local_align(a, short_b, s),
                    local_align_score(a, short_b, s), "wide tier mixed len");
+
+  // Beyond 16-bit coordinates: ~70,000-residue sequences that share only a
+  // tail copied with substitutions (no indels, so it stays on the band's
+  // diagonal). The best region begins past offset 65,535, where a 16-bit
+  // begin coordinate would wrap.
+  const std::string long_a = random_peptide(rng, 70'000);
+  std::string long_b = random_peptide(rng, 66'000);
+  for (std::size_t i = long_b.size(); i < long_a.size(); ++i) {
+    long_b.push_back(rng.uniform() < 0.1
+                         ? static_cast<char>(rng.below(seq::kNumResidues))
+                         : long_a[i]);
+  }
+  const auto full = banded_local_align(long_a, long_b, s, 0, 8);
+  EXPECT_GT(full.a_begin, 65'535u);
+  EXPECT_GT(full.b_begin, 65'535u);
+  expect_identical(full, banded_local_align_score(long_a, long_b, s, 0, 8),
+                   "wide tier past 16-bit offsets");
 }
 
 TEST(ScorePath, BandedRegionAllocationMatchesFullWhenBandCovers) {

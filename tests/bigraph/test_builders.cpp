@@ -4,13 +4,20 @@
 
 #include <numeric>
 #include <optional>
+#include <set>
+#include <utility>
 
 #include "pclust/align/batch.hpp"
 #include "pclust/align/predicates.hpp"
 #include "pclust/align/simd.hpp"
 #include "pclust/exec/pool.hpp"
 #include "pclust/pace/components.hpp"
+#include "pclust/suffix/lcp.hpp"
+#include "pclust/suffix/maximal_match.hpp"
+#include "pclust/suffix/suffix_array.hpp"
 #include "pclust/synth/generator.hpp"
+#include "pclust/util/memgov.hpp"
+#include "pclust/util/metrics.hpp"
 
 namespace pclust::bigraph {
 namespace {
@@ -108,6 +115,78 @@ TEST(BuildBd, NoFilterSkipsEdges) {
   EXPECT_LE(cg.aligned_pairs, cg.candidate_pairs);
   EXPECT_GT(cg.aligned_pairs,
             cg.candidate_pairs / 50);  // sanity: dedup is not everything
+}
+
+TEST(BuildBd, EdgesAreExactlyTheOverlapsOfDistinctCandidates) {
+  // Rebuilt straight from the enumerator, independently of the engine:
+  // every distinct candidate pair is aligned once, seeded on its first
+  // (longest) maximal match, and is an edge exactly when that overlap is
+  // accepted. A member subset exercises the dense vertex mapping.
+  const auto d = family_data(60, 60);
+  std::vector<seq::SeqId> members;
+  for (seq::SeqId id = 0; id < d.sequences.size(); ++id) {
+    if (id % 4 != 1) members.push_back(id);
+  }
+  const suffix::ConcatText text(d.sequences, members);
+  const auto sa =
+      suffix::build_suffix_array(text.text(), seq::kIndexAlphabetSize);
+  const auto lcp = suffix::build_lcp(text, sa);
+  for (const std::uint32_t band : {0u, 16u}) {
+    BdParams params;
+    params.pace.band = band;
+    suffix::MaximalMatchParams mp;
+    mp.min_length = params.pace.psi;
+    mp.max_node_occurrences = params.pace.max_node_occurrences;
+    const auto matches =
+        suffix::MaximalMatchEnumerator(text, sa, lcp, mp).all();
+
+    std::set<std::pair<seq::SeqId, seq::SeqId>> seen;
+    std::set<std::pair<seq::SeqId, seq::SeqId>> want;
+    std::uint64_t cells = 0;
+    for (const suffix::MaximalMatch& m : matches) {
+      if (!seen.insert({m.a, m.b}).second) continue;
+      const auto a = d.sequences.residues(m.a);
+      const auto b = d.sequences.residues(m.b);
+      const align::PredicateOutcome out =
+          band == 0 ? align::test_overlap(a, b, align::blosum62(),
+                                          params.pace.overlap)
+                    : align::test_overlap_banded(a, b, align::blosum62(),
+                                                 m.diagonal(), band,
+                                                 params.pace.overlap);
+      cells += out.alignment.cells;
+      if (out.accepted) {
+        want.insert({m.a, m.b});
+        want.insert({m.b, m.a});
+      }
+    }
+
+    const auto cg = build_bd(d.sequences, members, params);
+    EXPECT_EQ(cg.candidate_pairs, matches.size()) << "band=" << band;
+    EXPECT_EQ(cg.aligned_pairs, seen.size()) << "band=" << band;
+    EXPECT_EQ(cg.alignment_cells, cells) << "band=" << band;
+    std::set<std::pair<seq::SeqId, seq::SeqId>> got;
+    for (std::uint32_t i = 0; i < cg.graph.left_count(); ++i) {
+      for (const std::uint32_t j : cg.graph.out_links(i)) {
+        got.insert({cg.members[i], cg.members[j]});
+      }
+    }
+    EXPECT_FALSE(want.empty()) << "band=" << band;
+    EXPECT_EQ(got, want) << "band=" << band;
+  }
+}
+
+TEST(BuildBd, IndexChargedAndReleased) {
+  // The B_d suffix index is the engine's: published under the bgg prefix
+  // and charged to the memory governor only while the graph is built.
+  util::governor().configure(0);
+  const auto d = family_data(61, 40);
+  const auto cg = build_bd(d.sequences, all_ids(d.sequences));
+  ASSERT_GT(cg.graph.edge_count(), 0u);
+  const std::uint64_t total =
+      util::metrics().gauge("mem.bgg.suffix_index.total").last();
+  EXPECT_GT(total, 0u);
+  EXPECT_GE(util::governor().high_water(), total);
+  EXPECT_EQ(util::governor().ledger(), 0u);
 }
 
 /// Pool size for build_bd; 0 means no pool.

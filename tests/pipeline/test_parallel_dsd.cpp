@@ -54,9 +54,9 @@ TEST(ParallelDsd, SameFamiliesAsSerial) {
 TEST(ParallelDsd, ReportsSimulatedMakespan) {
   const auto d = dsd_data(102);
   const auto serial = run(d.sequences, dsd_config(0));
-  EXPECT_DOUBLE_EQ(serial.dsd_simulated_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(serial.dsd_run.makespan, 0.0);
   const auto parallel = run(d.sequences, dsd_config(4));
-  EXPECT_GT(parallel.dsd_simulated_seconds, 0.0);
+  EXPECT_GT(parallel.dsd_run.makespan, 0.0);
 }
 
 TEST(ParallelDsd, MoreRanksNoSlowerMakespan) {
@@ -65,7 +65,7 @@ TEST(ParallelDsd, MoreRanksNoSlowerMakespan) {
   const auto p8 = run(d.sequences, dsd_config(8));
   // LPT batching: more ranks can only reduce (or equal, when one giant
   // component dominates) the simulated makespan.
-  EXPECT_LE(p8.dsd_simulated_seconds, p2.dsd_simulated_seconds + 1e-9);
+  EXPECT_LE(p8.dsd_run.makespan, p2.dsd_run.makespan + 1e-9);
 }
 
 TEST(ParallelDsd, DensityStatsUnaffected) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "pclust/bigraph/bipartite_graph.hpp"
@@ -26,16 +27,25 @@ bigraph::BipartiteGraph random_graph(std::uint64_t seed, std::uint32_t left,
 }
 
 TEST(ParallelShingle, DenseSubgraphsMatchSerial) {
+  // The reference is the one-lane run (a null pool); every pool size, the
+  // null pool again included, must reproduce its subgraphs, stats and
+  // Pass II merge capture.
   const auto g = random_graph(101, 80, 80, 0.25);
   ShingleParams params;
   params.s1 = 4;
   params.c1 = 60;
   DsdStats serial_stats;
-  const auto serial = dense_subgraphs(g, params, &serial_stats);
-  for (unsigned threads : {2u, 8u}) {
-    exec::Pool pool(threads);
+  std::vector<ShingleMerge> serial_merges;
+  const auto serial =
+      dense_subgraphs(g, params, &serial_stats, nullptr, &serial_merges);
+  ASSERT_FALSE(serial_merges.empty());
+  for (const unsigned threads : {0u, 1u, 2u, 8u}) {  // 0 = null pool
+    std::optional<exec::Pool> pool;
+    if (threads > 0) pool.emplace(threads);
     DsdStats stats;
-    const auto pooled = dense_subgraphs(g, params, &stats, &pool);
+    std::vector<ShingleMerge> merges;
+    const auto pooled = dense_subgraphs(g, params, &stats,
+                                        pool ? &*pool : nullptr, &merges);
     ASSERT_EQ(pooled.size(), serial.size()) << "threads=" << threads;
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(pooled[i].left, serial[i].left);
@@ -45,6 +55,13 @@ TEST(ParallelShingle, DenseSubgraphsMatchSerial) {
     EXPECT_EQ(stats.first_level_shingles, serial_stats.first_level_shingles);
     EXPECT_EQ(stats.second_level_shingles, serial_stats.second_level_shingles);
     EXPECT_EQ(stats.raw_components, serial_stats.raw_components);
+    ASSERT_EQ(merges.size(), serial_merges.size()) << "threads=" << threads;
+    for (std::size_t k = 0; k < merges.size(); ++k) {
+      EXPECT_EQ(merges[k].a, serial_merges[k].a) << "merge " << k;
+      EXPECT_EQ(merges[k].b, serial_merges[k].b) << "merge " << k;
+      EXPECT_EQ(merges[k].matches, serial_merges[k].matches) << "merge " << k;
+      EXPECT_EQ(merges[k].columns, serial_merges[k].columns) << "merge " << k;
+    }
   }
 }
 

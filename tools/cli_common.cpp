@@ -126,6 +126,71 @@ std::vector<std::pair<int, double>> parse_rank_at(const std::string& text,
   return out;
 }
 
+mpsim::FaultPlan parse_fault_plan(const util::Options& options,
+                                  int masters) {
+  mpsim::FaultPlan plan;
+  const auto slow_down = [&plan](int rank, double factor) {
+    if (plan.straggler_factor.size() <= static_cast<std::size_t>(rank)) {
+      plan.straggler_factor.resize(static_cast<std::size_t>(rank) + 1, 1.0);
+    }
+    plan.straggler_factor[static_cast<std::size_t>(rank)] = factor;
+  };
+  for (const auto& [rank, at] : parse_rank_at(options.get("crash"), "crash")) {
+    if (rank == 0) {
+      throw UsageError(
+          "--crash: rank 0 is the master; crashing it is unrecoverable "
+          "(use --checkpoint-dir / --resume for master failures)");
+    }
+    if (masters > 1 && rank <= masters) {
+      throw UsageError(
+          "--crash: rank " + std::to_string(rank) +
+          " is a sub-master under --masters " + std::to_string(masters) +
+          "; use --submaster-crash " + std::to_string(rank) + "@t instead");
+    }
+    if (at < 0.0) throw UsageError("--crash: time must be >= 0");
+    plan.crashes.push_back({rank, at});
+  }
+  for (const auto& [rank, at] :
+       parse_rank_at(options.get("submaster-crash"), "submaster-crash")) {
+    if (masters < 2) {
+      throw UsageError(
+          "--submaster-crash requires --masters >= 2 (there are no "
+          "sub-masters in the flat protocol)");
+    }
+    if (rank < 1 || rank > masters) {
+      throw UsageError(
+          "--submaster-crash: sub-master index must be in [1, " +
+          std::to_string(masters) + "], got " + std::to_string(rank));
+    }
+    if (at < 0.0) throw UsageError("--submaster-crash: time must be >= 0");
+    plan.crashes.push_back({rank, at});
+  }
+  for (const auto& [rank, factor] : parse_rank_at(
+           options.get("submaster-straggle"), "submaster-straggle")) {
+    if (masters < 2) {
+      throw UsageError("--submaster-straggle requires --masters >= 2");
+    }
+    if (rank < 1 || rank > masters) {
+      throw UsageError(
+          "--submaster-straggle: sub-master index must be in [1, " +
+          std::to_string(masters) + "], got " + std::to_string(rank));
+    }
+    if (factor < 1.0) {
+      throw UsageError("--submaster-straggle: factor must be >= 1");
+    }
+    slow_down(rank, factor);
+  }
+  for (const auto& [rank, factor] :
+       parse_rank_at(options.get("straggle"), "straggle")) {
+    if (rank < 0) throw UsageError("--straggle: rank must be >= 0");
+    if (factor < 1.0) throw UsageError("--straggle: factor must be >= 1");
+    slow_down(rank, factor);
+  }
+  plan.drop_probability = get_double_in(options, "drop", 0.0, 0.999);
+  plan.duplicate_probability = get_double_in(options, "dup", 0.0, 0.999);
+  return plan;
+}
+
 void define_simd_option(util::Options& options) {
   options.define("simd", "auto",
                  "alignment kernel instruction set: auto (widest the host "

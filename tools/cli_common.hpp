@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "pclust/mpsim/fault_plan.hpp"
 #include "pclust/util/options.hpp"
 
 namespace pclust::cli {
@@ -61,6 +62,15 @@ std::uint64_t parse_mem_size(const std::string& text, const char* flag);
 /// Throws UsageError (naming --@p flag) on malformed entries.
 std::vector<std::pair<int, double>> parse_rank_at(const std::string& text,
                                                   const char* flag);
+
+/// Parses the simulated-machine fault options that `families` and
+/// `simulate` both define (--crash, --submaster-crash,
+/// --submaster-straggle, --straggle, --drop, --dup) into a plan for a
+/// protocol with @p masters master ranks. Throws UsageError on a malformed
+/// or unsurvivable entry (crashing the master, or a sub-master fault
+/// without --masters >= 2). The caller sets the plan's seed: each command
+/// keeps its own --fault-seed default and range.
+mpsim::FaultPlan parse_fault_plan(const util::Options& options, int masters);
 
 /// Defines the shared --simd option (auto|avx2|sse2|off) on @p options.
 void define_simd_option(util::Options& options);

@@ -101,68 +101,9 @@ int cmd_simulate(int argc, const char* const* argv) {
   // CCD phase hosts the sub-master tier.
   rr_params.masters = 1;
 
-  mpsim::FaultPlan plan;
+  mpsim::FaultPlan plan = parse_fault_plan(options, masters);
   plan.seed = static_cast<std::uint64_t>(
       get_int_in(options, "fault-seed", 0, std::numeric_limits<int>::max()));
-  plan.drop_probability = get_double_in(options, "drop", 0.0, 0.999);
-  plan.duplicate_probability = get_double_in(options, "dup", 0.0, 0.999);
-  for (const auto& [rank, at] : parse_rank_at(options.get("crash"), "crash")) {
-    if (rank == 0) {
-      throw UsageError(
-          "--crash: rank 0 is the master; crashing it is unrecoverable "
-          "(use --checkpoint-dir / --resume for master failures)");
-    }
-    if (masters > 1 && rank <= masters) {
-      throw UsageError(
-          "--crash: rank " + std::to_string(rank) +
-          " is a sub-master under --masters " + std::to_string(masters) +
-          "; use --submaster-crash " + std::to_string(rank) + "@t instead");
-    }
-    if (at < 0.0) throw UsageError("--crash: time must be >= 0");
-    plan.crashes.push_back({rank, at});
-  }
-  for (const auto& [rank, at] :
-       parse_rank_at(options.get("submaster-crash"), "submaster-crash")) {
-    if (masters < 2) {
-      throw UsageError(
-          "--submaster-crash requires --masters >= 2 (there are no "
-          "sub-masters in the flat protocol)");
-    }
-    if (rank < 1 || rank > masters) {
-      throw UsageError(
-          "--submaster-crash: sub-master index must be in [1, " +
-          std::to_string(masters) + "], got " + std::to_string(rank));
-    }
-    if (at < 0.0) throw UsageError("--submaster-crash: time must be >= 0");
-    plan.crashes.push_back({rank, at});
-  }
-  for (const auto& [rank, factor] : parse_rank_at(
-           options.get("submaster-straggle"), "submaster-straggle")) {
-    if (masters < 2) {
-      throw UsageError("--submaster-straggle requires --masters >= 2");
-    }
-    if (rank < 1 || rank > masters) {
-      throw UsageError(
-          "--submaster-straggle: sub-master index must be in [1, " +
-          std::to_string(masters) + "], got " + std::to_string(rank));
-    }
-    if (factor < 1.0) {
-      throw UsageError("--submaster-straggle: factor must be >= 1");
-    }
-    if (plan.straggler_factor.size() <= static_cast<std::size_t>(rank)) {
-      plan.straggler_factor.resize(static_cast<std::size_t>(rank) + 1, 1.0);
-    }
-    plan.straggler_factor[static_cast<std::size_t>(rank)] = factor;
-  }
-  for (const auto& [rank, factor] :
-       parse_rank_at(options.get("straggle"), "straggle")) {
-    if (rank < 0) throw UsageError("--straggle: rank must be >= 0");
-    if (factor < 1.0) throw UsageError("--straggle: factor must be >= 1");
-    if (plan.straggler_factor.size() <= static_cast<std::size_t>(rank)) {
-      plan.straggler_factor.resize(static_cast<std::size_t>(rank) + 1, 1.0);
-    }
-    plan.straggler_factor[static_cast<std::size_t>(rank)] = factor;
-  }
   const mpsim::FaultPlan* plan_arg = plan.empty() ? nullptr : &plan;
 
   seq::SequenceSet sequences;
@@ -187,7 +128,6 @@ int cmd_simulate(int argc, const char* const* argv) {
 
   exec::Pool pool(
       static_cast<unsigned>(get_int_in(options, "threads", 0, 1 << 16)));
-  exec::Pool* pool_arg = pool.size() > 1 ? &pool : nullptr;
 
   util::telemetry::TelemetryConfig telemetry;
   telemetry.path = options.get("telemetry-out");
@@ -226,12 +166,12 @@ int cmd_simulate(int argc, const char* const* argv) {
     const std::string rr_phase = "rr@p=" + std::to_string(p);
     util::telemetry::phase_begin(rr_phase, true, p, 1);
     const auto rr = pace::remove_redundant(sequences, p, model, rr_params,
-                                           pool_arg, plan_arg);
+                                           &pool, plan_arg);
     util::telemetry::phase_end(rr_phase, rr.run.makespan);
     const std::string ccd_phase = "ccd@p=" + std::to_string(p);
     util::telemetry::phase_begin(ccd_phase, true, p, std::max(1, masters));
     const auto ccd = pace::detect_components(sequences, rr.survivors(), p,
-                                             model, ccd_params, pool_arg,
+                                             model, ccd_params, &pool,
                                              plan_arg);
     util::telemetry::phase_end(ccd_phase, ccd.run.makespan);
     const double total = rr.run.makespan + ccd.run.makespan;
