@@ -19,16 +19,18 @@ cmake --build build -j
 
 # Data-race check. Only the thread-touching suites are worth the TSan
 # slowdown: the pool itself, the batched/pooled PaCE paths (the CCD
-# provenance replay included), the B_d builder (a pooled run_serial run),
-# the pooled Shingle passes and suffix-index scans (their pooled code is
-# the only code), and the fault-injected simulator runtime (failure marks
-# cross threads).
+# provenance replay included), the master tree (root, sub-masters and
+# workers run on concurrent threads while the root applies), the B_d
+# graph build (a pooled run_serial run), the pooled Shingle passes and
+# suffix-index scans (their pooled code is the only code), and the
+# fault-injected simulator runtime (failure marks cross threads).
 cmake --preset tsan
 cmake --build build-tsan -j --target test_exec test_pace test_mpsim \
   test_bigraph test_shingle test_suffix
 (cd build-tsan
  ./tests/test_exec
- ./tests/test_pace --gtest_filter='Determinism*:FaultTolerance*:CcdProvenance*'
+ ./tests/test_pace \
+   --gtest_filter='Determinism*:FaultTolerance*:CcdProvenance*:Hierarchy*'
  ./tests/test_bigraph --gtest_filter='Pools/BuildBdPool*'
  ./tests/test_shingle --gtest_filter='ParallelShingle*'
  ./tests/test_suffix --gtest_filter='Parallel*'

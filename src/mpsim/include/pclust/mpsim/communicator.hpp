@@ -1,11 +1,12 @@
 // Communicator: the per-rank handle of the message-passing simulator.
 //
-// Semantics follow a small MPI subset — blocking tagged point-to-point
-// send/recv (FIFO per (src, dst, tag)), barrier, broadcast, gather — with a
-// virtual clock per rank:
+// Semantics follow the MPI subset the PaCE protocol needs — tagged
+// point-to-point send and a failure-aware receive, FIFO per
+// (src, dst, tag) — with a virtual clock per rank:
 //   - compute is charged explicitly via charge_*() (analytic op counts);
 //   - send() stamps the payload with the sender's current virtual time;
-//   - recv() advances the receiver to max(own, stamp + latency + bytes/bw).
+//   - recv_status() advances the receiver to
+//     max(own, stamp + latency + bytes/bw).
 // Ranks execute on real threads, so the wall-clock interleaving is
 // arbitrary, but the VIRTUAL times are a function of the communication
 // pattern alone, which is what the scalability benches measure.
@@ -79,9 +80,6 @@ class Communicator {
   [[nodiscard]] VirtualClock& clock() { return clock_; }
   [[nodiscard]] const VirtualClock& clock() const { return clock_; }
 
-  /// True while @p rank has neither crashed nor errored out.
-  [[nodiscard]] bool peer_alive(int rank) const;
-
   // -- compute cost charging ------------------------------------------------
   void charge_cells(std::uint64_t n) {
     advance_busy(static_cast<double>(n) * model_.cell_cost * compute_factor_);
@@ -112,7 +110,7 @@ class Communicator {
   //          waiting advance_to(), at most the wire cost of the awaited
   //          message (the rest of the jump is time the peer had not sent
   //          yet, i.e. idle);
-  //   idle — everything else (blocked on a peer or a barrier).
+  //   idle — everything else (blocked on a peer).
   // Invariant: busy + comm + idle == clock().now() (up to fp rounding);
   // the run report's rank_times section is checked against it.
   [[nodiscard]] double busy_time() const { return busy_; }
@@ -127,15 +125,9 @@ class Communicator {
   /// for the receiver's clock; pass an honest estimate.
   void send(int dst, int tag, std::any payload, std::uint64_t bytes);
 
-  /// Blocking receive of the next message from @p src with tag @p tag
-  /// (FIFO per src/tag). Advances this rank's clock to the arrival time.
-  /// Throws RankFailedError if @p src fails while nothing matching remains
-  /// queued — so a blocked survivor observes the failure instead of
-  /// deadlocking. Fault-aware protocols should prefer recv_status.
-  Message recv(int src, int tag);
-
-  /// Failure-aware receive: blocks until a matching message arrives (kOk,
-  /// message stored in @p out, clock advanced), the awaited peer is marked
+  /// Failure-aware receive of the next message from @p src with tag @p tag
+  /// (FIFO per src/tag): blocks until one arrives (kOk, message stored in
+  /// @p out, clock advanced to its arrival time), the awaited peer is marked
   /// failed with no matching message left (kRankFailed), or
   /// @p timeout_seconds of WALL-clock time pass (kTimeout; < 0 waits
   /// forever). The timeout is a liveness backstop for hung ranks: virtual
@@ -143,34 +135,6 @@ class Communicator {
   /// preserve bit-identical virtual timing.
   RecvStatus recv_status(int src, int tag, Message& out,
                          double timeout_seconds = -1.0);
-
-  /// True if a matching message is already queued (does not block or
-  /// advance the clock).
-  [[nodiscard]] bool poll(int src, int tag) const;
-
-  // -- collectives ----------------------------------------------------------
-  /// All ranks synchronize; every clock advances to the global max plus a
-  /// log2(p) latency term.
-  void barrier();
-
-  /// Root's payload is delivered to every rank (binomial-tree time model).
-  std::any broadcast(int root, std::any payload, std::uint64_t bytes);
-
-  /// Every rank contributes a double; all ranks receive the max.
-  double allreduce_max(double value);
-
-  /// Every rank contributes a double; all ranks receive the sum.
-  double allreduce_sum(double value);
-
-  /// Every rank contributes a payload; the root receives them ordered by
-  /// rank (others get an empty vector). Linear message count, tree-shaped
-  /// completion time at the root.
-  std::vector<std::any> gather(int root, std::any payload,
-                               std::uint64_t bytes);
-
-  /// The root distributes one payload per rank; each rank receives its own.
-  std::any scatter(int root, std::vector<std::any> payloads,
-                   std::uint64_t bytes_each);
 
   // -- counters -------------------------------------------------------------
   /// Free-form per-rank statistics, aggregated into RunResult.

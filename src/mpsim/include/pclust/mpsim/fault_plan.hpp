@@ -15,9 +15,7 @@
 //   - Message drop: the link layer is modelled as reliable-with-retransmit
 //     (the paper's MPI runs on a reliable torus): a "dropped" copy costs a
 //     retransmission delay added to the arrival stamp rather than silent
-//     loss, so timing degrades but payloads are never destroyed. Only
-//     application messages (tag >= 0) are perturbed; internal collective
-//     tags ride the reliable layer untouched.
+//     loss, so timing degrades but payloads are never destroyed.
 //   - Message duplication: the message is delivered twice (the classic
 //     at-least-once failure); protocols on top must deduplicate (the PaCE
 //     engine carries sequence numbers and applies verdicts idempotently).

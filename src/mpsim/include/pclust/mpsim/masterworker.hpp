@@ -123,6 +123,15 @@ struct MwTopology {
     if (rank == 0) return "root";
     return rank <= masters ? "sub-master" : "worker";
   }
+  /// Throws std::invalid_argument, prefixed with @p caller, when a tree
+  /// leaves no worker rank (p < masters + 2).
+  void require_worker(const std::string& caller) const {
+    if (!hierarchical() || p >= masters + 2) return;
+    throw std::invalid_argument(
+        caller + ": p=" + std::to_string(p) + " is too small for masters=" +
+        std::to_string(masters) +
+        "; need p >= masters + 2 so at least one worker exists");
+  }
 };
 
 struct MwOptions {
@@ -140,13 +149,11 @@ struct MwOptions {
   std::uint32_t generation_batches = 1;
   /// Master-side liveness backstop, WALL-clock seconds; <= 0 waits forever.
   double heartbeat_timeout = 0.0;
-  /// Extra timed-out receives (exponential backoff on the timeout) before a
+  /// Extra timed-out receives (the timeout doubles on each) before a
   /// silent worker is declared dead. Transient scheduling stalls heal here.
   std::uint32_t heartbeat_retries = 2;
-  /// Timeout multiplier per heartbeat retry.
-  double heartbeat_backoff = 2.0;
-  /// Ceiling on the backed-off per-retry timeout, wall seconds; 0 leaves
-  /// the exponential growth uncapped (the pre-ceiling behaviour).
+  /// Ceiling on the doubled per-retry timeout, wall seconds; 0 leaves the
+  /// exponential growth uncapped.
   double heartbeat_max_timeout = 0.0;
   /// Whole-phase WALL-clock watchdog, seconds; 0 disables. On expiry the
   /// master throws PhaseDeadlineExceeded, which surfaces as a RankError
@@ -310,6 +317,100 @@ inline void mw_trace_event(const Communicator& comm, std::string_view name,
                        comm.clock().now() * 1e6);
 }
 
+/// A master's watch over its links, armed at construction: the wall-clock
+/// phase deadline and the heartbeat ladder (MwOptions) that mw_recv_fresh
+/// runs on a silent link. The flat master, each sub-master and the root
+/// own one.
+struct MwWatch {
+  explicit MwWatch(const MwOptions& options)
+      : opt(options),
+        link_retries(util::metrics().counter(options.metrics_prefix +
+                                             ".link_retries")),
+        start(std::chrono::steady_clock::now()) {}
+
+  /// Throws PhaseDeadlineExceeded once MwOptions::deadline_seconds of wall
+  /// time have passed: at a round boundary (@p src < 0), or at the
+  /// heartbeat-retry boundary after @p retry retries on link
+  /// comm.rank()<-src.
+  void check_deadline(const Communicator& comm, int src = -1,
+                      std::uint32_t retry = 0) const {
+    if (opt.deadline_seconds <= 0.0) return;
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    if (elapsed.count() <= opt.deadline_seconds) return;
+    const std::string where =
+        src < 0 ? "(possible hung rank)"
+                : "at a heartbeat-retry boundary on link " +
+                      std::to_string(comm.rank()) + "<-" +
+                      std::to_string(src) + " (after retry " +
+                      std::to_string(retry) + " of " +
+                      std::to_string(opt.heartbeat_retries) + ")";
+    throw PhaseDeadlineExceeded(opt.phase + ": phase deadline of " +
+                                std::to_string(opt.deadline_seconds) +
+                                "s exceeded " + where +
+                                "; master virtual time " +
+                                std::to_string(comm.clock().now()) + "s");
+  }
+
+  const MwOptions& opt;
+  // Registered up front so fault-free reports list the zero counter.
+  util::Counter& link_retries;
+  std::chrono::steady_clock::time_point start;
+};
+
+/// Receive the next fresh message on link (src, tag). A duplicated
+/// delivery replays a seq <= @p last_seq and is skipped: the fresh copy
+/// (or the failure mark) is guaranteed to follow. With a @p watch whose
+/// heartbeat is on, a silent link gets bounded retries before it counts as
+/// dead — a timeout may be a transient stall — with the timeout doubling
+/// each time (capped by heartbeat_max_timeout) and the phase deadline
+/// checked at every retry boundary, so the ladder cannot overshoot it.
+/// Returns kOk (message in @p out, @p last_seq advanced), kRankFailed, or
+/// kTimeout once the ladder is spent; the caller handles the failure.
+template <typename Msg>
+RecvStatus mw_recv_fresh(Communicator& comm, int src, int tag,
+                         std::uint64_t& last_seq, Msg& out,
+                         const MwWatch* watch = nullptr) {
+  const double first = watch && watch->opt.heartbeat_timeout > 0
+                           ? watch->opt.heartbeat_timeout
+                           : -1.0;
+  double timeout = first;
+  std::uint32_t retry = 0;
+  for (;;) {
+    Message msg;
+    const RecvStatus st = comm.recv_status(src, tag, msg, timeout);
+    if (st == RecvStatus::kOk) {
+      out = msg.take<Msg>();
+      if (out.seq > last_seq) {
+        last_seq = out.seq;
+        return st;
+      }
+      timeout = first;  // a stale duplicate restarts the ladder
+      retry = 0;
+      continue;
+    }
+    // Only a heartbeat, hence a watch, can time out.
+    if (st == RecvStatus::kRankFailed || watch == nullptr ||
+        retry == watch->opt.heartbeat_retries) {
+      return st;
+    }
+    watch->check_deadline(comm, src, retry);
+    comm.count("link_timeout_retries");
+    watch->link_retries.add(1);
+    comm.note(watch->opt.phase + ": link " + std::to_string(comm.rank()) +
+              "<-" + std::to_string(src) + " timed out after " +
+              std::to_string(timeout) + "s (retry " +
+              std::to_string(retry + 1) + " of " +
+              std::to_string(watch->opt.heartbeat_retries) + ", vt=" +
+              std::to_string(comm.clock().now()) + "s)");
+    timeout *= 2.0;
+    if (watch->opt.heartbeat_max_timeout > 0.0) {
+      timeout = std::min(timeout, watch->opt.heartbeat_max_timeout);
+    }
+    ++retry;
+  }
+}
+
 /// The resilient master engine over one set of worker ranks: receive one
 /// round per live worker (heartbeat retry/backoff, death healing), admit
 /// and queue tasks, apply verdicts, dispatch bounded chunks. Used directly
@@ -345,15 +446,13 @@ class MwMasterEngine {
             util::metrics().counter(opt.metrics_prefix + ".workers_failed")),
         metric_timed_out_(util::metrics().counter(opt.metrics_prefix +
                                                   ".workers_timed_out")),
-        metric_link_retries_(
-            util::metrics().counter(opt.metrics_prefix + ".link_retries")),
         queue_depth_(
             util::metrics().gauge(opt.metrics_prefix + ".master.queue_depth")),
         batch_sizes_(
             util::metrics().histogram(opt.metrics_prefix + ".work_batch_size")),
         round_trips_(
             util::metrics().histogram(opt.metrics_prefix + ".round_trip_us")),
-        wall_start_(std::chrono::steady_clock::now()) {
+        watch_(opt) {
     std::sort(workers_.begin(), workers_.end());
     for (const int w : workers_) {
       ws_[static_cast<std::size_t>(w)].streams = {w};
@@ -364,21 +463,7 @@ class MwMasterEngine {
   [[nodiscard]] const MwMasterStats& stats() const { return stats_; }
   [[nodiscard]] bool has_live_worker() const { return alive_ > 0; }
 
-  [[nodiscard]] bool deadline_expired() const {
-    if (opt_.deadline_seconds <= 0.0) return false;
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - wall_start_;
-    return elapsed.count() > opt_.deadline_seconds;
-  }
-
-  void check_deadline() const {
-    if (!deadline_expired()) return;
-    throw PhaseDeadlineExceeded(
-        opt_.phase + ": phase deadline of " +
-        std::to_string(opt_.deadline_seconds) +
-        "s exceeded (possible hung rank); master virtual time " +
-        std::to_string(comm_.clock().now()) + "s");
-  }
+  void check_deadline() const { watch_.check_deadline(comm_); }
 
   /// Receive and fold in this round's submissions from live workers (rank
   /// ascending). Heals observed deaths. Throws when every worker died and
@@ -556,87 +641,39 @@ class MwMasterEngine {
   void receive_one(int w) {
     WorkerState& state = ws_[static_cast<std::size_t>(w)];
     RoundMsg round;
-    bool have_round = false;
-    for (;;) {
-      mpsim::Message msg;
-      // Bounded retry with exponential backoff (optionally capped) before a
-      // silent worker is declared dead: a timeout may be a transient stall,
-      // not a death.
-      double timeout =
-          opt_.heartbeat_timeout > 0 ? opt_.heartbeat_timeout : -1.0;
-      RecvStatus st = comm_.recv_status(w, kMwTagRound, msg, timeout);
-      for (std::uint32_t attempt = 0;
-           st == RecvStatus::kTimeout && attempt < opt_.heartbeat_retries;
-           ++attempt) {
-        // A retry ladder must not silently overshoot the phase watchdog:
-        // re-check the deadline at every retry boundary so the failure is
-        // attributed to the deadline, not buried in another backoff.
-        if (deadline_expired()) {
-          throw PhaseDeadlineExceeded(
-              opt_.phase + ": phase deadline of " +
-              std::to_string(opt_.deadline_seconds) +
-              "s exceeded at a heartbeat-retry boundary on link " +
-              std::to_string(comm_.rank()) + "<-" + std::to_string(w) +
-              " (after retry " + std::to_string(attempt) + " of " +
-              std::to_string(opt_.heartbeat_retries) +
-              "); master virtual time " +
-              std::to_string(comm_.clock().now()) + "s");
-        }
-        comm_.count("link_timeout_retries");
-        metric_link_retries_.add(1);
-        comm_.note(opt_.phase + ": link " + std::to_string(comm_.rank()) +
-                   "<-" + std::to_string(w) + " timed out after " +
-                   std::to_string(timeout) + "s (retry " +
-                   std::to_string(attempt + 1) + " of " +
-                   std::to_string(opt_.heartbeat_retries) + ", vt=" +
-                   std::to_string(comm_.clock().now()) + "s)");
-        timeout *= opt_.heartbeat_backoff;
-        if (opt_.heartbeat_max_timeout > 0.0) {
-          timeout = std::min(timeout, opt_.heartbeat_max_timeout);
-        }
-        st = comm_.recv_status(w, kMwTagRound, msg, timeout);
-      }
-      if (st == RecvStatus::kOk) {
-        round = msg.take<RoundMsg>();
-        // A duplicated delivery replays an old seq: skip it. The fresh
-        // copy (or the rank-failed mark) is guaranteed to follow.
-        if (round.seq <= state.last_round_seq) continue;
-        state.last_round_seq = round.seq;
-        have_round = true;
+    const RecvStatus st = mw_recv_fresh(comm_, w, kMwTagRound,
+                                        state.last_round_seq, round, &watch_);
+    if (st != RecvStatus::kOk) {
+      state.alive = false;
+      --alive_;
+      if (st == RecvStatus::kTimeout) {
+        // The rank may merely be hung; a final done message releases it
+        // if it ever wakes, so the run can still terminate.
+        WorkMsg bye;
+        bye.seq = ++state.work_seq;
+        bye.done = true;
+        comm_.send(w, kMwTagWork, std::any(std::move(bye)),
+                   opt_.header_bytes);
+        comm_.count("workers_timed_out");
+        metric_timed_out_.add(1);
+        comm_.note(opt_.phase + ": worker rank " + std::to_string(w) +
+                   " declared dead after heartbeat timeout on link " +
+                   std::to_string(comm_.rank()) + "<-" + std::to_string(w) +
+                   " (vt=" + std::to_string(comm_.clock().now()) + "s)");
+        mw_trace_event(comm_, "worker_timed_out", "heal");
       } else {
-        state.alive = false;
-        --alive_;
-        if (st == RecvStatus::kTimeout) {
-          // The rank may merely be hung; a final done message releases
-          // it if it ever wakes, so the run can still terminate.
-          WorkMsg bye;
-          bye.seq = ++state.work_seq;
-          bye.done = true;
-          comm_.send(w, kMwTagWork, std::any(std::move(bye)),
-                     opt_.header_bytes);
-          comm_.count("workers_timed_out");
-          metric_timed_out_.add(1);
-          comm_.note(opt_.phase + ": worker rank " + std::to_string(w) +
-                     " declared dead after heartbeat timeout on link " +
-                     std::to_string(comm_.rank()) + "<-" +
-                     std::to_string(w) + " (vt=" +
-                     std::to_string(comm_.clock().now()) + "s)");
-          mw_trace_event(comm_, "worker_timed_out", "heal");
-        } else {
-          comm_.count("workers_failed");
-          metric_failed_.add(1);
-          comm_.note(opt_.phase + ": worker rank " + std::to_string(w) +
-                     " failed; requeueing " +
-                     std::to_string(state.outstanding.size()) +
-                     " outstanding tasks (vt=" +
-                     std::to_string(comm_.clock().now()) + "s)");
-          mw_trace_event(comm_, "worker_failed", "heal");
-        }
-        reassign(w);
+        comm_.count("workers_failed");
+        metric_failed_.add(1);
+        comm_.note(opt_.phase + ": worker rank " + std::to_string(w) +
+                   " failed; requeueing " +
+                   std::to_string(state.outstanding.size()) +
+                   " outstanding tasks (vt=" +
+                   std::to_string(comm_.clock().now()) + "s)");
+        mw_trace_event(comm_, "worker_failed", "heal");
       }
-      break;
+      reassign(w);
+      return;
     }
-    if (!have_round) return;
 
     util::telemetry::record_rank(w, "worker", round.busy, round.comm,
                                  round.idle);
@@ -702,11 +739,10 @@ class MwMasterEngine {
   util::Counter& metric_surrendered_;
   util::Counter& metric_failed_;
   util::Counter& metric_timed_out_;
-  util::Counter& metric_link_retries_;
   util::Gauge& queue_depth_;
   util::SizeHistogram& batch_sizes_;
   util::SizeHistogram& round_trips_;
-  std::chrono::steady_clock::time_point wall_start_;
+  MwWatch watch_;
 };
 
 }  // namespace detail
@@ -774,10 +810,10 @@ MwMasterStats mw_submaster_loop(Communicator& comm, const MwOptions& opt,
     comm.send(0, detail::kMwTagBatch, std::any(std::move(batch)), up_bytes);
 
     ControlMsg ctl;
-    do {  // skip duplicated deliveries (stale seq)
-      ctl = comm.recv(0, detail::kMwTagControl).template take<ControlMsg>();
-    } while (ctl.seq <= last_control_seq);
-    last_control_seq = ctl.seq;
+    if (detail::mw_recv_fresh(comm, 0, detail::kMwTagControl,
+                              last_control_seq, ctl) != RecvStatus::kOk) {
+      throw RankFailedError(0);
+    }
 
     for (const Verdict& v : ctl.sync) {
       comm.charge_finds(1);
@@ -852,16 +888,7 @@ MwRootStats mw_root_loop(Communicator& comm, const MwOptions& opt,
       util::metrics().counter(opt.metrics_prefix + ".workers_rehomed");
   auto& metric_rerouted =
       util::metrics().counter(opt.metrics_prefix + ".streams_rerouted");
-  auto& metric_link_retries =
-      util::metrics().counter(opt.metrics_prefix + ".link_retries");
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  const auto deadline_expired = [&] {
-    if (opt.deadline_seconds <= 0.0) return false;
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - wall_start;
-    return elapsed.count() > opt.deadline_seconds;
-  };
+  const detail::MwWatch watch(opt);
 
   // Deterministic round-robin cursors over live shards; stream reroutes
   // additionally require a shard with at least one believed-live worker
@@ -974,64 +1001,19 @@ MwRootStats mw_root_loop(Communicator& comm, const MwOptions& opt,
 
   bool done = false;
   while (!done) {
-    if (deadline_expired()) {
-      throw PhaseDeadlineExceeded(
-          opt.phase + ": phase deadline of " +
-          std::to_string(opt.deadline_seconds) +
-          "s exceeded (possible hung rank); master virtual time " +
-          std::to_string(comm.clock().now()) + "s");
-    }
+    watch.check_deadline(comm);
 
     // Receive one batch per live shard, rank ascending.
     for (int s = 1; s <= masters; ++s) {
       Shard& sh = shards[static_cast<std::size_t>(s)];
       if (!sh.alive) continue;
       BatchMsg batch;
-      bool have = false;
-      for (;;) {
-        mpsim::Message msg;
-        double timeout =
-            opt.heartbeat_timeout > 0 ? opt.heartbeat_timeout : -1.0;
-        RecvStatus st =
-            comm.recv_status(s, detail::kMwTagBatch, msg, timeout);
-        for (std::uint32_t attempt = 0;
-             st == RecvStatus::kTimeout && attempt < opt.heartbeat_retries;
-             ++attempt) {
-          if (deadline_expired()) {
-            throw PhaseDeadlineExceeded(
-                opt.phase + ": phase deadline of " +
-                std::to_string(opt.deadline_seconds) +
-                "s exceeded at a heartbeat-retry boundary on link 0<-" +
-                std::to_string(s) + " (after retry " +
-                std::to_string(attempt) + " of " +
-                std::to_string(opt.heartbeat_retries) +
-                "); master virtual time " +
-                std::to_string(comm.clock().now()) + "s");
-          }
-          comm.count("link_timeout_retries");
-          metric_link_retries.add(1);
-          comm.note(opt.phase + ": link 0<-" + std::to_string(s) +
-                    " timed out after " + std::to_string(timeout) +
-                    "s (retry " + std::to_string(attempt + 1) + " of " +
-                    std::to_string(opt.heartbeat_retries) + ", vt=" +
-                    std::to_string(comm.clock().now()) + "s)");
-          timeout *= opt.heartbeat_backoff;
-          if (opt.heartbeat_max_timeout > 0.0) {
-            timeout = std::min(timeout, opt.heartbeat_max_timeout);
-          }
-          st = comm.recv_status(s, detail::kMwTagBatch, msg, timeout);
-        }
-        if (st == RecvStatus::kOk) {
-          batch = msg.take<BatchMsg>();
-          if (batch.seq <= sh.last_batch_seq) continue;  // duplicate
-          sh.last_batch_seq = batch.seq;
-          have = true;
-        } else {
-          shard_failed(s, st == RecvStatus::kTimeout);
-        }
-        break;
+      const RecvStatus st = detail::mw_recv_fresh(
+          comm, s, detail::kMwTagBatch, sh.last_batch_seq, batch, &watch);
+      if (st != RecvStatus::kOk) {
+        shard_failed(s, st == RecvStatus::kTimeout);
+        continue;
       }
-      if (!have) continue;
 
       sh.quiescent = batch.quiescent;
       util::telemetry::record_rank(s, "sub-master", batch.busy, batch.comm,
@@ -1161,20 +1143,15 @@ void mw_worker_loop(Communicator& comm, const MwOptions& opt,
   std::vector<Verdict> verdicts;
 
   // Hierarchical failover: the home sub-master died. Block on the root's
-  // re-home directive (skipping duplicated deliveries), then join the new
-  // shard with completely fresh per-link protocol state and no streams.
+  // re-home directive, then join the new shard with completely fresh
+  // per-link protocol state and no streams.
   const auto rehome = [&] {
-    for (;;) {
-      mpsim::Message msg;
-      const RecvStatus st =
-          comm.recv_status(0, detail::kMwTagRehome, msg, -1.0);
-      if (st != RecvStatus::kOk) throw RankFailedError(0);
-      const auto go = msg.take<detail::MwRehomeMsg>();
-      if (go.seq <= last_rehome_seq) continue;
-      last_rehome_seq = go.seq;
-      master = go.new_master;
-      break;
+    detail::MwRehomeMsg go;
+    if (detail::mw_recv_fresh(comm, 0, detail::kMwTagRehome, last_rehome_seq,
+                              go) != RecvStatus::kOk) {
+      throw RankFailedError(0);
     }
+    master = go.new_master;
     seq_out = 0;
     last_work_seq = 0;
     ack = 0;
@@ -1231,33 +1208,15 @@ void mw_worker_loop(Communicator& comm, const MwOptions& opt,
     skip_round = false;
 
     WorkMsg work;
-    if (!topo.hierarchical()) {
-      do {  // skip duplicated deliveries (stale seq)
-        work = comm.recv(master, detail::kMwTagWork).template take<WorkMsg>();
-      } while (work.seq <= last_work_seq);
-    } else {
-      bool rehomed = false;
-      for (;;) {
-        mpsim::Message msg;
-        const RecvStatus st =
-            comm.recv_status(master, detail::kMwTagWork, msg, -1.0);
-        if (st == RecvStatus::kOk) {
-          work = msg.take<WorkMsg>();
-          if (work.seq <= last_work_seq) continue;  // stale duplicate
-          break;
-        }
-        rehome();
-        rehomed = true;
-        break;
-      }
-      if (rehomed) {
-        // The new sub-master speaks first (its adoption-time dispatch);
-        // answering with a round before hearing it would desync lockstep.
-        skip_round = true;
-        continue;
-      }
+    if (detail::mw_recv_fresh(comm, master, detail::kMwTagWork, last_work_seq,
+                              work) != RecvStatus::kOk) {
+      if (!topo.hierarchical()) throw RankFailedError(master);
+      rehome();
+      // The new sub-master speaks first (its adoption-time dispatch);
+      // answering with a round before hearing it would desync lockstep.
+      skip_round = true;
+      continue;
     }
-    last_work_seq = work.seq;
     for (const detail::MwStreamAssign& a : work.adopt) {
       add_stream(a.origin, a.from);
     }

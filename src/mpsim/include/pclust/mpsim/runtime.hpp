@@ -51,7 +51,7 @@ class RankError : public std::runtime_error {
 };
 
 /// Where one rank's virtual time went: busy (compute charges), comm (wire
-/// time), idle (blocked on peers/barriers). busy + comm + idle equals the
+/// time), idle (blocked on peers). busy + comm + idle equals the
 /// rank's entry in RunResult::rank_times up to fp rounding — the analyzer
 /// and report-check rely on that identity.
 struct RankBreakdown {

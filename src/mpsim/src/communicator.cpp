@@ -1,29 +1,11 @@
 #include "pclust/mpsim/communicator.hpp"
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
-#include <stdexcept>
+#include <string>
 
 #include "pclust/util/metrics.hpp"
 #include "transport.hpp"
 
 namespace pclust::mpsim {
-
-namespace {
-
-// Internal collective tags (user tags must be >= 0).
-constexpr int kBcastTag = -2;
-constexpr int kReduceTag = -3;
-constexpr int kGatherTag = -4;
-constexpr int kScatterTag = -5;
-
-int tree_depth(int p) {
-  return p <= 1 ? 0
-               : std::bit_width(static_cast<unsigned>(p - 1));  // ceil(log2 p)
-}
-
-}  // namespace
 
 Communicator::Communicator(Transport& transport, int rank,
                            const MachineModel& model, double crash_at,
@@ -35,10 +17,6 @@ Communicator::Communicator(Transport& transport, int rank,
       compute_factor_(compute_factor) {}
 
 int Communicator::size() const { return transport_.size(); }
-
-bool Communicator::peer_alive(int rank) const {
-  return transport_.alive(rank);
-}
 
 void Communicator::check_crash() {
   if (crashed_ || clock_.now() < crash_at_) return;
@@ -63,15 +41,6 @@ void Communicator::send(int dst, int tag, std::any payload,
   transport_.deliver(dst, std::move(msg));
 }
 
-Message Communicator::recv(int src, int tag) {
-  check_crash();
-  Message msg = transport_.take(rank_, src, tag);
-  const double wire =
-      model_.latency + static_cast<double>(msg.bytes) * model_.byte_cost;
-  advance_to_comm(msg.send_time + wire, wire);
-  return msg;
-}
-
 RecvStatus Communicator::recv_status(int src, int tag, Message& out,
                                      double timeout_seconds) {
   check_crash();
@@ -83,167 +52,6 @@ RecvStatus Communicator::recv_status(int src, int tag, Message& out,
     advance_to_comm(out.send_time + wire, wire);
   }
   return status;
-}
-
-bool Communicator::poll(int src, int tag) const {
-  return transport_.poll(rank_, src, tag);
-}
-
-void Communicator::barrier() {
-  check_crash();
-  const double released = transport_.barrier_wait(clock_.now());
-  const double wire = 2.0 * model_.latency * tree_depth(size());
-  advance_to_comm(released + wire, wire);
-}
-
-std::any Communicator::broadcast(int root, std::any payload,
-                                 std::uint64_t bytes) {
-  check_crash();
-  const int depth = tree_depth(size());
-  if (rank_ == root) {
-    // Binomial-tree time model: every rank has the payload after `depth`
-    // rounds of (latency + transfer).
-    const double per_round =
-        model_.latency + static_cast<double>(bytes) * model_.byte_cost;
-    for (int dst = 0; dst < size(); ++dst) {
-      if (dst == root) continue;
-      Message msg;
-      msg.src = root;
-      msg.tag = kBcastTag;
-      msg.payload = payload;  // copy to each rank
-      msg.bytes = 0;          // timing handled via the stamp below
-      msg.send_time = clock_.now() + depth * per_round;
-      transport_.deliver(dst, std::move(msg));
-    }
-    advance_comm(depth * per_round);
-    return payload;
-  }
-  Message msg = transport_.take(rank_, root, kBcastTag);
-  // The stamp is root's send time plus the full tree; at most the tree
-  // rounds themselves are wire time, the rest was waiting for the root.
-  advance_to_comm(msg.send_time,
-                  depth * (model_.latency +
-                           static_cast<double>(bytes) * model_.byte_cost));
-  return std::move(msg.payload);
-}
-
-double Communicator::allreduce_max(double value) {
-  check_crash();
-  // Gather to rank 0, then broadcast; O(p) messages but tree-shaped time.
-  const int depth = tree_depth(size());
-  const double per_round = model_.latency + 8.0 * model_.byte_cost;
-  if (rank_ == 0) {
-    double best = value;
-    double latest = clock_.now();
-    for (int src = 1; src < size(); ++src) {
-      Message msg = transport_.take(rank_, src, kReduceTag);
-      best = std::max(best, std::any_cast<double>(msg.payload));
-      latest = std::max(latest, msg.send_time);
-    }
-    advance_to_comm(latest + depth * per_round, depth * per_round);
-    std::any out = broadcast(0, std::any(best), 8);
-    return std::any_cast<double>(out);
-  }
-  Message msg;
-  msg.src = rank_;
-  msg.tag = kReduceTag;
-  msg.payload = std::any(value);
-  msg.bytes = 8;
-  msg.send_time = clock_.now() + depth * per_round;
-  transport_.deliver(0, std::move(msg));
-  std::any out = broadcast(0, {}, 8);
-  return std::any_cast<double>(out);
-}
-
-double Communicator::allreduce_sum(double value) {
-  check_crash();
-  // Same topology as allreduce_max; only the combiner differs.
-  const int depth = tree_depth(size());
-  const double per_round = model_.latency + 8.0 * model_.byte_cost;
-  if (rank_ == 0) {
-    double total = value;
-    double latest = clock_.now();
-    for (int src = 1; src < size(); ++src) {
-      Message msg = transport_.take(rank_, src, kReduceTag);
-      total += std::any_cast<double>(msg.payload);
-      latest = std::max(latest, msg.send_time);
-    }
-    advance_to_comm(latest + depth * per_round, depth * per_round);
-    std::any out = broadcast(0, std::any(total), 8);
-    return std::any_cast<double>(out);
-  }
-  Message msg;
-  msg.src = rank_;
-  msg.tag = kReduceTag;
-  msg.payload = std::any(value);
-  msg.bytes = 8;
-  msg.send_time = clock_.now() + depth * per_round;
-  transport_.deliver(0, std::move(msg));
-  std::any out = broadcast(0, {}, 8);
-  return std::any_cast<double>(out);
-}
-
-std::vector<std::any> Communicator::gather(int root, std::any payload,
-                                           std::uint64_t bytes) {
-  check_crash();
-  const int depth = tree_depth(size());
-  if (rank_ == root) {
-    std::vector<std::any> out(static_cast<std::size_t>(size()));
-    out[static_cast<std::size_t>(root)] = std::move(payload);
-    double latest = clock_.now();
-    for (int src = 0; src < size(); ++src) {
-      if (src == root) continue;
-      Message msg = transport_.take(rank_, src, kGatherTag);
-      latest = std::max(
-          latest, msg.send_time +
-                      static_cast<double>(msg.bytes) * model_.byte_cost);
-      out[static_cast<std::size_t>(src)] = std::move(msg.payload);
-    }
-    advance_to_comm(latest + depth * model_.latency,
-                    depth * model_.latency);
-    return out;
-  }
-  Message msg;
-  msg.src = rank_;
-  msg.tag = kGatherTag;
-  msg.payload = std::move(payload);
-  msg.bytes = bytes;
-  msg.send_time = clock_.now() + model_.latency;
-  transport_.deliver(root, std::move(msg));
-  advance_comm(model_.latency);
-  return {};
-}
-
-std::any Communicator::scatter(int root, std::vector<std::any> payloads,
-                               std::uint64_t bytes_each) {
-  check_crash();
-  if (rank_ == root) {
-    if (payloads.size() != static_cast<std::size_t>(size())) {
-      throw std::invalid_argument(
-          "mpsim::scatter: need exactly one payload per rank");
-    }
-    const double per_item =
-        model_.latency + static_cast<double>(bytes_each) * model_.byte_cost;
-    for (int dst = 0; dst < size(); ++dst) {
-      if (dst == root) continue;
-      Message msg;
-      msg.src = root;
-      msg.tag = kScatterTag;
-      msg.payload = std::move(payloads[static_cast<std::size_t>(dst)]);
-      msg.bytes = 0;  // timing carried in the stamp
-      msg.send_time = clock_.now() + per_item;
-      transport_.deliver(dst, std::move(msg));
-      advance_comm(per_item);  // root serializes the sends
-    }
-    return std::move(payloads[static_cast<std::size_t>(root)]);
-  }
-  Message msg = transport_.take(rank_, root, kScatterTag);
-  // At most this rank's own message is wire time; waiting for the root to
-  // serialize earlier ranks' sends is idle.
-  advance_to_comm(msg.send_time,
-                  model_.latency +
-                      static_cast<double>(bytes_each) * model_.byte_cost);
-  return std::move(msg.payload);
 }
 
 void Communicator::count(const std::string& key, std::uint64_t delta) {

@@ -48,7 +48,7 @@ RunResult run_impl(int p, const MachineModel& model, const FaultPlan* plan,
         crashed.push_back(r);
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();
-        transport.abort();  // release peers blocked in recv/barrier
+        transport.abort();  // release peers blocked in a receive
       }
     });
   }

@@ -1,9 +1,8 @@
-// Internal shared state of the simulator: mailboxes, barrier, abort flag,
-// per-rank failure flags, and the fault-injection hooks.
+// Internal shared state of the simulator: mailboxes, abort flag, per-rank
+// failure flags, and the fault-injection hooks.
 // Not installed; Communicator and runtime share it.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -18,7 +17,7 @@
 
 namespace pclust::mpsim {
 
-/// Thrown into ranks blocked on recv/barrier when another rank failed with a
+/// Thrown into ranks blocked in a receive when another rank failed with a
 /// real (unplanned) error and the whole run is being torn down.
 class Aborted : public std::runtime_error {
  public:
@@ -33,7 +32,6 @@ class Transport {
         mailboxes_(static_cast<std::size_t>(p)),
         links_(static_cast<std::size_t>(p) * static_cast<std::size_t>(p)) {
     for (auto& a : alive_) a.store(true, std::memory_order_relaxed);
-    alive_count_ = p;
     if (plan) plan_ = *plan;
   }
 
@@ -45,14 +43,11 @@ class Transport {
   }
 
   void deliver(int dst, Message msg) {
-    // Fault injection applies only to application messages (tag >= 0);
-    // internal collective tags ride the reliable layer untouched. Decisions
-    // hash (seed, src, dst, per-link ordinal) so they are independent of
-    // wall-clock thread interleaving: each link's stream is produced by one
-    // sender thread in program order.
+    // Fault decisions hash (seed, src, dst, per-link ordinal) so they are
+    // independent of wall-clock thread interleaving: each link's stream is
+    // produced by one sender thread in program order.
     bool duplicate = false;
-    if (msg.tag >= 0 &&
-        (plan_.drop_probability > 0.0 || plan_.duplicate_probability > 0.0)) {
+    if (plan_.drop_probability > 0.0 || plan_.duplicate_probability > 0.0) {
       auto& box = mailboxes_[static_cast<std::size_t>(dst)];
       std::uint64_t ordinal;
       {
@@ -83,19 +78,6 @@ class Transport {
       if (duplicate) box.queue.push_back(std::move(msg));
     }
     box.cv.notify_all();
-  }
-
-  Message take(int dst, int src, int tag) {
-    Message msg;
-    switch (take_status(dst, src, tag, msg, -1.0)) {
-      case RecvStatus::kOk:
-        return msg;
-      case RecvStatus::kRankFailed:
-        throw RankFailedError(src);
-      case RecvStatus::kTimeout:
-      default:
-        throw std::logic_error("mpsim: untimed take timed out");
-    }
   }
 
   /// Wait for a message from (src, tag). Returns kOk with the message,
@@ -133,52 +115,15 @@ class Transport {
     }
   }
 
-  [[nodiscard]] bool poll(int dst, int src, int tag) const {
-    auto& box = mailboxes_[static_cast<std::size_t>(dst)];
-    std::lock_guard<std::mutex> lock(box.mutex);
-    for (const auto& m : box.queue) {
-      if (m.src == src && m.tag == tag) return true;
-    }
-    return false;
-  }
-
-  /// Generation barrier over the ranks still alive; returns the released
-  /// virtual time (max over participants' arrival times). A rank dying
-  /// while peers wait releases the generation (see mark_failed).
-  double barrier_wait(double arrival_time) {
-    std::unique_lock<std::mutex> lock(barrier_mutex_);
-    const std::uint64_t my_generation = barrier_generation_;
-    barrier_max_ = std::max(barrier_max_, arrival_time);
-    if (++barrier_count_ >= alive_count_) {
-      release_barrier_locked();
-    } else {
-      barrier_cv_.wait(lock, [&] {
-        return barrier_generation_ != my_generation ||
-               aborted_.load(std::memory_order_acquire);
-      });
-      if (barrier_generation_ == my_generation) throw Aborted();
-    }
-    return barrier_release_;
-  }
-
   /// Mark @p rank dead (planned crash): wake every blocked receiver so it
-  /// can re-evaluate, and release a barrier generation the dead rank will
-  /// never join. Survivors keep running — this is NOT abort().
+  /// can re-evaluate. Survivors keep running — this is NOT abort().
   void mark_failed(int rank) {
     alive_[static_cast<std::size_t>(rank)].store(false,
                                                  std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(barrier_mutex_);
-      --alive_count_;
-      if (barrier_count_ > 0 && barrier_count_ >= alive_count_) {
-        release_barrier_locked();
-      }
-    }
     for (auto& box : mailboxes_) {
       std::lock_guard<std::mutex> lock(box.mutex);
       box.cv.notify_all();
     }
-    barrier_cv_.notify_all();
   }
 
   void abort() {
@@ -187,45 +132,22 @@ class Transport {
       std::lock_guard<std::mutex> lock(box.mutex);
       box.cv.notify_all();
     }
-    barrier_cv_.notify_all();
   }
-
-  [[nodiscard]] bool is_aborted() const {
-    return aborted_.load(std::memory_order_acquire);
-  }
-
-  [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
  private:
-  void release_barrier_locked() {
-    barrier_count_ = 0;
-    barrier_release_ = barrier_max_;
-    barrier_max_ = 0.0;
-    ++barrier_generation_;
-    barrier_cv_.notify_all();
-  }
-
   struct Mailbox {
-    mutable std::mutex mutex;
+    std::mutex mutex;
     std::condition_variable cv;
     std::list<Message> queue;
   };
 
   int size_;
   std::vector<std::atomic<bool>> alive_;
-  mutable std::vector<Mailbox> mailboxes_;
+  std::vector<Mailbox> mailboxes_;
   /// Per-(src, dst) message ordinals for deterministic fault decisions;
   /// guarded by the destination mailbox mutex.
   std::vector<std::uint64_t> links_;
   FaultPlan plan_;
-
-  std::mutex barrier_mutex_;
-  std::condition_variable barrier_cv_;
-  int barrier_count_ = 0;
-  int alive_count_ = 0;
-  std::uint64_t barrier_generation_ = 0;
-  double barrier_max_ = 0.0;
-  double barrier_release_ = 0.0;
 
   std::atomic<bool> aborted_{false};
 };

@@ -233,63 +233,44 @@ void evaluate_tasks(const std::vector<PairTask>& tasks, WorkerPolicy& policy,
   }
 }
 
-/// The pace master on the shared protocol: the admit hook owns the
-/// pair-duplicate seen-set and the policy's cluster filter; protocol stats
-/// map one-to-one onto EngineCounters.
+/// A pace master on the shared protocol: the flat master, or one
+/// sub-master of the tree (hierarchical mode) running the full resilient
+/// master engine over its worker shard. The admit hook owns the
+/// pair-duplicate seen-set and the cluster filter — the master policy's,
+/// or a sub-master's LOCAL replica, which forwards the verdicts that change
+/// it to the root as union events and absorbs synced events from other
+/// shards so the filter keeps pace with cross-shard merges. Protocol stats
+/// map one-to-one onto EngineCounters; each sub-master contributes its own
+/// share (they sum across ranks in the RunResult).
 void master_loop(mpsim::Communicator& comm, const PaceParams& params,
                  MasterPolicy& policy) {
-  std::unordered_set<std::uint64_t> seen;
-  mpsim::MwMaster<PairTask, Verdict> hooks;
-  hooks.admit = [&](const PairTask& task) {
-    if (!seen.insert(task.pair_key()).second) {
-      return mpsim::MwAdmit::kDuplicate;
-    }
-    if (!policy.needs_alignment(task)) return mpsim::MwAdmit::kFiltered;
-    return mpsim::MwAdmit::kQueue;
-  };
-  hooks.apply = [&](const Verdict& v) { policy.apply(v); };
-
-  const mpsim::MwMasterStats stats =
-      mw_master_loop(comm, mw_options(params), hooks);
-
-  EngineCounters c;
-  c.promising_pairs = stats.submitted;
-  c.duplicate_pairs = stats.duplicates;
-  c.filtered_pairs = stats.filtered;
-  c.aligned_pairs = stats.dispatched;
-  comm.count("promising_pairs", c.promising_pairs);
-  comm.count("duplicate_pairs", c.duplicate_pairs);
-  comm.count("filtered_pairs", c.filtered_pairs);
-  comm.count("aligned_pairs", c.aligned_pairs);
-  record_engine_counters(c);
-}
-
-/// One pace sub-master (hierarchical mode): the full resilient master
-/// engine over its worker shard, with the pair seen-set and the cluster
-/// filter evaluated against the shard's LOCAL replica. Verdicts that
-/// change the replica are forwarded to the root as union events; synced
-/// events from other shards are absorbed into the replica so the filter
-/// keeps pace with cross-shard merges. Each shard contributes its own
-/// share of the engine counters (they sum across ranks in the RunResult).
-void submaster_loop(mpsim::Communicator& comm, const PaceParams& params,
-                    MasterPolicy& policy) {
-  const std::unique_ptr<ShardPolicy> shard = policy.make_shard();
-  std::unordered_set<std::uint64_t> seen;
-  mpsim::MwShard<PairTask, Verdict> hooks;
-  hooks.admit = [&](const PairTask& task) {
-    if (!seen.insert(task.pair_key()).second) {
-      return mpsim::MwAdmit::kDuplicate;
-    }
-    if (!shard->needs_alignment(task)) return mpsim::MwAdmit::kFiltered;
-    return mpsim::MwAdmit::kQueue;
-  };
-  hooks.resolve = [&](const Verdict& v) { return shard->absorb(v); };
-  hooks.learn = [&](const Verdict& v) { shard->absorb(v); };
-
   const mpsim::MwOptions opt = mw_options(params);
   const mpsim::MwTopology topo{comm.size(), opt.masters};
-  const mpsim::MwMasterStats stats =
-      mw_submaster_loop(comm, opt, topo, hooks);
+  std::unordered_set<std::uint64_t> seen;
+  const auto admit = [&seen](auto* filter) {
+    return [&seen, filter](const PairTask& task) {
+      if (!seen.insert(task.pair_key()).second) {
+        return mpsim::MwAdmit::kDuplicate;
+      }
+      if (!filter->needs_alignment(task)) return mpsim::MwAdmit::kFiltered;
+      return mpsim::MwAdmit::kQueue;
+    };
+  };
+
+  mpsim::MwMasterStats stats;
+  if (!topo.hierarchical()) {
+    mpsim::MwMaster<PairTask, Verdict> hooks;
+    hooks.admit = admit(&policy);
+    hooks.apply = [&](const Verdict& v) { policy.apply(v); };
+    stats = mw_master_loop(comm, opt, hooks);
+  } else {
+    const std::unique_ptr<ShardPolicy> shard = policy.make_shard();
+    mpsim::MwShard<PairTask, Verdict> hooks;
+    hooks.admit = admit(shard.get());
+    hooks.resolve = [&](const Verdict& v) { return shard->absorb(v); };
+    hooks.learn = [&](const Verdict& v) { shard->absorb(v); };
+    stats = mw_submaster_loop(comm, opt, topo, hooks);
+  }
 
   EngineCounters c;
   c.promising_pairs = stats.submitted;
@@ -351,20 +332,13 @@ mpsim::RunResult run_parallel(
     throw std::invalid_argument(
         "pace::run_parallel needs p >= 2 (master + worker); use run_serial");
   }
-  if (topo.hierarchical()) {
-    if (p < masters + 2) {
-      throw std::invalid_argument(
-          "pace::run_parallel: p=" + std::to_string(p) +
-          " is too small for masters=" + std::to_string(masters) +
-          "; need p >= masters + 2 so at least one worker exists");
-    }
-    if (!master_policy.make_shard()) {
-      throw std::invalid_argument(
-          std::string("pace::run_parallel: this phase (") +
-          (params.phase_label ? params.phase_label : "pace") +
-          ") applies verdicts order-dependently and does not support "
-          "hierarchical masters; use masters=1");
-    }
+  topo.require_worker("pace::run_parallel");
+  if (topo.hierarchical() && !master_policy.make_shard()) {
+    throw std::invalid_argument(
+        std::string("pace::run_parallel: this phase (") +
+        (params.phase_label ? params.phase_label : "pace") +
+        ") applies verdicts order-dependently and does not support "
+        "hierarchical masters; use masters=1");
   }
   // Reject unsurvivable plans up front (exit-code-2 class at the CLI):
   // crashing rank 0, every sub-master, or every worker.
@@ -374,14 +348,10 @@ mpsim::RunResult run_parallel(
                     topo.first_worker());
 
   const auto rank_fn = [&](mpsim::Communicator& comm) {
-    if (comm.rank() == 0) {
-      if (topo.hierarchical()) {
-        root_loop(comm, params, master_policy);
-      } else {
-        master_loop(comm, params, master_policy);
-      }
-    } else if (topo.is_submaster(comm.rank())) {
-      submaster_loop(comm, params, master_policy);
+    if (comm.rank() == 0 && topo.hierarchical()) {
+      root_loop(comm, params, master_policy);
+    } else if (comm.rank() == 0 || topo.is_submaster(comm.rank())) {
+      master_loop(comm, params, master_policy);
     } else {
       const auto policy = make_worker_policy();
       worker_loop(comm, index, params, *policy, pool);

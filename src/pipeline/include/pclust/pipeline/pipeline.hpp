@@ -87,7 +87,7 @@ struct PipelineConfig {
   /// Memory budget in bytes for the capacity ledger (util/memgov);
   /// 0 = unlimited. Under pressure the run degrades along
   /// output-invariant levers only (smaller evaluation grains/batches,
-  /// streaming BGG, shingle-table spill), so the family output stays
+  /// shingle-table spill), so the family output stays
   /// bit-identical to an unconstrained run; a run that exceeds twice the
   /// budget despite degradation exits structured at the next phase
   /// boundary (MemoryBudgetExceeded), resumable when checkpointing is on.

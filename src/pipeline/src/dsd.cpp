@@ -96,12 +96,7 @@ DsdParallelResult run_dsd_parallel(
   if (p < 2) {
     throw std::invalid_argument("run_dsd_parallel: need >= 2 ranks");
   }
-  if (topo.hierarchical() && p < topo.masters + 2) {
-    throw std::invalid_argument(
-        "run_dsd_parallel: p=" + std::to_string(p) +
-        " is too small for masters=" + std::to_string(topo.masters) +
-        "; need p >= masters + 2 so at least one worker exists");
-  }
+  topo.require_worker("run_dsd_parallel");
   // Reject unsurvivable plans up front (crashing rank 0, every sub-master,
   // or every worker) with the CLI's exit-code-2 error class.
   if (plan) plan->validate_protocol(p, topo.masters);
@@ -119,6 +114,14 @@ DsdParallelResult run_dsd_parallel(
   // application wins and ordering never matters.
   std::vector<char> seen(graphs.size(), 0);
   std::vector<char> applied(graphs.size(), 0);
+  const auto apply = [&](const DsdVerdict& v) {
+    if (applied[v.graph]) return;
+    applied[v.graph] = 1;
+    out.families_per_graph[v.graph] = v.families;
+    out.merges_per_graph[v.graph] = v.merges;
+    out.s1_nodes_per_graph[v.graph] = v.s1_nodes;
+    out.raw_components_per_graph[v.graph] = v.raw_components;
+  };
 
   const auto worker_fn = [&](mpsim::Communicator& comm) {
     mpsim::MwWorker<DsdTask, DsdVerdict> worker;
@@ -176,26 +179,12 @@ DsdParallelResult run_dsd_parallel(
               seen[t.graph] = 1;
               return mpsim::MwAdmit::kQueue;
             };
-            master.apply = [&](const DsdVerdict& v) {
-              if (applied[v.graph]) return;
-              applied[v.graph] = 1;
-              out.families_per_graph[v.graph] = v.families;
-              out.merges_per_graph[v.graph] = v.merges;
-              out.s1_nodes_per_graph[v.graph] = v.s1_nodes;
-              out.raw_components_per_graph[v.graph] = v.raw_components;
-            };
+            master.apply = apply;
             mpsim::mw_master_loop(comm, opt, master);
             return;
           }
           mpsim::MwRoot<DsdVerdict> root;
-          root.apply = [&](const DsdVerdict& v) {
-            if (applied[v.graph]) return;  // event replay: first wins
-            applied[v.graph] = 1;
-            out.families_per_graph[v.graph] = v.families;
-            out.merges_per_graph[v.graph] = v.merges;
-            out.s1_nodes_per_graph[v.graph] = v.s1_nodes;
-            out.raw_components_per_graph[v.graph] = v.raw_components;
-          };
+          root.apply = apply;
           mpsim::mw_root_loop(comm, opt, topo, root);
           return;
         }

@@ -749,38 +749,24 @@ PipelineResult run(const seq::SequenceSet& input,
     }
   };
   // Serial BGG + DSD: build each qualifying component's graph, run Shingle
-  // on it (noting its evidence when provenance is on) and hand its families
-  // to @p fold, strictly in component order. The output is bit-identical
-  // whether every graph is materialized first (the default) or the
-  // governor switches to streaming mid-build (each pending graph drained
-  // and dropped as soon as pressure crosses the threshold).
+  // on it (noting its evidence when provenance is on), hand its families to
+  // @p fold and free it, strictly in component order — so at most one
+  // graph is alive at a time.
   const auto drain_serial = [&](const auto& fold) {
-    std::vector<bigraph::ComponentGraph> pending;
-    util::MemoryCharge pending_charge;
-    bool streaming = false;
-    const auto drain = [&] {
-      for (bigraph::ComponentGraph& graph : pending) {
-        shingle::DsdStats stats;
-        std::vector<shingle::ShingleMerge> merges;
-        auto found = shingle::report_families(
-            graph, config.shingle, want_prov ? &stats : nullptr, &pool,
-            want_prov ? &merges : nullptr);
-        if (want_prov) {
-          note_dsd(stats.first_level_shingles, stats.raw_components, merges);
-        }
-        fold(graph, std::move(found));
-      }
-      pending.clear();
-      pending_charge.reset();
-    };
     for (const auto& component : result.ccd.components) {
       if (component.size() < config.min_component) continue;
-      pending.push_back(build_graph(component));
-      pending_charge.add("bgg.graphs", graph_bytes(pending.back()));
-      if (!streaming) streaming = util::governor().should_stream("bgg+dsd");
-      if (streaming) drain();
+      const bigraph::ComponentGraph graph = build_graph(component);
+      const util::MemoryCharge charge("bgg.graphs", graph_bytes(graph));
+      shingle::DsdStats stats;
+      std::vector<shingle::ShingleMerge> merges;
+      auto found = shingle::report_families(
+          graph, config.shingle, want_prov ? &stats : nullptr, &pool,
+          want_prov ? &merges : nullptr);
+      if (want_prov) {
+        note_dsd(stats.first_level_shingles, stats.raw_components, merges);
+      }
+      fold(graph, std::move(found));
     }
-    drain();
   };
 
   PhaseSteps families{

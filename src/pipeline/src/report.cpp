@@ -645,6 +645,8 @@ bool validate_report(const util::JsonValue& report, std::string* error) {
       }
       for (const util::JsonValue& e : events.array) {
         const std::string& action = e.at("action").as_string();
+        // `stream` stays accepted so reports written by earlier releases,
+        // whose BGG stage streamed only under pressure, still validate.
         if (action != "shrink-grain" && action != "shrink-batch" &&
             action != "stream" && action != "spill") {
           return fail(error, "degradation.events: unknown action '" + action +

@@ -15,8 +15,6 @@
 //   pressure >= 0.70  evaluation grains and serial batch sizes shrink
 //                     (verdict order is batch-size independent by the
 //                     batched-engine guarantee)
-//   pressure >= 0.50  the BGG stage streams component graphs one at a
-//                     time instead of materializing all of them
 //   pressure >= 0.70  the shingle pass spills its cold element table to a
 //                     temp file through the IoEnv between passes
 //
@@ -84,9 +82,6 @@ class MemoryGovernor {
   [[nodiscard]] std::size_t recommend_grain(std::size_t normal);
   [[nodiscard]] std::size_t recommend_batch(std::size_t normal);
 
-  /// True when the BGG stage should stream component graphs one at a time
-  /// (pressure >= 0.50); records a DegradationEvent when taken.
-  [[nodiscard]] bool should_stream(std::string_view phase);
   /// True when a cold table should spill through the IoEnv
   /// (pressure >= 0.70); records a DegradationEvent when taken.
   [[nodiscard]] bool should_spill(std::string_view phase);

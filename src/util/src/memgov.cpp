@@ -12,7 +12,6 @@ namespace {
 constexpr double kHardExceedFactor = 2.0;
 constexpr double kGrainPressure = 0.70;
 constexpr double kGrainQuarterPressure = 0.95;
-constexpr double kStreamPressure = 0.50;
 constexpr double kSpillPressure = 0.70;
 constexpr std::size_t kGrainFloor = 8;
 
@@ -135,18 +134,6 @@ std::size_t MemoryGovernor::recommend_grain(std::size_t normal) {
 
 std::size_t MemoryGovernor::recommend_batch(std::size_t normal) {
   return shrink(normal, "shrink-batch");
-}
-
-bool MemoryGovernor::should_stream(std::string_view phase) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (budget_ == 0) return false;
-    const double p =
-        static_cast<double>(ledger_) / static_cast<double>(budget_);
-    if (p < kStreamPressure) return false;
-  }
-  note_degradation(phase, "stream", "materialization replaced by streaming");
-  return true;
 }
 
 bool MemoryGovernor::should_spill(std::string_view phase) {

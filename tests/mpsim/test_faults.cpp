@@ -20,6 +20,13 @@ FaultPlan crash_rank(int rank, double at = 0.0) {
   return plan;
 }
 
+/// Receive the next message on (src, tag), which must arrive.
+Message recv_ok(Communicator& comm, int src, int tag) {
+  Message msg;
+  EXPECT_EQ(comm.recv_status(src, tag, msg), RecvStatus::kOk);
+  return msg;
+}
+
 TEST(Faults, PlannedCrashRecordedNotRethrown) {
   const auto r = run(3, MachineModel::free(), crash_rank(2),
                      [](Communicator& comm) {
@@ -38,7 +45,6 @@ TEST(Faults, RecvStatusReportsFailedPeer) {
     }
     Message msg;
     seen = comm.recv_status(1, 7, msg);
-    EXPECT_FALSE(comm.peer_alive(1));
   });
   EXPECT_EQ(seen, RecvStatus::kRankFailed);
 }
@@ -65,35 +71,14 @@ TEST(Faults, RecvStatusTimesOutOnSilentPeer) {
   RecvStatus seen = RecvStatus::kOk;
   run(2, MachineModel::free(), [&](Communicator& comm) {
     if (comm.rank() == 1) {
-      comm.barrier();  // alive but never sends on tag 3
+      (void)recv_ok(comm, 0, 4);  // alive until released; never sends on 3
       return;
     }
     Message msg;
     seen = comm.recv_status(1, 3, msg, 0.05);
-    comm.barrier();
+    comm.send(1, 4, std::any(0), 0);
   });
   EXPECT_EQ(seen, RecvStatus::kTimeout);
-}
-
-TEST(Faults, PlainRecvThrowsOnFailedPeer) {
-  try {
-    run(2, MachineModel::free(), crash_rank(1), [](Communicator& comm) {
-      if (comm.rank() == 1) {
-        comm.charge_cells(1);
-        return;
-      }
-      (void)comm.recv(1, 0);
-    });
-    FAIL() << "expected RankError";
-  } catch (const RankError& e) {
-    EXPECT_EQ(e.rank(), 0);
-    try {
-      std::rethrow_if_nested(e);
-      FAIL() << "expected a nested RankFailedError";
-    } catch (const RankFailedError& nested) {
-      EXPECT_EQ(nested.rank(), 1);
-    }
-  }
 }
 
 TEST(Faults, DropsDelayButNeverLoseMessages) {
@@ -112,7 +97,8 @@ TEST(Faults, DropsDelayButNeverLoseMessages) {
                                return;
                              }
                              for (int i = 0; i < kMessages; ++i) {
-                               received.push_back(comm.recv(1, 0).take<int>());
+                               received.push_back(
+                                   recv_ok(comm, 1, 0).take<int>());
                              }
                            });
   std::vector<int> expected(kMessages);
@@ -124,7 +110,7 @@ TEST(Faults, DropsDelayButNeverLoseMessages) {
       for (int i = 0; i < kMessages; ++i) comm.send(0, 0, std::any(i), 8);
       return;
     }
-    for (int i = 0; i < kMessages; ++i) (void)comm.recv(1, 0);
+    for (int i = 0; i < kMessages; ++i) (void)recv_ok(comm, 1, 0);
   });
   EXPECT_GT(faulted.makespan, clean.makespan);  // retransmits cost time
 }
@@ -138,40 +124,19 @@ TEST(Faults, DuplicatesAreRedelivered) {
   run(2, MachineModel::free(), plan, [&](Communicator& comm) {
     if (comm.rank() == 1) {
       for (int i = 0; i < kMessages; ++i) comm.send(0, 0, std::any(i), 8);
-      comm.barrier();
+      comm.send(0, 1, std::any(0), 0);  // marker, sent after every message
       return;
     }
-    for (int i = 0; i < kMessages; ++i) (void)comm.recv(1, 0);
-    comm.barrier();  // all copies are queued at send time
-    while (comm.poll(1, 0)) {
-      (void)comm.recv(1, 0);
-      ++extras;
-    }
+    // Copies are queued at send time, so once the marker is in, every copy
+    // on tag 0 is too; a zero timeout then drains them without blocking.
+    (void)recv_ok(comm, 1, 1);
+    Message msg;
+    int copies = 0;
+    while (comm.recv_status(1, 0, msg, 0.0) == RecvStatus::kOk) ++copies;
+    extras = copies - kMessages;
   });
   EXPECT_GT(extras, 0) << "p=0.7 over 40 messages must duplicate some";
   EXPECT_LE(extras, kMessages);
-}
-
-TEST(Faults, CollectivesAreNeverPerturbed) {
-  FaultPlan plan;
-  plan.seed = 11;
-  plan.drop_probability = 0.9;
-  plan.duplicate_probability = 0.9;
-  const auto clean = run(4, MachineModel::bluegene_l(), [](Communicator& comm) {
-    (void)comm.allreduce_sum(static_cast<double>(comm.rank()));
-    comm.barrier();
-  });
-  double sum = -1.0;
-  const auto faulted = run(4, MachineModel::bluegene_l(), plan,
-                           [&](Communicator& comm) {
-                             const double s = comm.allreduce_sum(
-                                 static_cast<double>(comm.rank()));
-                             if (comm.rank() == 0) sum = s;
-                             comm.barrier();
-                           });
-  EXPECT_DOUBLE_EQ(sum, 6.0);
-  // Internal (negative) tags ride the reliable layer: identical timing.
-  EXPECT_DOUBLE_EQ(faulted.makespan, clean.makespan);
 }
 
 TEST(Faults, StragglerScalesComputeOnly) {

@@ -1,12 +1,15 @@
-// Protocol-level tests for the resilient master–worker layer, on a toy
-// workload: worker rank w owns keys w*1000 .. w*1000+kPerWorker-1 and each
-// verdict is the key squared. Completeness = every key applied with the
-// right value, whatever faults the plan injects.
+// Protocol-level tests for the resilient master–worker layer, flat and
+// as a master tree, on a toy workload: worker rank w owns keys
+// w*1000 .. w*1000+kPerWorker-1 and each verdict is the key squared.
+// Completeness = every key applied with the right value, whatever faults
+// the plan injects.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -30,7 +33,8 @@ constexpr int kPerWorker = 57;  // not a multiple of batch_size
 struct ToyOutcome {
   std::map<int, long long> values;  // first verdict wins (idempotent apply)
   std::map<int, int> applications;  // how often each key was applied
-  MwMasterStats stats;
+  MwMasterStats stats;              // flat runs
+  MwRootStats root;                 // master-tree runs
   RunResult run;
 };
 
@@ -44,62 +48,107 @@ MwOptions toy_options() {
   return opt;
 }
 
-/// Run the toy phase on @p p ranks. @p hiccup, when set, is called at the
-/// start of every evaluate with (rank, per-rank call ordinal) — tests use
-/// it to wall-sleep a worker (hung-rank scenarios).
+/// The toy worker: generation yields rank origin's keys, evaluation
+/// squares them. @p hiccup, when set, is called at the start of every
+/// evaluate with (rank, per-rank call ordinal) — tests use it to
+/// wall-sleep a worker (hung-rank scenarios).
+void toy_worker(Communicator& comm, const MwOptions& opt,
+                const std::function<void(int, std::uint64_t)>& hiccup) {
+  MwWorker<ToyTask, ToyVerdict> worker;
+  worker.generate = [](Communicator& c, int origin) {
+    c.charge_pairs(kPerWorker);
+    std::vector<ToyTask> tasks(kPerWorker);
+    for (int i = 0; i < kPerWorker; ++i) {
+      tasks[static_cast<std::size_t>(i)].key = origin * 1000 + i;
+    }
+    return tasks;
+  };
+  std::uint64_t calls = 0;
+  worker.evaluate = [&](Communicator& c, const std::vector<ToyTask>& tasks,
+                        std::vector<ToyVerdict>& verdicts) {
+    if (hiccup) hiccup(c.rank(), calls++);
+    c.charge_finds(tasks.size());
+    for (const ToyTask& t : tasks) {
+      verdicts.push_back(
+          ToyVerdict{t.key, static_cast<long long>(t.key) * t.key});
+    }
+  };
+  mw_worker_loop(comm, opt, worker);
+}
+
+/// Run the toy phase on @p p ranks with a flat master (see toy_worker for
+/// @p hiccup).
 ToyOutcome run_toy(
     int p, const FaultPlan* plan, const MwOptions& opt,
     const std::function<void(int, std::uint64_t)>& hiccup = nullptr,
     const MachineModel& model = MachineModel::free()) {
   ToyOutcome out;
-  out.run = run_phase(opt.phase, p, model, plan,
-                      [&](Communicator& comm) {
-                        if (comm.rank() == 0) {
-                          std::set<int> seen;
-                          MwMaster<ToyTask, ToyVerdict> master;
-                          master.admit = [&](const ToyTask& t) {
-                            return seen.insert(t.key).second
-                                       ? MwAdmit::kQueue
-                                       : MwAdmit::kDuplicate;
-                          };
-                          master.apply = [&](const ToyVerdict& v) {
-                            ++out.applications[v.key];
-                            out.values.emplace(v.key, v.value);
-                          };
-                          out.stats = mw_master_loop(comm, opt, master);
-                          return;
-                        }
-                        MwWorker<ToyTask, ToyVerdict> worker;
-                        worker.generate = [](Communicator& c, int origin) {
-                          c.charge_pairs(kPerWorker);
-                          std::vector<ToyTask> tasks(kPerWorker);
-                          for (int i = 0; i < kPerWorker; ++i) {
-                            tasks[static_cast<std::size_t>(i)].key =
-                                origin * 1000 + i;
-                          }
-                          return tasks;
-                        };
-                        std::uint64_t calls = 0;
-                        worker.evaluate = [&](Communicator& c,
-                                              const std::vector<ToyTask>& tasks,
-                                              std::vector<ToyVerdict>& verdicts) {
-                          if (hiccup) hiccup(c.rank(), calls++);
-                          c.charge_finds(tasks.size());
-                          for (const ToyTask& t : tasks) {
-                            verdicts.push_back(ToyVerdict{
-                                t.key, static_cast<long long>(t.key) * t.key});
-                          }
-                        };
-                        mw_worker_loop(comm, opt, worker);
-                      });
+  out.run = run_phase(opt.phase, p, model, plan, [&](Communicator& comm) {
+    if (comm.rank() != 0) {
+      toy_worker(comm, opt, hiccup);
+      return;
+    }
+    std::set<int> seen;
+    MwMaster<ToyTask, ToyVerdict> master;
+    master.admit = [&](const ToyTask& t) {
+      return seen.insert(t.key).second ? MwAdmit::kQueue : MwAdmit::kDuplicate;
+    };
+    master.apply = [&](const ToyVerdict& v) {
+      ++out.applications[v.key];
+      out.values.emplace(v.key, v.value);
+    };
+    out.stats = mw_master_loop(comm, opt, master);
+  });
   return out;
 }
 
-/// Every key of every worker 1..p-1 applied with value key^2.
-void expect_complete(const ToyOutcome& out, int p) {
+/// Run the toy phase on the two-level master tree of @p opt.masters
+/// sub-masters: each shard replica is the set of keys it has resolved,
+/// and the root keeps the first value per key. @p hang is called at the
+/// start of every sub-master resolve with (rank, per-rank call ordinal) —
+/// tests use it to wall-sleep a sub-master.
+ToyOutcome run_toy_tree(
+    int p, const MwOptions& opt,
+    const std::function<void(int, std::uint64_t)>& hang) {
+  ToyOutcome out;
+  const MwTopology topo{p, opt.masters};
+  const auto rank_fn = [&](Communicator& comm) {
+    if (comm.rank() == 0) {
+      MwRoot<ToyVerdict> root;
+      root.apply = [&](const ToyVerdict& v) {
+        ++out.applications[v.key];
+        out.values.emplace(v.key, v.value);
+      };
+      out.root = mw_root_loop(comm, opt, topo, root);
+      return;
+    }
+    if (!topo.is_submaster(comm.rank())) {
+      toy_worker(comm, opt, nullptr);
+      return;
+    }
+    std::set<int> seen;
+    std::set<int> resolved;
+    std::uint64_t calls = 0;
+    MwShard<ToyTask, ToyVerdict> shard;
+    shard.admit = [&](const ToyTask& t) {
+      return seen.insert(t.key).second ? MwAdmit::kQueue : MwAdmit::kDuplicate;
+    };
+    shard.resolve = [&](const ToyVerdict& v) {
+      hang(comm.rank(), calls++);
+      return resolved.insert(v.key).second;
+    };
+    shard.learn = [&](const ToyVerdict& v) { resolved.insert(v.key); };
+    (void)mw_submaster_loop(comm, opt, topo, shard);
+  };
+  out.run = run_phase(opt.phase, p, MachineModel::free(), nullptr, rank_fn);
+  return out;
+}
+
+/// Every key of every worker first_worker..p-1 applied with value key^2.
+void expect_complete(const ToyOutcome& out, int p, int first_worker = 1) {
   ASSERT_EQ(out.values.size(),
-            static_cast<std::size_t>(p - 1) * kPerWorker);
-  for (int w = 1; w < p; ++w) {
+            static_cast<std::size_t>(p - first_worker) * kPerWorker);
+  for (int w = first_worker; w < p; ++w) {
     for (int i = 0; i < kPerWorker; ++i) {
       const int key = w * 1000 + i;
       const auto it = out.values.find(key);
@@ -204,7 +253,6 @@ TEST(MasterWorker, HeartbeatTimeoutDeclaresHungWorkerDeadAndHeals) {
   MwOptions opt = toy_options();
   opt.heartbeat_timeout = 0.05;  // wall seconds; retries back off 0.1, 0.2
   opt.heartbeat_retries = 2;
-  opt.heartbeat_backoff = 2.0;
   // Rank 1 goes silent for far longer than the full retry budget
   // (0.05 + 0.1 + 0.2 = 0.35s) on its first chunk; rank 2 stays healthy.
   const auto hang = [](int rank, std::uint64_t call) {
@@ -227,15 +275,15 @@ TEST(MasterWorker, HeartbeatTimeoutDeclaresHungWorkerDeadAndHeals) {
 }
 
 TEST(MasterWorker, HeartbeatBackoffCeilingBoundsTheRetryLadder) {
-  // Uncapped, the exponential ladder 0.05 * (1 + 3 + 9 + 27 + 81 + 243)
-  // would wait ~18 wall seconds — far longer than the 1.2s hang, so the
-  // worker would recover mid-ladder. The 0.06s ceiling clamps every retry,
-  // shrinking the whole budget to ~0.35s, and it is exactly that clamp
-  // which lets the timeout fire while the worker is still hung.
+  // Uncapped, the doubling ladder 0.05 * (1 + 2 + 4 + 8 + 16 + 32) would
+  // wait 3.15 wall seconds — far longer than the 1.2s hang, so the worker
+  // would recover mid-ladder. The 0.06s ceiling clamps every retry,
+  // shrinking the whole budget to 0.05 + 5 * 0.06 = 0.35s, and it is
+  // exactly that clamp which lets the timeout fire while the worker is
+  // still hung.
   MwOptions opt = toy_options();
   opt.heartbeat_timeout = 0.05;
   opt.heartbeat_retries = 5;
-  opt.heartbeat_backoff = 3.0;
   opt.heartbeat_max_timeout = 0.06;
   const auto hang = [](int rank, std::uint64_t call) {
     if (rank == 1 && call == 0) {
@@ -253,12 +301,12 @@ TEST(MasterWorker, HeartbeatBackoffCeilingBoundsTheRetryLadder) {
 
 TEST(MasterWorker, UncappedBackoffOutlastsTheHangAndNobodyDies) {
   // Companion to the ceiling test: the SAME ladder without the ceiling
-  // outwaits the hang, so the worker wakes inside a retry window, submits,
-  // and is never declared dead. The ceiling is the only difference.
+  // (3.15s in all) outwaits the 1.2s hang, so the worker wakes inside a
+  // retry window, submits, and is never declared dead. The ceiling is the
+  // only difference.
   MwOptions opt = toy_options();
   opt.heartbeat_timeout = 0.05;
   opt.heartbeat_retries = 5;
-  opt.heartbeat_backoff = 3.0;
   opt.heartbeat_max_timeout = 0.0;  // uncapped
   const auto hang = [](int rank, std::uint64_t call) {
     if (rank == 1 && call == 0) {
@@ -281,7 +329,6 @@ TEST(MasterWorker, DeadlineAtHeartbeatRetryBoundaryIsAttributed) {
   opt.deadline_seconds = 0.15;
   opt.heartbeat_timeout = 0.1;
   opt.heartbeat_retries = 5;
-  opt.heartbeat_backoff = 2.0;
   const auto hang = [](int rank, std::uint64_t call) {
     if (rank == 1 && call == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2000));
@@ -289,6 +336,58 @@ TEST(MasterWorker, DeadlineAtHeartbeatRetryBoundaryIsAttributed) {
   };
   try {
     run_toy(2, nullptr, opt, hang);
+    FAIL() << "expected RankError from the deadline at a retry boundary";
+  } catch (const RankError& e) {
+    EXPECT_EQ(e.rank(), 0);
+    EXPECT_EQ(e.phase(), "toy");
+    const std::string what = e.what();
+    EXPECT_NE(what.find("phase deadline"), std::string::npos) << what;
+    EXPECT_NE(what.find("heartbeat-retry boundary"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(MasterWorkerTree, HungSubmasterTimesOutAndItsStreamsAreRerouted) {
+  // Sub-master 1 goes silent in its first resolve for far longer than the
+  // root's retry budget (0.05 + 0.1 + 0.2 = 0.35s). The root declares it
+  // dead by heartbeat and releases it with a done control; its workers
+  // exit with it rather than being re-homed, so only its streams move, to
+  // sub-master 2 for a full replay.
+  MwOptions opt = toy_options();
+  opt.masters = 2;
+  opt.heartbeat_timeout = 0.05;
+  opt.heartbeat_retries = 2;
+  const auto hang = [](int rank, std::uint64_t call) {
+    if (rank == 1 && call == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2000));
+    }
+  };
+  const auto out = run_toy_tree(6, opt, hang);
+  expect_complete(out, 6, /*first_worker=*/3);
+  EXPECT_EQ(out.root.submasters_timed_out, 1u);
+  EXPECT_EQ(out.root.workers_rehomed, 0u);
+  EXPECT_GE(out.root.streams_rerouted, 1u);
+  EXPECT_GE(out.run.counter("link_timeout_retries"), 2u);
+  EXPECT_TRUE(out.run.crashed_ranks.empty());  // hung, not crashed
+}
+
+TEST(MasterWorkerTree, RootDeadlineAtHeartbeatRetryBoundaryIsAttributed) {
+  // The root's retry ladder re-checks the phase watchdog at every
+  // boundary: with a 0.15s deadline and a 0.1 -> 0.2 -> ... ladder on the
+  // link to the hung sub-master, the second boundary lands past the
+  // deadline and surfaces as the deadline, naming the retry boundary.
+  MwOptions opt = toy_options();
+  opt.masters = 2;
+  opt.deadline_seconds = 0.15;
+  opt.heartbeat_timeout = 0.1;
+  opt.heartbeat_retries = 5;
+  const auto hang = [](int rank, std::uint64_t call) {
+    if (rank == 1 && call == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2000));
+    }
+  };
+  try {
+    run_toy_tree(6, opt, hang);
     FAIL() << "expected RankError from the deadline at a retry boundary";
   } catch (const RankError& e) {
     EXPECT_EQ(e.rank(), 0);

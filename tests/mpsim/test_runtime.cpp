@@ -9,6 +9,13 @@
 namespace pclust::mpsim {
 namespace {
 
+/// Receive the next message on (src, tag), which must arrive.
+Message recv_ok(Communicator& comm, int src, int tag) {
+  Message msg;
+  EXPECT_EQ(comm.recv_status(src, tag, msg), RecvStatus::kOk);
+  return msg;
+}
+
 TEST(Runtime, SingleRankRuns) {
   int calls = 0;
   const auto r = run(1, MachineModel::free(), [&](Communicator& comm) {
@@ -34,17 +41,19 @@ TEST(Runtime, AllRanksRunExactlyOnce) {
 TEST(Runtime, BreakdownPartitionsEachRanksVirtualTime) {
   // busy + comm + idle must equal rank_times per rank, up to fp rounding —
   // the analyzer and report-check both lean on this identity. Exercise all
-  // three buckets: compute charges, real wire traffic, and barrier waits.
+  // three buckets: compute charges, real wire traffic, and a wait on a
+  // message stamped later than the receiver's clock.
   const auto r = run(4, MachineModel::bluegene_l(), [](Communicator& comm) {
     comm.charge_cells(1000u * static_cast<std::uint64_t>(comm.rank() + 1));
     if (comm.rank() == 0) {
       for (int dst = 1; dst < comm.size(); ++dst) {
         comm.send(dst, 7, int{1}, 1 << 16);
       }
+      (void)recv_ok(comm, 3, 8);  // rank 3 answers long after rank 0 sent
     } else {
-      (void)comm.recv(0, 7);
+      (void)recv_ok(comm, 0, 7);
+      if (comm.rank() == 3) comm.send(0, 8, int{1}, 8);
     }
-    comm.barrier();
   });
   ASSERT_EQ(r.rank_breakdown.size(), r.rank_times.size());
   double busy_total = 0.0;
@@ -60,8 +69,8 @@ TEST(Runtime, BreakdownPartitionsEachRanksVirtualTime) {
   // Unequal charges -> unequal busy times, and someone actually computed.
   EXPECT_GT(busy_total, 0.0);
   EXPECT_LT(r.rank_breakdown[0].busy, r.rank_breakdown[3].busy);
-  // The barrier releases everyone at the same virtual instant.
-  for (const double t : r.rank_times) EXPECT_DOUBLE_EQ(t, r.makespan);
+  // Rank 0 sat idle until rank 3's reply was sent.
+  EXPECT_GT(r.rank_breakdown[0].idle, 0.0);
 }
 
 TEST(Runtime, InvalidProcessorCountThrows) {
@@ -73,7 +82,8 @@ TEST(Runtime, ExceptionPropagatesAsRankError) {
   try {
     run(4, MachineModel::free(), [](Communicator& comm) {
       if (comm.rank() == 2) throw std::runtime_error("boom");
-      comm.barrier();  // others block; must be released
+      Message msg;
+      (void)comm.recv_status(2, 0, msg);  // others block; must be released
     });
     FAIL() << "expected RankError";
   } catch (const RankError& e) {
@@ -93,7 +103,8 @@ TEST(Runtime, ExceptionWhilePeersBlockedInRecv) {
   try {
     run(3, MachineModel::free(), [](Communicator& comm) {
       if (comm.rank() == 0) throw std::logic_error("fail");
-      (void)comm.recv(0, 1);  // would deadlock without abort
+      Message msg;
+      (void)comm.recv_status(0, 1, msg);  // would deadlock without abort
     });
     FAIL() << "expected RankError";
   } catch (const RankError& e) {
@@ -114,7 +125,8 @@ TEST(Runtime, ConcurrentFailuresAllJoinedLowestRankWins) {
       if (comm.rank() % 2 == 1) {
         throw std::runtime_error("fail-" + std::to_string(comm.rank()));
       }
-      (void)comm.recv(comm.rank() + 1, 0);
+      Message msg;
+      (void)comm.recv_status(comm.rank() + 1, 0, msg);
     });
     FAIL() << "expected RankError";
   } catch (const RankError& e) {
@@ -128,7 +140,7 @@ TEST(PointToPoint, PayloadAndMetadataDelivered) {
     if (comm.rank() == 0) {
       comm.send(1, 7, std::any(std::string("hello")), 5);
     } else {
-      Message m = comm.recv(0, 7);
+      Message m = recv_ok(comm, 0, 7);
       EXPECT_EQ(m.src, 0);
       EXPECT_EQ(m.tag, 7);
       EXPECT_EQ(m.bytes, 5u);
@@ -143,7 +155,7 @@ TEST(PointToPoint, FifoPerSourceAndTag) {
       for (int i = 0; i < 10; ++i) comm.send(1, 3, std::any(i), 4);
     } else {
       for (int i = 0; i < 10; ++i) {
-        EXPECT_EQ(comm.recv(0, 3).take<int>(), i);
+        EXPECT_EQ(recv_ok(comm, 0, 3).take<int>(), i);
       }
     }
   });
@@ -156,24 +168,8 @@ TEST(PointToPoint, TagSelectivity) {
       comm.send(1, 2, std::any(std::string("two")), 3);
     } else {
       // Receive tag 2 first even though tag 1 was sent first.
-      EXPECT_EQ(comm.recv(0, 2).take<std::string>(), "two");
-      EXPECT_EQ(comm.recv(0, 1).take<std::string>(), "one");
-    }
-  });
-}
-
-TEST(PointToPoint, PollDoesNotConsume) {
-  run(2, MachineModel::free(), [](Communicator& comm) {
-    if (comm.rank() == 0) {
-      comm.send(1, 5, std::any(42), 4);
-      comm.barrier();
-    } else {
-      comm.barrier();
-      EXPECT_TRUE(comm.poll(0, 5));
-      EXPECT_TRUE(comm.poll(0, 5));
-      EXPECT_FALSE(comm.poll(0, 6));
-      EXPECT_EQ(comm.recv(0, 5).take<int>(), 42);
-      EXPECT_FALSE(comm.poll(0, 5));
+      EXPECT_EQ(recv_ok(comm, 0, 2).take<std::string>(), "two");
+      EXPECT_EQ(recv_ok(comm, 0, 1).take<std::string>(), "one");
     }
   });
 }
@@ -187,7 +183,7 @@ TEST(VirtualTime, RecvAdvancesToArrival) {
       comm.clock().advance(10.0);
       comm.send(1, 0, std::any(0), 4);  // stamped at 10 + latency = 11
     } else {
-      (void)comm.recv(0, 0);
+      (void)recv_ok(comm, 0, 0);
       // arrival = 11 (stamp) + 1 (latency) + 4 * 0.5 (transfer) = 14.
       EXPECT_DOUBLE_EQ(comm.clock().now(), 14.0);
     }
@@ -202,7 +198,7 @@ TEST(VirtualTime, RecvNeverMovesClockBackwards) {
       comm.send(1, 0, std::any(0), 0);
     } else {
       comm.clock().advance(100.0);
-      (void)comm.recv(0, 0);
+      (void)recv_ok(comm, 0, 0);
       EXPECT_DOUBLE_EQ(comm.clock().now(), 100.0);
     }
   });
@@ -223,58 +219,6 @@ TEST(VirtualTime, ChargesScaleWithModel) {
   EXPECT_DOUBLE_EQ(r.makespan, 4.0 + 3.0 + 5.0 + 7.0);
 }
 
-TEST(Barrier, SynchronizesClocksToMax) {
-  MachineModel m = MachineModel::free();
-  const auto r = run(4, m, [](Communicator& comm) {
-    comm.clock().advance(static_cast<double>(comm.rank()));
-    comm.barrier();
-    EXPECT_DOUBLE_EQ(comm.clock().now(), 3.0);  // latency 0 in free model
-  });
-  for (double t : r.rank_times) EXPECT_DOUBLE_EQ(t, 3.0);
-}
-
-TEST(Barrier, LatencyTermApplied) {
-  MachineModel m = MachineModel::free();
-  m.latency = 1.0;
-  run(4, m, [](Communicator& comm) {
-    comm.barrier();
-    // 2 * latency * ceil(log2 4) = 4, plus the send-side... barrier only.
-    EXPECT_DOUBLE_EQ(comm.clock().now(), 4.0);
-  });
-}
-
-TEST(Barrier, ReusableAcrossGenerations) {
-  run(3, MachineModel::free(), [](Communicator& comm) {
-    for (int i = 0; i < 5; ++i) comm.barrier();
-  });
-}
-
-TEST(Broadcast, DeliversToAll) {
-  run(4, MachineModel::free(), [](Communicator& comm) {
-    std::any payload;
-    if (comm.rank() == 2) payload = std::string("family");
-    const std::any out = comm.broadcast(2, std::move(payload), 6);
-    EXPECT_EQ(std::any_cast<std::string>(out), "family");
-  });
-}
-
-TEST(Broadcast, TreeTimeModel) {
-  MachineModel m = MachineModel::free();
-  m.latency = 1.0;
-  run(8, m, [](Communicator& comm) {
-    (void)comm.broadcast(0, std::any(1), 0);
-    // depth = 3 rounds of latency 1.
-    EXPECT_DOUBLE_EQ(comm.clock().now(), 3.0);
-  });
-}
-
-TEST(AllreduceMax, AgreesEverywhere) {
-  run(5, MachineModel::free(), [](Communicator& comm) {
-    const double v = comm.allreduce_max(static_cast<double>(comm.rank() * 10));
-    EXPECT_DOUBLE_EQ(v, 40.0);
-  });
-}
-
 TEST(Counters, SummedAcrossRanks) {
   const auto r = run(4, MachineModel::free(), [](Communicator& comm) {
     comm.count("pairs", static_cast<std::uint64_t>(comm.rank()));
@@ -293,12 +237,12 @@ TEST(Runtime, MasterWorkerEchoPattern) {
     constexpr int kReq = 1, kRep = 2;
     if (comm.rank() == 0) {
       for (int w = 1; w < p; ++w) {
-        Message m = comm.recv(w, kReq);
+        Message m = recv_ok(comm, w, kReq);
         comm.send(w, kRep, std::any(m.take<int>() * 2), 4);
       }
     } else {
       comm.send(0, kReq, std::any(comm.rank()), 4);
-      EXPECT_EQ(comm.recv(0, kRep).take<int>(), comm.rank() * 2);
+      EXPECT_EQ(recv_ok(comm, 0, kRep).take<int>(), comm.rank() * 2);
     }
   });
   EXPECT_EQ(r.rank_times.size(), static_cast<std::size_t>(p));
@@ -307,104 +251,17 @@ TEST(Runtime, MasterWorkerEchoPattern) {
 TEST(Runtime, ManyRanksScale) {
   // 128 threads must start, exchange, and tear down cleanly.
   const auto r = run(128, MachineModel::free(), [](Communicator& comm) {
-    comm.barrier();
     if (comm.rank() != 0) {
       comm.send(0, 9, std::any(comm.rank()), 4);
     } else {
       std::int64_t sum = 0;
-      for (int w = 1; w < comm.size(); ++w) sum += comm.recv(w, 9).take<int>();
+      for (int w = 1; w < comm.size(); ++w) {
+        sum += recv_ok(comm, w, 9).take<int>();
+      }
       EXPECT_EQ(sum, 127 * 128 / 2);
     }
-    comm.barrier();
   });
   EXPECT_EQ(r.rank_times.size(), 128u);
-}
-
-}  // namespace
-}  // namespace pclust::mpsim
-
-namespace pclust::mpsim {
-namespace {
-
-TEST(AllreduceSum, AgreesEverywhere) {
-  run(6, MachineModel::free(), [](Communicator& comm) {
-    const double v = comm.allreduce_sum(static_cast<double>(comm.rank()));
-    EXPECT_DOUBLE_EQ(v, 15.0);
-  });
-}
-
-TEST(Gather, RootReceivesAllInRankOrder) {
-  run(5, MachineModel::free(), [](Communicator& comm) {
-    const auto out =
-        comm.gather(2, std::any(comm.rank() * 10), 4);
-    if (comm.rank() == 2) {
-      ASSERT_EQ(out.size(), 5u);
-      for (int r = 0; r < 5; ++r) {
-        EXPECT_EQ(std::any_cast<int>(out[static_cast<std::size_t>(r)]),
-                  r * 10);
-      }
-    } else {
-      EXPECT_TRUE(out.empty());
-    }
-  });
-}
-
-TEST(Gather, RootClockAdvancesToSlowest) {
-  MachineModel m = MachineModel::free();
-  run(3, m, [](Communicator& comm) {
-    comm.clock().advance(static_cast<double>(comm.rank()) * 5.0);
-    const auto out = comm.gather(0, std::any(1), 0);
-    if (comm.rank() == 0) {
-      EXPECT_GE(comm.clock().now(), 10.0);  // waited for rank 2
-      EXPECT_EQ(out.size(), 3u);
-    }
-  });
-}
-
-TEST(Scatter, EachRankGetsItsPayload) {
-  run(4, MachineModel::free(), [](Communicator& comm) {
-    std::vector<std::any> payloads;
-    if (comm.rank() == 1) {
-      for (int r = 0; r < 4; ++r) payloads.emplace_back(r + 100);
-    }
-    const std::any mine = comm.scatter(1, std::move(payloads), 4);
-    EXPECT_EQ(std::any_cast<int>(mine), comm.rank() + 100);
-  });
-}
-
-TEST(Scatter, WrongPayloadCountThrows) {
-  try {
-    run(3, MachineModel::free(), [](Communicator& comm) {
-      std::vector<std::any> payloads(2);  // needs 3
-      (void)comm.scatter(0, std::move(payloads), 1);
-    });
-    FAIL() << "expected RankError";
-  } catch (const RankError& err) {
-    EXPECT_EQ(err.rank(), 0);
-    try {
-      std::rethrow_if_nested(err);
-      FAIL() << "expected nested invalid_argument";
-    } catch (const std::invalid_argument&) {
-    }
-  }
-}
-
-TEST(Collectives, ComposeAcrossPhases) {
-  // gather -> root decision -> scatter -> allreduce, like a phase barrier
-  // with data. Exercises tag separation between collective kinds.
-  run(4, MachineModel::free(), [](Communicator& comm) {
-    const auto all = comm.gather(0, std::any(comm.rank() + 1), 4);
-    std::vector<std::any> doubled;
-    if (comm.rank() == 0) {
-      for (const auto& v : all) {
-        doubled.emplace_back(std::any_cast<int>(v) * 2);
-      }
-    }
-    const std::any mine = comm.scatter(0, std::move(doubled), 4);
-    const double total =
-        comm.allreduce_sum(static_cast<double>(std::any_cast<int>(mine)));
-    EXPECT_DOUBLE_EQ(total, 2.0 * (1 + 2 + 3 + 4));
-  });
 }
 
 }  // namespace

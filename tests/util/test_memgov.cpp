@@ -34,7 +34,6 @@ TEST_F(MemGovTest, UnbudgetedGovernorNeverDegrades) {
   EXPECT_EQ(governor().pressure(), 0.0);
   EXPECT_EQ(governor().recommend_grain(64), 64u);
   EXPECT_EQ(governor().recommend_batch(256), 256u);
-  EXPECT_FALSE(governor().should_stream("bgg"));
   EXPECT_FALSE(governor().should_spill("dsd"));
   EXPECT_FALSE(governor().hard_exceeded());
   EXPECT_NO_THROW(governor().check_phase_boundary("rr", false));
@@ -44,7 +43,7 @@ TEST_F(MemGovTest, UnbudgetedGovernorNeverDegrades) {
 TEST_F(MemGovTest, ConfigureResetsLedgerAndLog) {
   governor().configure(1000);
   governor().charge("a", 900);
-  (void)governor().should_stream("bgg");
+  (void)governor().should_spill("dsd");
   governor().configure(1000);
   EXPECT_EQ(governor().ledger(), 0u);
   EXPECT_EQ(governor().high_water(), 0u);
@@ -72,10 +71,8 @@ TEST_F(MemGovTest, ShrunkenGrainNeverDropsBelowFloor) {
 TEST_F(MemGovTest, StreamAndSpillLeversFireAtTheirThresholds) {
   governor().configure(1000);
   governor().charge("a", 400);  // pressure 0.4
-  EXPECT_FALSE(governor().should_stream("bgg"));
   EXPECT_FALSE(governor().should_spill("dsd"));
   governor().charge("b", 150);  // pressure 0.55
-  EXPECT_TRUE(governor().should_stream("bgg"));
   EXPECT_FALSE(governor().should_spill("dsd"));
   governor().charge("c", 200);  // pressure 0.75
   EXPECT_TRUE(governor().should_spill("dsd"));
@@ -84,18 +81,15 @@ TEST_F(MemGovTest, StreamAndSpillLeversFireAtTheirThresholds) {
 TEST_F(MemGovTest, LeversAreRecordedOncePerPhaseAndAction) {
   governor().configure(1000);
   governor().charge("a", 990);
-  (void)governor().should_stream("bgg");
-  (void)governor().should_stream("bgg");
+  (void)governor().should_spill("dsd");
   (void)governor().should_spill("dsd");
   (void)governor().recommend_grain(64);
   (void)governor().recommend_grain(64);
   const auto log = governor().degradation_log();
-  ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(log[0].phase, "bgg");
-  EXPECT_EQ(log[0].action, "stream");
-  EXPECT_EQ(log[1].phase, "dsd");
-  EXPECT_EQ(log[1].action, "spill");
-  EXPECT_EQ(log[2].action, "shrink-grain");
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].phase, "dsd");
+  EXPECT_EQ(log[0].action, "spill");
+  EXPECT_EQ(log[1].action, "shrink-grain");
 }
 
 TEST_F(MemGovTest, HardExceedTripsOnlyPastTwiceTheBudget) {
