@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "pclust/mpsim/masterworker.hpp"
 #include "pclust/pipeline/analysis.hpp"
 #include "pclust/util/json.hpp"
 
@@ -87,7 +86,6 @@ int main() {
         return 1;
       }
 
-      const mpsim::MwTopology topo{p, masters};
       std::vector<pipeline::RankSample> samples(
           static_cast<std::size_t>(p));
       for (int r = 0; r < p; ++r) {
@@ -96,7 +94,7 @@ int main() {
         s.busy = ccd.run.rank_breakdown[static_cast<std::size_t>(r)].busy;
         s.comm = ccd.run.rank_breakdown[static_cast<std::size_t>(r)].comm;
         s.idle = ccd.run.rank_breakdown[static_cast<std::size_t>(r)].idle;
-        s.level = topo.level_of(r);
+        s.level = ccd.run.rank_levels[static_cast<std::size_t>(r)];
       }
       const pipeline::PhaseAnalysis analysis =
           pipeline::analyze_phase("ccd", samples, {});

@@ -22,11 +22,13 @@ cmake --build build -j
 # provenance replay included), the master tree (root, sub-masters and
 # workers run on concurrent threads while the root applies), the B_d
 # graph build (a pooled run_serial run), the pooled Shingle passes and
-# suffix-index scans (their pooled code is the only code), and the
-# fault-injected simulator runtime (failure marks cross threads).
+# suffix-index scans (their pooled code is the only code), the simulated
+# DSD stage (its rank threads run the shared MwPhase protocol and share
+# the pool with the Shingle passes), and the fault-injected simulator
+# runtime (failure marks cross threads).
 cmake --preset tsan
 cmake --build build-tsan -j --target test_exec test_pace test_mpsim \
-  test_bigraph test_shingle test_suffix
+  test_bigraph test_shingle test_suffix test_pipeline
 (cd build-tsan
  ./tests/test_exec
  ./tests/test_pace \
@@ -34,6 +36,7 @@ cmake --build build-tsan -j --target test_exec test_pace test_mpsim \
  ./tests/test_bigraph --gtest_filter='Pools/BuildBdPool*'
  ./tests/test_shingle --gtest_filter='ParallelShingle*'
  ./tests/test_suffix --gtest_filter='Parallel*'
+ ./tests/test_pipeline --gtest_filter='ParallelDsd*'
  ./tests/test_mpsim)
 
 # Memory-error check. The suites that parse untrusted bytes (FASTA,
@@ -178,9 +181,12 @@ grep -q '"crashed_ranks":\[2' "$smoke/faulted.json" \
 
 # hierarchy: the two-level master tree must be a pure optimization. Flat,
 # hierarchical, and sub-master-crash runs produce bit-identical families;
-# the crash run's report records the healed sub-master; and a p=256 run
-# with a 4-wide sub-master tier clears the analyzer's master-saturation
-# verdict (the flat protocol's CCD bottleneck).
+# the crash run's report records the healed sub-master; a DSD stage too
+# narrow for the tree (3 ranks, masters=2) falls back to the flat protocol
+# and its report labels those ranks as they ran (one master, two
+# workers); and a p=256 run with a 4-wide sub-master tier clears the
+# analyzer's master-saturation verdict (the flat protocol's CCD
+# bottleneck).
 "$pclust" families "$smoke/in.fa" --processors 8 \
   --out "$smoke/flat.tsv" >/dev/null
 "$pclust" families "$smoke/in.fa" --processors 8 --masters 2 \
@@ -193,6 +199,17 @@ cmp "$smoke/flat.tsv" "$smoke/tree-crash.tsv"
 grep -q '"submasters_failed":1' "$smoke/tree-crash.json" \
   || { echo "crash report does not record the healed sub-master"; exit 1; }
 "$pclust" report-check "$smoke/tree-crash.json"
+"$pclust" families "$smoke/in.fa" --processors 8 --masters 2 \
+  --dsd-processors 3 --out "$smoke/fallback.tsv" \
+  --report-out "$smoke/fallback.json" >/dev/null
+cmp "$smoke/flat.tsv" "$smoke/fallback.tsv"
+"$pclust" report-check "$smoke/fallback.json"
+fallback_dsd=$(grep -o '"dsd":\[[^]]*\]' "$smoke/fallback.json")
+[ "$(grep -o '"level":"worker"' <<<"$fallback_dsd" | wc -l)" -eq 2 ] \
+  || { echo "fallback report does not name two DSD workers"; exit 1; }
+if grep -q '"level":"sub-master"' <<<"$fallback_dsd"; then
+  echo "fallback report labels a flat DSD rank as a sub-master"; exit 1
+fi
 "$pclust" families "$smoke/in.fa" --processors 256 --masters 4 \
   --out "$smoke/tree256.tsv" --report-out "$smoke/tree256.json" >/dev/null
 "$pclust" analyze "$smoke/tree256.json" --fail-on-saturation >/dev/null

@@ -49,8 +49,7 @@ struct BdParams {
 };
 
 struct BmParams {
-  std::uint32_t w = 10;                        // word length (paper: ~10)
-  std::uint32_t max_sequences_per_word = 0;    // low-complexity guard
+  std::uint32_t w = 10;  // word length (paper: ~10)
 };
 
 /// Build the global-similarity reduction B_d for one component: one

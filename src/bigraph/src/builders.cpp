@@ -12,14 +12,6 @@ namespace pclust::bigraph {
 
 namespace {
 
-std::unordered_map<seq::SeqId, std::uint32_t> dense_index(
-    const std::vector<seq::SeqId>& members) {
-  std::unordered_map<seq::SeqId, std::uint32_t> dense;
-  dense.reserve(members.size());
-  for (std::uint32_t i = 0; i < members.size(); ++i) dense[members[i]] = i;
-  return dense;
-}
-
 /// B_d's master policy: every distinct candidate pair needs its alignment
 /// (the engine's seen-set already drops repeats, and no transitive-closure
 /// filter applies), and each accepted overlap becomes the dense edges
@@ -27,7 +19,7 @@ std::unordered_map<seq::SeqId, std::uint32_t> dense_index(
 class BdMaster final : public pace::MasterPolicy {
  public:
   explicit BdMaster(const std::vector<seq::SeqId>& members)
-      : dense_(dense_index(members)) {}
+      : dense_(pace::dense_index(members)) {}
 
   bool needs_alignment(const pace::PairTask&) override { return true; }
 
@@ -87,12 +79,9 @@ ComponentGraph build_bm(const seq::SequenceSet& set,
   out.reduction = Reduction::kMatchBased;
   out.members = members;
 
-  const auto dense = dense_index(members);
+  const auto dense = pace::dense_index(members);
 
-  suffix::KmerIndex::Params kp;
-  kp.w = params.w;
-  kp.max_sequences_per_word = params.max_sequences_per_word;
-  const suffix::KmerIndex index(set, members, kp);
+  const suffix::KmerIndex index(set, members, {.w = params.w});
   util::record_memory(index.memory_usage(), "bgg");
 
   std::vector<Edge> edges;

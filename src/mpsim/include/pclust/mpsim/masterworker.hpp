@@ -1,7 +1,12 @@
 // Resilient master–worker protocol over the message-passing simulator.
 //
-// This is the self-healing engine factored out of the PaCE phases (PR 2) so
-// every simulated phase — RR, CCD, and now BGG+DSD — shares one protocol:
+// PaCE's RR and CCD (paper §IV-B) and the batched Shingle stage (§V) run
+// one protocol, and this header is the only code that knows its rank
+// layout: each rank's role and level (MwTopology), and which worker owns
+// which generation stream (MwTopology::assign_lpt). A phase hands its
+// MwRoles hooks to MwPhase, the only way a phase runs the protocol, which
+// checks the topology and the fault plan and runs each rank in its role
+// through run_phase.
 //
 //   - Workers own deterministic GENERATION STREAMS (a pure function of a
 //     shared read-only index), submit tasks in rounds, and evaluate the
@@ -57,6 +62,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -65,6 +71,7 @@
 
 #include "pclust/mpsim/communicator.hpp"
 #include "pclust/mpsim/fault_plan.hpp"
+#include "pclust/mpsim/runtime.hpp"
 #include "pclust/util/metrics.hpp"
 #include "pclust/util/telemetry.hpp"
 #include "pclust/util/trace.hpp"
@@ -105,12 +112,6 @@ struct MwTopology {
   /// Worker ranks homed on master rank @p m, ascending.
   [[nodiscard]] std::vector<int> workers_of(int m) const {
     std::vector<int> out;
-    if (!hierarchical()) {
-      if (m == 0) {
-        for (int w = 1; w < p; ++w) out.push_back(w);
-      }
-      return out;
-    }
     for (int w = first_worker(); w < p; ++w) {
       if (submaster_of(w) == m) out.push_back(w);
     }
@@ -123,14 +124,26 @@ struct MwTopology {
     if (rank == 0) return "root";
     return rank <= masters ? "sub-master" : "worker";
   }
-  /// Throws std::invalid_argument, prefixed with @p caller, when a tree
-  /// leaves no worker rank (p < masters + 2).
-  void require_worker(const std::string& caller) const {
-    if (!hierarchical() || p >= masters + 2) return;
-    throw std::invalid_argument(
-        caller + ": p=" + std::to_string(p) + " is too small for masters=" +
-        std::to_string(masters) +
-        "; need p >= masters + 2 so at least one worker exists");
+  /// Longest-processing-time split of weighted items (a phase's stream
+  /// shares) over the worker ranks: items in decreasing weight, ties by
+  /// index, each to the least-loaded worker, the lowest rank on ties.
+  /// Returns each item's owner rank; needs a worker rank.
+  [[nodiscard]] std::vector<int> assign_lpt(
+      const std::vector<std::uint64_t>& weights) const {
+    std::vector<std::size_t> order(weights.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](auto x, auto y) {
+      return weights[x] > weights[y];
+    });
+    std::vector<std::uint64_t> load(static_cast<std::size_t>(worker_count()));
+    std::vector<int> owner(weights.size());
+    for (const std::size_t i : order) {
+      const auto w = static_cast<std::size_t>(
+          std::min_element(load.begin(), load.end()) - load.begin());
+      owner[i] = first_worker() + static_cast<int>(w);
+      load[w] += weights[i];
+    }
+    return owner;
   }
 };
 
@@ -163,8 +176,7 @@ struct MwOptions {
   /// Wire-size estimates for the virtual clock (bytes per element).
   std::uint64_t task_bytes = 16;
   std::uint64_t verdict_bytes = 8;
-  std::uint64_t event_bytes = 16;   // sub-master -> root union event
-  std::uint64_t header_bytes = 25;  // seq + stream ids + flags
+  std::uint64_t event_bytes = 16;  // sub-master -> root union event
 };
 
 /// Thrown by the master when MwOptions::deadline_seconds expires; the
@@ -243,6 +255,10 @@ constexpr int kMwTagWork = 2;
 constexpr int kMwTagBatch = 3;    // sub-master -> root, one per round
 constexpr int kMwTagControl = 4;  // root -> sub-master reply
 constexpr int kMwTagRehome = 5;   // root -> orphaned worker
+
+/// Wire size of every protocol message's header, bytes: seq + stream ids +
+/// flags.
+constexpr std::uint64_t kMwHeaderBytes = 25;
 
 /// A generation stream a worker must (re)play after its original owner
 /// died: origin's stream starting at task index @p from (the master's
@@ -358,6 +374,23 @@ struct MwWatch {
   std::chrono::steady_clock::time_point start;
 };
 
+/// One protocol event, counted by one add() on the rank (RunResult::
+/// counters, key `name`) and in the registry (<metrics_prefix>.<name>).
+/// Construction registers the key, so fault-free reports list it at zero.
+struct MwEvent {
+  MwEvent(const MwOptions& opt, std::string key)
+      : name(std::move(key)),
+        metric(util::metrics().counter(opt.metrics_prefix + "." + name)) {}
+  /// Counts @p n occurrences on @p comm's rank; returns @p n.
+  std::uint64_t add(Communicator& comm, std::uint64_t n = 1) const {
+    comm.count(name, n);
+    metric.add(n);
+    return n;
+  }
+  std::string name;
+  util::Counter& metric;
+};
+
 /// Receive the next fresh message on link (src, tag). A duplicated
 /// delivery replays a seq <= @p last_seq and is skipped: the fresh copy
 /// (or the failure mark) is guaranteed to follow. With a @p watch whose
@@ -436,16 +469,11 @@ class MwMasterEngine {
         ws_(static_cast<std::size_t>(comm.size())),
         received_(static_cast<std::size_t>(comm.size()), 0),
         workers_(std::move(workers)),
-        metric_requeued_(
-            util::metrics().counter(opt.metrics_prefix + ".pairs_requeued")),
-        metric_adopted_(
-            util::metrics().counter(opt.metrics_prefix + ".streams_adopted")),
-        metric_surrendered_(util::metrics().counter(opt.metrics_prefix +
-                                                    ".streams_surrendered")),
-        metric_failed_(
-            util::metrics().counter(opt.metrics_prefix + ".workers_failed")),
-        metric_timed_out_(util::metrics().counter(opt.metrics_prefix +
-                                                  ".workers_timed_out")),
+        ev_requeued_(opt, "pairs_requeued"),
+        ev_adopted_(opt, "streams_adopted"),
+        ev_surrendered_(opt, "streams_surrendered"),
+        ev_failed_(opt, "workers_failed"),
+        ev_timed_out_(opt, "workers_timed_out"),
         queue_depth_(
             util::metrics().gauge(opt.metrics_prefix + ".master.queue_depth")),
         batch_sizes_(
@@ -514,7 +542,7 @@ class MwMasterEngine {
       }
       stats_.dispatched += work.tasks.size();
       const std::uint64_t bytes =
-          work.tasks.size() * opt_.task_bytes + opt_.header_bytes;
+          work.tasks.size() * opt_.task_bytes + kMwHeaderBytes;
       comm_.send(w, kMwTagWork, std::any(std::move(work)), bytes);
     }
   }
@@ -557,8 +585,7 @@ class MwMasterEngine {
     if (target < 0) {
       if (!surrender_) throw all_dead_error();
       surrendered_.push_back(MwStreamAssign{origin, 0});
-      comm_.count("streams_surrendered");
-      metric_surrendered_.add(1);
+      ev_surrendered_.add(comm_);
       comm_.note(opt_.phase + ": stream of rank " + std::to_string(origin) +
                  " surrendered to the root (no surviving worker in this "
                  "shard) at vt=" +
@@ -570,8 +597,7 @@ class MwMasterEngine {
     t.streams.push_back(origin);
     t.adopt.push_back(MwStreamAssign{origin, from});
     t.exhausted = false;  // new tasks are (potentially) coming
-    comm_.count("streams_adopted");
-    metric_adopted_.add(1);
+    ev_adopted_.add(comm_);
     comm_.note(opt_.phase + ": stream of rank " + std::to_string(origin) +
                " adopted by rank " + std::to_string(target) + " at vt=" +
                std::to_string(comm_.clock().now()) + "s");
@@ -615,8 +641,7 @@ class MwMasterEngine {
   // task) back to the root.
   void reassign(int dead) {
     WorkerState& d = ws_[static_cast<std::size_t>(dead)];
-    comm_.count("pairs_requeued", d.outstanding.size());
-    metric_requeued_.add(d.outstanding.size());
+    ev_requeued_.add(comm_, d.outstanding.size());
     for (auto it = d.outstanding.rbegin(); it != d.outstanding.rend(); ++it) {
       pending_.push_front(*it);
     }
@@ -653,17 +678,15 @@ class MwMasterEngine {
         bye.seq = ++state.work_seq;
         bye.done = true;
         comm_.send(w, kMwTagWork, std::any(std::move(bye)),
-                   opt_.header_bytes);
-        comm_.count("workers_timed_out");
-        metric_timed_out_.add(1);
+                   kMwHeaderBytes);
+        ev_timed_out_.add(comm_);
         comm_.note(opt_.phase + ": worker rank " + std::to_string(w) +
                    " declared dead after heartbeat timeout on link " +
                    std::to_string(comm_.rank()) + "<-" + std::to_string(w) +
                    " (vt=" + std::to_string(comm_.clock().now()) + "s)");
         mw_trace_event(comm_, "worker_timed_out", "heal");
       } else {
-        comm_.count("workers_failed");
-        metric_failed_.add(1);
+        ev_failed_.add(comm_);
         comm_.note(opt_.phase + ": worker rank " + std::to_string(w) +
                    " failed; requeueing " +
                    std::to_string(state.outstanding.size()) +
@@ -734,11 +757,11 @@ class MwMasterEngine {
   MwMasterStats stats_;
   std::vector<int> workers_lost_;
   std::vector<MwStreamAssign> surrendered_;
-  util::Counter& metric_requeued_;
-  util::Counter& metric_adopted_;
-  util::Counter& metric_surrendered_;
-  util::Counter& metric_failed_;
-  util::Counter& metric_timed_out_;
+  MwEvent ev_requeued_;
+  MwEvent ev_adopted_;
+  MwEvent ev_surrendered_;
+  MwEvent ev_failed_;
+  MwEvent ev_timed_out_;
   util::Gauge& queue_depth_;
   util::SizeHistogram& batch_sizes_;
   util::SizeHistogram& round_trips_;
@@ -754,12 +777,9 @@ class MwMasterEngine {
 template <typename Task, typename Verdict>
 MwMasterStats mw_master_loop(Communicator& comm, const MwOptions& opt,
                              const MwMaster<Task, Verdict>& hooks) {
-  std::vector<int> workers;
-  workers.reserve(static_cast<std::size_t>(comm.size() - 1));
-  for (int w = 1; w < comm.size(); ++w) workers.push_back(w);
   detail::MwMasterEngine<Task, Verdict> engine(
-      comm, opt, std::move(workers), /*surrender=*/false, hooks.admit,
-      hooks.apply);
+      comm, opt, MwTopology{comm.size(), 1}.workers_of(0),
+      /*surrender=*/false, hooks.admit, hooks.apply);
   bool done = false;
   while (!done) {
     engine.check_deadline();
@@ -780,8 +800,7 @@ MwMasterStats mw_submaster_loop(Communicator& comm, const MwOptions& opt,
                                 const MwShard<Task, Verdict>& hooks) {
   using BatchMsg = detail::MwBatchMsg<Verdict>;
   using ControlMsg = detail::MwControlMsg<Verdict>;
-  auto& metric_forwarded =
-      util::metrics().counter(opt.metrics_prefix + ".events_forwarded");
+  const detail::MwEvent forwarded(opt, "events_forwarded");
   std::vector<Verdict> outbox;
   detail::MwMasterEngine<Task, Verdict> engine(
       comm, opt, topo.workers_of(comm.rank()), /*surrender=*/true,
@@ -803,10 +822,9 @@ MwMasterStats mw_submaster_loop(Communicator& comm, const MwOptions& opt,
     batch.busy = comm.busy_time();
     batch.comm = comm.comm_time();
     batch.idle = comm.idle_time();
-    comm.count("events_forwarded", batch.events.size());
-    metric_forwarded.add(batch.events.size());
+    forwarded.add(comm, batch.events.size());
     const std::uint64_t up_bytes =
-        batch.events.size() * opt.event_bytes + opt.header_bytes;
+        batch.events.size() * opt.event_bytes + detail::kMwHeaderBytes;
     comm.send(0, detail::kMwTagBatch, std::any(std::move(batch)), up_bytes);
 
     ControlMsg ctl;
@@ -876,18 +894,12 @@ MwRootStats mw_root_loop(Communicator& comm, const MwOptions& opt,
       static_cast<std::size_t>(comm.size()), 0);
 
   MwRootStats stats;
-  auto& metric_applied =
-      util::metrics().counter(opt.metrics_prefix + ".events_applied");
-  auto& metric_synced =
-      util::metrics().counter(opt.metrics_prefix + ".events_synced");
-  auto& metric_sm_failed =
-      util::metrics().counter(opt.metrics_prefix + ".submasters_failed");
-  auto& metric_sm_timed_out =
-      util::metrics().counter(opt.metrics_prefix + ".submasters_timed_out");
-  auto& metric_rehomed =
-      util::metrics().counter(opt.metrics_prefix + ".workers_rehomed");
-  auto& metric_rerouted =
-      util::metrics().counter(opt.metrics_prefix + ".streams_rerouted");
+  const detail::MwEvent applied(opt, "events_applied");
+  const detail::MwEvent synced(opt, "events_synced");
+  const detail::MwEvent sm_failed(opt, "submasters_failed");
+  const detail::MwEvent sm_timed_out(opt, "submasters_timed_out");
+  const detail::MwEvent rehomed(opt, "workers_rehomed");
+  const detail::MwEvent rerouted(opt, "streams_rerouted");
   const detail::MwWatch watch(opt);
 
   // Deterministic round-robin cursors over live shards; stream reroutes
@@ -920,9 +932,7 @@ MwRootStats mw_root_loop(Communicator& comm, const MwOptions& opt,
     // had queued or outstanding.
     target.grant_streams.push_back(detail::MwStreamAssign{origin, 0});
     target.origins.push_back(origin);
-    ++stats.streams_rerouted;
-    comm.count("streams_rerouted");
-    metric_rerouted.add(1);
+    stats.streams_rerouted += rerouted.add(comm);
     comm.note(opt.phase + ": stream of rank " + std::to_string(origin) +
               " rerouted to sub-master rank " + std::to_string(t) +
               " for full replay (vt=" + std::to_string(comm.clock().now()) +
@@ -943,10 +953,8 @@ MwRootStats mw_root_loop(Communicator& comm, const MwOptions& opt,
       bye.seq = ++sh.control_seq;
       bye.done = true;
       comm.send(s, detail::kMwTagControl, std::any(std::move(bye)),
-                opt.header_bytes);
-      ++stats.submasters_timed_out;
-      comm.count("submasters_timed_out");
-      metric_sm_timed_out.add(1);
+                detail::kMwHeaderBytes);
+      stats.submasters_timed_out += sm_timed_out.add(comm);
       comm.note(opt.phase + ": sub-master rank " + std::to_string(s) +
                 " declared dead after heartbeat timeout on link 0<-" +
                 std::to_string(s) + "; releasing its " +
@@ -955,9 +963,7 @@ MwRootStats mw_root_loop(Communicator& comm, const MwOptions& opt,
                 " streams (vt=" + std::to_string(comm.clock().now()) + "s)");
       detail::mw_trace_event(comm, "submaster_timed_out", "heal");
     } else {
-      ++stats.submasters_failed;
-      comm.count("submasters_failed");
-      metric_sm_failed.add(1);
+      stats.submasters_failed += sm_failed.add(comm);
       comm.note(opt.phase + ": sub-master rank " + std::to_string(s) +
                 " failed; re-homing " + std::to_string(sh.members.size()) +
                 " orphan workers, rerouting " +
@@ -978,13 +984,12 @@ MwRootStats mw_root_loop(Communicator& comm, const MwOptions& opt,
         detail::MwRehomeMsg go;
         go.seq = ++rehome_seq[static_cast<std::size_t>(w)];
         go.new_master = t;
-        comm.send(w, detail::kMwTagRehome, std::any(go), opt.header_bytes);
+        comm.send(w, detail::kMwTagRehome, std::any(go),
+                  detail::kMwHeaderBytes);
         Shard& target = shards[static_cast<std::size_t>(t)];
         target.grant_workers.push_back(w);
         target.members.push_back(w);
-        ++stats.workers_rehomed;
-        comm.count("workers_rehomed");
-        metric_rehomed.add(1);
+        stats.workers_rehomed += rehomed.add(comm);
         comm.note(opt.phase + ": orphan worker rank " + std::to_string(w) +
                   " re-homed to sub-master rank " + std::to_string(t) +
                   " (vt=" + std::to_string(comm.clock().now()) + "s)");
@@ -1022,9 +1027,7 @@ MwRootStats mw_root_loop(Communicator& comm, const MwOptions& opt,
         comm.charge_finds(1);
         hooks.apply(v);
         log.push_back(LogEntry{v, s});
-        ++stats.events_applied;
-        comm.count("events_applied");
-        metric_applied.add(1);
+        stats.events_applied += applied.add(comm);
       }
       if (!batch.events.empty()) {
         util::telemetry::progress_merges(batch.events.size());
@@ -1073,14 +1076,12 @@ MwRootStats mw_root_loop(Communicator& comm, const MwOptions& opt,
           ctl.sync.push_back(log[i].event);
         }
         sh.sync_mark = log.size();
-        stats.events_synced += ctl.sync.size();
-        comm.count("events_synced", ctl.sync.size());
-        metric_synced.add(ctl.sync.size());
+        stats.events_synced += synced.add(comm, ctl.sync.size());
       }
       const std::uint64_t down_bytes =
           ctl.sync.size() * opt.event_bytes +
           ctl.adopt_streams.size() * 12 + ctl.adopt_workers.size() * 4 +
-          opt.header_bytes;
+          detail::kMwHeaderBytes;
       comm.send(s, detail::kMwTagControl, std::any(std::move(ctl)),
                 down_bytes);
     }
@@ -1201,7 +1202,7 @@ void mw_worker_loop(Communicator& comm, const MwOptions& opt,
       round.idle = comm.idle_time();
       const std::uint64_t bytes = round.tasks.size() * opt.task_bytes +
                                   round.verdicts.size() * opt.verdict_bytes +
-                                  opt.header_bytes;
+                                  detail::kMwHeaderBytes;
       comm.send(master, detail::kMwTagRound, std::any(std::move(round)),
                 bytes);
     }
@@ -1225,5 +1226,79 @@ void mw_worker_loop(Communicator& comm, const MwOptions& opt,
     hooks.evaluate(comm, work.tasks, verdicts);
   }
 }
+
+/// A phase's role hooks for MwPhase::run: a flat run calls master and
+/// worker, a tree root, shard and worker. Each factory runs once on its
+/// rank's thread, so per-rank state (a seen set, a shard replica, a worker
+/// policy) lives in the hooks it returns.
+template <typename Task, typename Verdict>
+struct MwRoles {
+  std::function<MwMaster<Task, Verdict>()> master;
+  std::function<MwRoot<Verdict>()> root;
+  std::function<MwShard<Task, Verdict>()> shard;
+  std::function<MwWorker<Task, Verdict>()> worker;
+  /// Optional: the flat master's or a sub-master's stats, on its rank.
+  std::function<void(Communicator&, const MwMasterStats&)> master_done;
+};
+
+/// Runs one protocol phase on p simulated ranks: rank 0 is the flat
+/// master or the tree's root, ranks 1..masters a tree's sub-masters, the
+/// rest workers.
+class MwPhase {
+ public:
+  /// Checks the layout before anything is built. Throws
+  /// std::invalid_argument prefixed with @p caller when no worker rank
+  /// exists (p < 2, or p < masters + 2 in a tree), and, via
+  /// FaultPlan::validate_protocol, for a plan crashing rank 0, every
+  /// sub-master or every worker.
+  MwPhase(const std::string& caller, MwOptions opt, int p,
+          const FaultPlan* plan)
+      : opt_(std::move(opt)), topo_{p, std::max(1, opt_.masters)},
+        plan_(plan) {
+    opt_.masters = topo_.masters;
+    if (topo_.worker_count() < 1) {
+      throw std::invalid_argument(
+          caller + ": p=" + std::to_string(p) + " is too small for masters=" +
+          std::to_string(topo_.masters) +
+          "; need p >= 2, and p >= masters + 2 in a tree");
+    }
+    if (plan_) plan_->validate_protocol(p, opt_.masters);
+  }
+
+  [[nodiscard]] bool hierarchical() const { return topo_.hierarchical(); }
+
+  /// Owner worker rank of each weighted item (MwTopology::assign_lpt).
+  [[nodiscard]] std::vector<int> assign(
+      const std::vector<std::uint64_t>& weights) const {
+    return topo_.assign_lpt(weights);
+  }
+
+  /// Runs each rank in its role under the plan, through run_phase with
+  /// the topology's levels.
+  template <typename Task, typename Verdict>
+  RunResult run(const MachineModel& model,
+                const MwRoles<Task, Verdict>& roles) const {
+    const auto rank_fn = [&](Communicator& comm) {
+      const int r = comm.rank();
+      if (topo_.is_worker(r)) {
+        mw_worker_loop(comm, opt_, roles.worker());
+      } else if (r == 0 && topo_.hierarchical()) {
+        mw_root_loop(comm, opt_, topo_, roles.root());
+      } else {
+        const MwMasterStats stats =
+            r == 0 ? mw_master_loop(comm, opt_, roles.master())
+                   : mw_submaster_loop(comm, opt_, topo_, roles.shard());
+        if (roles.master_done) roles.master_done(comm, stats);
+      }
+    };
+    return run_phase(opt_.phase, topo_.p, model, plan_, rank_fn,
+                     [this](int r) { return std::string(topo_.level_of(r)); });
+  }
+
+ private:
+  MwOptions opt_;
+  MwTopology topo_;
+  const FaultPlan* plan_;
+};
 
 }  // namespace pclust::mpsim

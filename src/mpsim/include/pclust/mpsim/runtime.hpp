@@ -66,6 +66,9 @@ struct RunResult {
   std::vector<double> rank_times;
   /// Busy/comm/idle decomposition of rank_times, same indexing.
   std::vector<RankBreakdown> rank_breakdown;
+  /// Topology level of each rank, same indexing ("" for every rank of a
+  /// run without level attribution): reports label ranks from here.
+  std::vector<std::string> rank_levels;
   /// max(rank_times): the simulated parallel run-time of the phase.
   double makespan = 0.0;
   /// Per-rank counters summed over all ranks.
@@ -110,9 +113,14 @@ RunResult run_phase(const std::string& phase, int p,
                     const std::function<void(Communicator&)>& fn);
 
 /// Level-attributed variant: @p level_of maps a rank to its topology level
-/// ("root"/"sub-master"/"worker", or "master"/"worker" flat). Any RankError
-/// and every planned-crash fault event then name the level alongside the
-/// rank, so a sub-master failure reads as such in errors and reports.
+/// ("root"/"sub-master"/"worker", or "master"/"worker" flat). The result
+/// records the levels (RunResult::rank_levels); any RankError and every
+/// planned-crash fault event name the level alongside the rank. With
+/// tracing on the run draws its timeline: it opens process "sim:<phase>"
+/// (protocol code emits onto trace::current_pid()), names lane r
+/// "<level>" for rank 0 and "<level>-<r>" otherwise, adds one "rank" (or
+/// "rank(crashed)") lifetime span per rank after the run, and sets the
+/// current pid back to 0. A run that throws draws nothing after the run.
 RunResult run_phase(const std::string& phase, int p,
                     const MachineModel& model, const FaultPlan* plan,
                     const std::function<void(Communicator&)>& fn,

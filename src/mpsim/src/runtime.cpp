@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "pclust/util/trace.hpp"
 #include "transport.hpp"
 
 namespace pclust::mpsim {
@@ -20,6 +21,19 @@ RunResult run_impl(int p, const MachineModel& model, const FaultPlan* plan,
                    const std::function<std::string(int)>& level_of = {}) {
   if (p < 1) throw std::invalid_argument("mpsim::run: p must be >= 1");
   if (plan) plan->validate(p);
+  std::vector<std::string> levels(static_cast<std::size_t>(p));
+  const auto level = [&levels](int r) -> std::string& {
+    return levels[static_cast<std::size_t>(r)];
+  };
+  for (int r = 0; level_of && r < p; ++r) level(r) = level_of(r);
+
+  // A level-attributed phase draws its own timeline (see run_phase).
+  const bool draw = level_of && util::trace::enabled();
+  const int pid = draw ? util::trace::begin_process("sim:" + phase) : 0;
+  for (int r = 0; draw && r < p; ++r) {
+    util::trace::name_thread(
+        pid, r, r == 0 ? level(r) : level(r) + "-" + std::to_string(r));
+  }
 
   Transport transport(p, plan);
   std::vector<std::unique_ptr<Communicator>> comms;
@@ -62,9 +76,6 @@ RunResult run_impl(int p, const MachineModel& model, const FaultPlan* plan,
   const auto rank_vtime = [&](int r) {
     return comms[static_cast<std::size_t>(r)]->clock().now();
   };
-  const auto rank_level = [&](int r) {
-    return level_of ? level_of(r) : std::string();
-  };
   int aborted_rank = -1;
   for (int r = 0; r < p; ++r) {
     const auto& e = errors[static_cast<std::size_t>(r)];
@@ -75,10 +86,10 @@ RunResult run_impl(int p, const MachineModel& model, const FaultPlan* plan,
       if (aborted_rank < 0) aborted_rank = r;
     } catch (const std::exception& ex) {
       std::throw_with_nested(
-          RankError(r, ex.what(), phase, rank_vtime(r), rank_level(r)));
+          RankError(r, ex.what(), phase, rank_vtime(r), level(r)));
     } catch (...) {
       std::throw_with_nested(RankError(r, "unknown exception", phase,
-                                       rank_vtime(r), rank_level(r)));
+                                       rank_vtime(r), level(r)));
     }
   }
   if (aborted_rank >= 0) {
@@ -87,7 +98,7 @@ RunResult run_impl(int p, const MachineModel& model, const FaultPlan* plan,
     } catch (const std::exception& ex) {
       std::throw_with_nested(RankError(aborted_rank, ex.what(), phase,
                                        rank_vtime(aborted_rank),
-                                       rank_level(aborted_rank)));
+                                       level(aborted_rank)));
     }
   }
 
@@ -107,9 +118,8 @@ RunResult run_impl(int p, const MachineModel& model, const FaultPlan* plan,
     }
   }
   for (const int r : result.crashed_ranks) {
-    const std::string level = rank_level(r);
     result.fault_events.push_back(
-        (level.empty() ? std::string() : level + " ") + "rank " +
+        (level(r).empty() ? std::string() : level(r) + " ") + "rank " +
         std::to_string(r) + " crashed at vt=" +
         std::to_string(result.rank_times[static_cast<std::size_t>(r)]) +
         "s (planned fault)");
@@ -119,6 +129,15 @@ RunResult run_impl(int p, const MachineModel& model, const FaultPlan* plan,
       result.fault_events.push_back(event);
     }
   }
+  for (int r = 0; draw && r < p; ++r) {
+    const bool died = std::binary_search(result.crashed_ranks.begin(),
+                                         result.crashed_ranks.end(), r);
+    util::trace::complete(
+        pid, r, died ? "rank(crashed)" : "rank", "sim", 0.0,
+        result.rank_times[static_cast<std::size_t>(r)] * 1e6);
+  }
+  if (draw) util::trace::set_current_pid(0);
+  result.rank_levels = std::move(levels);
   return result;
 }
 

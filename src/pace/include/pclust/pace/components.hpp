@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <unordered_map>
 #include <vector>
 
 #include "pclust/mpsim/runtime.hpp"
@@ -20,6 +21,11 @@
 #include "pclust/seq/sequence_set.hpp"
 
 namespace pclust::pace {
+
+/// Position of each id in @p ids: the dense node index by which CCD's
+/// union–find and the B_d and B_m graphs number their members.
+std::unordered_map<seq::SeqId, std::uint32_t> dense_index(
+    const std::vector<seq::SeqId>& ids);
 
 /// The CCD worker: one Definition-2 overlap alignment per pair, banded on
 /// the pair's maximal-match diagonal when params.band > 0, scored through

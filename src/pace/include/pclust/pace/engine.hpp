@@ -58,6 +58,10 @@ namespace pclust::exec {
 class Pool;
 }
 
+namespace pclust::mpsim {
+struct MwOptions;
+}
+
 namespace pclust::pace {
 
 /// One promising pair: a shared maximal match of length >= ψ.
@@ -183,6 +187,10 @@ struct EngineCounters {
 /// make_shard(), plans may crash sub-masters (the root heals them by event
 /// log replay + orphan re-homing), and the final master-policy state is
 /// still bit-identical to the flat fault-free run.
+/// The rank layout is mpsim::MwPhase's: it rejects a topology or plan it
+/// cannot run before the shared index is built, splits the index's
+/// buckets over the worker streams, and records each rank's level in the
+/// returned RunResult; this function supplies the pace hooks.
 mpsim::RunResult run_parallel(
     const seq::SequenceSet& set, const std::vector<seq::SeqId>& ids, int p,
     const mpsim::MachineModel& model, const PaceParams& params,
@@ -239,6 +247,12 @@ EngineCounters run_serial(const seq::SequenceSet& set,
                           WorkerPolicy& worker_policy,
                           exec::Pool* pool = nullptr,
                           const SerialHooks* hooks = nullptr);
+
+/// Protocol options of a PaCE phase: label, "pace." metric prefix, wire
+/// sizes, and @p params' masters, batching and liveness settings. The
+/// simulated DSD stage starts from these too (include
+/// pclust/mpsim/masterworker.hpp for the complete type).
+mpsim::MwOptions protocol_options(const PaceParams& params);
 
 /// Fold one phase's counters into the registry's `pace.*` counters. These
 /// back the report's alignment-work identity: promising == aligned +

@@ -15,9 +15,6 @@
 
 namespace pclust::pace {
 
-namespace {
-
-/// Dense union–find index of each id in @p ids.
 std::unordered_map<seq::SeqId, std::uint32_t> dense_index(
     const std::vector<seq::SeqId>& ids) {
   std::unordered_map<seq::SeqId, std::uint32_t> dense;
@@ -25,6 +22,8 @@ std::unordered_map<seq::SeqId, std::uint32_t> dense_index(
   for (std::uint32_t i = 0; i < ids.size(); ++i) dense[ids[i]] = i;
   return dense;
 }
+
+namespace {
 
 /// One sub-master's replica of the CCD state: its own union–find over the
 /// same dense id universe, fed by the shard's verdicts plus the root's

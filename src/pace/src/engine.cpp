@@ -34,28 +34,6 @@ namespace {
 // ledger is requested, and virtual time must not depend on that choice.
 constexpr std::uint64_t kPairBytes = 20;
 constexpr std::uint64_t kVerdictBytes = 9;
-constexpr std::uint64_t kHeaderBytes = 25;  // seq + stream ids + flags
-
-/// The PaCE phases run on the shared resilient master–worker protocol
-/// (mpsim/masterworker.hpp); these options keep the PR-2 wire sizes and
-/// the "pace."-prefixed metric keys.
-mpsim::MwOptions mw_options(const PaceParams& params) {
-  mpsim::MwOptions opt;
-  opt.phase = params.phase_label ? params.phase_label : "pace";
-  opt.metrics_prefix = "pace";
-  opt.masters = std::max(1, params.masters);
-  opt.batch_size = params.batch_size;
-  opt.generation_batches = params.generation_batches;
-  opt.heartbeat_timeout = params.heartbeat_timeout;
-  opt.heartbeat_retries = params.heartbeat_retries;
-  opt.heartbeat_max_timeout = params.heartbeat_max_timeout;
-  opt.deadline_seconds = params.phase_deadline;
-  opt.task_bytes = kPairBytes;
-  opt.verdict_bytes = kVerdictBytes;
-  opt.event_bytes = kVerdictBytes;  // forwarded union events ARE verdicts
-  opt.header_bytes = kHeaderBytes;
-  return opt;
-}
 
 /// Index structures shared (read-only) by all ranks.
 struct SharedIndex {
@@ -63,14 +41,16 @@ struct SharedIndex {
   std::vector<std::int32_t> sa;
   std::vector<std::int32_t> lcp;
   std::vector<suffix::MaximalMatchEnumerator::Bucket> buckets;
-  std::vector<int> bucket_owner;  // owning worker rank per bucket
+  std::vector<int> bucket_owner;  // owning generation stream per bucket
 
-  /// @p first_worker is the lowest worker rank (1 flat, masters+1 in the
-  /// hierarchical tree); the @p workers worker ranks are consecutive from
-  /// there.
+  /// The stream that owns every bucket without a protocol phase.
+  static constexpr int kSerialStream = 1;
+
+  /// @p phase splits the buckets across its worker ranks by weight;
+  /// without one (run_serial), kSerialStream owns them all.
   SharedIndex(const seq::SequenceSet& set, const std::vector<seq::SeqId>& ids,
-              const PaceParams& params, int workers,
-              exec::Pool* pool = nullptr, int first_worker = 1)
+              const PaceParams& params, exec::Pool* pool,
+              const mpsim::MwPhase* phase = nullptr)
       : text(set, ids), mp(match_params(params)),
         lanes_(exec::or_serial(pool)) {
     if (params.bucket_prefix > params.psi) {
@@ -85,24 +65,13 @@ struct SharedIndex {
     const suffix::MaximalMatchEnumerator enumerator(text, sa, lcp, mp);
     buckets = enumerator.prefix_buckets(params.bucket_prefix, lanes_);
 
-    // Longest-processing-time assignment of buckets to workers.
-    bucket_owner.assign(buckets.size(), first_worker);
-    if (workers > 1) {
-      std::vector<std::size_t> order(buckets.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-        if (buckets[x].weight != buckets[y].weight) {
-          return buckets[x].weight > buckets[y].weight;
-        }
-        return x < y;
-      });
-      std::vector<std::uint64_t> load(static_cast<std::size_t>(workers), 0);
-      for (std::size_t i : order) {
-        const auto w = static_cast<std::size_t>(
-            std::min_element(load.begin(), load.end()) - load.begin());
-        bucket_owner[i] = static_cast<int>(w) + first_worker;
-        load[w] += buckets[i].weight;
-      }
+    if (phase) {
+      std::vector<std::uint64_t> weights;
+      weights.reserve(buckets.size());
+      for (const auto& bucket : buckets) weights.push_back(bucket.weight);
+      bucket_owner = phase->assign(weights);
+    } else {
+      bucket_owner.assign(buckets.size(), kSerialStream);
     }
 
     // Publish the index footprint under the phase prefix (rr/ccd): the GST
@@ -233,92 +202,39 @@ void evaluate_tasks(const std::vector<PairTask>& tasks, WorkerPolicy& policy,
   }
 }
 
-/// A pace master on the shared protocol: the flat master, or one
-/// sub-master of the tree (hierarchical mode) running the full resilient
-/// master engine over its worker shard. The admit hook owns the
-/// pair-duplicate seen-set and the cluster filter — the master policy's,
-/// or a sub-master's LOCAL replica, which forwards the verdicts that change
-/// it to the root as union events and absorbs synced events from other
-/// shards so the filter keeps pace with cross-shard merges. Protocol stats
-/// map one-to-one onto EngineCounters; each sub-master contributes its own
-/// share (they sum across ranks in the RunResult).
-void master_loop(mpsim::Communicator& comm, const PaceParams& params,
-                 MasterPolicy& policy) {
-  const mpsim::MwOptions opt = mw_options(params);
-  const mpsim::MwTopology topo{comm.size(), opt.masters};
-  std::unordered_set<std::uint64_t> seen;
-  const auto admit = [&seen](auto* filter) {
-    return [&seen, filter](const PairTask& task) {
-      if (!seen.insert(task.pair_key()).second) {
-        return mpsim::MwAdmit::kDuplicate;
-      }
-      if (!filter->needs_alignment(task)) return mpsim::MwAdmit::kFiltered;
-      return mpsim::MwAdmit::kQueue;
-    };
+/// A pace master's admit hook: the pair-duplicate seen-set, then the
+/// cluster filter of @p filter (the master policy, or a sub-master's
+/// shard replica).
+template <typename Filter>
+std::function<mpsim::MwAdmit(const PairTask&)> admit_hook(Filter filter) {
+  return [seen = std::unordered_set<std::uint64_t>(),
+          filter](const PairTask& task) mutable {
+    if (!seen.insert(task.pair_key()).second) {
+      return mpsim::MwAdmit::kDuplicate;
+    }
+    if (!filter->needs_alignment(task)) return mpsim::MwAdmit::kFiltered;
+    return mpsim::MwAdmit::kQueue;
   };
-
-  mpsim::MwMasterStats stats;
-  if (!topo.hierarchical()) {
-    mpsim::MwMaster<PairTask, Verdict> hooks;
-    hooks.admit = admit(&policy);
-    hooks.apply = [&](const Verdict& v) { policy.apply(v); };
-    stats = mw_master_loop(comm, opt, hooks);
-  } else {
-    const std::unique_ptr<ShardPolicy> shard = policy.make_shard();
-    mpsim::MwShard<PairTask, Verdict> hooks;
-    hooks.admit = admit(shard.get());
-    hooks.resolve = [&](const Verdict& v) { return shard->absorb(v); };
-    hooks.learn = [&](const Verdict& v) { shard->absorb(v); };
-    stats = mw_submaster_loop(comm, opt, topo, hooks);
-  }
-
-  EngineCounters c;
-  c.promising_pairs = stats.submitted;
-  c.duplicate_pairs = stats.duplicates;
-  c.filtered_pairs = stats.filtered;
-  c.aligned_pairs = stats.dispatched;
-  comm.count("promising_pairs", c.promising_pairs);
-  comm.count("duplicate_pairs", c.duplicate_pairs);
-  comm.count("filtered_pairs", c.filtered_pairs);
-  comm.count("aligned_pairs", c.aligned_pairs);
-  record_engine_counters(c);
-}
-
-/// The pace root (hierarchical mode): folds the forwarded union events
-/// into the authoritative master policy and heals sub-master deaths. The
-/// policy's apply is idempotent (CCD union-find merges), which the event
-/// replay relies on.
-void root_loop(mpsim::Communicator& comm, const PaceParams& params,
-               MasterPolicy& policy) {
-  mpsim::MwRoot<Verdict> hooks;
-  hooks.apply = [&](const Verdict& v) { policy.apply(v); };
-  const mpsim::MwOptions opt = mw_options(params);
-  const mpsim::MwTopology topo{comm.size(), opt.masters};
-  mw_root_loop(comm, opt, topo, hooks);
-}
-
-/// The pace worker on the shared protocol: generation replays a bucket
-/// share (index-build chars + pair enumeration charged virtually), and
-/// evaluation is the pooled alignment batch.
-void worker_loop(mpsim::Communicator& comm, const SharedIndex& index,
-                 const PaceParams& params, WorkerPolicy& policy,
-                 exec::Pool* pool) {
-  mpsim::MwWorker<PairTask, Verdict> hooks;
-  hooks.generate = [&index](mpsim::Communicator& c, int origin) {
-    c.charge_index_chars(index.worker_chars(origin));
-    std::vector<PairTask> pairs = index.worker_pairs(origin);
-    c.charge_pairs(pairs.size());
-    return pairs;
-  };
-  hooks.evaluate = [&policy, pool](mpsim::Communicator& c,
-                                   const std::vector<PairTask>& tasks,
-                                   std::vector<Verdict>& verdicts) {
-    evaluate_tasks(tasks, policy, &c, pool, verdicts);
-  };
-  mw_worker_loop(comm, mw_options(params), hooks);
 }
 
 }  // namespace
+
+mpsim::MwOptions protocol_options(const PaceParams& params) {
+  mpsim::MwOptions opt;
+  opt.phase = params.phase_label ? params.phase_label : "pace";
+  opt.metrics_prefix = "pace";
+  opt.masters = std::max(1, params.masters);
+  opt.batch_size = params.batch_size;
+  opt.generation_batches = params.generation_batches;
+  opt.heartbeat_timeout = params.heartbeat_timeout;
+  opt.heartbeat_retries = params.heartbeat_retries;
+  opt.heartbeat_max_timeout = params.heartbeat_max_timeout;
+  opt.deadline_seconds = params.phase_deadline;
+  opt.task_bytes = kPairBytes;
+  opt.verdict_bytes = kVerdictBytes;
+  opt.event_bytes = kVerdictBytes;  // forwarded union events ARE verdicts
+  return opt;
+}
 
 mpsim::RunResult run_parallel(
     const seq::SequenceSet& set, const std::vector<seq::SeqId>& ids, int p,
@@ -326,40 +242,73 @@ mpsim::RunResult run_parallel(
     MasterPolicy& master_policy,
     const std::function<std::unique_ptr<WorkerPolicy>()>& make_worker_policy,
     EngineCounters* counters, exec::Pool* pool, const mpsim::FaultPlan* plan) {
-  const int masters = std::max(1, params.masters);
-  const mpsim::MwTopology topo{p, masters};
-  if (p < 2) {
-    throw std::invalid_argument(
-        "pace::run_parallel needs p >= 2 (master + worker); use run_serial");
-  }
-  topo.require_worker("pace::run_parallel");
-  if (topo.hierarchical() && !master_policy.make_shard()) {
+  const mpsim::MwPhase phase("pace::run_parallel", protocol_options(params),
+                             p, plan);
+  if (phase.hierarchical() && !master_policy.make_shard()) {
     throw std::invalid_argument(
         std::string("pace::run_parallel: this phase (") +
         (params.phase_label ? params.phase_label : "pace") +
         ") applies verdicts order-dependently and does not support "
         "hierarchical masters; use masters=1");
   }
-  // Reject unsurvivable plans up front (exit-code-2 class at the CLI):
-  // crashing rank 0, every sub-master, or every worker.
-  if (plan) plan->validate_protocol(p, masters);
+  const SharedIndex index(set, ids, params, pool, &phase);
 
-  SharedIndex index(set, ids, params, topo.worker_count(), pool,
-                    topo.first_worker());
-
-  const auto rank_fn = [&](mpsim::Communicator& comm) {
-    if (comm.rank() == 0 && topo.hierarchical()) {
-      root_loop(comm, params, master_policy);
-    } else if (comm.rank() == 0 || topo.is_submaster(comm.rank())) {
-      master_loop(comm, params, master_policy);
-    } else {
-      const auto policy = make_worker_policy();
-      worker_loop(comm, index, params, *policy, pool);
-    }
+  const auto apply = [&](const Verdict& v) { master_policy.apply(v); };
+  mpsim::MwRoles<PairTask, Verdict> roles;
+  roles.master = [&] {
+    return mpsim::MwMaster<PairTask, Verdict>{admit_hook(&master_policy),
+                                              apply};
   };
-  mpsim::RunResult result = mpsim::run_phase(
-      params.phase_label ? params.phase_label : "pace", p, model, plan,
-      rank_fn, [topo](int r) { return std::string(topo.level_of(r)); });
+  // The root folds the forwarded union events into the authoritative
+  // master policy. Its apply is idempotent (CCD union-find merges), which
+  // the event replay after a sub-master death relies on.
+  roles.root = [&] { return mpsim::MwRoot<Verdict>{apply}; };
+  // A sub-master filters against its LOCAL replica, forwards the verdicts
+  // that change it to the root as union events, and absorbs synced events
+  // from other shards so its filter keeps pace with cross-shard merges.
+  roles.shard = [&] {
+    std::shared_ptr<ShardPolicy> shard = master_policy.make_shard();
+    mpsim::MwShard<PairTask, Verdict> hooks;
+    hooks.admit = admit_hook(shard);
+    hooks.resolve = [shard](const Verdict& v) { return shard->absorb(v); };
+    hooks.learn = [shard](const Verdict& v) { shard->absorb(v); };
+    return hooks;
+  };
+  // Protocol stats map one-to-one onto EngineCounters; each sub-master
+  // contributes its own share (they sum across ranks in the RunResult).
+  roles.master_done = [](mpsim::Communicator& comm,
+                         const mpsim::MwMasterStats& stats) {
+    EngineCounters c;
+    c.promising_pairs = stats.submitted;
+    c.duplicate_pairs = stats.duplicates;
+    c.filtered_pairs = stats.filtered;
+    c.aligned_pairs = stats.dispatched;
+    comm.count("promising_pairs", c.promising_pairs);
+    comm.count("duplicate_pairs", c.duplicate_pairs);
+    comm.count("filtered_pairs", c.filtered_pairs);
+    comm.count("aligned_pairs", c.aligned_pairs);
+    record_engine_counters(c);
+  };
+  // A worker's generation replays a bucket share (index-build chars and
+  // pair enumeration charged virtually); its evaluation is the pooled
+  // alignment batch.
+  roles.worker = [&] {
+    std::shared_ptr<WorkerPolicy> policy = make_worker_policy();
+    mpsim::MwWorker<PairTask, Verdict> hooks;
+    hooks.generate = [&index](mpsim::Communicator& c, int origin) {
+      c.charge_index_chars(index.worker_chars(origin));
+      std::vector<PairTask> pairs = index.worker_pairs(origin);
+      c.charge_pairs(pairs.size());
+      return pairs;
+    };
+    hooks.evaluate = [policy, pool](mpsim::Communicator& c,
+                                    const std::vector<PairTask>& tasks,
+                                    std::vector<Verdict>& verdicts) {
+      evaluate_tasks(tasks, *policy, &c, pool, verdicts);
+    };
+    return hooks;
+  };
+  mpsim::RunResult result = phase.run(model, roles);
 
   if (counters) {
     counters->promising_pairs = result.counter("promising_pairs");
@@ -376,8 +325,9 @@ EngineCounters run_serial(const seq::SequenceSet& set,
                           MasterPolicy& master_policy,
                           WorkerPolicy& worker_policy, exec::Pool* pool,
                           const SerialHooks* hooks) {
-  SharedIndex index(set, ids, params, /*workers=*/1, pool);
-  const std::vector<PairTask> pairs = index.worker_pairs(1);
+  const SharedIndex index(set, ids, params, pool);
+  const std::vector<PairTask> pairs =
+      index.worker_pairs(SharedIndex::kSerialStream);
 
   const std::uint64_t start = hooks ? hooks->start_pair : 0;
   const std::uint64_t stride =

@@ -1,8 +1,10 @@
 // Simulated, self-healing BGG + DSD phase (paper §V: components are
 // batched across cluster nodes; §VI suggests parallelizing Shingle).
 //
-// Each component graph is one task on the resilient master–worker protocol
-// (mpsim/masterworker.hpp): workers virtually re-pay the bipartite-graph
+// Each component graph is one task on the resilient master–worker protocol,
+// run through the same entry point as PaCE's phases (mpsim::MwPhase in
+// mpsim/masterworker.hpp, which owns the rank layout and the LPT split of
+// graphs across workers): workers virtually re-pay the bipartite-graph
 // construction cost of the graphs they own when generating their task
 // stream, then pay the Shingle hashing cost per evaluated graph. A worker
 // death requeues its outstanding graphs and hands its generation stream to
@@ -44,10 +46,14 @@ struct DsdParallelResult {
 };
 
 /// Run BGG cost accounting + dense-subgraph detection for @p graphs on
-/// @p p simulated ranks (rank 0 masters; ranks 1..p-1 own LPT-balanced
-/// generation streams). @p engine supplies the resilience knobs
-/// (heartbeat, retries, phase deadline). Throws std::invalid_argument when
-/// @p plan crashes rank 0 (the master is the phase's single coordinator).
+/// @p p simulated ranks: rank 0 masters (the root of a tree when
+/// engine.masters >= 2), and the worker ranks own generation streams
+/// balanced by LPT on graph edge count. @p engine supplies the master
+/// count and the liveness settings (heartbeat, retries, ceiling, phase
+/// deadline) through pace::protocol_options. Throws std::invalid_argument
+/// for p < 2 or a tree with no worker rank (prefixed "run_dsd_parallel"),
+/// and for a plan that crashes rank 0, every sub-master or every worker.
+/// The result's run records each rank's level.
 /// @p capture_merges additionally records each graph's surviving Pass II
 /// merges (merge provenance); virtual time is unaffected.
 [[nodiscard]] DsdParallelResult run_dsd_parallel(

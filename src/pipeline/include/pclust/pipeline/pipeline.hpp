@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "pclust/bigraph/builders.hpp"
-#include "pclust/mpsim/machine_model.hpp"
 #include "pclust/mpsim/runtime.hpp"
 #include "pclust/pace/components.hpp"
 #include "pclust/pace/params.hpp"
@@ -48,9 +47,9 @@ struct PipelineConfig {
   /// metagenomic data does.
   bool mask_low_complexity = false;
 
-  /// 0 = serial; >= 2 = simulated ranks for the RR and CCD phases.
+  /// 0 = serial; >= 2 = simulated ranks of
+  /// mpsim::MachineModel::bluegene_l() for the RR and CCD phases.
   int processors = 0;
-  mpsim::MachineModel model = mpsim::MachineModel::bluegene_l();
 
   /// REAL shared-memory threads (exec::Pool) used inside every phase: LCP
   /// and bucket construction, pair enumeration, batched RR/CCD/B_d

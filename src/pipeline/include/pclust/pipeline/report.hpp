@@ -12,7 +12,14 @@
 //     "alignment": {candidate_pairs, attempted, skipped_by_cluster_filter,
 //                   duplicate_pairs, skip_ratio},
 //     "faults": {...}, "resume": {...}, "table1": {...},
+//     "rank_times": {rr|ccd|dsd: [ {rank, level, total, busy, comm,
+//                                   idle} ]},
 //     "metrics": {counters, gauges, histograms} }
+//
+// Each rank_times entry carries the level its simulated run recorded
+// (mpsim::RunResult::rank_levels), not one derived from the configured
+// master count: a DSD stage that fell back to the flat protocol because
+// its ranks could not host the master tree is labelled master/worker.
 #pragma once
 
 #include <filesystem>

@@ -1,14 +1,13 @@
 #include "pclust/pipeline/dsd.hpp"
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
-#include <numeric>
-#include <stdexcept>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pclust/mpsim/masterworker.hpp"
+#include "pclust/pace/engine.hpp"
 #include "pclust/util/trace.hpp"
 
 namespace pclust::pipeline {
@@ -31,59 +30,6 @@ struct DsdVerdict {
   std::uint64_t raw_components = 0;
 };
 
-mpsim::MwOptions dsd_options(const pace::PaceParams& engine) {
-  mpsim::MwOptions opt;
-  opt.phase = "dsd";
-  opt.metrics_prefix = "dsd";
-  opt.masters = std::max(1, engine.masters);
-  // One graph per chunk: components vary wildly in Shingle cost, so
-  // demand-driven single-graph dispatch is the LPT analogue of the paper's
-  // batched distribution.
-  opt.batch_size = 1;
-  opt.generation_batches = 1;
-  opt.heartbeat_timeout = engine.heartbeat_timeout;
-  opt.heartbeat_retries = engine.heartbeat_retries;
-  opt.heartbeat_max_timeout = engine.heartbeat_max_timeout;
-  opt.deadline_seconds = engine.phase_deadline;
-  opt.task_bytes = 4;       // one graph id
-  opt.verdict_bytes = 96;   // family descriptor estimate
-  opt.event_bytes = 96;     // forwarded events carry the family lists
-  return opt;
-}
-
-/// LPT over the WORKER ranks ([first_worker, p)) on the estimated Shingle
-/// cost (~ edges x c1 hash-and-select operations); each worker's share is
-/// its generation stream, kept in ascending graph order for determinism.
-std::vector<std::vector<std::uint32_t>> assign_streams(
-    const std::vector<bigraph::ComponentGraph>& graphs, int p,
-    int first_worker) {
-  std::vector<std::vector<std::uint32_t>> owned(static_cast<std::size_t>(p));
-  std::vector<std::uint32_t> order(graphs.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t x, std::uint32_t y) {
-              const auto ex = graphs[x].graph.edge_count();
-              const auto ey = graphs[y].graph.edge_count();
-              if (ex != ey) return ex > ey;
-              return x < y;
-            });
-  std::vector<double> load(static_cast<std::size_t>(p), 0.0);
-  for (const std::uint32_t g : order) {
-    int target = first_worker;
-    for (int w = first_worker + 1; w < p; ++w) {
-      if (load[static_cast<std::size_t>(w)] <
-          load[static_cast<std::size_t>(target)]) {
-        target = w;
-      }
-    }
-    owned[static_cast<std::size_t>(target)].push_back(g);
-    load[static_cast<std::size_t>(target)] +=
-        static_cast<double>(graphs[g].graph.edge_count());
-  }
-  for (auto& stream : owned) std::sort(stream.begin(), stream.end());
-  return owned;
-}
-
 }  // namespace
 
 DsdParallelResult run_dsd_parallel(
@@ -91,17 +37,26 @@ DsdParallelResult run_dsd_parallel(
     const shingle::ShingleParams& params, int p,
     const mpsim::MachineModel& model, const pace::PaceParams& engine,
     exec::Pool* pool, const mpsim::FaultPlan* plan, bool capture_merges) {
-  const mpsim::MwOptions opt = dsd_options(engine);
-  const mpsim::MwTopology topo{p, opt.masters};
-  if (p < 2) {
-    throw std::invalid_argument("run_dsd_parallel: need >= 2 ranks");
-  }
-  topo.require_worker("run_dsd_parallel");
-  // Reject unsurvivable plans up front (crashing rank 0, every sub-master,
-  // or every worker) with the CLI's exit-code-2 error class.
-  if (plan) plan->validate_protocol(p, topo.masters);
+  mpsim::MwOptions opt = pace::protocol_options(engine);
+  opt.phase = "dsd";
+  opt.metrics_prefix = "dsd";
+  // One graph per chunk: components vary wildly in Shingle cost, so
+  // demand-driven single-graph dispatch is the LPT analogue of the paper's
+  // batched distribution.
+  opt.batch_size = 1;
+  opt.generation_batches = 1;
+  opt.task_bytes = 4;      // one graph id
+  opt.verdict_bytes = 96;  // family descriptor estimate
+  opt.event_bytes = 96;    // forwarded events carry the family lists
+  const mpsim::MwPhase phase("run_dsd_parallel", std::move(opt), p, plan);
 
-  const auto owned = assign_streams(graphs, p, topo.first_worker());
+  // LPT over the worker ranks on the estimated Shingle cost (~ edges x c1
+  // hash-and-select operations); each worker's share, in ascending graph
+  // order, is its generation stream.
+  std::vector<std::uint64_t> edges;
+  edges.reserve(graphs.size());
+  for (const auto& g : graphs) edges.push_back(g.graph.edge_count());
+  const std::vector<int> owner = phase.assign(edges);
 
   DsdParallelResult out;
   out.families_per_graph.resize(graphs.size());
@@ -123,30 +78,62 @@ DsdParallelResult run_dsd_parallel(
     out.raw_components_per_graph[v.graph] = v.raw_components;
   };
 
-  const auto worker_fn = [&](mpsim::Communicator& comm) {
-    mpsim::MwWorker<DsdTask, DsdVerdict> worker;
+  mpsim::MwRoles<DsdTask, DsdVerdict> roles;
+  roles.master = [&] {
+    const auto admit = [&](const DsdTask& t) {
+      if (seen[t.graph]) return mpsim::MwAdmit::kDuplicate;
+      seen[t.graph] = 1;
+      return mpsim::MwAdmit::kQueue;
+    };
+    return mpsim::MwMaster<DsdTask, DsdVerdict>{admit, apply};
+  };
+  roles.root = [&] { return mpsim::MwRoot<DsdVerdict>{apply}; };
+  // Shard replica: per-graph seen/resolved flags. Every first verdict for
+  // a graph changes the replica and is forwarded to the root; synced
+  // events from other shards mark graphs resolved so post-reroute replays
+  // are filtered locally.
+  roles.shard = [&] {
+    auto shard_seen = std::make_shared<std::vector<char>>(graphs.size(), 0);
+    auto shard_done = std::make_shared<std::vector<char>>(graphs.size(), 0);
+    mpsim::MwShard<DsdTask, DsdVerdict> hooks;
+    hooks.admit = [shard_seen](const DsdTask& t) {
+      if ((*shard_seen)[t.graph]) return mpsim::MwAdmit::kDuplicate;
+      (*shard_seen)[t.graph] = 1;
+      return mpsim::MwAdmit::kQueue;
+    };
+    hooks.resolve = [shard_done](const DsdVerdict& v) {
+      if ((*shard_done)[v.graph]) return false;
+      (*shard_done)[v.graph] = 1;
+      return true;
+    };
+    hooks.learn = [shard_done](const DsdVerdict& v) {
+      (*shard_done)[v.graph] = 1;
+    };
+    return hooks;
+  };
+  roles.worker = [&] {
+    mpsim::MwWorker<DsdTask, DsdVerdict> hooks;
     // Stream (re)generation virtually re-pays the bipartite-graph
     // construction of the origin's share — BGG is simulated work too,
     // so adopting a dead rank's components costs the adopter what the
     // dead rank had paid.
-    worker.generate = [&](mpsim::Communicator& comm_, int origin) {
+    hooks.generate = [&](mpsim::Communicator& comm, int origin) {
       std::vector<DsdTask> tasks;
-      const auto& stream = owned[static_cast<std::size_t>(origin)];
-      tasks.reserve(stream.size());
-      for (const std::uint32_t g : stream) {
-        comm_.charge_cells(graphs[g].alignment_cells);
-        comm_.charge_pairs(graphs[g].candidate_pairs);
+      for (std::uint32_t g = 0; g < graphs.size(); ++g) {
+        if (owner[g] != origin) continue;
+        comm.charge_cells(graphs[g].alignment_cells);
+        comm.charge_pairs(graphs[g].candidate_pairs);
         tasks.push_back(DsdTask{g});
       }
       return tasks;
     };
-    worker.evaluate = [&](mpsim::Communicator& comm_,
-                          const std::vector<DsdTask>& tasks,
-                          std::vector<DsdVerdict>& verdicts) {
+    hooks.evaluate = [&](mpsim::Communicator& comm,
+                         const std::vector<DsdTask>& tasks,
+                         std::vector<DsdVerdict>& verdicts) {
       for (const DsdTask& t : tasks) {
         const std::uint32_t g = t.graph;
-        const double t0 = comm_.clock().now();
-        comm_.charge_hashes(graphs[g].graph.edge_count() * params.c1);
+        const double t0 = comm.clock().now();
+        comm.charge_hashes(graphs[g].graph.edge_count() * params.c1);
         DsdVerdict v;
         v.graph = g;
         shingle::DsdStats st;
@@ -155,66 +142,19 @@ DsdParallelResult run_dsd_parallel(
             capture_merges ? &v.merges : nullptr);
         v.s1_nodes = st.first_level_shingles;
         v.raw_components = st.raw_components;
-        comm_.count("components_processed");
+        comm.count("components_processed");
         if (util::trace::enabled()) {
           util::trace::complete(
-              util::trace::current_pid(), comm_.rank(),
+              util::trace::current_pid(), comm.rank(),
               "shingle:component-" + std::to_string(g), "dsd", t0 * 1e6,
-              (comm_.clock().now() - t0) * 1e6);
+              (comm.clock().now() - t0) * 1e6);
         }
         verdicts.push_back(std::move(v));
       }
     };
-    mpsim::mw_worker_loop(comm, opt, worker);
+    return hooks;
   };
-
-  out.run = mpsim::run_phase(
-      opt.phase, p, model, plan,
-      [&](mpsim::Communicator& comm) {
-        if (comm.rank() == 0) {
-          if (!topo.hierarchical()) {
-            mpsim::MwMaster<DsdTask, DsdVerdict> master;
-            master.admit = [&](const DsdTask& t) {
-              if (seen[t.graph]) return mpsim::MwAdmit::kDuplicate;
-              seen[t.graph] = 1;
-              return mpsim::MwAdmit::kQueue;
-            };
-            master.apply = apply;
-            mpsim::mw_master_loop(comm, opt, master);
-            return;
-          }
-          mpsim::MwRoot<DsdVerdict> root;
-          root.apply = apply;
-          mpsim::mw_root_loop(comm, opt, topo, root);
-          return;
-        }
-        if (topo.is_submaster(comm.rank())) {
-          // Shard replica: per-graph seen/resolved flags. Every first
-          // verdict for a graph changes the replica and is forwarded to
-          // the root; synced events from other shards mark graphs
-          // resolved so post-reroute replays are filtered locally.
-          std::vector<char> shard_seen(graphs.size(), 0);
-          std::vector<char> shard_done(graphs.size(), 0);
-          mpsim::MwShard<DsdTask, DsdVerdict> shard;
-          shard.admit = [&shard_seen](const DsdTask& t) {
-            if (shard_seen[t.graph]) return mpsim::MwAdmit::kDuplicate;
-            shard_seen[t.graph] = 1;
-            return mpsim::MwAdmit::kQueue;
-          };
-          shard.resolve = [&shard_done](const DsdVerdict& v) {
-            if (shard_done[v.graph]) return false;
-            shard_done[v.graph] = 1;
-            return true;
-          };
-          shard.learn = [&shard_done](const DsdVerdict& v) {
-            shard_done[v.graph] = 1;
-          };
-          mpsim::mw_submaster_loop(comm, opt, topo, shard);
-          return;
-        }
-        worker_fn(comm);
-      },
-      [topo](int r) { return std::string(topo.level_of(r)); });
+  out.run = phase.run(model, roles);
   return out;
 }
 

@@ -1,8 +1,8 @@
 #include "pclust/pipeline/pipeline.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -11,7 +11,6 @@
 #include <unordered_map>
 
 #include "pclust/exec/pool.hpp"
-#include "pclust/mpsim/masterworker.hpp"
 #include "pclust/pace/provenance.hpp"
 #include "pclust/pipeline/dsd.hpp"
 #include "pclust/seq/complexity.hpp"
@@ -46,57 +45,60 @@ constexpr std::uint32_t kTagFamilies = 4;
 // provenance.
 constexpr std::uint32_t kPayloadV3 = 3;
 
+/// FNV-1a accumulator over 64-bit words, for the run fingerprint and the
+/// phase-result hashes.
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ull;
+  void mix(std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  }
+  void mix_f(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
+};
+
 /// Fingerprint of the input set plus every configuration field that can
 /// change phase RESULTS (simulation/threading knobs are excluded — they
 /// are output invariant by design). Stored in every checkpoint payload;
 /// resume refuses a checkpoint whose fingerprint differs.
 std::uint64_t fingerprint(const seq::SequenceSet& set,
                           const PipelineConfig& cfg) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over 64-bit words
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  const auto mix_f = [&](double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    mix(bits);
-  };
-  mix(set.size());
+  Fnv f;
+  f.mix(set.size());
   for (seq::SeqId id = 0; id < set.size(); ++id) {
     const auto residues = set.residues(id);
-    mix(residues.size());
-    mix(util::crc32(residues.data(), residues.size()));
+    f.mix(residues.size());
+    f.mix(util::crc32(residues.data(), residues.size()));
   }
-  mix(cfg.pace.psi);
-  mix(cfg.pace.bucket_prefix);
-  mix(cfg.pace.max_node_occurrences);
-  mix(cfg.pace.band);
-  mix(cfg.rr_band);
-  mix_f(cfg.pace.containment.min_similarity);
-  mix_f(cfg.pace.containment.min_coverage);
-  mix(0);  // slot of a retired containment flag: old checkpoints still resume
-  mix_f(cfg.pace.overlap.min_similarity);
-  mix_f(cfg.pace.overlap.min_long_coverage);
-  mix(static_cast<std::uint64_t>(cfg.reduction));
-  mix(cfg.bm.w);
-  mix(cfg.bm.max_sequences_per_word);
-  mix(cfg.shingle.s1);
-  mix(cfg.shingle.c1);
-  mix(cfg.shingle.s2);
-  mix(cfg.shingle.c2);
-  mix(cfg.shingle.seed);
-  mix(cfg.shingle.min_size);
-  mix_f(cfg.shingle.tau);
-  mix(cfg.min_component);
-  mix(cfg.mask_low_complexity ? 1 : 0);
+  f.mix(cfg.pace.psi);
+  f.mix(cfg.pace.bucket_prefix);
+  f.mix(cfg.pace.max_node_occurrences);
+  f.mix(cfg.pace.band);
+  f.mix(cfg.rr_band);
+  f.mix_f(cfg.pace.containment.min_similarity);
+  f.mix_f(cfg.pace.containment.min_coverage);
+  // Retired fields keep their slots as zeros so older checkpoints still
+  // resume: a containment flag here, the B_m word cap after bm.w.
+  f.mix(0);
+  f.mix_f(cfg.pace.overlap.min_similarity);
+  f.mix_f(cfg.pace.overlap.min_long_coverage);
+  f.mix(static_cast<std::uint64_t>(cfg.reduction));
+  f.mix(cfg.bm.w);
+  f.mix(0);  // the retired B_m word cap
+  f.mix(cfg.shingle.s1);
+  f.mix(cfg.shingle.c1);
+  f.mix(cfg.shingle.s2);
+  f.mix(cfg.shingle.c2);
+  f.mix(cfg.shingle.seed);
+  f.mix(cfg.shingle.min_size);
+  f.mix_f(cfg.shingle.tau);
+  f.mix(cfg.min_component);
+  f.mix(cfg.mask_low_complexity ? 1 : 0);
   // Masking always uses the default SEG parameters; they stay mixed in so
   // checkpoints written when they were configurable keep resuming.
   const seq::ComplexityParams complexity;
-  mix(complexity.window);
-  mix_f(complexity.min_entropy);
-  return h;
+  f.mix(complexity.window);
+  f.mix_f(complexity.min_entropy);
+  return f.h;
 }
 
 /// Per-run handle over the checkpoint directory; no-op when disabled.
@@ -224,15 +226,6 @@ std::string hex_u64(std::uint64_t v) {
                 static_cast<unsigned long long>(v));
   return std::string(buf);
 }
-
-/// FNV-1a accumulator for phase-result hashes.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  }
-};
 
 std::uint64_t rr_result_hash(const pace::RedundancyResult& rr) {
   Fnv f;
@@ -444,38 +437,6 @@ void run_phase(const PhaseSteps& phase, Checkpoints& ckpt, bool want_prov,
   util::telemetry::poll_deadline();
 }
 
-/// Open a trace timeline for a simulated phase and label its rank lanes;
-/// engine code then emits onto it via trace::current_pid(). No-op when
-/// tracing is off. With masters >= 2 the lanes carry the hierarchy levels
-/// (root / sub-master-N / worker-N) instead of the flat master/worker pair.
-void trace_sim_phase(const char* name, int ranks, int masters = 1) {
-  if (!util::trace::enabled()) return;
-  const int pid = util::trace::begin_process(name);
-  const mpsim::MwTopology topo{ranks, std::max(1, masters)};
-  for (int r = 0; r < ranks; ++r) {
-    std::string label{topo.level_of(r)};
-    if (r != 0) label += "-" + std::to_string(r);
-    util::trace::name_thread(pid, r, label);
-  }
-}
-
-/// After a simulated phase: one virtual-time span per rank (its lifetime on
-/// the simulated machine), then route later events back to the wall-clock
-/// pipeline timeline.
-void trace_sim_result(const mpsim::RunResult& run) {
-  if (!util::trace::enabled()) return;
-  const int pid = util::trace::current_pid();
-  for (std::size_t r = 0; r < run.rank_times.size(); ++r) {
-    const bool crashed =
-        std::find(run.crashed_ranks.begin(), run.crashed_ranks.end(),
-                  static_cast<int>(r)) != run.crashed_ranks.end();
-    util::trace::complete(pid, static_cast<int>(r),
-                          crashed ? "rank(crashed)" : "rank", "sim", 0.0,
-                          run.rank_times[r] * 1e6);
-  }
-  util::trace::set_current_pid(0);
-}
-
 }  // namespace
 
 std::vector<std::vector<seq::SeqId>> PipelineResult::family_clustering()
@@ -552,11 +513,9 @@ PipelineResult run(const seq::SequenceSet& input,
       result.rr = pace::remove_redundant_serial(set, rr_params, &pool);
       return {timer.elapsed_seconds()};
     }
-    trace_sim_phase("sim:rr", config.processors);
     result.rr = pace::remove_redundant(
-        set, config.processors, config.model, rr_params, &pool,
-        config.rr_fault_plan ? config.rr_fault_plan : config.fault_plan);
-    trace_sim_result(result.rr.run);
+        set, config.processors, mpsim::MachineModel::bluegene_l(), rr_params,
+        &pool, config.rr_fault_plan ? config.rr_fault_plan : config.fault_plan);
     return {result.rr.run.makespan};
   };
   rr.save = [&](util::CheckpointWriter& out) {
@@ -598,11 +557,10 @@ PipelineResult run(const seq::SequenceSet& input,
   std::optional<std::vector<prov::Edge>> ccd_captured;
   ccd.compute = [&](const util::Timer& timer) -> Computed {
     if (parallel) {
-      trace_sim_phase("sim:ccd", config.processors, ccd_masters);
       result.ccd = pace::detect_components(
-          set, survivors, config.processors, config.model, ccd_params, &pool,
+          set, survivors, config.processors, mpsim::MachineModel::bluegene_l(),
+          ccd_params, &pool,
           config.ccd_fault_plan ? config.ccd_fault_plan : config.fault_plan);
-      trace_sim_result(result.ccd.run);
       return {result.ccd.run.makespan};
     }
     // Mid-stream progress snapshots (serial path only: the pair stream
@@ -809,12 +767,10 @@ PipelineResult run(const seq::SequenceSet& input,
                     << " ranks cannot host masters=" << config.pace.masters
                     << " (need >= masters + 2); running the DSD stage flat";
       }
-      trace_sim_phase("sim:dsd", config.dsd_processors, families.masters);
       DsdParallelResult dsd = run_dsd_parallel(
           graphs, config.shingle, config.dsd_processors,
           mpsim::MachineModel::xeon_cluster(), dsd_engine, &pool,
           config.dsd_fault_plan, want_prov);
-      trace_sim_result(dsd.run);
       result.dsd_run = std::move(dsd.run);
       // Graph order == component order, so the noted evidence is
       // bit-identical to the serial drain's whichever rank evaluated which

@@ -8,7 +8,6 @@
 #include <map>
 
 #include "pclust/align/simd.hpp"
-#include "pclust/mpsim/masterworker.hpp"
 #include "pclust/util/io.hpp"
 #include "pclust/util/json.hpp"
 #include "pclust/util/memgov.hpp"
@@ -155,35 +154,30 @@ void emit_memory(util::JsonWriter& w, const util::MetricsSnapshot& snapshot) {
 
 /// `rank_times` section: the simulated phases' per-rank virtual-time
 /// decomposition (empty arrays for serial phases). busy + comm + idle ==
-/// total per rank, which report-check asserts. Each entry names its
-/// topology level ("master"/"worker" flat; "root"/"sub-master"/"worker"
-/// hierarchical) so the analyzer can separate admit load from align load.
-void emit_rank_times(util::JsonWriter& w, const PipelineResult& result,
-                     const PipelineConfig& config) {
+/// total per rank, which report-check asserts. Each entry names the
+/// topology level its run recorded ("master"/"worker" flat;
+/// "root"/"sub-master"/"worker" hierarchical), so the analyzer can
+/// separate admit load from align load, and a DSD stage that fell back to
+/// the flat protocol reads as flat.
+void emit_rank_times(util::JsonWriter& w, const PipelineResult& result) {
   w.begin_object();
-  const auto emit_run = [&w](const char* key, const mpsim::RunResult& run,
-                             int masters) {
-    const mpsim::MwTopology topo{static_cast<int>(run.rank_times.size()),
-                                 masters};
+  const auto emit_run = [&w](const char* key, const mpsim::RunResult& run) {
     w.key(key).begin_array();
     for (std::size_t r = 0; r < run.rank_times.size(); ++r) {
-      const bool have = r < run.rank_breakdown.size();
       w.begin_object();
       w.key("rank").value(static_cast<std::uint64_t>(r));
-      w.key("level").value(topo.level_of(static_cast<int>(r)));
+      w.key("level").value(run.rank_levels[r]);
       w.key("total").value(run.rank_times[r]);
-      w.key("busy").value(have ? run.rank_breakdown[r].busy : 0.0);
-      w.key("comm").value(have ? run.rank_breakdown[r].comm : 0.0);
-      w.key("idle").value(have ? run.rank_breakdown[r].idle
-                               : run.rank_times[r]);
+      w.key("busy").value(run.rank_breakdown[r].busy);
+      w.key("comm").value(run.rank_breakdown[r].comm);
+      w.key("idle").value(run.rank_breakdown[r].idle);
       w.end_object();
     }
     w.end_array();
   };
-  const int masters = std::max(1, config.pace.masters);
-  emit_run("rr", result.rr.run, 1);  // RR is order-dependent: always flat
-  emit_run("ccd", result.ccd.run, masters);
-  emit_run("dsd", result.dsd_run, masters);
+  emit_run("rr", result.rr.run);
+  emit_run("ccd", result.ccd.run);
+  emit_run("dsd", result.dsd_run);
   w.end_object();
 }
 
@@ -436,7 +430,7 @@ std::string render_report(const PipelineResult& result,
   emit_hierarchy(w, config, snapshot);
 
   w.key("rank_times");
-  emit_rank_times(w, result, config);
+  emit_rank_times(w, result);
 
   w.key("metrics");
   snapshot.to_json(w);

@@ -19,9 +19,6 @@ class KmerIndex {
  public:
   struct Params {
     std::uint32_t w = 10;
-    /// Drop words occurring in more than this many distinct sequences
-    /// (low-complexity guard). 0 = unlimited.
-    std::uint32_t max_sequences_per_word = 0;
   };
 
   /// Index the given sequences (or all of @p set if @p ids is empty).
@@ -30,8 +27,7 @@ class KmerIndex {
 
   [[nodiscard]] const Params& params() const { return params_; }
 
-  /// Number of distinct words kept (present in >= 2 distinct sequences and
-  /// under the occurrence cap).
+  /// Number of distinct words kept (present in >= 2 distinct sequences).
   [[nodiscard]] std::size_t word_count() const { return word_offsets_.size() - 1; }
 
   /// Distinct sequences containing word @p w_idx (sorted ascending).
@@ -45,10 +41,6 @@ class KmerIndex {
   /// Decode a packed word back to ASCII (for reports).
   [[nodiscard]] std::string decode_word(std::size_t w_idx) const;
 
-  [[nodiscard]] std::size_t dropped_high_occurrence() const {
-    return dropped_high_occ_;
-  }
-
   /// Heap footprint: packed words plus the CSR membership lists.
   [[nodiscard]] util::MemoryBreakdown memory_usage() const;
 
@@ -57,7 +49,6 @@ class KmerIndex {
   std::vector<std::uint64_t> words_;          // packed, sorted
   std::vector<std::uint32_t> word_offsets_;   // CSR into members_
   std::vector<seq::SeqId> members_;
-  std::size_t dropped_high_occ_ = 0;
 };
 
 }  // namespace pclust::suffix

@@ -52,15 +52,10 @@ KmerIndex::KmerIndex(const seq::SequenceSet& set,
   while (i < entries.size()) {
     std::size_t j = i;
     while (j < entries.size() && entries[j].first == entries[i].first) ++j;
-    const std::size_t span = j - i;
-    const bool too_common = params_.max_sequences_per_word != 0 &&
-                            span > params_.max_sequences_per_word;
-    if (span >= 2 && !too_common) {
+    if (j - i >= 2) {
       words_.push_back(entries[i].first);
       for (std::size_t k = i; k < j; ++k) members_.push_back(entries[k].second);
       word_offsets_.push_back(static_cast<std::uint32_t>(members_.size()));
-    } else if (too_common) {
-      ++dropped_high_occ_;
     }
     i = j;
   }

@@ -43,13 +43,12 @@ struct TelemetryConfig {
   /// Provenance: the producing command, recorded in the `start` record.
   std::string command;
   /// Wall seconds between sampler wakeups (also the virtual-domain
-  /// sampling interval unless `virtual_interval` is set).
+  /// sampling interval unless `virtual_interval` is set). The wall
+  /// watchdog's stall window is max(10 * interval, 10s); its retry-spike
+  /// and RSS-growth limits are the WatchdogLimits defaults.
   double interval = 1.0;
   /// Virtual seconds between in-phase samples; 0 = use `interval`.
   double virtual_interval = 0.0;
-  /// Wall no-progress window that trips a stall warning;
-  /// 0 = derived as max(10 * interval, 10s).
-  double wall_stall_seconds = 0.0;
   /// Virtual no-progress window that trips a (deterministic) stall
   /// warning, checked retroactively when progress arrives; 0 = off.
   /// Calibrate against the `max_progress_gap` of a healthy run.
@@ -59,12 +58,6 @@ struct TelemetryConfig {
   /// boundaries and serial progress points — combine with the protocol's
   /// --phase-deadline to also kill hung simulated phases.
   double watchdog_deadline = 0.0;
-  /// Heartbeat-retry delta within one sampler window that trips a
-  /// `heartbeat_retries` warning.
-  std::uint64_t retry_spike_threshold = 4;
-  /// Monotone RSS growth factor across the watchdog's trailing window
-  /// that trips an `rss_growth` warning.
-  double rss_growth_factor = 1.5;
 };
 
 /// Thrown by poll_deadline() after the watchdog emitted a `fatal` record

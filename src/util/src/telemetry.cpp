@@ -43,6 +43,12 @@ void write_histogram_summary(JsonWriter& w, const char* key,
   w.end_object();
 }
 
+/// The wall watchdog's no-progress window: ten sampler intervals, at
+/// least 10 s.
+double wall_stall_seconds(const TelemetryConfig& config) {
+  return std::max(10.0 * config.interval, 10.0);
+}
+
 struct RankEntry {
   std::string level;
   double busy = 0.0, comm = 0.0, idle = 0.0;           // cumulative
@@ -76,11 +82,9 @@ class State {
       phase_.clear();
       fatal_.store(false, std::memory_order_relaxed);
       fatal_message_.clear();
-      watchdog_ = WatchdogPolicy(WatchdogLimits{
-          config.wall_stall_seconds > 0.0
-              ? config.wall_stall_seconds
-              : std::max(10.0 * config.interval, 10.0),
-          config.retry_spike_threshold, config.rss_growth_factor, 5});
+      WatchdogLimits limits;
+      limits.stall_seconds = wall_stall_seconds(config);
+      watchdog_ = WatchdogPolicy(limits);
       prev_metrics_ = metrics().snapshot();
       prev_wall_t_ = 0.0;
       prev_wall_done_ = 0;
@@ -98,10 +102,7 @@ class State {
       w.key("command").value(config.command);
       w.key("interval").value(config.interval);
       w.key("watchdog").begin_object();
-      w.key("wall_stall_seconds")
-          .value(config.wall_stall_seconds > 0.0
-                     ? config.wall_stall_seconds
-                     : std::max(10.0 * config.interval, 10.0));
+      w.key("wall_stall_seconds").value(wall_stall_seconds(config));
       w.key("virtual_stall_seconds").value(config.virtual_stall_seconds);
       w.key("deadline_seconds").value(config.watchdog_deadline);
       w.end_object();

@@ -8,14 +8,18 @@
 #include <chrono>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "pclust/mpsim/masterworker.hpp"
 #include "pclust/mpsim/runtime.hpp"
+#include "pclust/util/json.hpp"
 #include "pclust/util/metrics.hpp"
+#include "pclust/util/trace.hpp"
 
 namespace pclust::mpsim {
 namespace {
@@ -48,12 +52,12 @@ MwOptions toy_options() {
   return opt;
 }
 
-/// The toy worker: generation yields rank origin's keys, evaluation
-/// squares them. @p hiccup, when set, is called at the start of every
-/// evaluate with (rank, per-rank call ordinal) — tests use it to
+/// The toy worker's hooks: generation yields rank origin's keys,
+/// evaluation squares them. @p hiccup, when set, is called at the start of
+/// every evaluate with (rank, per-rank call ordinal) — tests use it to
 /// wall-sleep a worker (hung-rank scenarios).
-void toy_worker(Communicator& comm, const MwOptions& opt,
-                const std::function<void(int, std::uint64_t)>& hiccup) {
+MwWorker<ToyTask, ToyVerdict> toy_worker_hooks(
+    const std::function<void(int, std::uint64_t)>& hiccup) {
   MwWorker<ToyTask, ToyVerdict> worker;
   worker.generate = [](Communicator& c, int origin) {
     c.charge_pairs(kPerWorker);
@@ -63,9 +67,9 @@ void toy_worker(Communicator& comm, const MwOptions& opt,
     }
     return tasks;
   };
-  std::uint64_t calls = 0;
-  worker.evaluate = [&](Communicator& c, const std::vector<ToyTask>& tasks,
-                        std::vector<ToyVerdict>& verdicts) {
+  worker.evaluate = [hiccup, calls = std::uint64_t{0}](
+                        Communicator& c, const std::vector<ToyTask>& tasks,
+                        std::vector<ToyVerdict>& verdicts) mutable {
     if (hiccup) hiccup(c.rank(), calls++);
     c.charge_finds(tasks.size());
     for (const ToyTask& t : tasks) {
@@ -73,7 +77,13 @@ void toy_worker(Communicator& comm, const MwOptions& opt,
           ToyVerdict{t.key, static_cast<long long>(t.key) * t.key});
     }
   };
-  mw_worker_loop(comm, opt, worker);
+  return worker;
+}
+
+/// Run the toy worker on @p comm's rank (see toy_worker_hooks).
+void toy_worker(Communicator& comm, const MwOptions& opt,
+                const std::function<void(int, std::uint64_t)>& hiccup) {
+  mw_worker_loop(comm, opt, toy_worker_hooks(hiccup));
 }
 
 /// Run the toy phase on @p p ranks with a flat master (see toy_worker for
@@ -397,6 +407,148 @@ TEST(MasterWorkerTree, RootDeadlineAtHeartbeatRetryBoundaryIsAttributed) {
     EXPECT_NE(what.find("heartbeat-retry boundary"), std::string::npos)
         << what;
   }
+}
+
+/// Run the toy phase through MwPhase, flat or as a tree depending on
+/// @p opt.masters.
+ToyOutcome run_toy_phase(int p, const MwOptions& opt) {
+  ToyOutcome out;
+  const MwPhase phase("toy_phase", opt, p, nullptr);
+  std::set<int> seen;
+  const auto record = [&](const ToyVerdict& v) {
+    ++out.applications[v.key];
+    out.values.emplace(v.key, v.value);
+  };
+  MwRoles<ToyTask, ToyVerdict> roles;
+  roles.master = [&] {
+    const auto admit = [&](const ToyTask& t) {
+      return seen.insert(t.key).second ? MwAdmit::kQueue : MwAdmit::kDuplicate;
+    };
+    return MwMaster<ToyTask, ToyVerdict>{admit, record};
+  };
+  roles.root = [&] { return MwRoot<ToyVerdict>{record}; };
+  roles.shard = [] {
+    auto shard_seen = std::make_shared<std::set<int>>();
+    auto resolved = std::make_shared<std::set<int>>();
+    MwShard<ToyTask, ToyVerdict> hooks;
+    hooks.admit = [shard_seen](const ToyTask& t) {
+      return shard_seen->insert(t.key).second ? MwAdmit::kQueue
+                                              : MwAdmit::kDuplicate;
+    };
+    hooks.resolve = [resolved](const ToyVerdict& v) {
+      return resolved->insert(v.key).second;
+    };
+    hooks.learn = [resolved](const ToyVerdict& v) { resolved->insert(v.key); };
+    return hooks;
+  };
+  roles.worker = [] { return toy_worker_hooks(nullptr); };
+  roles.master_done = [&](Communicator& comm, const MwMasterStats& stats) {
+    if (comm.rank() == 0) out.stats = stats;  // the flat master's
+  };
+  out.run = phase.run(MachineModel::bluegene_l(), roles);
+  return out;
+}
+
+void expect_levels(const RunResult& run, const MwTopology& topo) {
+  ASSERT_EQ(run.rank_levels.size(), static_cast<std::size_t>(topo.p));
+  for (int r = 0; r < topo.p; ++r) {
+    EXPECT_EQ(run.rank_levels[static_cast<std::size_t>(r)], topo.level_of(r))
+        << "rank " << r;
+  }
+}
+
+TEST(MasterWorkerPhase, FlatRunRecordsEachRanksLevel) {
+  const auto out = run_toy_phase(4, toy_options());
+  expect_complete(out, 4);
+  EXPECT_EQ(out.stats.dispatched, 3u * kPerWorker);
+  expect_levels(out.run, MwTopology{4, 1});
+  EXPECT_EQ(out.run.rank_levels[0], "master");
+}
+
+TEST(MasterWorkerPhase, TreeRunRecordsEachRanksLevel) {
+  MwOptions opt = toy_options();
+  opt.masters = 2;
+  const auto out = run_toy_phase(6, opt);
+  expect_complete(out, 6, /*first_worker=*/3);
+  expect_levels(out.run, MwTopology{6, 2});
+  EXPECT_EQ(out.run.rank_levels[0], "root");
+  EXPECT_EQ(out.run.rank_levels[2], "sub-master");
+}
+
+TEST(MasterWorkerPhase, RejectsLayoutsItCannotRunBeforeAnyRankStarts) {
+  MwOptions tree = toy_options();
+  tree.masters = 2;
+  FaultPlan root_crash;
+  root_crash.crashes.push_back({0, 1.0});
+  const auto message = [](int p, const MwOptions& opt, const FaultPlan* plan) {
+    try {
+      const MwPhase phase("toy_phase", opt, p, plan);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(message(1, toy_options(), nullptr).rfind("toy_phase: ", 0), 0u);
+  EXPECT_EQ(message(3, tree, nullptr).rfind("toy_phase: ", 0), 0u);
+  EXPECT_NE(message(4, toy_options(), &root_crash), "");
+  EXPECT_EQ(message(4, tree, nullptr), "");
+}
+
+TEST(MasterWorkerPhase, DrawsItsTraceTimelineThenReturnsToPidZero) {
+  util::trace::enable();
+  const auto out = run_toy_phase(3, toy_options());
+  EXPECT_EQ(util::trace::current_pid(), 0);
+  const util::JsonValue doc = util::parse_json(util::trace::render_json());
+  util::trace::disable();
+
+  int pid = -1;
+  std::map<int, std::string> lanes;
+  std::map<int, double> rank_spans;
+  for (const util::JsonValue& e : doc.at("traceEvents").array) {
+    const std::string& ph = e.at("ph").as_string();
+    const std::string& name = e.at("name").as_string();
+    if (ph == "M" && name == "process_name" &&
+        e.at("args").at("name").as_string() == "sim:toy") {
+      pid = static_cast<int>(e.at("pid").as_u64());
+    }
+  }
+  ASSERT_GT(pid, 0);
+  for (const util::JsonValue& e : doc.at("traceEvents").array) {
+    if (static_cast<int>(e.at("pid").as_u64()) != pid) continue;
+    const std::string& ph = e.at("ph").as_string();
+    const std::string& name = e.at("name").as_string();
+    const int tid = static_cast<int>(e.at("tid").as_u64());
+    if (ph == "M" && name == "thread_name") {
+      lanes[tid] = e.at("args").at("name").as_string();
+    }
+    if (ph == "X" && name == "rank") {
+      rank_spans[tid] = e.at("dur").as_number();
+    }
+  }
+  EXPECT_EQ(lanes, (std::map<int, std::string>{
+                       {0, "master"}, {1, "worker-1"}, {2, "worker-2"}}));
+  ASSERT_EQ(rank_spans.size(), 3u);
+  for (const auto& [rank, dur] : rank_spans) {  // JSON keeps ~9 digits
+    EXPECT_NEAR(dur, out.run.rank_times[static_cast<std::size_t>(rank)] * 1e6,
+                1e-3);
+  }
+}
+
+TEST(MwTopologyLpt, TieBreaksAndSingleWorker) {
+  // Equal weights go to the workers in rank order.
+  EXPECT_EQ(MwTopology({4, 1}).assign_lpt({5, 5, 5, 5}),
+            (std::vector<int>{1, 2, 3, 1}));
+  // The heaviest item is placed first, on the lowest worker rank; the
+  // lighter ones then fill the least-loaded worker.
+  EXPECT_EQ(MwTopology({3, 1}).assign_lpt({1, 10, 1}),
+            (std::vector<int>{2, 1, 2}));
+  // A tree's workers start after its sub-masters.
+  EXPECT_EQ(MwTopology({6, 2}).assign_lpt({3, 7, 3}),
+            (std::vector<int>{4, 3, 5}));
+  // A single worker takes everything.
+  EXPECT_EQ(MwTopology({2, 1}).assign_lpt({9, 1, 4}),
+            (std::vector<int>{1, 1, 1}));
+  EXPECT_TRUE(MwTopology({3, 1}).assign_lpt({}).empty());
 }
 
 TEST(MasterWorker, MetricsUseThePhasePrefix) {

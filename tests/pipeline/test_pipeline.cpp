@@ -108,7 +108,6 @@ TEST(Pipeline, ParallelMatchesSerialFamilies) {
   PipelineConfig serial = quick_config();
   PipelineConfig parallel = quick_config();
   parallel.processors = 4;
-  parallel.model = mpsim::MachineModel::free();
   const auto a = run(d.sequences, serial);
   const auto b = run(d.sequences, parallel);
   // CCD components are identical; RR removal sets can differ marginally in
@@ -122,7 +121,6 @@ TEST(Pipeline, ParallelReportsSimulatedTimes) {
   const auto d = pipeline_data(88, 200);
   PipelineConfig config = quick_config();
   config.processors = 4;
-  config.model = mpsim::MachineModel::bluegene_l();
   const auto r = run(d.sequences, config);
   EXPECT_GT(r.rr_seconds, 0.0);
   EXPECT_GT(r.ccd_seconds, 0.0);
@@ -189,7 +187,6 @@ TEST(Pipeline, EagerGenerationSameClustering) {
   const auto d = pipeline_data(92, 200);
   PipelineConfig base = quick_config();
   base.processors = 4;
-  base.model = mpsim::MachineModel::free();
   PipelineConfig eager = base;
   eager.pace.generation_batches = 8;
   const auto a = run(d.sequences, base);

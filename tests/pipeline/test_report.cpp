@@ -1,13 +1,15 @@
 // Structured run reports: schema validity, the alignment-work identity
 // (attempted + skipped_by_cluster_filter == candidate_pairs) on serial AND
-// faulted simulated runs, resume provenance, and trace emission around a
-// real pipeline run.
+// faulted simulated runs, resume provenance, rank levels as the simulated
+// phases ran them, and trace emission around a real pipeline run.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "pclust/mpsim/fault_plan.hpp"
+#include "pclust/pipeline/analysis.hpp"
 #include "pclust/pipeline/pipeline.hpp"
 #include "pclust/pipeline/report.hpp"
 #include "pclust/synth/generator.hpp"
@@ -181,10 +183,48 @@ TEST(RunReport, MalformedReportsAreRejected) {
   EXPECT_NE(error.find("speculative"), std::string::npos);
 }
 
+TEST(RunReport, DsdFlatFallbackLabelsRanksAsTheyRan) {
+  // Three DSD ranks cannot host a two-master tree (that needs masters + 2
+  // = 4), so the DSD stage runs flat: master, worker, worker. The report
+  // must label the ranks as they ran, not from the configured masters.
+  const auto d = make_data(85);
+  PipelineConfig config;
+  config.processors = 8;
+  config.pace.masters = 2;
+  config.dsd_processors = 3;
+  util::metrics().reset();
+  const auto result = run(d.sequences, config);
+  const util::JsonValue report = report_for(result, config);
+
+  std::string error;
+  EXPECT_TRUE(validate_report(report, &error)) << error;
+  std::vector<std::string> levels;
+  for (const util::JsonValue& rank :
+       report.at("rank_times").at("dsd").array) {
+    levels.push_back(rank.at("level").as_string());
+  }
+  EXPECT_EQ(levels, (std::vector<std::string>{"master", "worker", "worker"}));
+  // CCD ran the tree on its 8 ranks.
+  EXPECT_EQ(report.at("rank_times").at("ccd").array[1].at("level")
+                .as_string(),
+            "sub-master");
+
+  const ReportAnalysis analysis = analyze_report(report);
+  bool saw_dsd = false;
+  for (const PhaseAnalysis& phase : analysis.phases) {
+    if (phase.phase != "dsd") continue;
+    saw_dsd = true;
+    EXPECT_EQ(phase.submasters, 0);
+    EXPECT_GE(phase.imbalance_factor, 1.0);
+  }
+  EXPECT_TRUE(saw_dsd);
+}
+
 TEST(RunReport, TraceAroundRunIsValidAndHasPhaseSpans) {
   const auto d = make_data(84, 100);
   PipelineConfig config;
   config.processors = 3;  // simulated RR/CCD -> sim process timelines
+  config.dsd_processors = 3;  // simulated DSD -> a sim:dsd timeline
   util::trace::enable();
   util::metrics().reset();
   (void)run(d.sequences, config);
@@ -192,12 +232,14 @@ TEST(RunReport, TraceAroundRunIsValidAndHasPhaseSpans) {
   util::trace::disable();
 
   EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ms");
-  bool saw_rr_process = false, saw_rank_span = false, saw_wall_span = false;
+  bool saw_rr_process = false, saw_dsd_process = false;
+  bool saw_rank_span = false, saw_wall_span = false;
   for (const util::JsonValue& e : doc.at("traceEvents").array) {
     const std::string& ph = e.at("ph").as_string();
-    if (ph == "M" && e.at("name").as_string() == "process_name" &&
-        e.at("args").at("name").as_string() == "sim:rr") {
-      saw_rr_process = true;
+    if (ph == "M" && e.at("name").as_string() == "process_name") {
+      const std::string& process = e.at("args").at("name").as_string();
+      saw_rr_process = saw_rr_process || process == "sim:rr";
+      saw_dsd_process = saw_dsd_process || process == "sim:dsd";
     }
     if (ph == "X" && e.at("cat").as_string() == "sim") saw_rank_span = true;
     if (ph == "X" && e.at("name").as_string() == "rr" &&
@@ -206,6 +248,7 @@ TEST(RunReport, TraceAroundRunIsValidAndHasPhaseSpans) {
     }
   }
   EXPECT_TRUE(saw_rr_process);
+  EXPECT_TRUE(saw_dsd_process);
   EXPECT_TRUE(saw_rank_span);
   EXPECT_TRUE(saw_wall_span);
 }

@@ -60,17 +60,6 @@ TEST(KmerIndex, DuplicateOccurrencesCollapsePerSequence) {
   EXPECT_EQ(idx.sequences_of(0).size(), 2u);  // distinct sequences only
 }
 
-TEST(KmerIndex, HighOccurrenceWordsDropped) {
-  seq::SequenceSet set;
-  for (int i = 0; i < 10; ++i) {
-    set.add("s" + std::to_string(i), "DEFGHIKLMN");
-  }
-  KmerIndex idx(set, {},
-                KmerIndex::Params{.w = 10, .max_sequences_per_word = 5});
-  EXPECT_EQ(idx.word_count(), 0u);
-  EXPECT_EQ(idx.dropped_high_occurrence(), 1u);
-}
-
 TEST(KmerIndex, SubsetRestriction) {
   seq::SequenceSet set;
   set.add("a", "DEFGHIKLMN");

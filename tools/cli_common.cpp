@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <sstream>
 
 #include "pclust/align/simd.hpp"
 #include "pclust/util/strings.hpp"
@@ -15,6 +16,18 @@ void require_readable(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     throw IoError("cannot read '" + path + "': no such file or not readable");
+  }
+}
+
+util::JsonValue load_json(const std::string& path) {
+  require_readable(path);
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  try {
+    return util::parse_json(buffer.str());
+  } catch (const util::JsonError& e) {
+    throw IoError(path + ": " + e.what());
   }
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "pclust/mpsim/fault_plan.hpp"
+#include "pclust/util/json.hpp"
 #include "pclust/util/options.hpp"
 
 namespace pclust::cli {
@@ -39,6 +40,11 @@ class IoError : public std::runtime_error {
 
 /// Throws IoError unless @p path exists and is readable.
 void require_readable(const std::string& path);
+
+/// Reads and parses the JSON document at @p path (a run report or a bench
+/// artifact). Throws IoError when the file is unreadable, or when it is
+/// not valid JSON, as "<path>: <parse error>".
+util::JsonValue load_json(const std::string& path);
 
 /// Throws IoError unless @p path can be created/overwritten (its parent
 /// directory exists and is writable — probed by opening for append).

@@ -1,7 +1,4 @@
 #include <cstdio>
-
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "cli_common.hpp"
@@ -56,14 +53,9 @@ int cmd_analyze(int argc, const char* const* argv) {
       get_double_in(options, "max-imbalance", -1.0, 1e9);
 
   const std::string& path = options.positionals()[0];
-  require_readable(path);
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-
+  const util::JsonValue report = load_json(path);
   pipeline::ReportAnalysis analysis;
   try {
-    const util::JsonValue report = util::parse_json(buffer.str());
     analysis = pipeline::analyze_report(report, opts);
   } catch (const util::JsonError& e) {
     throw IoError(path + ": " + e.what());

@@ -1,7 +1,4 @@
 #include <cstdio>
-
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "cli_common.hpp"
@@ -17,18 +14,6 @@
 namespace pclust::cli {
 
 namespace {
-
-util::JsonValue load_report(const std::string& path) {
-  require_readable(path);
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  try {
-    return util::parse_json(buffer.str());
-  } catch (const util::JsonError& e) {
-    throw IoError(path + ": " + e.what());
-  }
-}
 
 /// Look up phases[name] in a report; nullptr when absent.
 const util::JsonValue* find_phase(const util::JsonValue& report,
@@ -69,8 +54,8 @@ double num_at(const util::JsonValue& obj, const char* key) {
 /// `pclust compare --reports a.json b.json`: structured diff of two run
 /// reports — phase times, alignment-work counters, and Table-I quantities.
 int compare_reports(const std::string& path_a, const std::string& path_b) {
-  const util::JsonValue a = load_report(path_a);
-  const util::JsonValue b = load_report(path_b);
+  const util::JsonValue a = load_json(path_a);
+  const util::JsonValue b = load_json(path_b);
   std::string error;
   if (!pipeline::validate_report(a, &error)) {
     throw IoError(path_a + ": invalid run report: " + error);

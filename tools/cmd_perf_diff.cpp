@@ -1,7 +1,4 @@
 #include <cstdio>
-
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "cli_common.hpp"
@@ -11,22 +8,6 @@
 #include "pclust/util/options.hpp"
 
 namespace pclust::cli {
-
-namespace {
-
-util::JsonValue load_json(const std::string& path) {
-  require_readable(path);
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  try {
-    return util::parse_json(buffer.str());
-  } catch (const util::JsonError& e) {
-    throw IoError(path + ": " + e.what());
-  }
-}
-
-}  // namespace
 
 /// `pclust perf-diff --baseline a.json --candidate b.json`: the
 /// perf-regression gate. Compares phase times, kernel rates, skip ratio,
