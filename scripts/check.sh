@@ -15,22 +15,24 @@ cmake --build build -j
 # (tests/support). Re-run those cases in parallel, five times over, so a
 # path shared between cases fails the check instead of flaking.
 (cd build && ctest --output-on-failure -j --repeat until-fail:5 \
-  -R '^(IoEnvTest|JsonlTest|CheckpointTest|EndToEndFiles|ResourcePipelineTest|CheckpointResumeTest|ProvenanceResumeTest)\.|^RunReport\.ResumeProvenanceIsRecorded$|^ProvLedger\.FileRoundTrip$')
+  -R '^(IoEnvTest|JsonlTest|CheckpointTest|EndToEndFiles|ResourcePipelineTest|CheckpointResumeTest|ProvenanceResumeTest)\.|^RunReport\.ResumeProvenanceIsRecorded$|^ProvLedger\.FileRoundTrip$|^Fasta\.WriteFailureThrowsAndLeavesNoFile$')
 
 # Data-race check. Only the thread-touching suites are worth the TSan
-# slowdown: the pool itself, the batched/pooled PaCE paths (the CCD
-# provenance replay included), the master tree (root, sub-masters and
-# workers run on concurrent threads while the root applies), the B_d
+# slowdown: the pool itself, the pooled alignment splitter, the
+# batched/pooled PaCE paths (the CCD provenance replay included; simulated
+# ranks share one const worker policy), the master tree (root, sub-masters
+# and workers run on concurrent threads while the root applies), the B_d
 # graph build (a pooled run_serial run), the pooled Shingle passes and
 # suffix-index scans (their pooled code is the only code), the simulated
 # DSD stage (its rank threads run the shared MwPhase protocol and share
 # the pool with the Shingle passes), and the fault-injected simulator
 # runtime (failure marks cross threads).
 cmake --preset tsan
-cmake --build build-tsan -j --target test_exec test_pace test_mpsim \
-  test_bigraph test_shingle test_suffix test_pipeline
+cmake --build build-tsan -j --target test_exec test_align test_pace \
+  test_mpsim test_bigraph test_shingle test_suffix test_pipeline
 (cd build-tsan
  ./tests/test_exec
+ ./tests/test_align --gtest_filter='BatchSimd.Pooled*'
  ./tests/test_pace \
    --gtest_filter='Determinism*:FaultTolerance*:CcdProvenance*:Hierarchy*'
  ./tests/test_bigraph --gtest_filter='Pools/BuildBdPool*'
@@ -181,7 +183,9 @@ grep -q '"crashed_ranks":\[2' "$smoke/faulted.json" \
 
 # hierarchy: the two-level master tree must be a pure optimization. Flat,
 # hierarchical, and sub-master-crash runs produce bit-identical families;
-# the crash run's report records the healed sub-master; a DSD stage too
+# the crash run's report records the healed sub-master and nothing else
+# (sub-master faults hit CCD only: RR always runs flat, and `simulate`
+# must not crash an RR worker either); a DSD stage too
 # narrow for the tree (3 ranks, masters=2) falls back to the flat protocol
 # and its report labels those ranks as they ran (one master, two
 # workers); and a p=256 run with a 4-wide sub-master tier clears the
@@ -198,6 +202,17 @@ cmp "$smoke/flat.tsv" "$smoke/tree.tsv"
 cmp "$smoke/flat.tsv" "$smoke/tree-crash.tsv"
 grep -q '"submasters_failed":1' "$smoke/tree-crash.json" \
   || { echo "crash report does not record the healed sub-master"; exit 1; }
+grep -q '"crashed_ranks":\[1\]' "$smoke/tree-crash.json" \
+  || { echo "crash report does not list exactly the sub-master"; exit 1; }
+tree_events=$(grep -o '"events":\[[^]]*\]' "$smoke/tree-crash.json" || true)
+if grep -q '"rr:' <<<"$tree_events"; then
+  echo "a sub-master crash faulted the flat RR phase"; exit 1
+fi
+sim_tree=$("$pclust" simulate "$smoke/in.fa" --processors 8 --masters 2 \
+  --submaster-crash 1@0.001 2>&1 >/dev/null)
+if grep -q 'RR: crashed' <<<"$sim_tree"; then
+  echo "simulate applied a sub-master crash to the flat RR phase"; exit 1
+fi
 "$pclust" report-check "$smoke/tree-crash.json"
 "$pclust" families "$smoke/in.fa" --processors 8 --masters 2 \
   --dsd-processors 3 --out "$smoke/fallback.tsv" \

@@ -45,16 +45,18 @@ struct PairJob {
 void align_score_batch(const PairJob* jobs, std::size_t count,
                        const ScoringScheme& scheme, AlignmentResult* out);
 
-/// The same, split across @p pool: slices of at most kPoolGrain jobs (fewer
-/// under memory pressure) each go through one call above on a pool lane.
-/// Results land at their job's index, so they are bit-identical for every
-/// pool size; a null or one-lane pool scores the whole list in one call.
+/// The same, split across @p pool: the library's one alignment splitter.
+/// Several lanes score slices of kPoolGrain jobs (fewer under memory
+/// pressure) through one call above each; a null or one-lane pool scores
+/// the whole list in one call. Results land at their job's index, so they
+/// are bit-identical for every pool size.
 void align_score_batch(const PairJob* jobs, std::size_t count,
                        const ScoringScheme& scheme, AlignmentResult* out,
                        exec::Pool* pool);
 
-/// Jobs per pooled slice: enough for the length sort to form uniform lane
-/// chunks, few enough to load-balance across pool lanes.
-inline constexpr std::size_t kPoolGrain = 256;
+/// Jobs per pooled slice, the only alignment grain: enough for the length
+/// sort to form uniform lane chunks, few enough to load-balance across
+/// pool lanes.
+inline constexpr std::size_t kPoolGrain = 128;
 
 }  // namespace pclust::align

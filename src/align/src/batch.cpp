@@ -234,16 +234,16 @@ void align_score_batch(const PairJob* jobs, std::size_t count,
 void align_score_batch(const PairJob* jobs, std::size_t count,
                        const ScoringScheme& scheme, AlignmentResult* out,
                        exec::Pool* pool) {
-  if (!pool || pool->size() <= 1 || count <= kPoolGrain) {
-    align_score_batch(jobs, count, scheme, out);
-    return;
-  }
-  // The governor may shrink the slices under memory pressure; that moves
-  // only the transient scratch footprint, never a result.
-  pool->for_range(count, util::governor().recommend_grain(kPoolGrain),
-                  [&](std::size_t lo, std::size_t hi) {
-                    align_score_batch(jobs + lo, hi - lo, scheme, out + lo);
-                  });
+  // One lane scores the whole list in one call, the widest batch for lane
+  // packing. Several lanes ask the governor for the grain before anything
+  // else, so a budgeted run records its shrink event whatever the count;
+  // shrinking moves only the transient scratch footprint, never a result.
+  exec::Pool& lanes = exec::or_serial(pool);
+  const std::size_t grain =
+      lanes.size() > 1 ? util::governor().recommend_grain(kPoolGrain) : count;
+  lanes.for_range(count, grain, [&](std::size_t lo, std::size_t hi) {
+    align_score_batch(jobs + lo, hi - lo, scheme, out + lo);
+  });
 }
 
 }  // namespace pclust::align

@@ -59,7 +59,7 @@ ComponentGraph build_bd(const seq::SequenceSet& set,
   pp.phase_label = "bgg";
   pp.batch_size = kFlushPairs;
   BdMaster master(members);
-  pace::CcdWorker worker(set, pp);
+  const pace::CcdWorker worker(set, pp);
   const pace::EngineCounters c =
       pace::run_serial(set, members, pp, master, worker, pool);
   out.candidate_pairs = c.promising_pairs;

@@ -185,10 +185,11 @@ class RankCrashed : public std::runtime_error {
   int rank_;
 };
 
-/// Thrown by the plain (non-status) recv when the awaited peer has failed
-/// and no matching message remains — the legacy blocking API's way of
-/// observing a failure instead of deadlocking. Fault-aware protocols use
-/// Communicator::recv_status and get RecvStatus::kRankFailed instead.
+/// Thrown by a protocol rank whose receive from the master it depends on
+/// (a flat worker's master, a sub-master's or re-homing worker's root)
+/// returned anything but RecvStatus::kOk, instead of waiting on a dead
+/// peer forever. Like any rank exception it aborts the run and surfaces
+/// as a RankError.
 class RankFailedError : public std::runtime_error {
  public:
   explicit RankFailedError(int rank)

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -27,9 +28,9 @@ namespace pclust::pace {
 std::unordered_map<seq::SeqId, std::uint32_t> dense_index(
     const std::vector<seq::SeqId>& ids);
 
-/// The CCD worker: one Definition-2 overlap alignment per pair, banded on
-/// the pair's maximal-match diagonal when params.band > 0, scored through
-/// the SIMD batch engine. Verdict code 1 = overlap accepted. B_d edge
+/// The CCD worker: one Definition-2 overlap job per pair, banded on the
+/// pair's maximal-match diagonal when params.band > 0. Verdict code 1 =
+/// overlap accepted; the verdict carries the alignment evidence. B_d edge
 /// construction (bigraph::build_bd) runs it under an always-admit master.
 class CcdWorker final : public WorkerPolicy {
  public:
@@ -37,8 +38,11 @@ class CcdWorker final : public WorkerPolicy {
   CcdWorker(const seq::SequenceSet& set, const PaceParams& params)
       : set_(set), params_(params) {}
 
-  void evaluate_batch(const PairTask* tasks, std::size_t count,
-                      Verdict* verdicts, std::uint64_t* cells) override;
+  void jobs(const PairTask& task,
+            std::vector<align::PairJob>& out) const override;
+  Verdict verdict(
+      const PairTask& task,
+      std::span<const align::AlignmentResult> results) const override;
 
  private:
   const seq::SequenceSet& set_;
@@ -57,7 +61,7 @@ struct ComponentsResult {
 };
 
 /// Parallel (simulated, p >= 2) component detection over @p ids.
-/// @p pool (optional) runs index construction and verdict batches on real
+/// @p pool (optional) runs index construction and alignment batches on real
 /// threads; the result is identical to pool = nullptr (see engine.hpp).
 /// @p plan (optional) injects faults; the engine heals worker crashes and
 /// the component partition stays BIT-IDENTICAL to the fault-free run —

@@ -42,13 +42,20 @@
 // simulated machine: serial RR and CCD, the CCD merge-provenance replay,
 // and B_d edge construction (bigraph::build_bd). The serial path can
 // checkpoint its progress and resume mid-stream (SerialHooks).
+//
+// Both paths score a chunk of pairs the same way: the worker policy names
+// each pair's alignment jobs, one pooled align_score_batch call scores
+// them all (the library's one alignment splitter), and the policy reads
+// each pair's results back into its verdict, in task order.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "pclust/align/batch.hpp"
 #include "pclust/mpsim/runtime.hpp"
 #include "pclust/pace/params.hpp"
 #include "pclust/seq/sequence_set.hpp"
@@ -136,22 +143,25 @@ class MasterPolicy {
   virtual std::unique_ptr<ShardPolicy> make_shard() { return nullptr; }
 };
 
-/// Worker-side policy: computes the verdicts for a batch of pairs, the
-/// engine's one alignment path. evaluate_batch() may be called
-/// CONCURRENTLY from pool threads on the same policy object, so
-/// implementations must be stateless apart from read-only captures.
+/// Worker-side policy: names the alignment jobs that decide a pair and
+/// reads their results back into a verdict. The engine scores the jobs of
+/// a whole chunk with one pooled align_score_batch call, whose results are
+/// bit-identical to the scalar engines whatever the batch composition, and
+/// sums each pair's DP cells into Verdict::cells. Both methods are const
+/// and read only what the policy was built from, so the simulated worker
+/// ranks share one policy.
 class WorkerPolicy {
  public:
   virtual ~WorkerPolicy() = default;
-  /// Evaluate @p count independent pairs, writing verdicts[k] for tasks[k]
-  /// and accumulating each pair's DP cells into cells[k] (cells may be
-  /// null). Implementations score the alignments through the SIMD batch
-  /// engine (align_score_batch), whose results are bit-identical to the
-  /// scalar engines whatever the batch composition. The engine folds the
-  /// cell counts into the virtual clock serially, in task order, so pooled
-  /// evaluation leaves the simulated timing deterministic.
-  virtual void evaluate_batch(const PairTask* tasks, std::size_t count,
-                              Verdict* verdicts, std::uint64_t* cells) = 0;
+  /// Append to @p out the jobs whose results decide @p task (possibly
+  /// none).
+  virtual void jobs(const PairTask& task,
+                    std::vector<align::PairJob>& out) const = 0;
+  /// The verdict for @p task from @p results, the results of the jobs
+  /// jobs(task) appended, in that order.
+  virtual Verdict verdict(
+      const PairTask& task,
+      std::span<const align::AlignmentResult> results) const = 0;
 };
 
 struct EngineCounters {
@@ -166,15 +176,26 @@ struct EngineCounters {
   /// schedule's; this one is the extra alignment work batching paid for.
   std::uint64_t speculative_pairs = 0;
 
+  /// Pairs past the seen-set, each either aligned or filtered.
+  [[nodiscard]] std::uint64_t candidates() const {
+    return promising_pairs - duplicate_pairs;
+  }
+  /// Fraction of the candidates the filter skipped (0 without any).
+  [[nodiscard]] double skip_ratio() const {
+    return candidates() == 0 ? 0.0
+                             : static_cast<double>(filtered_pairs) /
+                                   static_cast<double>(candidates());
+  }
+
   bool operator==(const EngineCounters&) const = default;
 };
 
-/// Run the engine on p >= 2 simulated ranks. @p make_worker_policy is
-/// invoked once per worker rank (thread) so policies need no sharing.
-/// The master policy is single-threaded by protocol. When @p pool is given,
-/// index construction and each rank's verdict batches run on real pool
-/// threads — mpsim ranks SHARE the pool; results are merged in task order
-/// so the outcome is identical to pool = nullptr.
+/// Run the engine on p >= 2 simulated ranks. The worker ranks share
+/// @p worker_policy (its methods are const); the master policy is
+/// single-threaded by protocol. When @p pool is given, index construction
+/// and each rank's alignment chunks run on real pool threads — mpsim ranks
+/// SHARE the pool; results are merged in task order so the outcome is
+/// identical to pool = nullptr.
 /// With a @p plan the run is fault injected: planned worker crashes are
 /// healed by the protocol (see file comment) and the final master-policy
 /// state matches the fault-free run bit for bit. Throws
@@ -194,8 +215,7 @@ struct EngineCounters {
 mpsim::RunResult run_parallel(
     const seq::SequenceSet& set, const std::vector<seq::SeqId>& ids, int p,
     const mpsim::MachineModel& model, const PaceParams& params,
-    MasterPolicy& master_policy,
-    const std::function<std::unique_ptr<WorkerPolicy>()>& make_worker_policy,
+    MasterPolicy& master_policy, const WorkerPolicy& worker_policy,
     EngineCounters* counters = nullptr, exec::Pool* pool = nullptr,
     const mpsim::FaultPlan* plan = nullptr);
 
@@ -230,11 +250,12 @@ struct SerialHooks {
 /// the pool's lanes (a null pool is one lane) run index construction, pair
 /// enumeration and alignment.
 /// Pairs that pass the filter are collected into batches of
-/// params.batch_size and evaluated through WorkerPolicy::evaluate_batch:
-/// one call per batch on one lane, 128-task slices across several; each
-/// verdict carries its pair's DP cells. Before each verdict is applied, in
-/// task order, the filter is asked again; a pair it now rejects is counted
-/// as filtered (and speculative) and its verdict dropped. Filters only ever
+/// params.batch_size, and each batch's jobs are scored by one pooled
+/// align_score_batch call (one unpooled call at one lane, kPoolGrain-job
+/// slices across several); each verdict carries its pair's DP cells.
+/// Before each verdict is applied, in task order, the filter is asked
+/// again; a pair it now rejects is counted as filtered (and speculative)
+/// and its verdict dropped. Filters only ever
 /// turn from admit to reject (RR removals and CCD merges are permanent), so
 /// the admit-then-re-check decision is exactly the one-pair-at-a-time
 /// schedule's: the final policy state AND every counter but
@@ -244,7 +265,7 @@ EngineCounters run_serial(const seq::SequenceSet& set,
                           const std::vector<seq::SeqId>& ids,
                           const PaceParams& params,
                           MasterPolicy& master_policy,
-                          WorkerPolicy& worker_policy,
+                          const WorkerPolicy& worker_policy,
                           exec::Pool* pool = nullptr,
                           const SerialHooks* hooks = nullptr);
 

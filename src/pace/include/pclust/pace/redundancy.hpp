@@ -32,7 +32,7 @@ struct RedundancyResult {
 };
 
 /// Parallel (simulated, p >= 2) redundancy removal over all of @p set.
-/// @p pool (optional) runs index construction and verdict batches on real
+/// @p pool (optional) runs index construction and alignment batches on real
 /// threads; the result is identical to pool = nullptr (see engine.hpp).
 /// @p plan (optional) injects faults; worker crashes are healed by the
 /// engine. NOTE: unlike CCD, the RR verdict application is order

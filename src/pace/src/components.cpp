@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "pclust/align/batch.hpp"
 #include "pclust/align/predicates.hpp"
 #include "pclust/dsu/union_find.hpp"
 #include "pclust/pace/provenance.hpp"
@@ -187,35 +186,27 @@ class CcdReplay final : public MasterPolicy {
 
 }  // namespace
 
-void CcdWorker::evaluate_batch(const PairTask* tasks, std::size_t count,
-                               Verdict* verdicts, std::uint64_t* cells) {
+void CcdWorker::jobs(const PairTask& task,
+                     std::vector<align::PairJob>& out) const {
   const std::int64_t band = params_.band > 0
                                 ? static_cast<std::int64_t>(params_.band)
                                 : std::int64_t{-1};
-  std::vector<align::PairJob> jobs;
-  jobs.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    jobs.push_back({set_.residues(tasks[k].a), set_.residues(tasks[k].b),
-                    tasks[k].diagonal(), band});
-  }
-  std::vector<align::AlignmentResult> results(count);
-  align::align_score_batch(jobs.data(), count, align::blosum62(),
-                           results.data());
-  for (std::size_t k = 0; k < count; ++k) {
-    const align::PredicateOutcome out = align::overlap_outcome(
-        results[k], jobs[k].a.size(), jobs[k].b.size(), params_.overlap);
-    if (cells) cells[k] += out.alignment.cells;
-    Verdict v;
-    v.a = tasks[k].a;
-    v.b = tasks[k].b;
-    v.code = static_cast<std::uint8_t>(out.accepted ? 1 : 0);
-    v.score = out.alignment.score;
-    v.matches = out.alignment.matches;
-    v.columns = out.alignment.columns;
-    v.a_span = out.alignment.a_end - out.alignment.a_begin;
-    v.b_span = out.alignment.b_end - out.alignment.b_begin;
-    verdicts[k] = v;
-  }
+  out.push_back({set_.residues(task.a), set_.residues(task.b),
+                 task.diagonal(), band});
+}
+
+Verdict CcdWorker::verdict(
+    const PairTask& task,
+    std::span<const align::AlignmentResult> results) const {
+  const align::AlignmentResult& r = results.front();
+  const bool accepted = align::overlap_outcome(r, set_.length(task.a),
+                                               set_.length(task.b),
+                                               params_.overlap)
+                            .accepted;
+  // Evidence for the provenance recorder and B_d; the engine adds cells.
+  return Verdict{task.a, task.b, static_cast<std::uint8_t>(accepted),
+                 r.score, r.matches, r.columns, r.a_end - r.a_begin,
+                 r.b_end - r.b_begin};
 }
 
 std::size_t ComponentsResult::count_with_min_size(std::size_t min_size) const {
@@ -240,10 +231,9 @@ ComponentsResult detect_components(const seq::SequenceSet& set,
                                    const mpsim::FaultPlan* plan) {
   ComponentsResult result;
   CcdMaster master(ids);
-  result.run = run_parallel(
-      set, ids, p, model, params, master,
-      [&set, &params] { return std::make_unique<CcdWorker>(set, params); },
-      &result.counters, pool, plan);
+  const CcdWorker worker(set, params);
+  result.run = run_parallel(set, ids, p, model, params, master, worker,
+                            &result.counters, pool, plan);
   master.record_memory(params.phase_label);
   result.components = master.components();
   return result;
@@ -257,7 +247,7 @@ ComponentsResult detect_components_serial(
     const std::function<void(const Verdict&)>& on_merge) {
   ComponentsResult result;
   CcdMaster master(ids);
-  CcdWorker worker(set, params);
+  const CcdWorker worker(set, params);
   if (on_merge) master.set_merge_recorder(on_merge);
 
   SerialHooks hooks;
@@ -287,7 +277,7 @@ std::vector<prov::Edge> derive_ccd_provenance(
     const std::vector<std::vector<seq::SeqId>>& components,
     exec::Pool* pool) {
   CcdReplay replay(ids, components);
-  CcdWorker worker(set, params);
+  const CcdWorker worker(set, params);
   const EngineCounters c = run_serial(set, ids, params, replay, worker, pool);
   util::metrics().counter("prov.ccd_replay_alignments").add(c.aligned_pairs);
   return replay.take_edges();

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 
+#include "pclust/align/scoring.hpp"
 #include "pclust/exec/pool.hpp"
 #include "pclust/mpsim/masterworker.hpp"
 #include "pclust/suffix/lcp.hpp"
@@ -162,43 +164,34 @@ struct SharedIndex {
   util::MemoryCharge charge_;
 };
 
-/// Tasks handed to one evaluate_batch() call. Large enough that the batch
-/// engine can sort the jobs (up to two alignments per task) into
-/// length-uniform lane chunks — lane utilisation rises with pool size —
-/// and small enough to load-balance across pool threads.
-constexpr std::size_t kEvalGrain = 128;
-
-/// Evaluate one chunk of tasks on the pool's lanes. The policy sees
-/// lane-width-friendly slices via evaluate_batch(); verdicts land in
-/// index-addressed slots and cell charges are folded into @p comm serially
-/// in task order, so both the results and the virtual clock are independent
-/// of pool scheduling. Policies are invoked concurrently (see WorkerPolicy).
-void evaluate_tasks(const std::vector<PairTask>& tasks, WorkerPolicy& policy,
-                    mpsim::Communicator* comm, exec::Pool* pool,
-                    std::vector<Verdict>& verdicts) {
-  const std::size_t n = tasks.size();
-  const std::size_t base = verdicts.size();
-  verdicts.resize(base + n);
-  std::vector<std::uint64_t> cells(n, 0);
-  // One lane takes the whole chunk as one slice, the widest batch for lane
-  // packing. Several lanes split it into kEvalGrain slices; verdict slots
-  // are index-addressed, so the governor shrinking that grain under memory
-  // pressure cannot change the output — only the transient footprint of
-  // in-flight batch scratch.
-  exec::Pool& lanes = exec::or_serial(pool);
-  const std::size_t grain = lanes.size() > 1
-                                ? util::governor().recommend_grain(kEvalGrain)
-                                : n;
-  lanes.for_range(n, grain, [&](std::size_t lo, std::size_t hi) {
-    policy.evaluate_batch(tasks.data() + lo, hi - lo,
-                          verdicts.data() + base + lo, cells.data() + lo);
-  });
-  for (std::size_t k = 0; k < n; ++k) {
-    verdicts[base + k].cells = cells[k];
+/// Score one chunk of tasks: every task's jobs go through one pooled
+/// align_score_batch call, then verdicts are read back and cells charged
+/// to @p comm serially in task order, so both the results and the virtual
+/// clock are independent of pool scheduling.
+void evaluate_tasks(const std::vector<PairTask>& tasks,
+                    const WorkerPolicy& policy, mpsim::Communicator* comm,
+                    exec::Pool* pool, std::vector<Verdict>& verdicts) {
+  std::vector<align::PairJob> jobs;
+  std::vector<std::size_t> first;  // task k's jobs: [first[k], first[k + 1])
+  first.reserve(tasks.size() + 1);
+  for (const PairTask& task : tasks) {
+    first.push_back(jobs.size());
+    policy.jobs(task, jobs);
+  }
+  first.push_back(jobs.size());
+  std::vector<align::AlignmentResult> results(jobs.size());
+  align::align_score_batch(jobs.data(), jobs.size(), align::blosum62(),
+                           results.data(), pool);
+  for (std::size_t k = 0; k < tasks.size(); ++k) {
+    const auto own = std::span<const align::AlignmentResult>(results).subspan(
+        first[k], first[k + 1] - first[k]);
+    Verdict v = policy.verdict(tasks[k], own);
+    for (const align::AlignmentResult& r : own) v.cells += r.cells;
     if (comm) {
-      comm->charge_cells(cells[k]);
+      comm->charge_cells(v.cells);
       comm->count("alignments_computed");
     }
+    verdicts.push_back(v);
   }
 }
 
@@ -239,8 +232,7 @@ mpsim::MwOptions protocol_options(const PaceParams& params) {
 mpsim::RunResult run_parallel(
     const seq::SequenceSet& set, const std::vector<seq::SeqId>& ids, int p,
     const mpsim::MachineModel& model, const PaceParams& params,
-    MasterPolicy& master_policy,
-    const std::function<std::unique_ptr<WorkerPolicy>()>& make_worker_policy,
+    MasterPolicy& master_policy, const WorkerPolicy& worker_policy,
     EngineCounters* counters, exec::Pool* pool, const mpsim::FaultPlan* plan) {
   const mpsim::MwPhase phase("pace::run_parallel", protocol_options(params),
                              p, plan);
@@ -290,10 +282,9 @@ mpsim::RunResult run_parallel(
     record_engine_counters(c);
   };
   // A worker's generation replays a bucket share (index-build chars and
-  // pair enumeration charged virtually); its evaluation is the pooled
-  // alignment batch.
+  // pair enumeration charged virtually); its evaluation is one pooled
+  // alignment call per chunk with the shared worker policy.
   roles.worker = [&] {
-    std::shared_ptr<WorkerPolicy> policy = make_worker_policy();
     mpsim::MwWorker<PairTask, Verdict> hooks;
     hooks.generate = [&index](mpsim::Communicator& c, int origin) {
       c.charge_index_chars(index.worker_chars(origin));
@@ -301,10 +292,10 @@ mpsim::RunResult run_parallel(
       c.charge_pairs(pairs.size());
       return pairs;
     };
-    hooks.evaluate = [policy, pool](mpsim::Communicator& c,
-                                    const std::vector<PairTask>& tasks,
-                                    std::vector<Verdict>& verdicts) {
-      evaluate_tasks(tasks, *policy, &c, pool, verdicts);
+    hooks.evaluate = [&worker_policy, pool](mpsim::Communicator& c,
+                                            const std::vector<PairTask>& tasks,
+                                            std::vector<Verdict>& verdicts) {
+      evaluate_tasks(tasks, worker_policy, &c, pool, verdicts);
     };
     return hooks;
   };
@@ -323,7 +314,7 @@ EngineCounters run_serial(const seq::SequenceSet& set,
                           const std::vector<seq::SeqId>& ids,
                           const PaceParams& params,
                           MasterPolicy& master_policy,
-                          WorkerPolicy& worker_policy, exec::Pool* pool,
+                          const WorkerPolicy& worker_policy, exec::Pool* pool,
                           const SerialHooks* hooks) {
   const SharedIndex index(set, ids, params, pool);
   const std::vector<PairTask> pairs =

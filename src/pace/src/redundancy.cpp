@@ -1,11 +1,10 @@
 #include "pclust/pace/redundancy.hpp"
 
-#include <memory>
 #include <numeric>
-#include <utility>
+#include <span>
+#include <string_view>
 #include <vector>
 
-#include "pclust/align/batch.hpp"
 #include "pclust/align/predicates.hpp"
 #include "pclust/util/metrics.hpp"
 
@@ -76,46 +75,39 @@ class RrWorker final : public WorkerPolicy {
   RrWorker(const seq::SequenceSet& set, const PaceParams& params)
       : set_(set), params_(params) {}
 
-  /// Both containment directions of every task (each only when the inner
-  /// sequence can reach the coverage cutoff) are enqueued into one
-  /// pair-batch call so the SIMD engine can pack them into lanes.
-  void evaluate_batch(const PairTask* tasks, std::size_t count,
-                      Verdict* verdicts, std::uint64_t* cells) override {
+  /// Each containment direction whose inner sequence can reach the
+  /// coverage cutoff: a-in-b first, then b-in-a.
+  void jobs(const PairTask& task,
+            std::vector<align::PairJob>& out) const override {
+    const auto res_a = set_.residues(task.a);
+    const auto res_b = set_.residues(task.b);
     const std::int64_t band =
         params_.band > 0 ? static_cast<std::int64_t>(params_.band)
                          : std::int64_t{-1};
-    std::vector<align::PairJob> jobs;
-    std::vector<std::pair<std::size_t, bool>> owner;  // (task, is b-in-a)
-    jobs.reserve(2 * count);
-    owner.reserve(2 * count);
-    for (std::size_t k = 0; k < count; ++k) {
-      const auto res_a = set_.residues(tasks[k].a);
-      const auto res_b = set_.residues(tasks[k].b);
-      if (gate(res_a, res_b)) {
-        jobs.push_back({res_a, res_b, tasks[k].diagonal(), band});
-        owner.emplace_back(k, false);
-      }
-      if (gate(res_b, res_a)) {
-        jobs.push_back({res_b, res_a, -tasks[k].diagonal(), band});
-        owner.emplace_back(k, true);
-      }
+    if (gate(res_a, res_b)) {
+      out.push_back({res_a, res_b, task.diagonal(), band});
     }
-    std::vector<align::AlignmentResult> results(jobs.size());
-    align::align_score_batch(jobs.data(), jobs.size(), align::blosum62(),
-                             results.data());
+    if (gate(res_b, res_a)) {
+      out.push_back({res_b, res_a, -task.diagonal(), band});
+    }
+  }
 
-    std::vector<std::uint8_t> a_in_b(count, 0), b_in_a(count, 0);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const auto [k, flipped] = owner[i];
-      const align::PredicateOutcome out = align::containment_outcome(
-          results[i], jobs[i].a.size(), params_.containment);
-      (flipped ? b_in_a : a_in_b)[k] = out.accepted ? 1 : 0;
-      if (cells) cells[k] += out.alignment.cells;
-    }
-    for (std::size_t k = 0; k < count; ++k) {
-      verdicts[k] =
-          Verdict{tasks[k].a, tasks[k].b, code_of(a_in_b[k], b_in_a[k])};
-    }
+  Verdict verdict(
+      const PairTask& task,
+      std::span<const align::AlignmentResult> results) const override {
+    const auto res_a = set_.residues(task.a);
+    const auto res_b = set_.residues(task.b);
+    std::size_t next = 0;
+    const auto contained = [&](std::string_view inner,
+                               std::string_view outer) {
+      return gate(inner, outer) &&
+             align::containment_outcome(results[next++], inner.size(),
+                                        params_.containment)
+                 .accepted;
+    };
+    const bool a_in_b = contained(res_a, res_b);
+    const bool b_in_a = contained(res_b, res_a);
+    return Verdict{task.a, task.b, code_of(a_in_b, b_in_a)};
   }
 
  private:
@@ -167,10 +159,9 @@ RedundancyResult remove_redundant(const seq::SequenceSet& set, int p,
                                   const mpsim::FaultPlan* plan) {
   RedundancyResult result;
   RrMaster master(set.size(), result);
-  result.run = run_parallel(
-      set, all_ids(set), p, model, params, master,
-      [&set, &params] { return std::make_unique<RrWorker>(set, params); },
-      &result.counters, pool, plan);
+  const RrWorker worker(set, params);
+  result.run = run_parallel(set, all_ids(set), p, model, params, master,
+                            worker, &result.counters, pool, plan);
   return result;
 }
 
@@ -179,7 +170,7 @@ RedundancyResult remove_redundant_serial(const seq::SequenceSet& set,
                                          exec::Pool* pool) {
   RedundancyResult result;
   RrMaster master(set.size(), result);
-  RrWorker worker(set, params);
+  const RrWorker worker(set, params);
   result.counters =
       run_serial(set, all_ids(set), params, master, worker, pool);
   record_engine_counters(result.counters);

@@ -108,21 +108,17 @@ struct PipelineConfig {
   /// derived evidence instead of re-deriving it.
   bool provenance = false;
 
-  /// Fault injection for the simulated RR and CCD phases (ignored when
-  /// processors < 2). The engine self-heals worker crashes; see
-  /// pace/engine.hpp for the guarantees per phase.
-  const mpsim::FaultPlan* fault_plan = nullptr;
-  /// Per-phase overrides: when set, the named phase uses this plan instead
-  /// of `fault_plan`. Each simulated phase restarts its virtual clock at 0,
-  /// so a shared plan's crash times hit every phase it is applied to —
-  /// per-phase plans are how a single phase is targeted.
+  /// Fault injection, one plan per simulated phase, each validated against
+  /// that phase's rank layout. Each simulated phase restarts its virtual
+  /// clock at 0, so a plan shared by two phases hits both.
+  /// RR and CCD (ignored when processors < 2): the engine self-heals
+  /// worker crashes; see pace/engine.hpp for the guarantees per phase. RR
+  /// always runs flat, so only CCD's plan may fault sub-masters.
   const mpsim::FaultPlan* rr_fault_plan = nullptr;
   const mpsim::FaultPlan* ccd_fault_plan = nullptr;
-  /// Fault injection for the simulated BGG+DSD phase (ignored when
-  /// dsd_processors < 2). Unlike RR, the DSD phase's graph-keyed verdicts
-  /// make its family output bit-identical under ANY plan that leaves the
-  /// master alive (see pipeline/dsd.hpp). Not defaulted from `fault_plan`:
-  /// the DSD machine/rank-count differ, so a shared plan rarely validates.
+  /// BGG+DSD (ignored when dsd_processors < 2). Unlike RR, the DSD phase's
+  /// graph-keyed verdicts make its family output bit-identical under ANY
+  /// plan that leaves the master alive (see pipeline/dsd.hpp).
   const mpsim::FaultPlan* dsd_fault_plan = nullptr;
 };
 

@@ -515,7 +515,7 @@ PipelineResult run(const seq::SequenceSet& input,
     }
     result.rr = pace::remove_redundant(
         set, config.processors, mpsim::MachineModel::bluegene_l(), rr_params,
-        &pool, config.rr_fault_plan ? config.rr_fault_plan : config.fault_plan);
+        &pool, config.rr_fault_plan);
     return {result.rr.run.makespan};
   };
   rr.save = [&](util::CheckpointWriter& out) {
@@ -559,8 +559,7 @@ PipelineResult run(const seq::SequenceSet& input,
     if (parallel) {
       result.ccd = pace::detect_components(
           set, survivors, config.processors, mpsim::MachineModel::bluegene_l(),
-          ccd_params, &pool,
-          config.ccd_fault_plan ? config.ccd_fault_plan : config.fault_plan);
+          ccd_params, &pool, config.ccd_fault_plan);
       return {result.ccd.run.makespan};
     }
     // Mid-stream progress snapshots (serial path only: the pair stream
@@ -663,13 +662,9 @@ PipelineResult run(const seq::SequenceSet& input,
   // the serial path drop each graph as soon as it is processed.
   const auto fold_families = [&](const bigraph::ComponentGraph& graph,
                                  std::vector<std::vector<seq::SeqId>> found) {
-    std::unordered_map<seq::SeqId, std::uint32_t> dense;
-    if (config.reduction == bigraph::Reduction::kDuplicate) {
-      dense.reserve(graph.members.size());
-      for (std::uint32_t i = 0; i < graph.members.size(); ++i) {
-        dense[graph.members[i]] = i;
-      }
-    }
+    const auto dense = config.reduction == bigraph::Reduction::kDuplicate
+                           ? pace::dense_index(graph.members)
+                           : std::unordered_map<seq::SeqId, std::uint32_t>{};
     for (auto& members : found) {
       Family family;
       family.members = std::move(members);

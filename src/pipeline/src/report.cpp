@@ -19,28 +19,6 @@ namespace pclust::pipeline {
 
 namespace {
 
-struct PhaseWork {
-  std::uint64_t promising = 0;
-  std::uint64_t duplicate = 0;
-  std::uint64_t filtered = 0;
-  std::uint64_t aligned = 0;
-  std::uint64_t speculative = 0;  // of `filtered`: aligned, then re-checked
-
-  [[nodiscard]] std::uint64_t candidates() const {
-    return promising - duplicate;
-  }
-  [[nodiscard]] double skip_ratio() const {
-    return candidates() == 0 ? 0.0
-                             : static_cast<double>(filtered) /
-                                   static_cast<double>(candidates());
-  }
-};
-
-PhaseWork work_of(const pace::EngineCounters& c) {
-  return PhaseWork{c.promising_pairs, c.duplicate_pairs, c.filtered_pairs,
-                   c.aligned_pairs, c.speculative_pairs};
-}
-
 /// Provenance of @p phase from the phase log ("computed" when checkpoints
 /// were off and the log is empty).
 std::string phase_source(const PipelineResult& result, const char* phase) {
@@ -54,19 +32,20 @@ std::string phase_source(const PipelineResult& result, const char* phase) {
 }
 
 void emit_phase(util::JsonWriter& w, const char* name, double seconds,
-                const std::string& source, const PhaseWork* work) {
+                const std::string& source,
+                const pace::EngineCounters* work) {
   w.begin_object();
   w.key("name").value(name);
   w.key("seconds").value(seconds);
   w.key("source").value(source);
   if (work) {
-    w.key("promising_pairs").value(work->promising);
-    w.key("duplicate_pairs").value(work->duplicate);
+    w.key("promising_pairs").value(work->promising_pairs);
+    w.key("duplicate_pairs").value(work->duplicate_pairs);
     w.key("candidate_pairs").value(work->candidates());
-    w.key("attempted").value(work->aligned);
-    w.key("skipped_by_cluster_filter").value(work->filtered);
+    w.key("attempted").value(work->aligned_pairs);
+    w.key("skipped_by_cluster_filter").value(work->filtered_pairs);
     w.key("skip_ratio").value(work->skip_ratio());
-    w.key("speculative").value(work->speculative);
+    w.key("speculative").value(work->speculative_pairs);
   }
   w.end_object();
 }
@@ -249,11 +228,14 @@ std::string render_report(const PipelineResult& result,
                           const PipelineConfig& config,
                           const ReportInfo& info) {
   const util::MetricsSnapshot snapshot = util::metrics().snapshot();
-  const PhaseWork rr = work_of(result.rr.counters);
-  const PhaseWork ccd = work_of(result.ccd.counters);
-  const PhaseWork total{rr.promising + ccd.promising,
-                        rr.duplicate + ccd.duplicate,
-                        rr.filtered + ccd.filtered, rr.aligned + ccd.aligned};
+  const pace::EngineCounters& rr = result.rr.counters;
+  const pace::EngineCounters& ccd = result.ccd.counters;
+  const pace::EngineCounters total{
+      rr.promising_pairs + ccd.promising_pairs,
+      rr.duplicate_pairs + ccd.duplicate_pairs,
+      rr.filtered_pairs + ccd.filtered_pairs,
+      rr.aligned_pairs + ccd.aligned_pairs,
+      rr.speculative_pairs + ccd.speculative_pairs};
 
   util::JsonWriter w;
   w.begin_object();
@@ -283,8 +265,8 @@ std::string render_report(const PipelineResult& result,
     return plan != nullptr && !plan->empty();
   };
   w.key("faults_injected")
-      .value(injects(config.fault_plan) || injects(config.rr_fault_plan) ||
-             injects(config.ccd_fault_plan) || injects(config.dsd_fault_plan));
+      .value(injects(config.rr_fault_plan) || injects(config.ccd_fault_plan) ||
+             injects(config.dsd_fault_plan));
   w.end_object();
 
   w.key("phases").begin_array();
@@ -296,11 +278,11 @@ std::string render_report(const PipelineResult& result,
   w.end_array();
 
   w.key("alignment").begin_object();
-  w.key("promising_pairs").value(total.promising);
-  w.key("duplicate_pairs").value(total.duplicate);
+  w.key("promising_pairs").value(total.promising_pairs);
+  w.key("duplicate_pairs").value(total.duplicate_pairs);
   w.key("candidate_pairs").value(total.candidates());
-  w.key("attempted").value(total.aligned);
-  w.key("skipped_by_cluster_filter").value(total.filtered);
+  w.key("attempted").value(total.aligned_pairs);
+  w.key("skipped_by_cluster_filter").value(total.filtered_pairs);
   w.key("skip_ratio").value(total.skip_ratio());
   w.end_object();
 

@@ -57,6 +57,9 @@ std::size_t read_fasta_file(const std::string& path, SequenceSet& out,
 void write_fasta(std::ostream& out, const SequenceSet& set,
                  std::size_t line_width = 70);
 
+/// Write all sequences to @p path as one atomic commit through the IoEnv
+/// (artifact class `families`): a persistent failure throws
+/// util::io::IoError and leaves no file behind.
 void write_fasta_file(const std::string& path, const SequenceSet& set,
                       std::size_t line_width = 70);
 

@@ -3,9 +3,11 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 
 #include "pclust/seq/alphabet.hpp"
+#include "pclust/util/io.hpp"
 #include "pclust/util/log.hpp"
 #include "pclust/util/strings.hpp"
 
@@ -139,9 +141,10 @@ void write_fasta(std::ostream& out, const SequenceSet& set,
 
 void write_fasta_file(const std::string& path, const SequenceSet& set,
                       std::size_t line_width) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for write: " + path);
+  std::ostringstream out;
   write_fasta(out, set, line_width);
+  util::io::io().commit_file(util::io::ArtifactClass::kFamilies, path,
+                             out.str());
 }
 
 }  // namespace pclust::seq

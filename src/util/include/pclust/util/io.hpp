@@ -1,8 +1,8 @@
 // Fault-injectable I/O environment for every file artifact pclust writes.
 //
-// All durable outputs — family clusterings, checkpoints, run reports,
-// telemetry JSONL, trace timelines, the optional log sink, and spill
-// files — go through the process-wide IoEnv. It provides
+// All durable outputs — family clusterings, generated FASTA, checkpoints,
+// run reports, telemetry JSONL, trace timelines, the optional log sink, and
+// spill files — go through the process-wide IoEnv. It provides
 //
 //   * atomic commits (tmp file + rename, optional fsync-on-commit) with
 //     short-write detection, retried with exponential backoff
@@ -44,7 +44,8 @@ namespace pclust::util::io {
 /// class selects both the fault-injection stream and the degradation
 /// policy.
 enum class ArtifactClass : int {
-  kFamilies = 0,  // clustering output — the product; losing it is fatal
+  kFamilies = 0,  // clustering output — the product; losing it is fatal —
+                  // and generated FASTA inputs
   kCheckpoint,    // phase checkpoints — roll back and continue
   kReport,        // structured run reports — fatal (explicitly requested)
   kTelemetry,     // JSONL stream — drop-and-count

@@ -3,6 +3,7 @@
 // same cell counts — across partial lane fills, banded and unbanded
 // geometries, mixed-length batches, the length cutoff to the scalar
 // fallback, and score-overflow promotion back to exact scalar recompute.
+// The pooled call must equal one unpooled call at every pool size.
 //
 // set_isa() clamps to the host's capabilities, so iterating every Isa is
 // safe anywhere: on a host without AVX2 the avx2 round simply re-runs the
@@ -10,13 +11,16 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pclust/align/batch.hpp"
 #include "pclust/align/pairwise.hpp"
 #include "pclust/align/scoring.hpp"
 #include "pclust/align/simd.hpp"
+#include "pclust/exec/pool.hpp"
 #include "pclust/seq/alphabet.hpp"
+#include "pclust/util/memgov.hpp"
 #include "pclust/util/rng.hpp"
 
 namespace pclust::align {
@@ -230,6 +234,81 @@ TEST(BatchSimd, FuzzRandomGeometry) {
     }
     check_batch(jobs, s, "fuzz round=" + std::to_string(round));
   }
+}
+
+TEST(BatchSimd, PooledSplitMatchesOneCall) {
+  // The pooled call is the library's one alignment splitter: at every pool
+  // size and job count its results equal one unpooled call's, across
+  // unbanded jobs, two band half-widths and pairs past the lane length cap.
+  util::Xoshiro256 rng(9103);
+  const ScoringScheme& s = blosum62();
+  const std::size_t most = 5 * kPoolGrain + 3;
+  std::vector<std::string> residues;
+  residues.reserve(2 * most);  // the jobs view these strings in place
+  std::vector<PairJob> jobs;
+  for (std::size_t k = 0; k < most; ++k) {
+    const bool past_cap = k % 97 == 5;
+    const std::size_t len =
+        past_cap ? 2100 + rng.below(100) : 30 + rng.below(220);
+    residues.push_back(random_peptide(rng, len));
+    residues.push_back(mutate(rng, residues.back(), 0.15));
+    // Pairs past the cap take the scalar fallback; a band keeps it cheap.
+    const std::int64_t band =
+        past_cap ? 24 : k % 3 == 0 ? -1 : k % 3 == 1 ? 8 : 24;
+    jobs.push_back({residues[2 * k], residues[2 * k + 1],
+                    static_cast<std::int64_t>(rng.below(9)) - 4, band});
+  }
+
+  exec::Pool one(1), two(2), four(4);
+  const std::pair<const char*, exec::Pool*> pools[] = {
+      {"null", nullptr}, {"1", &one}, {"2", &two}, {"4", &four}};
+  const auto expect_split_matches =
+      [&](exec::Pool* pool, const std::vector<AlignmentResult>& want,
+          const std::string& what) {
+        std::vector<AlignmentResult> got(want.size());
+        align_score_batch(jobs.data(), want.size(), s, got.data(), pool);
+        for (std::size_t k = 0; k < want.size(); ++k) {
+          expect_identical(want[k], got[k], what + " job=" + std::to_string(k));
+        }
+      };
+  for (const std::size_t count :
+       {std::size_t{0}, std::size_t{1}, kPoolGrain, kPoolGrain + 1, most}) {
+    std::vector<AlignmentResult> want(count);
+    align_score_batch(jobs.data(), count, s, want.data());
+    for (const auto& [name, pool] : pools) {
+      expect_split_matches(
+          pool, want,
+          std::string("pool=") + name + " count=" + std::to_string(count));
+    }
+  }
+
+  // Under memory pressure several lanes ask the governor for a smaller
+  // grain before deciding whether to split (so even one job records the
+  // shrink, once per phase); one lane never asks.
+  std::vector<AlignmentResult> want(most);
+  align_score_batch(jobs.data(), most, s, want.data());
+  util::MemoryGovernor& gov = util::governor();
+  for (const auto& [pool, events] :
+       {std::pair{&four, std::size_t{1}}, std::pair{&one, std::size_t{0}}}) {
+    gov.configure(1000);
+    gov.set_phase("pooled-split");
+    const util::MemoryCharge pressure("pressure", 800);
+    ASSERT_GE(gov.pressure(), 0.7);
+    const std::string what =
+        "lanes=" + std::to_string(pool->size()) + " under pressure";
+    const auto shrinks = [&gov] {
+      std::size_t n = 0;
+      for (const util::DegradationEvent& e : gov.degradation_log()) {
+        n += e.action == "shrink-grain" ? 1 : 0;
+      }
+      return n;
+    };
+    expect_split_matches(pool, {want.front()}, what);
+    EXPECT_EQ(shrinks(), events) << what << ", one job";
+    expect_split_matches(pool, want, what);
+    EXPECT_EQ(shrinks(), events) << what;
+  }
+  gov.configure(0);
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "pclust/align/predicates.hpp"
 #include "pclust/pace/reference.hpp"
+#include "pclust/seq/alphabet.hpp"
 #include "pclust/synth/generator.hpp"
+#include "pclust/util/rng.hpp"
 
 namespace pclust::pace {
 namespace {
@@ -141,6 +146,36 @@ TEST(RedundancyParallel, RequiresTwoRanks) {
   EXPECT_THROW(
       remove_redundant(d.sequences, 1, mpsim::MachineModel::free()),
       std::invalid_argument);
+}
+
+TEST(Redundancy, OneSidedGateReadsTheRightDirection) {
+  // A fragment and its source: only the fragment-in-source direction passes
+  // the length gate, so each pair aligns one job, and the verdict must read
+  // that job's result as the fragment's direction whichever id it has.
+  util::Xoshiro256 rng(4401);
+  std::string source(200, 'A');
+  for (char& c : source) {
+    c = seq::rank_to_char(
+        static_cast<std::uint8_t>(rng.below(seq::kNumResidues)));
+  }
+  const std::string fragment = source.substr(40, 100);
+  for (const bool fragment_first : {true, false}) {
+    seq::SequenceSet set;
+    if (fragment_first) set.add("fragment", fragment);
+    set.add("source", source);
+    if (!fragment_first) set.add("fragment", fragment);
+    const seq::SeqId frag = fragment_first ? 0 : 1;
+    const seq::SeqId src = 1 - frag;
+    const auto check = [&](const RedundancyResult& r, const char* run) {
+      SCOPED_TRACE(std::string(run) +
+                   (fragment_first ? ", fragment first" : ", source first"));
+      EXPECT_EQ(r.removed, (std::vector<std::uint8_t>{frag == 0, frag == 1}));
+      EXPECT_EQ(r.container[frag], src);
+      EXPECT_EQ(r.counters.aligned_pairs, 1u);
+    };
+    check(remove_redundant_serial(set), "serial");
+    check(remove_redundant(set, 3, mpsim::MachineModel::free()), "p=3");
+  }
 }
 
 TEST(RedundancyVsBruteForce, NoSurvivorContainedInSurvivor) {

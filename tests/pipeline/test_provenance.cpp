@@ -123,7 +123,8 @@ TEST(PipelineProvenance, LedgerBytesInvariantUnderHealedFaults) {
   plan.crashes.push_back({3, 1.0});
   PipelineConfig config = base_config();
   config.processors = 5;
-  config.fault_plan = &plan;
+  config.rr_fault_plan = &plan;
+  config.ccd_fault_plan = &plan;
 
   mpsim::FaultPlan dsd_plan;
   dsd_plan.crashes.push_back({1, 1.0});

@@ -92,7 +92,8 @@ TEST(RunReport, FaultedHealedParallelRunSatisfiesIdentity) {
   PipelineConfig config;
   config.processors = 4;
   config.threads = 4;
-  config.fault_plan = &plan;
+  config.rr_fault_plan = &plan;
+  config.ccd_fault_plan = &plan;
 
   util::metrics().reset();
   const auto result = run(d.sequences, config);

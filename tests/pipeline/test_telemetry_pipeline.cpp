@@ -202,7 +202,8 @@ TEST(TelemetryPipeline, SeededStragglerTripsVirtualStallWatchdog) {
   // inter-progress gap far beyond the healthy ceiling.
   mpsim::FaultPlan plan;
   plan.straggler_factor = {1.0, 50.0};
-  config.fault_plan = &plan;
+  config.rr_fault_plan = &plan;
+  config.ccd_fault_plan = &plan;
 
   telemetry::TelemetryConfig slow = stream_config("straggler.jsonl");
   slow.virtual_stall_seconds = 2.0 * healthy_gap;
@@ -226,7 +227,8 @@ TEST(TelemetryPipeline, SeededStragglerTripsVirtualStallWatchdog) {
   EXPECT_TRUE(saw_virtual_stall);
 
   // Stragglers slow the clock, not the answer.
-  config.fault_plan = nullptr;
+  config.rr_fault_plan = nullptr;
+  config.ccd_fault_plan = nullptr;
   const PipelineResult plain = run(d.sequences, config);
   EXPECT_EQ(member_lists(degraded), member_lists(plain));
 }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
+
+#include "pclust/util/io.hpp"
+#include "scoped_temp_dir.hpp"
 
 namespace pclust::seq {
 namespace {
@@ -219,6 +223,22 @@ TEST(Fasta, TruncationSweepNeverCrashesOrInventsRecords) {
           << "keep=" << keep;
     }
   }
+}
+
+TEST(Fasta, WriteFailureThrowsAndLeavesNoFile) {
+  // Generated FASTA is committed through the IoEnv like every durable
+  // artifact: a write that keeps failing raises IoError and leaves neither
+  // the target nor its temporary behind.
+  SequenceSet set;
+  set.add("s1", "ACDEFGHIK");
+  const test::ScopedTempDir dir;
+  const std::filesystem::path path = dir / "out.fa";
+  util::io::io().configure(
+      util::io::IoFaultPlan::parse("families:enospc@1:sticky"));
+  EXPECT_THROW(write_fasta_file(path.string(), set), util::io::IoError);
+  util::io::io().reset();
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_TRUE(std::filesystem::is_empty(dir.path()));
 }
 
 }  // namespace

@@ -139,10 +139,9 @@ std::vector<std::pair<int, double>> parse_rank_at(const std::string& text,
   return out;
 }
 
-mpsim::FaultPlan parse_fault_plan(const util::Options& options,
-                                  int masters) {
-  mpsim::FaultPlan plan;
-  const auto slow_down = [&plan](int rank, double factor) {
+PaceFaultPlans parse_fault_plan(const util::Options& options, int masters) {
+  PaceFaultPlans plans;
+  const auto slow_down = [](mpsim::FaultPlan& plan, int rank, double factor) {
     if (plan.straggler_factor.size() <= static_cast<std::size_t>(rank)) {
       plan.straggler_factor.resize(static_cast<std::size_t>(rank) + 1, 1.0);
     }
@@ -161,7 +160,8 @@ mpsim::FaultPlan parse_fault_plan(const util::Options& options,
           "; use --submaster-crash " + std::to_string(rank) + "@t instead");
     }
     if (at < 0.0) throw UsageError("--crash: time must be >= 0");
-    plan.crashes.push_back({rank, at});
+    plans.rr.crashes.push_back({rank, at});
+    plans.ccd.crashes.push_back({rank, at});
   }
   for (const auto& [rank, at] :
        parse_rank_at(options.get("submaster-crash"), "submaster-crash")) {
@@ -176,7 +176,7 @@ mpsim::FaultPlan parse_fault_plan(const util::Options& options,
           std::to_string(masters) + "], got " + std::to_string(rank));
     }
     if (at < 0.0) throw UsageError("--submaster-crash: time must be >= 0");
-    plan.crashes.push_back({rank, at});
+    plans.ccd.crashes.push_back({rank, at});
   }
   for (const auto& [rank, factor] : parse_rank_at(
            options.get("submaster-straggle"), "submaster-straggle")) {
@@ -191,17 +191,20 @@ mpsim::FaultPlan parse_fault_plan(const util::Options& options,
     if (factor < 1.0) {
       throw UsageError("--submaster-straggle: factor must be >= 1");
     }
-    slow_down(rank, factor);
+    slow_down(plans.ccd, rank, factor);
   }
   for (const auto& [rank, factor] :
        parse_rank_at(options.get("straggle"), "straggle")) {
     if (rank < 0) throw UsageError("--straggle: rank must be >= 0");
     if (factor < 1.0) throw UsageError("--straggle: factor must be >= 1");
-    slow_down(rank, factor);
+    slow_down(plans.rr, rank, factor);
+    slow_down(plans.ccd, rank, factor);
   }
-  plan.drop_probability = get_double_in(options, "drop", 0.0, 0.999);
-  plan.duplicate_probability = get_double_in(options, "dup", 0.0, 0.999);
-  return plan;
+  for (mpsim::FaultPlan* plan : {&plans.rr, &plans.ccd}) {
+    plan->drop_probability = get_double_in(options, "drop", 0.0, 0.999);
+    plan->duplicate_probability = get_double_in(options, "dup", 0.0, 0.999);
+  }
+  return plans;
 }
 
 void define_simd_option(util::Options& options) {

@@ -69,14 +69,24 @@ std::uint64_t parse_mem_size(const std::string& text, const char* flag);
 std::vector<std::pair<int, double>> parse_rank_at(const std::string& text,
                                                   const char* flag);
 
+/// The fault plans of the two simulated PaCE phases.
+struct PaceFaultPlans {
+  /// --crash, --straggle, --drop and --dup: RR always runs flat, so it
+  /// has no sub-masters to fault.
+  mpsim::FaultPlan rr;
+  /// All six flags: CCD hosts the sub-master tier under --masters >= 2.
+  mpsim::FaultPlan ccd;
+};
+
 /// Parses the simulated-machine fault options that `families` and
 /// `simulate` both define (--crash, --submaster-crash,
-/// --submaster-straggle, --straggle, --drop, --dup) into a plan for a
-/// protocol with @p masters master ranks. Throws UsageError on a malformed
-/// or unsurvivable entry (crashing the master, or a sub-master fault
-/// without --masters >= 2). The caller sets the plan's seed: each command
-/// keeps its own --fault-seed default and range.
-mpsim::FaultPlan parse_fault_plan(const util::Options& options, int masters);
+/// --submaster-straggle, --straggle, --drop, --dup) into one plan per
+/// phase, for a CCD protocol with @p masters master ranks. Throws
+/// UsageError on a malformed or unsurvivable entry (crashing the master,
+/// or a sub-master fault without --masters >= 2). The caller sets the
+/// plans' seed (each command keeps its own --fault-seed default and range)
+/// and validates each plan against its phase's layout: RR's is flat.
+PaceFaultPlans parse_fault_plan(const util::Options& options, int masters);
 
 /// Defines the shared --simd option (auto|avx2|sse2|off) on @p options.
 void define_simd_option(util::Options& options);

@@ -96,12 +96,11 @@ bool same_families(const std::vector<pipeline::Family>& a,
 /// must hold under every fault plan: healing may re-align pairs, but every
 /// admitted candidate is resolved exactly once.
 bool work_identity(const pace::EngineCounters& c, std::string* why) {
-  const std::uint64_t candidates = c.promising_pairs - c.duplicate_pairs;
-  if (c.aligned_pairs + c.filtered_pairs != candidates) {
+  if (c.aligned_pairs + c.filtered_pairs != c.candidates()) {
     *why = "work identity violated: aligned " +
            std::to_string(c.aligned_pairs) + " + filtered " +
            std::to_string(c.filtered_pairs) + " != candidates " +
-           std::to_string(candidates);
+           std::to_string(c.candidates());
     return false;
   }
   return true;
@@ -703,7 +702,8 @@ int cmd_chaos(int argc, const char* const* argv) {
       pipeline::PipelineConfig cfg = base;
       cfg.processors = 2;
       cfg.dsd_processors = 2;
-      cfg.fault_plan = &plan;
+      cfg.rr_fault_plan = &plan;
+      cfg.ccd_fault_plan = &plan;
       cfg.dsd_fault_plan = &dsd_plan;
       const pipeline::PipelineResult result = pipeline::run(sequences, cfg);
       if (!same_families(result.families, golden_serial.families)) {

@@ -99,10 +99,11 @@ int cmd_families(int argc, const char* const* argv) {
                  "fault injection: crash sub-master i (1-based, i <= "
                  "--masters) at a virtual time, e.g. 1@5,2@20 — the root "
                  "replays its event log and re-homes its workers "
-                 "(requires --masters >= 2)");
+                 "(requires --masters >= 2; CCD phase only — RR runs flat)");
   options.define("submaster-straggle", "",
                  "fault injection: slow down sub-master i by a compute "
-                 "multiplier, e.g. 1@4 (requires --masters >= 2)");
+                 "multiplier, e.g. 1@4 (requires --masters >= 2; CCD phase "
+                 "only)");
   options.define("drop", "0",
                  "fault injection: per-message drop probability in [0, 1) "
                  "for RR/CCD (each drop costs a retransmission delay)");
@@ -220,21 +221,25 @@ int cmd_families(int argc, const char* const* argv) {
   }
 
   const int masters = config.pace.masters;
-  mpsim::FaultPlan plan = parse_fault_plan(options, masters);
-  plan.seed = static_cast<std::uint64_t>(
+  PaceFaultPlans plans = parse_fault_plan(options, masters);
+  const auto fault_seed = static_cast<std::uint64_t>(
       get_int_in(options, "fault-seed", 0, 1LL << 62));
-  if (!plan.empty()) {
+  plans.rr.seed = plans.ccd.seed = fault_seed;
+  // CCD's plan holds every flag, so it is empty only when RR's is too.
+  if (!plans.ccd.empty()) {
     if (config.processors < 2) {
       throw UsageError(
           "--crash/--straggle/--drop/--dup inject faults into the "
           "simulated machine; they require --processors >= 2");
     }
-    plan.validate_protocol(config.processors, masters);
-    config.fault_plan = &plan;
+    plans.rr.validate_protocol(config.processors, 1);
+    plans.ccd.validate_protocol(config.processors, masters);
+    if (!plans.rr.empty()) config.rr_fault_plan = &plans.rr;
+    config.ccd_fault_plan = &plans.ccd;
   }
 
   mpsim::FaultPlan dsd_plan;
-  dsd_plan.seed = plan.seed;
+  dsd_plan.seed = fault_seed;
   for (const auto& [rank, at] :
        parse_rank_at(options.get("dsd-crash"), "dsd-crash")) {
     if (rank == 0) {

@@ -58,7 +58,8 @@ int cmd_simulate(int argc, const char* const* argv) {
                  "--masters >= 2; CCD phase only — RR runs flat)");
   options.define("submaster-straggle", "",
                  "fault injection: slow down sub-master i by a compute "
-                 "multiplier, e.g. 1@4 (requires --masters >= 2)");
+                 "multiplier, e.g. 1@4 (requires --masters >= 2; CCD phase "
+                 "only)");
   options.define("heartbeat", "0",
                  "master declares a silent worker dead after this many wall "
                  "seconds (0 = wait forever)");
@@ -101,10 +102,14 @@ int cmd_simulate(int argc, const char* const* argv) {
   // CCD phase hosts the sub-master tier.
   rr_params.masters = 1;
 
-  mpsim::FaultPlan plan = parse_fault_plan(options, masters);
-  plan.seed = static_cast<std::uint64_t>(
+  PaceFaultPlans plans = parse_fault_plan(options, masters);
+  plans.rr.seed = plans.ccd.seed = static_cast<std::uint64_t>(
       get_int_in(options, "fault-seed", 0, std::numeric_limits<int>::max()));
-  const mpsim::FaultPlan* plan_arg = plan.empty() ? nullptr : &plan;
+  const auto plan_arg = [](const mpsim::FaultPlan& plan) {
+    return plan.empty() ? nullptr : &plan;
+  };
+  // CCD's plan holds every flag, so it is empty only when RR's is too.
+  const bool faulted = !plans.ccd.empty();
 
   seq::SequenceSet sequences;
   if (!options.positionals().empty()) {
@@ -142,7 +147,7 @@ int cmd_simulate(int argc, const char* const* argv) {
                      "aligned pairs"});
   table.set_title(util::format("Simulated %s, n = %zu%s", model.name.c_str(),
                                sequences.size(),
-                               plan_arg ? " (fault plan active)" : ""));
+                               faulted ? " (fault plan active)" : ""));
   for (const std::string& token :
        util::split(options.get("processors"), ',')) {
     int p = 0;
@@ -161,18 +166,21 @@ int cmd_simulate(int argc, const char* const* argv) {
                        " cannot host --masters " + std::to_string(masters) +
                        " (need >= masters + 2)");
     }
-    if (plan_arg) plan.validate_protocol(p, masters);
+    if (faulted) {
+      plans.rr.validate_protocol(p, 1);
+      plans.ccd.validate_protocol(p, masters);
+    }
     // Phase names carry the rank count so one stream covers the sweep.
     const std::string rr_phase = "rr@p=" + std::to_string(p);
     util::telemetry::phase_begin(rr_phase, true, p, 1);
     const auto rr = pace::remove_redundant(sequences, p, model, rr_params,
-                                           &pool, plan_arg);
+                                           &pool, plan_arg(plans.rr));
     util::telemetry::phase_end(rr_phase, rr.run.makespan);
     const std::string ccd_phase = "ccd@p=" + std::to_string(p);
     util::telemetry::phase_begin(ccd_phase, true, p, std::max(1, masters));
     const auto ccd = pace::detect_components(sequences, rr.survivors(), p,
                                              model, ccd_params, &pool,
-                                             plan_arg);
+                                             plan_arg(plans.ccd));
     util::telemetry::phase_end(ccd_phase, ccd.run.makespan);
     const double total = rr.run.makespan + ccd.run.makespan;
     table.add_row(
@@ -181,7 +189,7 @@ int cmd_simulate(int argc, const char* const* argv) {
          util::format("%.0f%%", 100.0 * rr.run.makespan / total),
          util::with_commas(static_cast<long long>(
              rr.counters.aligned_pairs + ccd.counters.aligned_pairs))});
-    if (plan_arg) {
+    if (faulted) {
       const auto report = [](const char* phase, const mpsim::RunResult& run) {
         if (run.crashed_ranks.empty() && run.counter("workers_timed_out") == 0)
           return;
