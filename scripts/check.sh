@@ -92,6 +92,13 @@ rc=0; "$pclust" families "$smoke/missing.fa" 2>/dev/null || rc=$?
 [ "$rc" -eq 3 ] || { echo "expected exit 3 for missing input, got $rc"; exit 1; }
 rc=0; "$pclust" families --psi 0 "$smoke/in.fa" 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || { echo "expected exit 2 for --psi 0, got $rc"; exit 1; }
+# --w is held to the B_m k-mer index's [2, 12] before any input is read.
+rc=0; "$pclust" families "$smoke/in.fa" --reduction bm --w 13 \
+  >"$smoke/w13.out" 2>/dev/null || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for --w 13, got $rc"; exit 1; }
+if grep -q '^loaded' "$smoke/w13.out"; then
+  echo "--w 13 was rejected only after the input was read"; exit 1
+fi
 # Both commands share one fault-plan parser: crashing the master and a
 # sub-master fault without a master tree are usage errors in each.
 rc=0; "$pclust" simulate "$smoke/in.fa" --processors 4 --crash 0@1 \
@@ -188,7 +195,8 @@ grep -q '"crashed_ranks":\[2' "$smoke/faulted.json" \
 # must not crash an RR worker either); a DSD stage too
 # narrow for the tree (3 ranks, masters=2) falls back to the flat protocol
 # and its report labels those ranks as they ran (one master, two
-# workers); and a p=256 run with a 4-wide sub-master tier clears the
+# workers); a DSD fault plan that layout cannot survive is refused before
+# RR runs; and a p=256 run with a 4-wide sub-master tier clears the
 # analyzer's master-saturation verdict (the flat protocol's CCD
 # bottleneck).
 "$pclust" families "$smoke/in.fa" --processors 8 \
@@ -225,6 +233,18 @@ fallback_dsd=$(grep -o '"dsd":\[[^]]*\]' "$smoke/fallback.json")
 if grep -q '"level":"sub-master"' <<<"$fallback_dsd"; then
   echo "fallback report labels a flat DSD rank as a sub-master"; exit 1
 fi
+# A DSD plan its layout cannot survive (both sub-masters of the tree; both
+# workers after the flat fallback) is refused before RR starts.
+for layout in "--processors 4 --masters 2 --dsd-processors 4" \
+              "--processors 8 --masters 2 --dsd-processors 3"; do
+  rc=0; "$pclust" families "$smoke/in.fa" $layout --dsd-crash 1@0,2@0 \
+    >/dev/null 2>"$smoke/unsurvivable.err" || rc=$?
+  [ "$rc" -eq 2 ] \
+    || { echo "expected exit 2 for $layout --dsd-crash 1@0,2@0, got $rc"; exit 1; }
+  if grep -q 'pipeline: RR kept' "$smoke/unsurvivable.err"; then
+    echo "$layout --dsd-crash 1@0,2@0 was rejected only after RR"; exit 1
+  fi
+done
 "$pclust" families "$smoke/in.fa" --processors 256 --masters 4 \
   --out "$smoke/tree256.tsv" --report-out "$smoke/tree256.json" >/dev/null
 "$pclust" analyze "$smoke/tree256.json" --fail-on-saturation >/dev/null

@@ -1,20 +1,20 @@
-// Simulated, self-healing BGG + DSD phase (paper §V: components are
+// Dense-subgraph detection per component graph (paper §V: components are
 // batched across cluster nodes; §VI suggests parallelizing Shingle).
+// shingle_graph is the per-graph step of both schedules, the serial drain
+// and the simulated stage's workers; its GraphFamilies record is all the
+// pipeline folds for a graph.
 //
-// Each component graph is one task on the resilient master–worker protocol,
-// run through the same entry point as PaCE's phases (mpsim::MwPhase in
-// mpsim/masterworker.hpp, which owns the rank layout and the LPT split of
-// graphs across workers): workers virtually re-pay the bipartite-graph
-// construction cost of the graphs they own when generating their task
-// stream, then pay the Shingle hashing cost per evaluated graph. A worker
-// death requeues its outstanding graphs and hands its generation stream to
-// a survivor, so the phase completes under any fault plan that leaves the
-// master and at least one worker alive.
-//
-// Family output is keyed by graph id (idempotent verdict slots) and
-// assembled in ascending graph order, so it is BIT-IDENTICAL to the serial
-// path regardless of rank count, healing, duplicated deliveries, or
-// stragglers.
+// The simulated stage runs each graph as one task on the resilient
+// master–worker protocol (mpsim::MwPhase, which owns the rank layout and
+// the LPT split of graphs across workers): workers virtually re-pay the
+// bipartite-graph construction cost of the graphs they own when generating
+// their task stream, then pay the Shingle hashing cost per evaluated graph.
+// A worker death requeues its outstanding graphs and hands its generation
+// stream to a survivor, so the phase completes under any fault plan that
+// leaves the master and at least one worker alive. Records fill graph-keyed
+// slots (first application wins) and return in graph order, so the folded
+// output is BIT-IDENTICAL to the serial drain's under any rank count,
+// healing, duplicated delivery or straggler.
 #pragma once
 
 #include <vector>
@@ -29,19 +29,26 @@
 
 namespace pclust::pipeline {
 
+/// One component graph's DSD output: everything the pipeline folds for it.
+struct GraphFamilies {
+  std::vector<std::vector<seq::SeqId>> families;  // report_families
+  /// Surviving Pass II merges, lifted to sequence ids (captured only).
+  std::vector<shingle::ShingleMerge> merges;
+  /// Shingle tallies: the graph's expected DSD merges are their difference.
+  std::uint64_t s1_nodes = 0;
+  std::uint64_t raw_components = 0;
+};
+
+/// The per-graph DSD step: shingle::report_families on @p pool's lanes,
+/// capturing the surviving merges only when @p capture_merges is set.
+[[nodiscard]] GraphFamilies shingle_graph(
+    const bigraph::ComponentGraph& graph, const shingle::ShingleParams& params,
+    exec::Pool* pool, bool capture_merges);
+
 struct DsdParallelResult {
-  /// families_per_graph[g] == shingle::report_families(graphs[g], ...) —
-  /// one slot per component graph, filled exactly once.
-  std::vector<std::vector<std::vector<seq::SeqId>>> families_per_graph;
-  /// Per-graph surviving Pass II merges (capture_merges only; endpoints
-  /// already lifted to sequence ids). First-application-wins like the
-  /// family slots, so replays and duplicated deliveries never duplicate
-  /// provenance.
-  std::vector<std::vector<shingle::ShingleMerge>> merges_per_graph;
-  /// Per-graph Shingle tallies (always filled): the derivation-side merge
-  /// identity is sum over graphs of s1_nodes - raw_components.
-  std::vector<std::uint64_t> s1_nodes_per_graph;
-  std::vector<std::uint64_t> raw_components_per_graph;
+  /// per_graph[g] == shingle_graph(graphs[g], ...), filled exactly once
+  /// (first application wins: replays never duplicate provenance).
+  std::vector<GraphFamilies> per_graph;
   mpsim::RunResult run;
 };
 
@@ -54,8 +61,7 @@ struct DsdParallelResult {
 /// for p < 2 or a tree with no worker rank (prefixed "run_dsd_parallel"),
 /// and for a plan that crashes rank 0, every sub-master or every worker.
 /// The result's run records each rank's level.
-/// @p capture_merges additionally records each graph's surviving Pass II
-/// merges (merge provenance); virtual time is unaffected.
+/// @p capture_merges is shingle_graph's; virtual time is unaffected.
 [[nodiscard]] DsdParallelResult run_dsd_parallel(
     const std::vector<bigraph::ComponentGraph>& graphs,
     const shingle::ShingleParams& params, int p,

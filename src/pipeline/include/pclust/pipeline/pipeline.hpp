@@ -108,17 +108,17 @@ struct PipelineConfig {
   /// derived evidence instead of re-deriving it.
   bool provenance = false;
 
-  /// Fault injection, one plan per simulated phase, each validated against
-  /// that phase's rank layout. Each simulated phase restarts its virtual
-  /// clock at 0, so a plan shared by two phases hits both.
+  /// Fault injection, one plan per simulated phase, checked against its
+  /// phase's layout before any phase runs (check_fault_plans). Each phase
+  /// restarts its virtual clock at 0, so a plan shared by two hits both.
   /// RR and CCD (ignored when processors < 2): the engine self-heals
   /// worker crashes; see pace/engine.hpp for the guarantees per phase. RR
   /// always runs flat, so only CCD's plan may fault sub-masters.
   const mpsim::FaultPlan* rr_fault_plan = nullptr;
   const mpsim::FaultPlan* ccd_fault_plan = nullptr;
-  /// BGG+DSD (ignored when dsd_processors < 2). Unlike RR, the DSD phase's
-  /// graph-keyed verdicts make its family output bit-identical under ANY
-  /// plan that leaves the master alive (see pipeline/dsd.hpp).
+  /// BGG+DSD (ignored when dsd_processors < 2; flat when too narrow for the
+  /// master tree). Its graph-keyed verdicts make its family output
+  /// bit-identical under ANY survivable plan (see pipeline/dsd.hpp).
   const mpsim::FaultPlan* dsd_fault_plan = nullptr;
 };
 
@@ -171,6 +171,13 @@ struct PipelineResult {
 
   [[nodiscard]] std::vector<std::vector<seq::SeqId>> family_clustering() const;
 };
+
+/// Checks each fault plan in @p config against its phase's layout with
+/// FaultPlan::validate_protocol (RR flat on `processors`, CCD with
+/// `pace.masters`, DSD on `dsd_processors` after its flat fallback);
+/// throws std::invalid_argument if one is malformed or unsurvivable.
+/// run() calls it before RR.
+void check_fault_plans(const PipelineConfig& config);
 
 /// Run the full pipeline.
 [[nodiscard]] PipelineResult run(const seq::SequenceSet& set,

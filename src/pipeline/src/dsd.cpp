@@ -18,19 +18,27 @@ struct DsdTask {
   std::uint32_t graph = 0;
 };
 
+// The graph's record rides on the verdict so healing replays stay
+// first-application-wins; the simulated wire size (verdict_bytes)
+// deliberately ignores merges and tallies.
 struct DsdVerdict {
   std::uint32_t graph = 0;
-  std::vector<std::vector<seq::SeqId>> families;
-  // Merge provenance: surviving Pass II merges (capture only) plus the
-  // Shingle tallies behind the derivation-side merge identity. Carried on
-  // the verdict so healing replays stay first-application-wins; the
-  // simulated wire size (verdict_bytes) deliberately ignores them.
-  std::vector<shingle::ShingleMerge> merges;
-  std::uint64_t s1_nodes = 0;
-  std::uint64_t raw_components = 0;
+  GraphFamilies record;
 };
 
 }  // namespace
+
+GraphFamilies shingle_graph(const bigraph::ComponentGraph& graph,
+                            const shingle::ShingleParams& params,
+                            exec::Pool* pool, bool capture_merges) {
+  GraphFamilies out;
+  shingle::DsdStats stats;
+  out.families = shingle::report_families(
+      graph, params, &stats, pool, capture_merges ? &out.merges : nullptr);
+  out.s1_nodes = stats.first_level_shingles;
+  out.raw_components = stats.raw_components;
+  return out;
+}
 
 DsdParallelResult run_dsd_parallel(
     const std::vector<bigraph::ComponentGraph>& graphs,
@@ -59,10 +67,7 @@ DsdParallelResult run_dsd_parallel(
   const std::vector<int> owner = phase.assign(edges);
 
   DsdParallelResult out;
-  out.families_per_graph.resize(graphs.size());
-  out.merges_per_graph.resize(graphs.size());
-  out.s1_nodes_per_graph.assign(graphs.size(), 0);
-  out.raw_components_per_graph.assign(graphs.size(), 0);
+  out.per_graph.resize(graphs.size());
   // Graph-keyed verdict slots on the authoritative rank (flat master or
   // hierarchical root): replays after healing (or duplicated deliveries)
   // re-fill a slot with the same deterministic value, so the first
@@ -72,10 +77,7 @@ DsdParallelResult run_dsd_parallel(
   const auto apply = [&](const DsdVerdict& v) {
     if (applied[v.graph]) return;
     applied[v.graph] = 1;
-    out.families_per_graph[v.graph] = v.families;
-    out.merges_per_graph[v.graph] = v.merges;
-    out.s1_nodes_per_graph[v.graph] = v.s1_nodes;
-    out.raw_components_per_graph[v.graph] = v.raw_components;
+    out.per_graph[v.graph] = v.record;
   };
 
   mpsim::MwRoles<DsdTask, DsdVerdict> roles;
@@ -134,14 +136,7 @@ DsdParallelResult run_dsd_parallel(
         const std::uint32_t g = t.graph;
         const double t0 = comm.clock().now();
         comm.charge_hashes(graphs[g].graph.edge_count() * params.c1);
-        DsdVerdict v;
-        v.graph = g;
-        shingle::DsdStats st;
-        v.families = shingle::report_families(
-            graphs[g], params, &st, pool,
-            capture_merges ? &v.merges : nullptr);
-        v.s1_nodes = st.first_level_shingles;
-        v.raw_components = st.raw_components;
+        DsdVerdict v{g, shingle_graph(graphs[g], params, pool, capture_merges)};
         comm.count("components_processed");
         if (util::trace::enabled()) {
           util::trace::complete(

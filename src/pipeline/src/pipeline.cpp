@@ -437,7 +437,31 @@ void run_phase(const PhaseSteps& phase, Checkpoints& ckpt, bool want_prov,
   util::telemetry::poll_deadline();
 }
 
+/// The master count the simulated DSD stage runs with. DSD may run on a
+/// different rank count than CCD; when it is too narrow to host the
+/// configured master tree (needs >= masters + 2 ranks), the stage falls
+/// back to the flat protocol rather than failing the whole run — results
+/// are bit-identical either way.
+int dsd_masters(const PipelineConfig& config) {
+  const int masters = std::max(1, config.pace.masters);
+  return config.dsd_processors < masters + 2 ? 1 : masters;
+}
+
 }  // namespace
+
+void check_fault_plans(const PipelineConfig& config) {
+  const int masters = std::max(1, config.pace.masters);
+  if (config.processors >= 2 && config.rr_fault_plan) {
+    config.rr_fault_plan->validate_protocol(config.processors, 1);
+  }
+  if (config.processors >= 2 && config.ccd_fault_plan) {
+    config.ccd_fault_plan->validate_protocol(config.processors, masters);
+  }
+  if (config.dsd_processors >= 2 && config.dsd_fault_plan) {
+    config.dsd_fault_plan->validate_protocol(config.dsd_processors,
+                                             dsd_masters(config));
+  }
+}
 
 std::vector<std::vector<seq::SeqId>> PipelineResult::family_clustering()
     const {
@@ -449,6 +473,7 @@ std::vector<std::vector<seq::SeqId>> PipelineResult::family_clustering()
 
 PipelineResult run(const seq::SequenceSet& input,
                    const PipelineConfig& config) {
+  check_fault_plans(config);
   PipelineResult result;
   result.input_sequences = input.size();
   const bool parallel = config.processors >= 2;
@@ -635,14 +660,10 @@ PipelineResult run(const seq::SequenceSet& input,
     if (component.size() >= config.min_component) ++qualifying;
   }
   const bool dsd_parallel = config.dsd_processors >= 2 && qualifying > 0;
-  // DSD may run on a different rank count than CCD; when it is too narrow
-  // to host the configured master tree (needs >= masters + 2 ranks), the
-  // stage falls back to the flat protocol rather than failing the whole
-  // run — results are bit-identical either way.
   pace::PaceParams dsd_engine = config.pace;
-  const bool dsd_flat_fallback = dsd_parallel && dsd_engine.masters > 1 &&
-                                 config.dsd_processors < dsd_engine.masters + 2;
-  if (dsd_flat_fallback) dsd_engine.masters = 1;
+  dsd_engine.masters = dsd_masters(config);
+  const bool dsd_flat_fallback =
+      dsd_parallel && dsd_engine.masters < config.pace.masters;
 
   const auto build_graph =
       [&](const std::vector<seq::SeqId>& component) -> bigraph::ComponentGraph {
@@ -657,15 +678,31 @@ PipelineResult run(const seq::SequenceSet& input,
     return g.graph.memory_usage().total() + util::vector_bytes(g.members) +
            util::vector_bytes(g.words);
   };
-  // Density report (duplicate reduction only: left index == right index).
-  // Folding a graph's families needs only THAT graph, which is what lets
-  // the serial path drop each graph as soon as it is processed.
-  const auto fold_families = [&](const bigraph::ComponentGraph& graph,
-                                 std::vector<std::vector<seq::SeqId>> found) {
+  // The one fold of a graph's DSD record, in component order, for the
+  // serial drain, the simulated stage and the resume replay: note its
+  // evidence (surviving Shingle merges, expected merge count) and, unless
+  // the phase resumed with final families, add its families with their B_d
+  // density (left index == right index). It needs only THAT graph, so the
+  // serial drain can free each graph as soon as it is folded.
+  const prov::Rule dsd_rule = config.reduction == bigraph::Reduction::kDuplicate
+                                  ? prov::Rule::kBd
+                                  : prov::Rule::kBm;
+  Evidence dsd_noted;
+  bool families_resumed = false;
+  const auto fold = [&](const bigraph::ComponentGraph& graph,
+                        GraphFamilies record) {
+    dsd_noted.merges += record.s1_nodes - record.raw_components;
+    for (const shingle::ShingleMerge& m : record.merges) {
+      dsd_noted.edges.push_back(
+          {.a = m.a, .b = m.b, .phase = prov::Phase::kDsd, .rule = dsd_rule,
+           .score = static_cast<std::int32_t>(m.matches),
+           .matches = m.matches, .columns = m.columns});
+    }
+    if (families_resumed) return;
     const auto dense = config.reduction == bigraph::Reduction::kDuplicate
                            ? pace::dense_index(graph.members)
                            : std::unordered_map<seq::SeqId, std::uint32_t>{};
-    for (auto& members : found) {
+    for (auto& members : record.families) {
       Family family;
       family.members = std::move(members);
       if (config.reduction == bigraph::Reduction::kDuplicate) {
@@ -678,47 +715,19 @@ PipelineResult run(const seq::SequenceSet& input,
       result.families.push_back(std::move(family));
     }
   };
-  // DSD evidence of one component graph: its surviving Shingle merges plus
-  // its share of the expected merge count (first-level shingles minus raw
-  // components). Every path notes graphs in component order.
-  const prov::Rule dsd_rule = config.reduction == bigraph::Reduction::kDuplicate
-                                  ? prov::Rule::kBd
-                                  : prov::Rule::kBm;
-  Evidence dsd_noted;
-  const auto note_dsd = [&](std::uint64_t s1_nodes,
-                            std::uint64_t raw_components,
-                            const std::vector<shingle::ShingleMerge>& merges) {
-    dsd_noted.merges += s1_nodes - raw_components;
-    for (const shingle::ShingleMerge& m : merges) {
-      prov::Edge e;
-      e.a = m.a;
-      e.b = m.b;
-      e.phase = prov::Phase::kDsd;
-      e.rule = dsd_rule;
-      e.score = static_cast<std::int32_t>(m.matches);
-      e.matches = m.matches;
-      e.columns = m.columns;
-      dsd_noted.edges.push_back(e);
-    }
-  };
-  // Serial BGG + DSD: build each qualifying component's graph, run Shingle
-  // on it (noting its evidence when provenance is on), hand its families to
-  // @p fold and free it, strictly in component order — so at most one
-  // graph is alive at a time.
-  const auto drain_serial = [&](const auto& fold) {
+  // Serial BGG + DSD: build each qualifying component's graph, Shingle it,
+  // fold it and free it, strictly in component order — so at most one
+  // graph is alive at a time. Merges are captured when provenance is on.
+  const auto drain_serial = [&] {
     for (const auto& component : result.ccd.components) {
       if (component.size() < config.min_component) continue;
       const bigraph::ComponentGraph graph = build_graph(component);
       const util::MemoryCharge charge("bgg.graphs", graph_bytes(graph));
-      shingle::DsdStats stats;
-      std::vector<shingle::ShingleMerge> merges;
-      auto found = shingle::report_families(
-          graph, config.shingle, want_prov ? &stats : nullptr, &pool,
-          want_prov ? &merges : nullptr);
-      if (want_prov) {
-        note_dsd(stats.first_level_shingles, stats.raw_components, merges);
-      }
-      fold(graph, std::move(found));
+      fold(graph, shingle_graph(graph, config.shingle, &pool, want_prov));
+      // The resume replay runs after its phase has ended: no progress.
+      if (families_resumed) continue;
+      util::telemetry::progress_done(1);
+      util::telemetry::poll_deadline();
     }
   };
 
@@ -727,7 +736,7 @@ PipelineResult run(const seq::SequenceSet& input,
       .tag = kTagFamilies, .seconds = result.bgg_dsd_seconds,
       .simulated = dsd_parallel,
       .ranks = dsd_parallel ? config.dsd_processors : 1,
-      .masters = dsd_parallel ? std::max(1, dsd_engine.masters) : 1,
+      .masters = dsd_parallel ? dsd_engine.masters : 1,
       .last = true};
   families.restore = [&](util::CheckpointReader& in) {
     const std::uint64_t count = in.u64();
@@ -737,8 +746,8 @@ PipelineResult run(const seq::SequenceSet& input,
       family.mean_degree = in.f64();
       family.density = in.f64();
     }
+    families_resumed = true;
   };
-  bool dsd_computed = false;
   families.compute = [&](const util::Timer& timer) -> Computed {
     if (dsd_parallel) {
       // LPT distribution needs every graph's cost estimate up front, so the
@@ -767,15 +776,10 @@ PipelineResult run(const seq::SequenceSet& input,
           mpsim::MachineModel::xeon_cluster(), dsd_engine, &pool,
           config.dsd_fault_plan, want_prov);
       result.dsd_run = std::move(dsd.run);
-      // Graph order == component order, so the noted evidence is
-      // bit-identical to the serial drain's whichever rank evaluated which
-      // graph.
+      // Graph order == component order, so the fold is bit-identical to
+      // the serial drain's whichever rank evaluated which graph.
       for (std::size_t g = 0; g < graphs.size(); ++g) {
-        fold_families(graphs[g], std::move(dsd.families_per_graph[g]));
-        if (want_prov) {
-          note_dsd(dsd.s1_nodes_per_graph[g], dsd.raw_components_per_graph[g],
-                   dsd.merges_per_graph[g]);
-        }
+        fold(graphs[g], std::move(dsd.per_graph[g]));
       }
     } else {
       // One progress unit per component graph, the same granularity the
@@ -783,12 +787,7 @@ PipelineResult run(const seq::SequenceSet& input,
       // graph's candidate pairs, which its engine run reports as it
       // inspects them.
       util::telemetry::progress_enqueued(qualifying);
-      drain_serial([&](const bigraph::ComponentGraph& graph,
-                       std::vector<std::vector<seq::SeqId>> found) {
-        fold_families(graph, std::move(found));
-        util::telemetry::progress_done(1);
-        util::telemetry::poll_deadline();
-      });
+      drain_serial();
     }
     const double seconds = timer.elapsed_seconds();
     std::sort(result.families.begin(), result.families.end(),
@@ -798,7 +797,6 @@ PipelineResult run(const seq::SequenceSet& input,
                 }
                 return a.members.front() < b.members.front();
               });
-    dsd_computed = true;
     return {seconds};
   };
   families.save = [&](util::CheckpointWriter& out) {
@@ -813,14 +811,10 @@ PipelineResult run(const seq::SequenceSet& input,
   families.result_hash = [&] {
     return components_hash(result.ccd.components);
   };
-  // A computed phase noted its evidence as Shingle ran. A resumed one
-  // replays the same serial drain; its families are final already, so the
-  // re-run's family output is discarded.
+  // A computed phase noted its evidence as it folded. A resumed one
+  // replays the serial drain, whose fold then only notes evidence.
   families.derive = [&] {
-    if (!dsd_computed) {
-      drain_serial([](const bigraph::ComponentGraph&,
-                      std::vector<std::vector<seq::SeqId>>) {});
-    }
+    if (families_resumed) drain_serial();
     return std::move(dsd_noted);
   };
   run_phase(families, ckpt, want_prov, result.phase_log, dsd_evidence);

@@ -381,30 +381,12 @@ std::string render_report(const PipelineResult& result,
   // into the final partition is covered by exactly one evidence edge —
   // and validate_report treats a false value as a validation failure.
   if (config.provenance) {
-    const prov::LedgerCounts& c = result.provenance.counts;
     w.key("provenance").begin_object();
     if (!info.provenance_path.empty()) {
       w.key("path").value(info.provenance_path);
     }
     w.key("sequences").value(result.provenance.sequences);
-    w.key("edges").begin_object()
-        .key("rr").value(c.rr_edges)
-        .key("ccd").value(c.ccd_edges)
-        .key("dsd").value(c.dsd_edges)
-        .key("total").value(c.total_edges())
-        .end_object();
-    w.key("rules").begin_object()
-        .key("containment").value(c.rule_containment)
-        .key("overlap").value(c.rule_overlap)
-        .key("B_d").value(c.rule_bd)
-        .key("B_m").value(c.rule_bm)
-        .end_object();
-    w.key("merges").begin_object()
-        .key("rr").value(c.rr_merges)
-        .key("ccd").value(c.ccd_merges)
-        .key("dsd").value(c.dsd_merges)
-        .end_object();
-    w.key("complete").value(c.identity_holds());
+    prov::write_counts(w, result.provenance.counts);
     w.end_object();
   }
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "pclust/prov/edge.hpp"
+#include "pclust/util/json.hpp"
 
 namespace pclust::prov {
 
@@ -54,6 +55,11 @@ struct LedgerCounts {
            dsd_edges == dsd_merges;
   }
 };
+
+/// Writes @p counts as the `edges`, `rules`, `merges` and `complete`
+/// members of the JSON object open on @p w: the one writer of the tallies
+/// for the ledger's summary line and the run report's `provenance` section.
+void write_counts(util::JsonWriter& w, const LedgerCounts& counts);
 
 struct Ledger {
   std::uint64_t sequences = 0;      // input-set size (id universe)

@@ -137,6 +137,27 @@ Edge parse_edge(std::string_view line) {
   }
 }
 
+void write_counts(util::JsonWriter& w, const LedgerCounts& c) {
+  w.key("edges").begin_object()
+      .key("rr").value(c.rr_edges)
+      .key("ccd").value(c.ccd_edges)
+      .key("dsd").value(c.dsd_edges)
+      .key("total").value(c.total_edges())
+      .end_object();
+  w.key("rules").begin_object()
+      .key("containment").value(c.rule_containment)
+      .key("overlap").value(c.rule_overlap)
+      .key("B_d").value(c.rule_bd)
+      .key("B_m").value(c.rule_bm)
+      .end_object();
+  w.key("merges").begin_object()
+      .key("rr").value(c.rr_merges)
+      .key("ccd").value(c.ccd_merges)
+      .key("dsd").value(c.dsd_merges)
+      .end_object();
+  w.key("complete").value(c.identity_holds());
+}
+
 std::string render_ledger(const Ledger& ledger) {
   std::string out;
   {
@@ -155,27 +176,9 @@ std::string render_ledger(const Ledger& ledger) {
     out += '\n';
   }
   {
-    const LedgerCounts& c = ledger.counts;
     util::JsonWriter w;
     w.begin_object().key("summary").begin_object();
-    w.key("edges").begin_object()
-        .key("rr").value(c.rr_edges)
-        .key("ccd").value(c.ccd_edges)
-        .key("dsd").value(c.dsd_edges)
-        .key("total").value(c.total_edges())
-        .end_object();
-    w.key("rules").begin_object()
-        .key("containment").value(c.rule_containment)
-        .key("overlap").value(c.rule_overlap)
-        .key("B_d").value(c.rule_bd)
-        .key("B_m").value(c.rule_bm)
-        .end_object();
-    w.key("merges").begin_object()
-        .key("rr").value(c.rr_merges)
-        .key("ccd").value(c.ccd_merges)
-        .key("dsd").value(c.dsd_merges)
-        .end_object();
-    w.key("complete").value(c.identity_holds());
+    write_counts(w, ledger.counts);
     w.end_object().end_object();
     out += w.str();
     out += '\n';

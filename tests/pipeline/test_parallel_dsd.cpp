@@ -8,6 +8,7 @@
 #include "pclust/mpsim/fault_plan.hpp"
 #include "pclust/pipeline/pipeline.hpp"
 #include "pclust/synth/generator.hpp"
+#include "pclust/util/metrics.hpp"
 
 namespace pclust::pipeline {
 namespace {
@@ -194,6 +195,33 @@ TEST(ParallelDsd, MasterCrashPlanIsRejected) {
   PipelineConfig config = dsd_config(3);
   config.dsd_fault_plan = &plan;
   EXPECT_THROW(run(d.sequences, config), std::invalid_argument);
+}
+
+TEST(ParallelDsd, UnsurvivablePlanRejectedBeforeAnyPhase) {
+  // Every plan is checked against the layout its phase runs on before RR
+  // starts, so a plan no run can survive costs no pair work at all.
+  const auto d = dsd_data(113);
+  mpsim::FaultPlan first_two;  // ranks 1 and 2 die before doing anything
+  first_two.crashes = {{1, 0.0}, {2, 0.0}};
+
+  PipelineConfig flat_dsd = dsd_config(3);  // both DSD workers
+  flat_dsd.dsd_fault_plan = &first_two;
+  PipelineConfig tree_dsd = dsd_config(4);  // both DSD sub-masters
+  tree_dsd.processors = 4;
+  tree_dsd.pace.masters = 2;
+  tree_dsd.dsd_fault_plan = &first_two;
+  PipelineConfig tree_ccd = dsd_config(0);  // both CCD sub-masters
+  tree_ccd.processors = 6;
+  tree_ccd.pace.masters = 2;
+  tree_ccd.ccd_fault_plan = &first_two;
+
+  for (const PipelineConfig* config : {&flat_dsd, &tree_dsd, &tree_ccd}) {
+    util::metrics().reset();
+    EXPECT_THROW(run(d.sequences, *config), std::invalid_argument);
+    EXPECT_EQ(util::metrics().counter("pace.promising_pairs").value(), 0u)
+        << "processors=" << config->processors
+        << " dsd_processors=" << config->dsd_processors;
+  }
 }
 
 }  // namespace

@@ -112,6 +112,15 @@ std::uint64_t parse_mem_size(const std::string& text, const char* flag) {
   return value * multiplier;
 }
 
+seq::BadResiduePolicy get_bad_residue_policy(const util::Options& options) {
+  const std::string value = options.get("on-bad-residue");
+  if (value == "throw") return seq::BadResiduePolicy::kThrow;
+  if (value == "mask") return seq::BadResiduePolicy::kMask;
+  if (value == "skip") return seq::BadResiduePolicy::kSkipRecord;
+  throw UsageError("unknown --on-bad-residue '" + value +
+                   "' (use throw, mask, or skip)");
+}
+
 std::vector<std::pair<int, double>> parse_rank_at(const std::string& text,
                                                   const char* flag) {
   std::vector<std::pair<int, double>> out;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "pclust/mpsim/fault_plan.hpp"
+#include "pclust/seq/fasta.hpp"
 #include "pclust/util/json.hpp"
 #include "pclust/util/options.hpp"
 
@@ -62,6 +63,10 @@ double get_double_in(const util::Options& options, const std::string& name,
 /// "512m" -> 536870912, "2g", "1048576". Throws UsageError (naming
 /// --@p flag) on junk or a zero/negative size.
 std::uint64_t parse_mem_size(const std::string& text, const char* flag);
+
+/// --on-bad-residue (throw, mask or skip) as a FASTA policy; throws
+/// UsageError otherwise.
+seq::BadResiduePolicy get_bad_residue_policy(const util::Options& options);
 
 /// Parses "rank@value" pairs from a comma-separated list, e.g.
 /// "1@5.0,3@12" -> {(1, 5.0), (3, 12.0)}. Empty input -> empty list.

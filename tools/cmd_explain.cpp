@@ -282,15 +282,7 @@ int cmd_explain(int argc, const char* const* argv) {
   }
 
   seq::FastaOptions fasta;
-  const std::string bad_residue = options.get("on-bad-residue");
-  if (bad_residue == "mask") {
-    fasta.on_bad_residue = seq::BadResiduePolicy::kMask;
-  } else if (bad_residue == "skip") {
-    fasta.on_bad_residue = seq::BadResiduePolicy::kSkipRecord;
-  } else if (bad_residue != "throw") {
-    throw UsageError("unknown --on-bad-residue '" + bad_residue +
-                     "' (use throw, mask, or skip)");
-  }
+  fasta.on_bad_residue = get_bad_residue_policy(options);
   require_readable(options.positionals()[0]);
   require_readable(options.positionals()[1]);
   if (!clusters.empty()) require_readable(clusters);

@@ -27,7 +27,7 @@ int cmd_families(int argc, const char* const* argv) {
   options.define("reduction", "bd",
                  "bipartite reduction: bd (global similarity) or bm "
                  "(domain based)");
-  options.define("w", "10", "word length for the bm reduction");
+  options.define("w", "10", "word length for the bm reduction, in [2, 12]");
   options.define("s", "5", "shingle size s");
   options.define("c", "300", "shingles per vertex c");
   options.define("tau", "0.5", "A~B Jaccard cutoff for bd");
@@ -196,22 +196,14 @@ int cmd_families(int argc, const char* const* argv) {
   if (reduction == "bm") {
     config.reduction = bigraph::Reduction::kMatchBased;
     config.bm.w =
-        static_cast<std::uint32_t>(get_int_in(options, "w", 1, 1 << 16));
+        static_cast<std::uint32_t>(get_int_in(options, "w", 2, 12));
   } else if (reduction != "bd") {
     throw UsageError("unknown reduction '" + reduction +
                      "' (use bd or bm)");
   }
 
   seq::FastaOptions fasta;
-  const std::string bad_residue = options.get("on-bad-residue");
-  if (bad_residue == "mask") {
-    fasta.on_bad_residue = seq::BadResiduePolicy::kMask;
-  } else if (bad_residue == "skip") {
-    fasta.on_bad_residue = seq::BadResiduePolicy::kSkipRecord;
-  } else if (bad_residue != "throw") {
-    throw UsageError("unknown --on-bad-residue '" + bad_residue +
-                     "' (use throw, mask, or skip)");
-  }
+  fasta.on_bad_residue = get_bad_residue_policy(options);
   fasta.log_summary = true;
 
   config.checkpoint_dir = options.get("checkpoint-dir");
@@ -232,8 +224,6 @@ int cmd_families(int argc, const char* const* argv) {
           "--crash/--straggle/--drop/--dup inject faults into the "
           "simulated machine; they require --processors >= 2");
     }
-    plans.rr.validate_protocol(config.processors, 1);
-    plans.ccd.validate_protocol(config.processors, masters);
     if (!plans.rr.empty()) config.rr_fault_plan = &plans.rr;
     config.ccd_fault_plan = &plans.ccd;
   }
@@ -265,9 +255,11 @@ int cmd_families(int argc, const char* const* argv) {
       throw UsageError(
           "--dsd-crash/--dsd-straggle require --dsd-processors >= 2");
     }
-    dsd_plan.validate(config.dsd_processors);
     config.dsd_fault_plan = &dsd_plan;
   }
+  // Each plan against its phase's layout (DSD's flat fallback included),
+  // before any input is read.
+  pipeline::check_fault_plans(config);
 
   config.pace.heartbeat_timeout =
       get_double_in(options, "heartbeat", 0.0, 3600.0);
