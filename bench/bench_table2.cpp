@@ -62,6 +62,7 @@ int main() {
     const auto params = bench_pace_params();
     pace::PaceParams rr_params = params;
     rr_params.band = 0;
+    rr_params.qgram_gate = false;  // the paper's align-every-candidate RR
 
     util::Table extra({"Phase", "p=32", "p=64", "p=128", "p=512"});
     extra.set_title("\nFull-scale master-load extrapolation (per-pair master "

@@ -35,10 +35,12 @@ RrCcdTimes run_rr_ccd(int paper_k, int p, std::uint64_t seed) {
   RrCcdTimes out;
   out.sequences = data.sequences.size();
   out.processors = p;
-  // RR verifies containment with full DP (95 % cutoff); CCD's 30 % overlap
-  // test tolerates the banded accelerator.
+  // RR verifies containment with full DP (95 % cutoff) on every candidate
+  // direction, as the paper's worker does; CCD's 30 % overlap test
+  // tolerates the banded accelerator.
   pace::PaceParams rr_params = params;
   rr_params.band = 0;
+  rr_params.qgram_gate = false;
   const auto rr =
       pace::remove_redundant(data.sequences, p, model, rr_params);
   out.rr_seconds = rr.run.makespan;

@@ -50,7 +50,9 @@ struct RrCcdTimes {
 };
 
 /// Run RR then CCD for the paper_160k analog at `paper_k` thousand paper
-/// sequences (scaled by kScale) on p simulated BlueGene/L ranks.
+/// sequences (scaled by kScale) on p simulated BlueGene/L ranks. RR aligns
+/// every candidate direction with full DP, as the paper's worker does
+/// (PaceParams::qgram_gate cleared).
 [[nodiscard]] RrCcdTimes run_rr_ccd(int paper_k, int p,
                                     std::uint64_t seed = 42);
 

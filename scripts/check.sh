@@ -42,15 +42,16 @@ cmake --build build-tsan -j --target test_exec test_align test_pace \
  ./tests/test_mpsim)
 
 # Memory-error check. The suites that parse untrusted bytes (FASTA,
-# checkpoints), the self-healing engine, and the SIMD batch kernels (raw
-# pointer lanes + hand-managed scratch) run under ASan+UBSan.
+# checkpoints), the self-healing engine, the SIMD batch kernels (raw
+# pointer lanes + hand-managed scratch) and RR's q-gram gate (indexes
+# residues and a 3-gram table) run under ASan+UBSan.
 cmake --preset asan
 cmake --build build-asan -j --target test_util test_seq test_align \
   test_mpsim test_pace test_prov test_pipeline
 (cd build-asan
  ./tests/test_util
  ./tests/test_seq
- ./tests/test_align --gtest_filter='BatchSimd*:ScorePath*'
+ ./tests/test_align --gtest_filter='BatchSimd*:ScorePath*:ContainmentGate*'
  ./tests/test_mpsim
  ./tests/test_pace --gtest_filter='FaultTolerance*:CcdProvenance*'
  ./tests/test_prov
@@ -152,11 +153,13 @@ echo "check.sh: io-chaos green (storms, exit codes, budget bit-identity)"
 
 # metrics-smoke: run reports + traces end to end. A serial run on a dense
 # single-family workload must validate against the report schema AND show
-# the paper's cluster-filter effect (CCD skip ratio > 0.99); the same run
-# on 4 threads must count exactly the same RR and CCD alignment work
-# (speculative alignments are re-checked into the skipped count); a
-# faulted, healed, threaded run must still satisfy the alignment-work
-# identity; and the report diff mode must accept both documents.
+# the paper's cluster-filter effect (CCD skip ratio > 0.99) and RR's
+# q-gram gate at work (gated_directions > 0); the same run on 4 threads
+# must count exactly the same RR and CCD alignment work and gated
+# directions (speculative alignments are re-checked into the skipped
+# count and never counted as gated); a faulted, healed, threaded run must
+# still satisfy the alignment-work identity; and the report diff mode
+# must accept both documents.
 "$pclust" generate --n 1400 --families 1 --noise 0.05 --mean-length 60 \
   --redundant 0.05 --seed 7 --out "$smoke/dense.fa" >/dev/null
 "$pclust" families "$smoke/dense.fa" --rr-band 32 \
@@ -168,13 +171,16 @@ grep -q '"traceEvents"' "$smoke/serial.trace.json" \
 "$pclust" families "$smoke/dense.fa" --rr-band 32 --threads 4 \
   --report-out "$smoke/threaded.json" >/dev/null
 "$pclust" report-check "$smoke/threaded.json" --min-ccd-skip-ratio 0.99
-phase_work() {  # the RR and CCD phase entries' attempted/skipped counters
+phase_work() {  # the RR and CCD phase entries' work counters
   grep -o '"name":"\(rr\|ccd\)"[^}]*' "$1" \
-    | grep -o '"name":"[a-z]*"\|"attempted":[0-9]*\|"skipped_by_cluster_filter":[0-9]*'
+    | grep -o '"name":"[a-z]*"\|"attempted":[0-9]*\|"skipped_by_cluster_filter":[0-9]*\|"gated_directions":[0-9]*'
 }
 [ -n "$(phase_work "$smoke/serial.json")" ] \
   && [ "$(phase_work "$smoke/serial.json")" = "$(phase_work "$smoke/threaded.json")" ] \
   || { echo "alignment work counters differ between --threads 1 and 4"; exit 1; }
+grep -o '"name":"rr"[^}]*' "$smoke/serial.json" \
+  | grep -q '"gated_directions":[1-9]' \
+  || { echo "RR's q-gram gate decided no direction on dense.fa"; exit 1; }
 "$pclust" families "$smoke/in.fa" --processors 4 --threads 4 \
   --crash 2@0.01 --straggle 3@2 --report-out "$smoke/faulted.json" >/dev/null
 "$pclust" report-check "$smoke/faulted.json"

@@ -42,6 +42,21 @@ struct PredicateOutcome {
     const AlignmentResult& r, std::size_t inner_len,
     const ContainmentParams& params = {});
 
+/// Can any alignment of rank-encoded @p inner against @p outer meet
+/// Definition 1? An O(m + n) necessary condition, the q-gram lemma
+/// (Jokinen & Ukkonen 1991) with q = 3. An accepted alignment spans
+/// L >= c·m inner residues (m = |inner|, c = min_coverage) with at most
+/// L(1 - s)/s error columns (s = min_similarity), and each error column
+/// breaks at most q of the span's inner q-grams, so at least
+/// floor(c·m)(1 - q(1 - s)/s) - q + 1 inner q-grams occur unchanged in
+/// @p outer. Returns false only when fewer of the inner's 3-gram
+/// positions than that bound have their 3-gram anywhere in @p outer —
+/// containment_outcome then rejects every alignment of the pair, the
+/// optimal one included. True whenever s <= 0 or the bound is <= 0.
+[[nodiscard]] bool containment_possible(std::string_view inner,
+                                        std::string_view outer,
+                                        const ContainmentParams& params = {});
+
 /// Decision layer of Definition 2 over a precomputed score-only local
 /// alignment of (a, b).
 [[nodiscard]] PredicateOutcome overlap_outcome(const AlignmentResult& r,

@@ -104,9 +104,15 @@ struct Verdict {
   std::uint32_t columns = 0;
   std::uint32_t a_span = 0;
   std::uint32_t b_span = 0;
-  /// DP cells of the pair's alignments, filled in by the engine from the
-  /// worker's cell counts.
+  /// The pair's alignments and their DP cells, filled in by the engine
+  /// from the worker's jobs.
+  std::uint32_t alignments = 0;
   std::uint64_t cells = 0;
+  /// RR: containment directions the q-gram gate decided without an
+  /// alignment, and the residues its scans read for them. Simulated
+  /// workers charge those residues at hash cost in place of DP cells.
+  std::uint8_t gated = 0;
+  std::uint64_t scanned = 0;
 };
 
 /// Sub-master-side policy (hierarchical mode): a local replica of the
@@ -147,9 +153,10 @@ class MasterPolicy {
 /// reads their results back into a verdict. The engine scores the jobs of
 /// a whole chunk with one pooled align_score_batch call, whose results are
 /// bit-identical to the scalar engines whatever the batch composition, and
-/// sums each pair's DP cells into Verdict::cells. Both methods are const
-/// and read only what the policy was built from, so the simulated worker
-/// ranks share one policy.
+/// counts each pair's alignments and DP cells into its verdict; simulated
+/// workers charge those cells and the verdict's scanned residues. Both
+/// methods are const and read only what the policy was built from, so the
+/// simulated worker ranks share one policy.
 class WorkerPolicy {
  public:
   virtual ~WorkerPolicy() = default;

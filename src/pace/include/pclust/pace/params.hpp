@@ -70,6 +70,13 @@ struct PaceParams {
   /// 0 = full (exact) dynamic programming.
   std::uint32_t band = 0;
 
+  /// RR decides the containment directions the q-gram bound rules out
+  /// (align::containment_possible) without aligning them. The bound only
+  /// rules out directions Definition 1 rejects, so the removal result is
+  /// the same either way. Only the paper-figure benches clear it, to keep
+  /// the paper's align-every-candidate RR worker.
+  bool qgram_gate = true;
+
   /// Definition 1 cutoffs (similarity and contained-sequence coverage).
   align::ContainmentParams containment{};
   /// Definition 2 cutoffs (similarity and longer-sequence coverage).

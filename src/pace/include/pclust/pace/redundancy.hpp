@@ -2,9 +2,12 @@
 //
 // Sequences that are >= 95 % contained in another sequence are removed.
 // Candidate pairs come from the ψ-length maximal-match filter; candidates
-// are verified by optimal local alignment. A sequence is removed only if
-// its container is itself still present at verdict-application time, so no
-// information is lost through removal chains.
+// are verified by optimal local alignment, except the containment
+// directions a q-gram count proves Definition 1 rejects
+// (align::containment_possible), which are decided without one. A
+// sequence is removed only if its container is itself still present at
+// verdict-application time, so no information is lost through removal
+// chains.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +27,12 @@ struct RedundancyResult {
   std::vector<seq::SeqId> container;
   /// Engine statistics (pair generation / filtering / alignment counts).
   EngineCounters counters;
+  /// Containment work behind the applied verdicts: directions the q-gram
+  /// gate (PaceParams::qgram_gate) decided without an alignment,
+  /// directions aligned, and their DP cells.
+  std::uint64_t gated_directions = 0;
+  std::uint64_t aligned_directions = 0;
+  std::uint64_t cells = 0;
   /// Simulated timing; rank_times empty for the serial driver.
   mpsim::RunResult run;
 
@@ -47,9 +56,11 @@ RedundancyResult remove_redundant(const seq::SequenceSet& set, int p,
 /// Serial version (run_serial in engine.hpp): same filter and verdict
 /// semantics, no simulation. Verdicts are computed in SIMD batches, on
 /// @p pool when given; the removed/container state and the counters are
-/// identical at every thread count.
+/// identical at every thread count. @p hooks (optional) go to run_serial;
+/// a run that starts mid-stream starts from an empty removal state.
 RedundancyResult remove_redundant_serial(const seq::SequenceSet& set,
                                          const PaceParams& params = {},
-                                         exec::Pool* pool = nullptr);
+                                         exec::Pool* pool = nullptr,
+                                         const SerialHooks* hooks = nullptr);
 
 }  // namespace pclust::pace

@@ -165,9 +165,10 @@ struct SharedIndex {
 };
 
 /// Score one chunk of tasks: every task's jobs go through one pooled
-/// align_score_batch call, then verdicts are read back and cells charged
-/// to @p comm serially in task order, so both the results and the virtual
-/// clock are independent of pool scheduling.
+/// align_score_batch call, then verdicts are read back and their cells
+/// and scanned residues charged to @p comm serially in task order, so
+/// both the results and the virtual clock are independent of pool
+/// scheduling.
 void evaluate_tasks(const std::vector<PairTask>& tasks,
                     const WorkerPolicy& policy, mpsim::Communicator* comm,
                     exec::Pool* pool, std::vector<Verdict>& verdicts) {
@@ -186,9 +187,11 @@ void evaluate_tasks(const std::vector<PairTask>& tasks,
     const auto own = std::span<const align::AlignmentResult>(results).subspan(
         first[k], first[k + 1] - first[k]);
     Verdict v = policy.verdict(tasks[k], own);
+    v.alignments = static_cast<std::uint32_t>(own.size());
     for (const align::AlignmentResult& r : own) v.cells += r.cells;
     if (comm) {
       comm->charge_cells(v.cells);
+      if (v.scanned > 0) comm->charge_hashes(v.scanned);
       comm->count("alignments_computed");
     }
     verdicts.push_back(v);

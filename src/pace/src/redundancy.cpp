@@ -21,7 +21,8 @@ constexpr std::uint8_t kMutual = 3;
 class RrMaster final : public MasterPolicy {
  public:
   explicit RrMaster(std::size_t n, RedundancyResult& result)
-      : result_(result), dependents_(n, 0) {
+      : result_(result), dependents_(n, 0),
+        gated_(util::metrics().counter("rr.gated_directions")) {
     result_.removed.assign(n, 0);
     result_.container.assign(n, seq::kInvalidSeqId);
   }
@@ -31,6 +32,12 @@ class RrMaster final : public MasterPolicy {
   }
 
   void apply(const Verdict& v) override {
+    // Counted here, on applied verdicts only, so speculative alignments
+    // never count and the tallies are the one-pair-at-a-time schedule's.
+    result_.gated_directions += v.gated;
+    result_.aligned_directions += v.alignments;
+    result_.cells += v.cells;
+    gated_.add(v.gated);
     if (v.code != kNone) {
       util::metrics().counter("rr.containment_hits").add(1);
       if (v.code == kMutual) {
@@ -68,6 +75,7 @@ class RrMaster final : public MasterPolicy {
  private:
   RedundancyResult& result_;
   std::vector<std::uint32_t> dependents_;  // removed sequences anchored here
+  util::Counter& gated_;
 };
 
 class RrWorker final : public WorkerPolicy {
@@ -75,8 +83,8 @@ class RrWorker final : public WorkerPolicy {
   RrWorker(const seq::SequenceSet& set, const PaceParams& params)
       : set_(set), params_(params) {}
 
-  /// Each containment direction whose inner sequence can reach the
-  /// coverage cutoff: a-in-b first, then b-in-a.
+  /// Each containment direction that passes the gates (see direction):
+  /// a-in-b first, then b-in-a.
   void jobs(const PairTask& task,
             std::vector<align::PairJob>& out) const override {
     const auto res_a = set_.residues(task.a);
@@ -84,10 +92,10 @@ class RrWorker final : public WorkerPolicy {
     const std::int64_t band =
         params_.band > 0 ? static_cast<std::int64_t>(params_.band)
                          : std::int64_t{-1};
-    if (gate(res_a, res_b)) {
+    if (direction(res_a, res_b) == kAlign) {
       out.push_back({res_a, res_b, task.diagonal(), band});
     }
-    if (gate(res_b, res_a)) {
+    if (direction(res_b, res_a) == kAlign) {
       out.push_back({res_b, res_a, -task.diagonal(), band});
     }
   }
@@ -97,26 +105,47 @@ class RrWorker final : public WorkerPolicy {
       std::span<const align::AlignmentResult> results) const override {
     const auto res_a = set_.residues(task.a);
     const auto res_b = set_.residues(task.b);
+    Verdict v{task.a, task.b};
     std::size_t next = 0;
     const auto contained = [&](std::string_view inner,
                                std::string_view outer) {
-      return gate(inner, outer) &&
+      const Direction d = direction(inner, outer);
+      if (d == kGated) {
+        ++v.gated;
+        v.scanned += inner.size() + outer.size();
+      }
+      return d == kAlign &&
              align::containment_outcome(results[next++], inner.size(),
                                         params_.containment)
                  .accepted;
     };
     const bool a_in_b = contained(res_a, res_b);
     const bool b_in_a = contained(res_b, res_a);
-    return Verdict{task.a, task.b, code_of(a_in_b, b_in_a)};
+    v.code = code_of(a_in_b, b_in_a);
+    return v;
   }
 
  private:
-  /// The inner sequence can only reach the coverage cutoff against the
-  /// outer one if it is not much longer than it.
-  bool gate(std::string_view inner, std::string_view outer) const {
-    return static_cast<double>(inner.size()) *
-               params_.containment.min_coverage <=
-           static_cast<double>(outer.size());
+  enum Direction : std::uint8_t { kTooLong, kGated, kAlign };
+
+  /// How the inner-in-outer direction is decided. kTooLong: the length
+  /// gate, a heuristic kept from the paper's worker, skips an inner
+  /// longer than outer/c. Definition 1 only forces n >= s·c·m (the span
+  /// holds >= c·m inner residues, >= s of its columns match, and every
+  /// match takes an outer residue), so a direction with
+  /// s·c·m <= n < c·m that the DP would accept is never aligned.
+  /// kGated: the q-gram gate (PaceParams::qgram_gate) rules it out, which
+  /// it does only for directions the DP would reject. kAlign otherwise.
+  Direction direction(std::string_view inner, std::string_view outer) const {
+    if (static_cast<double>(inner.size()) * params_.containment.min_coverage >
+        static_cast<double>(outer.size())) {
+      return kTooLong;
+    }
+    if (params_.qgram_gate &&
+        !align::containment_possible(inner, outer, params_.containment)) {
+      return kGated;
+    }
+    return kAlign;
   }
 
   static std::uint8_t code_of(bool a_in_b, bool b_in_a) {
@@ -167,12 +196,13 @@ RedundancyResult remove_redundant(const seq::SequenceSet& set, int p,
 
 RedundancyResult remove_redundant_serial(const seq::SequenceSet& set,
                                          const PaceParams& params,
-                                         exec::Pool* pool) {
+                                         exec::Pool* pool,
+                                         const SerialHooks* hooks) {
   RedundancyResult result;
   RrMaster master(set.size(), result);
   const RrWorker worker(set, params);
   result.counters =
-      run_serial(set, all_ids(set), params, master, worker, pool);
+      run_serial(set, all_ids(set), params, master, worker, pool, hooks);
   record_engine_counters(result.counters);
   return result;
 }

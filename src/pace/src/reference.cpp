@@ -20,6 +20,9 @@ std::vector<std::uint8_t> remove_redundant_bruteforce(
       if (removed[a] && removed[b]) continue;
       const auto res_a = set.residues(a);
       const auto res_b = set.residues(b);
+      // RR's length gate (pace/redundancy.cpp), so both align the same
+      // directions: a heuristic, since Definition 1 only forces
+      // |outer| >= s·c·|inner|, not |outer| >= c·|inner|.
       if (!removed[a] && !removed[b] &&
           static_cast<double>(res_a.size()) * params.containment.min_coverage <=
               static_cast<double>(res_b.size())) {

@@ -8,7 +8,8 @@
 // Schema (stable; validated by validate_report and `pclust report-check`):
 //   { "schema": "pclust-run-report", "version": 1,
 //     "command": str, "input": {...}, "config": {...},
-//     "phases": [ {name, seconds, source, ...engine counters, speculative} ],
+//     "phases": [ {name, seconds, source, ...engine counters, speculative,
+//                  gated_directions (rr only)} ],
 //     "alignment": {candidate_pairs, attempted, skipped_by_cluster_filter,
 //                   duplicate_pairs, skip_ratio},
 //     "faults": {...}, "resume": {...}, "table1": {...},

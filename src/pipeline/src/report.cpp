@@ -33,7 +33,8 @@ std::string phase_source(const PipelineResult& result, const char* phase) {
 
 void emit_phase(util::JsonWriter& w, const char* name, double seconds,
                 const std::string& source,
-                const pace::EngineCounters* work) {
+                const pace::EngineCounters* work,
+                const std::uint64_t* gated_directions = nullptr) {
   w.begin_object();
   w.key("name").value(name);
   w.key("seconds").value(seconds);
@@ -46,6 +47,9 @@ void emit_phase(util::JsonWriter& w, const char* name, double seconds,
     w.key("skipped_by_cluster_filter").value(work->filtered_pairs);
     w.key("skip_ratio").value(work->skip_ratio());
     w.key("speculative").value(work->speculative_pairs);
+  }
+  if (gated_directions) {
+    w.key("gated_directions").value(*gated_directions);
   }
   w.end_object();
 }
@@ -219,6 +223,15 @@ bool check_identity(const util::JsonValue& obj, const std::string& where,
                            ") > skipped_by_cluster_filter (" +
                            std::to_string(skipped) + ")");
   }
+  // Each attempted pair has two containment directions at most (RR only;
+  // absent elsewhere and in reports that predate the field).
+  if (const util::JsonValue* gated = obj.find("gated_directions");
+      gated && gated->as_u64() > 2 * attempted) {
+    return fail(error, where + ": gated_directions (" +
+                           std::to_string(gated->as_u64()) +
+                           ") > 2 x attempted (" + std::to_string(attempted) +
+                           ")");
+  }
   return true;
 }
 
@@ -270,7 +283,8 @@ std::string render_report(const PipelineResult& result,
   w.end_object();
 
   w.key("phases").begin_array();
-  emit_phase(w, "rr", result.rr_seconds, phase_source(result, "rr"), &rr);
+  emit_phase(w, "rr", result.rr_seconds, phase_source(result, "rr"), &rr,
+             &result.rr.gated_directions);
   emit_phase(w, "ccd", result.ccd_seconds, phase_source(result, "ccd"),
              &ccd);
   emit_phase(w, "bgg+dsd", result.bgg_dsd_seconds,

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "pclust/align/predicates.hpp"
+#include "pclust/exec/pool.hpp"
 #include "pclust/pace/reference.hpp"
 #include "pclust/seq/alphabet.hpp"
 #include "pclust/synth/generator.hpp"
@@ -176,6 +177,107 @@ TEST(Redundancy, OneSidedGateReadsTheRightDirection) {
     check(remove_redundant_serial(set), "serial");
     check(remove_redundant(set, 3, mpsim::MachineModel::free()), "p=3");
   }
+}
+
+TEST(Redundancy, LengthGateSkipsAContainedDirection) {
+  // Definition 1 only forces n >= s·c·m, but the length gate skips an
+  // inner longer than outer/c. Here the inner (m = 100) is the outer
+  // (n = 91) with 5 residues in front and 4 inside: 91 of its 95 aligned
+  // columns match (0.958) over 95 % of it, yet 95 > 91 keeps that
+  // direction from being aligned. The outer is contained in the inner
+  // too, so RR still removes one of them; only the mutual tie-break
+  // (remove the larger id) is lost, and the outer goes.
+  util::Xoshiro256 rng(2020);
+  const auto residues = [&](std::size_t len) {
+    std::string out(len, 'A');
+    for (char& c : out) {
+      c = seq::rank_to_char(
+          static_cast<std::uint8_t>(rng.below(seq::kNumResidues)));
+    }
+    return out;
+  };
+  const std::string left = residues(45);
+  const std::string right = residues(46);
+  seq::SequenceSet set;
+  set.add("outer", left + right);
+  set.add("inner", residues(5) + left + residues(4) + right);
+  const auto in_outer = align::test_containment(
+      set.residues(1), set.residues(0), align::blosum62());
+  ASSERT_TRUE(in_outer.accepted);
+  EXPECT_EQ(in_outer.alignment.matches, 91u);
+  EXPECT_EQ(in_outer.alignment.columns, 95u);
+  ASSERT_TRUE(align::test_containment(set.residues(0), set.residues(1),
+                                      align::blosum62())
+                  .accepted);
+
+  const auto r = remove_redundant_serial(set);
+  EXPECT_EQ(r.removed_count(), 1u);
+  EXPECT_EQ(r.counters.aligned_pairs, 1u);
+  EXPECT_EQ(r.removed, (std::vector<std::uint8_t>{1, 0}));
+  EXPECT_EQ(r.container[0], seq::SeqId{1});
+}
+
+TEST(RedundancyGate, QgramGateChangesNoDecisionOrCounter) {
+  // The gate only skips alignments Definition 1 rejects, so removals,
+  // containers and every engine counter match the align-every-direction
+  // worker's on each schedule.
+  const auto d = make_data(31, 240);
+  const auto expect_same = [](const RedundancyResult& on,
+                              const RedundancyResult& off,
+                              const std::string& run) {
+    SCOPED_TRACE(run);
+    EXPECT_EQ(on.removed, off.removed);
+    EXPECT_EQ(on.container, off.container);
+    EXPECT_EQ(on.counters, off.counters);
+    // Each gated direction is one the align-every-direction worker aligns.
+    EXPECT_GT(on.gated_directions, 0u);
+    EXPECT_EQ(off.gated_directions, 0u);
+    EXPECT_EQ(on.aligned_directions + on.gated_directions,
+              off.aligned_directions);
+    EXPECT_LT(on.cells, off.cells);
+  };
+  exec::Pool pool(4);
+  for (const std::uint32_t band : {0u, 32u}) {
+    PaceParams on;
+    on.band = band;
+    PaceParams off = on;
+    off.qgram_gate = false;
+    const std::string tag = "band " + std::to_string(band);
+    const auto serial = remove_redundant_serial(d.sequences, on);
+    expect_same(serial, remove_redundant_serial(d.sequences, off),
+                tag + ", threads 1");
+    const auto pooled = remove_redundant_serial(d.sequences, on, &pool);
+    expect_same(pooled, remove_redundant_serial(d.sequences, off, &pool),
+                tag + ", threads 4");
+    EXPECT_EQ(pooled.gated_directions, serial.gated_directions) << tag;
+    expect_same(
+        remove_redundant(d.sequences, 4, mpsim::MachineModel::free(), on),
+        remove_redundant(d.sequences, 4, mpsim::MachineModel::free(), off),
+        tag + ", p = 4");
+    SerialHooks resume;
+    resume.start_pair = serial.counters.promising_pairs / 2;
+    expect_same(remove_redundant_serial(d.sequences, on, nullptr, &resume),
+                remove_redundant_serial(d.sequences, off, nullptr, &resume),
+                tag + ", resumed mid-stream");
+  }
+}
+
+TEST(RedundancyGate, SimulatedWorkersPayForTheScan) {
+  // A gated direction charges its scanned residues, not the DP cells it
+  // skipped: simulated RR gets cheaper but not free.
+  const auto d = make_data(32, 160);
+  PaceParams off;
+  off.qgram_gate = false;
+  const auto model = mpsim::MachineModel::bluegene_l();
+  const auto gated = remove_redundant(d.sequences, 4, model);
+  const auto aligned = remove_redundant(d.sequences, 4, model, off);
+  EXPECT_LT(gated.run.makespan, aligned.run.makespan);
+  EXPECT_EQ(gated.removed, aligned.removed);
+  // RR charges hashes only for the gate's scans.
+  mpsim::MachineModel free_scans = model;
+  free_scans.hash_cost = 0.0;
+  EXPECT_LT(remove_redundant(d.sequences, 4, free_scans).run.makespan,
+            gated.run.makespan);
 }
 
 TEST(RedundancyVsBruteForce, NoSurvivorContainedInSurvivor) {

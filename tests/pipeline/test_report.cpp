@@ -184,6 +184,49 @@ TEST(RunReport, MalformedReportsAreRejected) {
   EXPECT_NE(error.find("speculative"), std::string::npos);
 }
 
+TEST(RunReport, GatedDirectionsAreCountedAndBounded) {
+  const auto d = make_data(86);
+  PipelineConfig config;
+  util::metrics().reset();
+  const auto result = run(d.sequences, config);
+  const std::string doc =
+      render_report(result, config, {"families", "synthetic", ""});
+  const util::JsonValue report = util::parse_json(doc);
+  std::string error;
+  EXPECT_TRUE(validate_report(report, &error)) << error;
+
+  // RR's entry counts the directions the q-gram gate decided, as the
+  // registry does; other phases have no such field.
+  const util::JsonValue& rr = report.at("phases").array[0];
+  const std::uint64_t gated = rr.at("gated_directions").as_u64();
+  const std::uint64_t attempted = rr.at("attempted").as_u64();
+  EXPECT_GT(gated, 0u);
+  EXPECT_LE(gated, 2 * attempted);
+  EXPECT_EQ(gated, result.rr.gated_directions);
+  EXPECT_EQ(
+      report.at("metrics").at("counters").at("rr.gated_directions").as_u64(),
+      gated);
+  EXPECT_EQ(report.at("phases").array[1].find("gated_directions"), nullptr);
+
+  // Each attempted pair has two directions at most.
+  const std::string field = "\"gated_directions\":" + std::to_string(gated);
+  const auto with_gated = [&](const std::string& replacement) {
+    std::string edited = doc;
+    edited.replace(edited.find(field), field.size(), replacement);
+    return util::parse_json(edited);
+  };
+  EXPECT_TRUE(validate_report(
+      with_gated("\"gated_directions\":" + std::to_string(2 * attempted)),
+      &error))
+      << error;
+  EXPECT_FALSE(validate_report(
+      with_gated("\"gated_directions\":" + std::to_string(2 * attempted + 1)),
+      &error));
+  EXPECT_NE(error.find("gated_directions"), std::string::npos);
+  // Reports that predate the field still validate.
+  EXPECT_TRUE(validate_report(with_gated("\"gated\":0"), &error)) << error;
+}
+
 TEST(RunReport, DsdFlatFallbackLabelsRanksAsTheyRan) {
   // Three DSD ranks cannot host a two-master tree (that needs masters + 2
   // = 4), so the DSD stage runs flat: master, worker, worker. The report
