@@ -298,60 +298,68 @@ void write_json(std::FILE* f) {
       full.seconds / banded_score.seconds);
 
   // -- batched SIMD pair engine, per ISA tier ------------------------------
-  // One row per ISA the host supports: the batched engine against the
-  // scalar single-pair score engine over the SAME job list, with the same
-  // minimum-over-interleaved-repetitions estimator as above.
-  // speedup_vs_scalar_single on the widest tier is the tentpole
-  // acceptance number.
+  // One row per ISA the host supports and geometry: the batched engine
+  // against the scalar single-pair score engine over the SAME job list,
+  // with the same minimum-over-interleaved-repetitions estimator as above.
+  // Unbanded jobs are RR's geometry; band 32 around diagonal 0 is B_d's
+  // and CCD's (the `batch_align_banded_*` rows). speedup_vs_scalar_single
+  // on the widest tier is the tentpole acceptance number.
   {
     // A batch-sized job pool (RR/CCD enqueue hundreds of candidates per
     // flush, not dozens) so the scheduler can form length-uniform chunks.
     const auto batch_set = bench_sequences(256, 200);
-    std::vector<align::PairJob> jobs;
-    for (seq::SeqId i = 0; i + 1 < batch_set.size(); ++i) {
-      jobs.push_back(
-          {batch_set.residues(i), batch_set.residues(i + 1), 0, -1});
-    }
-    std::vector<align::AlignmentResult> results(jobs.size());
     const align::Isa saved = align::current_isa();
     const align::Isa widest = align::detect_best_isa();
     const align::Isa tiers[] = {align::Isa::kScalar, align::Isa::kSse2,
                                 align::Isa::kAvx2};
     constexpr int kReps = 9;
-    double single_best = 1e300;
-    double tier_best[3] = {1e300, 1e300, 1e300};
-    std::uint64_t cells = 0;
-    for (int rep = 0; rep < kReps; ++rep) {
-      {
-        cells = 0;
-        const auto t0 = std::chrono::steady_clock::now();
-        for (const auto& job : jobs) {
-          cells += align::local_align_score(job.a, job.b, scheme).cells;
-        }
-        single_best = std::min(single_best, seconds_since(t0));
+    for (const std::int64_t band : {std::int64_t{-1}, std::int64_t{32}}) {
+      std::vector<align::PairJob> jobs;
+      for (seq::SeqId i = 0; i + 1 < batch_set.size(); ++i) {
+        jobs.push_back(
+            {batch_set.residues(i), batch_set.residues(i + 1), 0, band});
       }
+      const auto single = [&](const align::PairJob& job) {
+        return band < 0 ? align::local_align_score(job.a, job.b, scheme)
+                        : align::banded_local_align_score(
+                              job.a, job.b, scheme, 0,
+                              static_cast<std::uint32_t>(band));
+      };
+      std::vector<align::AlignmentResult> results(jobs.size());
+      double single_best = 1e300;
+      double tier_best[3] = {1e300, 1e300, 1e300};
+      std::uint64_t cells = 0;
+      for (int rep = 0; rep < kReps; ++rep) {
+        {
+          cells = 0;
+          const auto t0 = std::chrono::steady_clock::now();
+          for (const auto& job : jobs) cells += single(job).cells;
+          single_best = std::min(single_best, seconds_since(t0));
+        }
+        for (int k = 0; k < 3; ++k) {
+          if (static_cast<int>(tiers[k]) > static_cast<int>(widest)) continue;
+          align::set_isa(tiers[k]);
+          const auto t0 = std::chrono::steady_clock::now();
+          align::align_score_batch(jobs.data(), jobs.size(), scheme,
+                                   results.data());
+          tier_best[k] = std::min(tier_best[k], seconds_since(t0));
+          benchmark::DoNotOptimize(results.data());
+        }
+      }
+      align::set_isa(saved);
+      const double single_ns = single_best * 1e9 / static_cast<double>(cells);
       for (int k = 0; k < 3; ++k) {
         if (static_cast<int>(tiers[k]) > static_cast<int>(widest)) continue;
-        align::set_isa(tiers[k]);
-        const auto t0 = std::chrono::steady_clock::now();
-        align::align_score_batch(jobs.data(), jobs.size(), scheme,
-                                 results.data());
-        tier_best[k] = std::min(tier_best[k], seconds_since(t0));
+        const double ns = tier_best[k] * 1e9 / static_cast<double>(cells);
+        std::fprintf(f,
+                     "    {\"name\": \"batch_align_%s%s\", \"ns_per_cell\": "
+                     "%.3f, \"pairs_per_sec\": %.1f, "
+                     "\"single_pair_ns_per_cell\": %.3f, "
+                     "\"speedup_vs_scalar_single\": %.2f},\n",
+                     band < 0 ? "" : "banded_", align::isa_name(tiers[k]), ns,
+                     static_cast<double>(jobs.size()) / tier_best[k],
+                     single_ns, single_ns / ns);
       }
-    }
-    align::set_isa(saved);
-    const double single_ns = single_best * 1e9 / static_cast<double>(cells);
-    for (int k = 0; k < 3; ++k) {
-      if (static_cast<int>(tiers[k]) > static_cast<int>(widest)) continue;
-      const double ns = tier_best[k] * 1e9 / static_cast<double>(cells);
-      std::fprintf(f,
-                   "    {\"name\": \"batch_align_%s\", \"ns_per_cell\": "
-                   "%.3f, \"pairs_per_sec\": %.1f, "
-                   "\"single_pair_ns_per_cell\": %.3f, "
-                   "\"speedup_vs_scalar_single\": %.2f},\n",
-                   align::isa_name(tiers[k]), ns,
-                   static_cast<double>(jobs.size()) / tier_best[k], single_ns,
-                   single_ns / ns);
     }
   }
 

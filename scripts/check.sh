@@ -157,15 +157,27 @@ echo "check.sh: io-chaos green (storms, exit codes, budget bit-identity)"
 # q-gram gate at work (gated_directions > 0); the same run on 4 threads
 # must count exactly the same RR and CCD alignment work and gated
 # directions (speculative alignments are re-checked into the skipped
-# count and never counted as gated); a faulted, healed, threaded run must
-# still satisfy the alignment-work identity; and the report diff mode
-# must accept both documents.
+# count and never counted as gated); the serial run scores every pair in
+# a SIMD lane (no pair of dense.fa needs the scalar fallback), and a
+# --simd off run writes the same families with no lane work; a faulted,
+# healed, threaded run must still satisfy the alignment-work identity;
+# and the report diff mode must accept both documents.
 "$pclust" generate --n 1400 --families 1 --noise 0.05 --mean-length 60 \
   --redundant 0.05 --seed 7 --out "$smoke/dense.fa" >/dev/null
 "$pclust" families "$smoke/dense.fa" --rr-band 32 \
   --report-out "$smoke/serial.json" --trace-out "$smoke/serial.trace.json" \
-  >/dev/null
+  --out "$smoke/dense.tsv" >/dev/null
 "$pclust" report-check "$smoke/serial.json" --min-ccd-skip-ratio 0.99
+grep -q '"simd_pairs":[1-9]' "$smoke/serial.json" \
+  || { echo "the serial dense.fa run scored no pair in a SIMD lane"; exit 1; }
+grep -q '"scalar_pairs":0[,}]' "$smoke/serial.json" \
+  || { echo "the serial dense.fa run sent pairs to the scalar fallback"; exit 1; }
+"$pclust" families "$smoke/dense.fa" --rr-band 32 --simd off \
+  --report-out "$smoke/simd-off.json" --out "$smoke/dense-simd-off.tsv" \
+  >/dev/null
+cmp "$smoke/dense.tsv" "$smoke/dense-simd-off.tsv"
+grep -q '"simd_pairs":0[,}]' "$smoke/simd-off.json" \
+  || { echo "a --simd off run reported SIMD lane work"; exit 1; }
 grep -q '"traceEvents"' "$smoke/serial.trace.json" \
   || { echo "trace output is not a trace-event document"; exit 1; }
 "$pclust" families "$smoke/dense.fa" --rr-band 32 --threads 4 \

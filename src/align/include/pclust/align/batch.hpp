@@ -4,13 +4,17 @@
 // lockstep. Results are bit-identical to the scalar score-only engine —
 // same scores, same region statistics, same tie-breaks — so callers can
 // batch opportunistically without changing any downstream decision.
+// Each chunk is two passes: a score-only lockstep sweep that records a 4-bit
+// traceback code per lane-cell, then a scalar traceback per lane.
 //
 // The ISA is chosen at runtime (pclust/align/simd.hpp); under Isa::kScalar,
 // or for pairs the 16-bit lanes cannot represent (length > 2047, or scores
 // that would saturate), the engine transparently falls back to the scalar
 // scorer for exactly those pairs. Every batch records `align.batches` /
-// `align.batch_fill` metrics so run reports distinguish SIMD from scalar
-// work.
+// `align.batch_fill` metrics, and every pair counts once under
+// `align.simd_pairs` or `align.scalar_pairs` (`align.overflow_pairs` for
+// the saturated subset of the latter), so run reports distinguish SIMD
+// from scalar work.
 #pragma once
 
 #include <cstddef>

@@ -55,8 +55,11 @@ struct Chunk {
   std::int64_t band;  // the uniform half-width when banded
 };
 
-void run_chunk(const Chunk& chunk, const PairJob* jobs,
-               const ScoringScheme& scheme, Isa isa, AlignmentResult* out) {
+/// Scores one chunk in SIMD lanes; returns how many of its lanes overflowed
+/// and were recomputed by the scalar engine.
+std::size_t run_chunk(const Chunk& chunk, const PairJob* jobs,
+                      const ScoringScheme& scheme, Isa isa,
+                      AlignmentResult* out) {
   LaneJob lanes[16];
   LaneOut louts[16];
   for (std::size_t l = 0; l < chunk.count; ++l) {
@@ -87,12 +90,14 @@ void run_chunk(const Chunk& chunk, const PairJob* jobs,
   util::metrics().counter("align.batches").add(1);
   util::metrics().histogram("align.batch_fill").add(chunk.count);
 
+  std::size_t overflowed = 0;
   for (std::size_t l = 0; l < chunk.count; ++l) {
     const PairJob& job = jobs[chunk.idx[l]];
     const LaneOut& lane = louts[l];
     AlignmentResult& r = out[chunk.idx[l]];
     if (lane.overflow) {
       r = scalar_score(job, scheme);
+      ++overflowed;
       continue;
     }
     r = AlignmentResult{};
@@ -111,6 +116,15 @@ void run_chunk(const Chunk& chunk, const PairJob* jobs,
     r.positives = static_cast<std::uint32_t>(lane.positives);
     r.gap_columns = r.columns - subs;
   }
+  return overflowed;
+}
+
+/// Where each pair of one call was scored: read from a SIMD lane, or by the
+/// scalar engine (unrepresentable, overflowed, or the scalar ISA).
+void count_routes(std::size_t simd, std::size_t scalar, std::size_t overflow) {
+  util::metrics().counter("align.simd_pairs").add(simd);
+  util::metrics().counter("align.scalar_pairs").add(scalar);
+  util::metrics().counter("align.overflow_pairs").add(overflow);
 }
 
 bool lane_representable(const PairJob& job) {
@@ -173,11 +187,15 @@ void align_score_batch(const PairJob* jobs, std::size_t count,
                        const ScoringScheme& scheme, AlignmentResult* out) {
   const Isa isa = current_isa();
   const std::size_t lanes = isa_lanes(isa);
-  const bool scheme_ok = scheme.gap_open >= 0 && scheme.gap_extend >= 0;
+  // The lanes' traceback codes need every gap run to end at an M cell of
+  // positive score, which a positive gap-open cost guarantees.
+  const bool scheme_ok = scheme.gap_open >= 0 && scheme.gap_extend >= 0 &&
+                         scheme.gap_open + scheme.gap_extend > 0;
   if (isa == Isa::kScalar || !scheme_ok) {
     for (std::size_t k = 0; k < count; ++k) {
       out[k] = scalar_score(jobs[k], scheme);
     }
+    count_routes(0, count, 0);
     return;
   }
 
@@ -186,10 +204,12 @@ void align_score_batch(const PairJob* jobs, std::size_t count,
   // lanes cannot represent go straight to the scalar engine.
   std::vector<std::size_t> full;
   std::vector<std::pair<std::int64_t, std::size_t>> banded;  // (band, idx)
+  std::size_t unrepresentable = 0, overflowed = 0;
   for (std::size_t k = 0; k < count; ++k) {
     const PairJob& job = jobs[k];
     if (!lane_representable(job)) {
       out[k] = scalar_score(job, scheme);
+      ++unrepresentable;
       continue;
     }
     if (job.band >= 0) {
@@ -206,7 +226,7 @@ void align_score_batch(const PairJob* jobs, std::size_t count,
   sort_by_extent(full, jobs);
   for (std::size_t k = 0; k < full.size(); k += lanes) {
     Chunk chunk{full.data() + k, std::min(lanes, full.size() - k), false, 0};
-    run_chunk(chunk, jobs, scheme, isa, out);
+    overflowed += run_chunk(chunk, jobs, scheme, isa, out);
   }
 
   // Stable partition of the banded list into per-band runs, each run
@@ -226,9 +246,11 @@ void align_score_batch(const PairJob* jobs, std::size_t count,
     for (std::size_t r = 0; r < run.size(); r += lanes) {
       Chunk chunk{run.data() + r, std::min(lanes, run.size() - r), true,
                   band};
-      run_chunk(chunk, jobs, scheme, isa, out);
+      overflowed += run_chunk(chunk, jobs, scheme, isa, out);
     }
   }
+  const std::size_t scalar = unrepresentable + overflowed;
+  count_routes(count - scalar, scalar, overflowed);
 }
 
 void align_score_batch(const PairJob* jobs, std::size_t count,

@@ -13,6 +13,7 @@ namespace {
 
 struct Avx2Traits {
   using V = __m256i;
+  using Word = std::uint32_t;  // one movemask of 32 packed lane bytes
   static constexpr int kLanes = 16;
 
   static V zero() { return _mm256_setzero_si256(); }
@@ -29,7 +30,6 @@ struct Avx2Traits {
   static V subs(V a, V b) { return _mm256_subs_epi16(a, b); }
   static V max(V a, V b) { return _mm256_max_epi16(a, b); }
   static V cmpgt(V a, V b) { return _mm256_cmpgt_epi16(a, b); }
-  static V cmpeq(V a, V b) { return _mm256_cmpeq_epi16(a, b); }
   static V and_(V a, V b) { return _mm256_and_si256(a, b); }
   static V or_(V a, V b) { return _mm256_or_si256(a, b); }
   static V andnot(V mask, V v) { return _mm256_andnot_si256(mask, v); }
@@ -39,6 +39,11 @@ struct Avx2Traits {
   }
   static bool any(V mask) {
     return _mm256_testz_si256(mask, mask) == 0;
+  }
+  /// One bit per lane of each -1/0 mask (layout: code_bit).
+  static Word pack_masks(V a, V b) {
+    return static_cast<Word>(
+        _mm256_movemask_epi8(_mm256_packs_epi16(a, b)));
   }
 
   /// Hardware-gather substitution lookup: out[l] = table[idx16[l]], with

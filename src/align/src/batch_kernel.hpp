@@ -1,79 +1,65 @@
-// Lane-parallel score-only local alignment: the DP body shared by the SSE2
-// and AVX2 translation units, templated over a Traits type that wraps the
-// ISA's 16-bit integer operations. Include only from batch_*.cpp.
+// Lane-parallel local alignment: the DP body shared by the SSE2 and AVX2
+// translation units, templated over a Traits type that wraps the ISA's
+// 16-bit integer operations. Include only from batch_*.cpp.
 //
-// One independent pair per lane, all lanes sweeping the same slot index s
-// in lockstep. Banded storage maps slot s of row i to column
+// Two passes per chunk. A lockstep sweep, one independent pair per lane,
+// keeps only the three score planes (M, X, Y) and records a 4-bit
+// traceback code per lane-cell: the M predecessor {M, X, Y, start} in two
+// bits, plus "X extends X" and "Y extends Y". A scalar traceback per lane
+// then walks from the best cell to the first "start", counting
+// substitution columns, matches and positives on M steps; where it stops
+// gives the begin coordinates.
+//
+// Banded storage maps slot s of row i to column
 // j = s + i - band - 1 - diagonal[lane] (the window slides one column per
 // row, so the diagonal predecessor of slot s is slot s of the previous row
 // and the vertical predecessor is slot s + 1); full storage maps s to
-// column j = s directly (predecessors s - 1 and s). Row validity masks
-// reproduce BandLayout::row_limits per lane, and every slot outside a
-// lane's valid range stores kNegInf16 in the score planes — exactly the
-// "everything outside the computed band is default" invariant of the
-// scalar engine.
+// column j = s (predecessors s - 1 and s). Row validity masks reproduce
+// BandLayout::row_limits per lane, and every slot outside a lane's valid
+// range stores kNegInf16 — the scalar engine's "everything outside the
+// computed band is default" invariant. Scores are slot-major
+// ([slot][state] x lanes) and single buffered: each slot's previous-row
+// states are loaded once, at up = s + kShift, and carried in registers to
+// the next slot (where they are the diagonal predecessors), so row i
+// overwrites row i - 1 in place. Codes go to a [row][slot] table of two
+// movemask(packs(a, b)) words per slot (word 0: M predecessor, word 1: gap
+// extensions), (rows + 1) x (S + 2) x 2 words per chunk — the only
+// scratch that grows with rows x slots. It needs no zero-fill: the
+// traceback reads only codes the sweep wrote.
 //
-// Storage is slot-major ([slot][state][field] x lanes) and SINGLE
-// buffered: each slot's previous-row states are loaded exactly once, at
-// the vertical-predecessor index up = s + kShift, and carried in registers
-// to the next iteration (where they are the diagonal predecessors), so
-// row i's stores at slot s can overwrite row i - 1 in place — every
-// previous-row read of slot s happens at iteration s - kShift, before the
-// store. The slot-major layout turns the 18 per-field streams into one
-// sequential read stream and one sequential write stream per row, and the
-// cache-line-aligned scratch keeps every lane vector inside one line.
-//
-// Bit-identity with the scalar score-only engine holds cell for cell on
-// every score that can influence the result:
-//  - All tie-breaks are the scalar ones (X/Y gap selects prefer M on ties;
-//    M predecessor ties prefer M, then X, then Y; best tracking takes the
-//    first maximum in (i asc, j asc) order, which is the lockstep sweep
-//    order per lane).
-//  - Local-mode border cells (M = 0 on row 0 / column 0) are deliberately
-//    NOT materialized: a predecessor read of a missing border sees
-//    kNegInf16, triggers the fresh-start clamp (ps < 0 -> ps = 0, bundle =
-//    start at that border cell), and yields the same value and the same
-//    bundle as reading the border directly. Gap-state values fed by a
-//    border (e.g. Y(i, 1) from M(i, 0)) can differ, but only below zero,
-//    where they influence nothing: a negative gap score can only be
-//    selected as an M predecessor that the fresh-start clamp then
-//    discards, and can never reach the (strictly positive) best tracking.
-//  - Defaulted slots hold kNegInf16 scores but arbitrary bundle fields;
-//    a bundle picked up through a kNegInf16 score can never survive into
-//    a non-negative M value (the fresh-start clamp replaces it), so any
-//    placeholder works — register seeds use zeros.
-//  - Saturating arithmetic clamps "negative infinity" values instead of
-//    wrapping; clamped values stay below every reachable real score, and
-//    real scores are exact unless they exceed kOverflowGuard, which sets
-//    the lane's sticky overflow flag and routes it to a scalar recompute.
+// Every result field is bit-identical to the scalar engines: the traceback
+// is align_impl's local traceback (pairwise.cpp), and the codes are the
+// compares the sweep makes anyway.
+//  - Tie-breaks are the scalar ones: X/Y gap selects prefer M (strict
+//    compares to extend), M predecessors prefer M, then X, then Y, and the
+//    best cell is the first maximum in (i asc, j asc) order.
+//  - align_impl stops at the first non-positive M cell on the path, so an
+//    M predecessor is "start" when it is negative (the fresh-start clamp)
+//    or when M wins with score exactly 0. A gap predecessor of score 0 is
+//    no stop: its gap run ends at an M cell of score >= open > 0 (the
+//    driver sends schemes with open == 0 to the scalar engine).
+//  - Every cell on a path from a positive best cell scores >= 0 and lies
+//    in the lane's band, so its score and code are exact and were written
+//    by the sweep. Local-mode border cells (M = 0 on row 0 / column 0) are
+//    not materialized: a missing border reads kNegInf16 and codes "start",
+//    as M = 0 would. Border-fed gap values can differ, but only below
+//    zero, where they decide no compare a path depends on.
+//  - Saturating arithmetic clamps "negative infinity" instead of wrapping;
+//    real scores are exact unless one exceeds kOverflowGuard, which sets
+//    the lane's sticky overflow flag: the driver recomputes that lane in
+//    scalar code, and its traceback is skipped.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
+#include <memory>
 #include <vector>
 
 #include "batch_detail.hpp"
 
 namespace pclust::align::detail {
 
-// Per-state bundle fields alongside the score; they mirror the scalar
-// engine's forward bundle (gap statistics are geometry-derived at
-// extraction, so gap transitions are pure selects here too).
-enum Field : int {
-  kScore = 0,
-  kABeg = 1,
-  kBBeg = 2,
-  kSubs = 3,
-  kMatch = 4,
-  kPos = 5,
-};
-inline constexpr int kFields = 6;
 enum State : int { kM = 0, kX = 1, kY = 2 };
-
-template <typename T>
-struct LaneRegs {
-  typename T::V s, ab, bb, su, ma, po;
-};
 
 /// Scratch buffer aligned to a cache line so every lane vector load/store
 /// stays within one line (std::vector's default 16-byte alignment would
@@ -94,10 +80,61 @@ class AlignedScratch {
   std::int16_t* p_ = nullptr;
 };
 
+/// Bit of lane @p lane of operand @p k (0 = a, 1 = b) in a
+/// movemask(packs(a, b)) word: packs interleaves its operands per 128-bit
+/// half, eight 16-bit lanes each.
+constexpr int code_bit(int lane, int k) {
+  return (lane / 8) * 16 + k * 8 + lane % 8;
+}
+
+/// Per-lane traceback over the sweep's code table: align_impl's local
+/// traceback, starting in M at the lane's best cell (i, j).
+template <bool Banded, typename Word>
+void trace_lane(const Word* codes, std::int32_t SA, std::int64_t band,
+                int lane, const LaneJob& job, const ScoringScheme& scheme,
+                std::int32_t i, std::int32_t j, LaneOut& o) {
+  const std::int32_t off0 =
+      Banded ? static_cast<std::int32_t>(band) + 1 + job.diagonal : 0;
+  const auto bit = [&](std::int32_t ci, std::int32_t cj, int word, int k) {
+    const std::int32_t s = Banded ? cj - ci + off0 : cj;
+    const Word w = codes[(static_cast<std::size_t>(ci) * SA + s) * 2 + word];
+    return ((w >> code_bit(lane, k)) & 1u) != 0;
+  };
+  std::int32_t subs = 0, matches = 0, positives = 0;
+  State state = kM;
+  for (;;) {
+    if (state == kM) {
+      const bool gap = bit(i, j, 0, 0);
+      const bool y_or_start = bit(i, j, 0, 1);
+      const auto ra = static_cast<std::uint8_t>(job.a[i - 1]);
+      const auto rb = static_cast<std::uint8_t>(job.b[j - 1]);
+      ++subs;
+      matches += ra == rb ? 1 : 0;
+      positives += scheme.substitution[ra][rb] > 0 ? 1 : 0;
+      --i;
+      --j;
+      if (!gap && y_or_start) break;  // "start": the region begins here
+      state = !gap ? kM : y_or_start ? kY : kX;
+    } else if (state == kX) {
+      state = bit(i, j, 1, 0) ? kX : kM;
+      --i;
+    } else {
+      state = bit(i, j, 1, 1) ? kY : kM;
+      --j;
+    }
+  }
+  o.a_begin = i;
+  o.b_begin = j;
+  o.subs = subs;
+  o.matches = matches;
+  o.positives = positives;
+}
+
 template <typename T, bool Banded>
 void batch_kernel(const LaneJob* jobs, std::size_t count, std::int64_t band,
                   const ScoringScheme& scheme, LaneOut* out) {
   using V = typename T::V;
+  using Word = typename T::Word;
   constexpr int L = T::kLanes;
 
   std::int32_t max_m = 0, max_n = 0;
@@ -112,27 +149,22 @@ void batch_kernel(const LaneJob* jobs, std::size_t count, std::int64_t band,
   const std::int32_t SA = S + 2;
   constexpr int kShift = Banded ? 1 : 0;
 
-  // Slot-major single-buffer storage: slot s holds 3 states x kFields
-  // contiguous lane vectors.
-  constexpr int kSlotVecs = 3 * kFields;
+  // Slot-major single-buffer score storage: slot s holds the M, X and Y
+  // lane vectors contiguously.
   AlignedScratch planes;
-  planes.resize(static_cast<std::size_t>(SA) * kSlotVecs * L, 0);
-  const auto at = [&planes](std::int32_t s, int state,
-                            int field) -> std::int16_t* {
-    return planes.data() +
-           (static_cast<std::size_t>(s) * kSlotVecs + state * kFields +
-            field) *
-               L;
+  planes.resize(static_cast<std::size_t>(SA) * 3 * L, kNegInf16);
+  const auto at = [&planes](std::int32_t s, int state) -> std::int16_t* {
+    return planes.data() + (static_cast<std::size_t>(s) * 3 + state) * L;
   };
   const auto default_scores = [&](std::int32_t s_from, std::int32_t s_to) {
-    for (std::int32_t s = s_from; s < s_to; ++s) {
-      for (int state = 0; state < 3; ++state) {
-        std::int16_t* p = at(s, state, kScore);
-        std::fill(p, p + L, kNegInf16);
-      }
+    if (s_from < s_to) {
+      std::fill(at(s_from, kM), at(s_to, kM), kNegInf16);
     }
   };
-  default_scores(0, SA);
+  // Traceback codes, two words per (row, slot); default-initialized, so
+  // pages the sweep never touches are never faulted in.
+  const std::unique_ptr<Word[]> codes(
+      new Word[static_cast<std::size_t>(max_m + 1) * SA * 2]);
 
   // Per-lane geometry. Padding lanes replicate the first job rather than
   // going in dead: a dead lane would disable the all-valid interior span
@@ -153,32 +185,34 @@ void batch_kernel(const LaneJob* jobs, std::size_t count, std::int64_t band,
   }
   const V d_v = T::loadu(d16);
 
-  // b residues in slot-major SoA form, built once. Full storage: slot s
-  // holds b[s - 1]. Banded storage: row i's slot s reads index s + i, so
-  // one table over g = s + i serves every row via a shifted pointer.
-  const std::int32_t G = Banded ? (S + max_m + 2) : (S + 2);
-  AlignedScratch vb_table;
-  vb_table.resize(static_cast<std::size_t>(G) * L, 0);
-  for (int l = 0; l < L; ++l) {
-    if (!bs[l]) continue;
-    for (std::int32_t g = 0; g < G; ++g) {
-      const std::int64_t j0 =
-          Banded ? (static_cast<std::int64_t>(g) - band - 2 - d16[l])
-                 : (g - 1);
-      if (j0 >= 0 && j0 < n16[l]) {
-        vb_table.data()[static_cast<std::size_t>(g) * L + l] =
-            static_cast<std::int16_t>(static_cast<std::uint8_t>(bs[l][j0]));
-      }
-    }
-  }
-
   // Substitution scores per row: ISAs with a hardware gather pull them
   // in-register from a widened copy of the substitution matrix (index =
   // row_base[lane] + b_residue[slot][lane], always in bounds); the rest
   // fill a per-row profile array.
+  //
+  // The gather reads b residues in slot-major SoA form, built once. Full
+  // storage: slot s holds b[s - 1]. Banded storage: row i's slot s reads
+  // index s + i, so one table over g = s + i serves every row via a
+  // shifted pointer.
+  AlignedScratch vb_table;
   AlignedScratch rp;
   std::vector<std::int32_t> sub32;
   if constexpr (T::kHasGather) {
+    const std::int32_t G = Banded ? (S + max_m + 2) : (S + 2);
+    vb_table.resize(static_cast<std::size_t>(G) * L, 0);
+    for (int l = 0; l < L; ++l) {
+      if (!bs[l]) continue;
+      for (std::int32_t g = 0; g < G; ++g) {
+        const std::int64_t j0 =
+            Banded ? (static_cast<std::int64_t>(g) - band - 2 - d16[l])
+                   : (g - 1);
+        if (j0 >= 0 && j0 < n16[l]) {
+          vb_table.data()[static_cast<std::size_t>(g) * L + l] =
+              static_cast<std::int16_t>(
+                  static_cast<std::uint8_t>(bs[l][j0]));
+        }
+      }
+    }
     sub32.resize(static_cast<std::size_t>(seq::kAlphabetSize) *
                  seq::kAlphabetSize);
     for (int r = 0; r < seq::kAlphabetSize; ++r) {
@@ -191,7 +225,7 @@ void batch_kernel(const LaneJob* jobs, std::size_t count, std::int64_t band,
   } else {
     rp.resize(static_cast<std::size_t>(SA) * L, 0);
   }
-  std::int16_t jlo16[L], jhi16[L], va16[L], base16[L];
+  std::int16_t jlo16[L], jhi16[L], base16[L];
 
   const V zero = T::zero();
   const V one = T::set1(1);
@@ -200,15 +234,13 @@ void batch_kernel(const LaneJob* jobs, std::size_t count, std::int64_t band,
   const V open_v = T::set1(static_cast<std::int16_t>(
       static_cast<std::int32_t>(scheme.gap_open) + scheme.gap_extend));
   const V ext_v = T::set1(static_cast<std::int16_t>(scheme.gap_extend));
-  const LaneRegs<T> defaults{neginf_v, zero, zero, zero, zero, zero};
 
   // Best-cell accumulator, updated strictly-greater in sweep order so it
   // holds the first maximum in (i asc, j asc) order per lane.
   struct Best {
     V s, i, j;
-    LaneRegs<T> b;
   };
-  Best best0{zero, zero, zero, {zero, zero, zero, zero, zero, zero}};
+  Best best0{zero, zero, zero};
   V osat = zero;
 
   // Row geometry in vector form (BandLayout::row_limits per lane, with
@@ -217,9 +249,10 @@ void batch_kernel(const LaneJob* jobs, std::size_t count, std::int64_t band,
   // is their intersection (empty if any lane is dead), where every lane is
   // valid and the sweep can skip masking entirely.
   struct Geom {
-    V va_v, base_v, jlom1, jhip1, i_v, im1_v;
+    V base_v, jlom1, jhip1, i_v;
     std::int32_t s_lo, s_hi, a_lo, a_hi;
     const std::int16_t* vb_row;
+    Word* code_row;
   };
   const auto compute_geom = [&](std::int32_t i, Geom& g) {
     g.s_lo = S + 1;
@@ -246,146 +279,18 @@ void batch_kernel(const LaneJob* jobs, std::size_t count, std::int64_t band,
       } else {
         g.a_hi = 0;  // a dead lane leaves no all-valid span
       }
-      va16[l] = (i <= m16[l])
-                    ? static_cast<std::int16_t>(
-                          static_cast<std::uint8_t>(as[l][i - 1]))
-                    : std::int16_t{-1};
       base16[l] = static_cast<std::int16_t>(
-          va16[l] < 0 ? 0 : va16[l] * seq::kAlphabetSize);
+          i <= m16[l]
+              ? static_cast<std::uint8_t>(as[l][i - 1]) * seq::kAlphabetSize
+              : 0);
     }
-    g.va_v = T::loadu(va16);
     g.base_v = T::loadu(base16);
     g.jlom1 = T::sub(T::loadu(jlo16), one);
     g.jhip1 = T::add(T::loadu(jhi16), one);
     g.i_v = T::set1(static_cast<std::int16_t>(i));
-    g.im1_v = T::set1(static_cast<std::int16_t>(i - 1));
     g.vb_row =
         vb_table.data() + (Banded ? static_cast<std::size_t>(i) * L : 0);
-  };
-
-  const auto load_regs = [&](std::int32_t s, int state) -> LaneRegs<T> {
-    return {T::loadu(at(s, state, kScore)), T::loadu(at(s, state, kABeg)),
-            T::loadu(at(s, state, kBBeg)), T::loadu(at(s, state, kSubs)),
-            T::loadu(at(s, state, kMatch)), T::loadu(at(s, state, kPos))};
-  };
-  const auto store_regs = [&](std::int32_t s, int state,
-                              const LaneRegs<T>& r) {
-    T::storeu(at(s, state, kScore), r.s);
-    T::storeu(at(s, state, kABeg), r.ab);
-    T::storeu(at(s, state, kBBeg), r.bb);
-    T::storeu(at(s, state, kSubs), r.su);
-    T::storeu(at(s, state, kMatch), r.ma);
-    T::storeu(at(s, state, kPos), r.po);
-  };
-
-  struct Cells {
-    LaneRegs<T> m, x, y;
-  };
-  // One cell per lane of one row: diag states dm/dx/dy (updated to the
-  // up states for the next slot), up states um/ux/uy, the running Y chain
-  // and M-left register, and the row's best stream. Returns the three
-  // states in STORED format (scores defaulted outside the valid mask).
-  // AllValid instantiations run inside the lanes' intersection span, where
-  // the mask is all-ones and every blend against it folds away.
-  const auto cell_step = [&]<bool AllValid>(
-                             const Geom& g, V jv, V valid, V vb_v, V rp_v,
-                             LaneRegs<T>& dm, LaneRegs<T>& dx,
-                             LaneRegs<T>& dy, const LaneRegs<T>& um,
-                             const LaneRegs<T>& ux, const LaneRegs<T>& uy,
-                             LaneRegs<T>& yrun, LaneRegs<T>& mleft,
-                             Best& best, V& osat_acc) -> Cells {
-    Cells cur;
-
-    // X: gap in b; ties prefer M, exactly as the scalar select.
-    const V x_vm = T::subs(um.s, open_v);
-    const V x_vx = T::subs(ux.s, ext_v);
-    const V xm = T::cmpgt(x_vx, x_vm);  // strict: ties keep M
-    const V x_max = T::max(x_vm, x_vx);
-    cur.x.s = AllValid ? x_max : T::blend(valid, x_max, neginf_v);
-    cur.x.ab = T::blend(xm, ux.ab, um.ab);
-    cur.x.bb = T::blend(xm, ux.bb, um.bb);
-    cur.x.su = T::blend(xm, ux.su, um.su);
-    cur.x.ma = T::blend(xm, ux.ma, um.ma);
-    cur.x.po = T::blend(xm, ux.po, um.po);
-
-    // M predecessor: best of {M, X, Y} at the diagonal, ties in that
-    // order (strict compares to switch), then the fresh-start clamp.
-    V ps = dm.s;
-    V p_ab = dm.ab;
-    V p_bb = dm.bb;
-    V p_su = dm.su;
-    V p_ma = dm.ma;
-    V p_po = dm.po;
-    const V xbeats = T::cmpgt(dx.s, ps);
-    ps = T::max(ps, dx.s);
-    p_ab = T::blend(xbeats, dx.ab, p_ab);
-    p_bb = T::blend(xbeats, dx.bb, p_bb);
-    p_su = T::blend(xbeats, dx.su, p_su);
-    p_ma = T::blend(xbeats, dx.ma, p_ma);
-    p_po = T::blend(xbeats, dx.po, p_po);
-    const V ybeats = T::cmpgt(dy.s, ps);
-    ps = T::max(ps, dy.s);
-    p_ab = T::blend(ybeats, dy.ab, p_ab);
-    p_bb = T::blend(ybeats, dy.bb, p_bb);
-    p_su = T::blend(ybeats, dy.su, p_su);
-    p_ma = T::blend(ybeats, dy.ma, p_ma);
-    p_po = T::blend(ybeats, dy.po, p_po);
-    dm = um;
-    dx = ux;
-    dy = uy;
-
-    // Fresh local start at (i - 1, j - 1).
-    const V fresh = T::cmpgt(zero, ps);
-    ps = T::max(ps, zero);
-    p_ab = T::blend(fresh, g.im1_v, p_ab);
-    p_bb = T::blend(fresh, T::sub(jv, one), p_bb);
-    p_su = T::andnot(fresh, p_su);
-    p_ma = T::andnot(fresh, p_ma);
-    p_po = T::andnot(fresh, p_po);
-
-    const V value = T::adds(ps, rp_v);
-    osat_acc = T::or_(osat_acc, T::cmpgt(value, guard_v));
-
-    // Non-positive cells restart the bundle at (i, j); the score is
-    // stored unclamped either way.
-    const V alive = T::cmpgt(value, zero);
-    cur.m.s = AllValid ? value : T::blend(valid, value, neginf_v);
-    cur.m.ab = T::blend(alive, p_ab, g.i_v);
-    cur.m.bb = T::blend(alive, p_bb, jv);
-    cur.m.su = T::and_(alive, T::add(p_su, one));
-    cur.m.ma = T::and_(alive, T::sub(p_ma, T::cmpeq(g.va_v, vb_v)));
-    cur.m.po = T::and_(alive, T::sub(p_po, T::cmpgt(rp_v, zero)));
-
-    // Best tracking: strictly-greater in sweep order = first maximum in
-    // (i asc, j asc) order per lane within this stream. Invalid slots
-    // cannot win: the defaulted profile keeps their values below zero.
-    const V bm = T::cmpgt(value, best.s);
-    if (T::any(bm)) {
-      best.s = T::max(best.s, value);
-      best.i = T::blend(bm, g.i_v, best.i);
-      best.j = T::blend(bm, jv, best.j);
-      best.b.ab = T::blend(bm, cur.m.ab, best.b.ab);
-      best.b.bb = T::blend(bm, cur.m.bb, best.b.bb);
-      best.b.su = T::blend(bm, cur.m.su, best.b.su);
-      best.b.ma = T::blend(bm, cur.m.ma, best.b.ma);
-      best.b.po = T::blend(bm, cur.m.po, best.b.po);
-    }
-
-    // Y: gap in a; the serial chain carried in registers, reading the M
-    // of the previous slot of this row. Ties prefer M.
-    const V y_vm = T::subs(mleft.s, open_v);
-    const V y_vy = T::subs(yrun.s, ext_v);
-    const V ym = T::cmpgt(y_vy, y_vm);
-    const V y_max = T::max(y_vm, y_vy);
-    cur.y.s = AllValid ? y_max : T::blend(valid, y_max, neginf_v);
-    cur.y.ab = T::blend(ym, yrun.ab, mleft.ab);
-    cur.y.bb = T::blend(ym, yrun.bb, mleft.bb);
-    cur.y.su = T::blend(ym, yrun.su, mleft.su);
-    cur.y.ma = T::blend(ym, yrun.ma, mleft.ma);
-    cur.y.po = T::blend(ym, yrun.po, mleft.po);
-    yrun = cur.y;
-    mleft = cur.m;
-    return cur;
+    g.code_row = codes.get() + static_cast<std::size_t>(i) * SA * 2;
   };
 
   // Column vector of slot s in row i (shared by row i + 1 at slot
@@ -401,28 +306,93 @@ void batch_kernel(const LaneJob* jobs, std::size_t count, std::int64_t band,
       return T::set1(static_cast<std::int16_t>(s));
     }
   };
-  const auto profile_of = [&]<bool AllValid>(const Geom& g, V valid, V vb_v,
-                                             std::int32_t s) -> V {
-    if constexpr (T::kHasGather) {
-      // blend(valid, ., neginf) reproduces the profile array bit for bit:
-      // the array holds the substitution score on each lane's active span
-      // and kNegInf16 everywhere else in the union range. Inside the
-      // all-valid span the blend folds to the gather itself.
-      const V gathered = T::gather16(sub32.data(), T::add(g.base_v, vb_v));
-      return AllValid ? gathered : T::blend(valid, gathered, neginf_v);
-    } else {
-      (void)g;
-      (void)valid;
-      (void)vb_v;
-      return T::loadu(rp.data() + static_cast<std::size_t>(s) * L);
-    }
-  };
 
   Geom g0;
 
-  // Single-row sweep: loads the previous row at up = s + kShift, stores
-  // this row at s (safe in the single buffer: the up read of a slot always
-  // precedes its overwrite).
+  // One slot of row g0 for every lane: loads the previous row's states at
+  // up = s + kShift, writes the cell's two code words, and stores this
+  // row's states at s (safe in the single buffer: the up read of a slot
+  // always precedes its overwrite), defaulted outside the valid mask.
+  // dm/dx/dy carry the diagonal states (updated to the up states for the
+  // next slot), yrun/mleft the Y chain and the M to the left. AllValid
+  // instantiations run inside the lanes' intersection span, where the
+  // mask is all-ones and every blend against it folds away.
+  const auto cell_step = [&]<bool AllValid>(std::int32_t s, V jv, V& dm,
+                                            V& dx, V& dy, V& yrun, V& mleft,
+                                            Best& best, V& osat_acc) {
+    const V valid = AllValid ? zero
+                             : T::and_(T::cmpgt(jv, g0.jlom1),
+                                       T::cmpgt(g0.jhip1, jv));
+    const std::int16_t* up = at(s + kShift, kM);
+    const V um = T::loadu(up);
+    const V ux = T::loadu(up + L);
+    const V uy = T::loadu(up + 2 * L);
+    const auto slot = static_cast<std::size_t>(s) * L;
+    V rp_v;
+    if constexpr (T::kHasGather) {
+      // blend(valid, ., neginf) reproduces the profile array bit for bit:
+      // the array holds the substitution score on each lane's active span
+      // and kNegInf16 everywhere else in the union range.
+      const V vb_v = T::loadu(g0.vb_row + slot);
+      const V gathered = T::gather16(sub32.data(), T::add(g0.base_v, vb_v));
+      rp_v = AllValid ? gathered : T::blend(valid, gathered, neginf_v);
+    } else {
+      rp_v = T::loadu(rp.data() + slot);
+    }
+
+    // X: gap in b; ties prefer M, exactly as the scalar select.
+    const V x_vm = T::subs(um, open_v);
+    const V x_vx = T::subs(ux, ext_v);
+    const V x_ext = T::cmpgt(x_vx, x_vm);  // strict: ties keep M
+    const V x_max = T::max(x_vm, x_vx);
+    T::storeu(at(s, kX), AllValid ? x_max : T::blend(valid, x_max, neginf_v));
+
+    // M predecessor: best of {M, X, Y} at the diagonal, ties in that
+    // order (strict compares to switch). "start" when a gap state wins
+    // below 0 or M wins at or below 0 (align_impl's stop at the first
+    // non-positive M cell); then the fresh-start clamp.
+    const V x_beats = T::cmpgt(dx, dm);
+    V ps = T::max(dm, dx);
+    const V y_beats = T::cmpgt(dy, ps);
+    ps = T::max(ps, dy);
+    dm = um;
+    dx = ux;
+    dy = uy;
+    const V gap = T::or_(x_beats, y_beats);
+    const V start = T::cmpgt(T::andnot(gap, one), ps);
+    ps = T::max(ps, zero);
+
+    const V value = T::adds(ps, rp_v);
+    osat_acc = T::or_(osat_acc, T::cmpgt(value, guard_v));
+    const V m = AllValid ? value : T::blend(valid, value, neginf_v);
+    T::storeu(at(s, kM), m);
+
+    // Best tracking: strictly-greater in sweep order = first maximum in
+    // (i asc, j asc) order per lane within this stream. Invalid slots
+    // cannot win: the defaulted profile keeps their values below zero.
+    const V bm = T::cmpgt(value, best.s);
+    if (T::any(bm)) {
+      best.s = T::max(best.s, value);
+      best.i = T::blend(bm, g0.i_v, best.i);
+      best.j = T::blend(bm, jv, best.j);
+    }
+
+    // Y: gap in a; the serial chain carried in registers, reading the M
+    // of the previous slot of this row. Ties prefer M.
+    const V y_vm = T::subs(mleft, open_v);
+    const V y_vy = T::subs(yrun, ext_v);
+    const V y_ext = T::cmpgt(y_vy, y_vm);
+    const V y_max = T::max(y_vm, y_vy);
+    yrun = AllValid ? y_max : T::blend(valid, y_max, neginf_v);
+    T::storeu(at(s, kY), yrun);
+    mleft = m;
+
+    Word* code = g0.code_row + static_cast<std::size_t>(s) * 2;
+    code[0] = T::pack_masks(T::andnot(start, gap), T::or_(y_beats, start));
+    code[1] = T::pack_masks(x_ext, y_ext);
+  };
+
+  // Single-row sweep over the union span of the lanes' valid slots.
   const auto sweep_one = [&](std::int32_t i) {
     compute_geom(i, g0);
     const std::int32_t s_lo = g0.s_lo, s_hi = g0.s_hi;
@@ -454,12 +424,12 @@ void batch_kernel(const LaneJob* jobs, std::size_t count, std::int64_t band,
     // Chain seeds: the slot before the span is defaulted (head clear or
     // permanent margin), so constant seeds are exact; the diagonal seed
     // in banded mode reads the previous row's genuine slot s_lo.
-    LaneRegs<T> yrun = defaults, mleft = defaults;
-    LaneRegs<T> dm = defaults, dx = defaults, dy = defaults;
+    V yrun = neginf_v, mleft = neginf_v;
+    V dm = neginf_v, dx = neginf_v, dy = neginf_v;
     if constexpr (Banded) {
-      dm = load_regs(s_lo, kM);
-      dx = load_regs(s_lo, kX);
-      dy = load_regs(s_lo, kY);
+      dm = T::loadu(at(s_lo, kM));
+      dx = T::loadu(at(s_lo, kX));
+      dy = T::loadu(at(s_lo, kY));
     }
 
     // Local copies of the accumulators for the hot loop; merged back after
@@ -479,21 +449,8 @@ void batch_kernel(const LaneJob* jobs, std::size_t count, std::int64_t band,
   {                                                                          \
     V jv = col_of(i, (LO));                                                  \
     for (std::int32_t s = (LO); s <= (HI); ++s, jv = T::add(jv, one)) {      \
-      const V valid = (ALLVALID) ? zero                                      \
-                                 : T::and_(T::cmpgt(jv, g0.jlom1),           \
-                                           T::cmpgt(g0.jhip1, jv));          \
-      const LaneRegs<T> um = load_regs(s + kShift, kM);                      \
-      const LaneRegs<T> ux = load_regs(s + kShift, kX);                      \
-      const LaneRegs<T> uy = load_regs(s + kShift, kY);                      \
-      const V vb_v = T::loadu(g0.vb_row + static_cast<std::size_t>(s) * L);  \
-      const V rp_v =                                                         \
-          profile_of.template operator()<(ALLVALID)>(g0, valid, vb_v, s);    \
-      const Cells cur = cell_step.template operator()<(ALLVALID)>(           \
-          g0, jv, valid, vb_v, rp_v, dm, dx, dy, um, ux, uy, yrun, mleft,    \
-          best, ov);                                                         \
-      store_regs(s, kM, cur.m);                                              \
-      store_regs(s, kX, cur.x);                                              \
-      store_regs(s, kY, cur.y);                                              \
+      cell_step.template operator()<(ALLVALID)>(s, jv, dm, dx, dy, yrun,     \
+                                                mleft, best, ov);            \
     }                                                                        \
   }
     const std::int32_t a_lo = std::max(g0.a_lo, s_lo);
@@ -513,27 +470,20 @@ void batch_kernel(const LaneJob* jobs, std::size_t count, std::int64_t band,
 
   for (std::int32_t i = 1; i <= max_m; ++i) sweep_one(i);
 
-  std::int16_t sc[L], bi[L], bj[L], ab[L], bb[L], su[L], ma[L], po[L], ov[L];
+  std::int16_t sc[L], bi[L], bj[L], ov[L];
   T::storeu(sc, best0.s);
   T::storeu(bi, best0.i);
   T::storeu(bj, best0.j);
-  T::storeu(ab, best0.b.ab);
-  T::storeu(bb, best0.b.bb);
-  T::storeu(su, best0.b.su);
-  T::storeu(ma, best0.b.ma);
-  T::storeu(po, best0.b.po);
   T::storeu(ov, osat);
   for (std::size_t l = 0; l < count; ++l) {
     LaneOut& o = out[l];
     o.score = sc[l];
     o.best_i = bi[l];
     o.best_j = bj[l];
-    o.a_begin = ab[l];
-    o.b_begin = bb[l];
-    o.subs = su[l];
-    o.matches = ma[l];
-    o.positives = po[l];
     o.overflow = ov[l] != 0;
+    if (o.overflow || o.score <= 0) continue;
+    trace_lane<Banded>(codes.get(), SA, band, static_cast<int>(l), jobs[l],
+                       scheme, o.best_i, o.best_j, o);
   }
 }
 

@@ -13,6 +13,7 @@ namespace {
 
 struct Sse2Traits {
   using V = __m128i;
+  using Word = std::uint16_t;  // one movemask of 16 packed lane bytes
   static constexpr int kLanes = 8;
 
   static V zero() { return _mm_setzero_si128(); }
@@ -29,7 +30,6 @@ struct Sse2Traits {
   static V subs(V a, V b) { return _mm_subs_epi16(a, b); }
   static V max(V a, V b) { return _mm_max_epi16(a, b); }
   static V cmpgt(V a, V b) { return _mm_cmpgt_epi16(a, b); }
-  static V cmpeq(V a, V b) { return _mm_cmpeq_epi16(a, b); }
   static V and_(V a, V b) { return _mm_and_si128(a, b); }
   static V or_(V a, V b) { return _mm_or_si128(a, b); }
   static V andnot(V mask, V v) { return _mm_andnot_si128(mask, v); }
@@ -38,6 +38,10 @@ struct Sse2Traits {
     return _mm_or_si128(_mm_and_si128(mask, a), _mm_andnot_si128(mask, b));
   }
   static bool any(V mask) { return _mm_movemask_epi8(mask) != 0; }
+  /// One bit per lane of each -1/0 mask (layout: code_bit).
+  static Word pack_masks(V a, V b) {
+    return static_cast<Word>(_mm_movemask_epi8(_mm_packs_epi16(a, b)));
+  }
 
   /// SSE2 has no gather; the kernel fills the rp profile array instead.
   static constexpr bool kHasGather = false;

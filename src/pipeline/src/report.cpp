@@ -298,6 +298,11 @@ std::string render_report(const PipelineResult& result,
   w.key("attempted").value(total.aligned_pairs);
   w.key("skipped_by_cluster_filter").value(total.filtered_pairs);
   w.key("skip_ratio").value(total.skip_ratio());
+  // Where the engine scored each alignment job: read from a SIMD lane, or
+  // by the scalar fallback. Engine work, speculative alignments included,
+  // so these may differ across --threads.
+  w.key("simd_pairs").value(snapshot.counter("align.simd_pairs"));
+  w.key("scalar_pairs").value(snapshot.counter("align.scalar_pairs"));
   w.end_object();
 
   w.key("faults").begin_object();

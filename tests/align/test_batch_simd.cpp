@@ -3,13 +3,16 @@
 // same cell counts — across partial lane fills, banded and unbanded
 // geometries, mixed-length batches, the length cutoff to the scalar
 // fallback, and score-overflow promotion back to exact scalar recompute.
-// The pooled call must equal one unpooled call at every pool size.
+// On co-optimal and zero-score paths it must also equal the full-matrix
+// traceback aligners, and it counts where each pair was scored. The
+// pooled call must equal one unpooled call at every pool size.
 //
 // set_isa() clamps to the host's capabilities, so iterating every Isa is
 // safe anywhere: on a host without AVX2 the avx2 round simply re-runs the
 // widest supported tier.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "pclust/exec/pool.hpp"
 #include "pclust/seq/alphabet.hpp"
 #include "pclust/util/memgov.hpp"
+#include "pclust/util/metrics.hpp"
 #include "pclust/util/rng.hpp"
 
 namespace pclust::align {
@@ -195,6 +199,149 @@ TEST(BatchSimd, OverflowPromotionToScalar) {
     jobs.push_back({seqs[seqs.size() - 2], seqs.back(), 0, -1});
   }
   check_batch(jobs, hot, "overflow");
+}
+
+TEST(BatchSimd, CoOptimalPathsMatchTraceback) {
+  // Inputs with many co-optimal paths, where only align_impl's exact
+  // tie-breaks pick the region: homopolymers, tandem repeats, equal-cost
+  // gap placements, and paths whose running local score returns to
+  // exactly 0 (the traceback stops at that first non-positive M cell, but
+  // not at a gap state of score 0). Long repeats make band 32 take the
+  // banded kernel; band 0 pins the path to one diagonal.
+  const auto rep = [](const std::string& motif, std::size_t times) {
+    std::string out;
+    for (std::size_t k = 0; k < times; ++k) out += motif;
+    return out;
+  };
+  const std::pair<std::string, std::string> ascii[] = {
+      {"AAAAAAAAAAAA", "AAAAAAA"},
+      {rep("W", 90), rep("W", 75)},
+      {rep("ACD", 6), rep("ACD", 3)},
+      {rep("ACD", 40), rep("ACD", 20) + "AC" + rep("ACD", 20)},
+      {rep("KLMN", 30), rep("KLMN", 12) + "KLM" + rep("KLMN", 17)},
+      {"GGGGGGCGGGGGG", "GGGGGGGGGGGG"},
+      {rep("G", 40) + "PP" + rep("G", 40), rep("G", 78)},
+      {"HHHHEEEEHHHH", "HHHHHHHH"},
+      {"AWAAA", "AYAAA"},
+      {"ACWACCC", "ACYACCC"},
+      {"AAWWAAAA", "AAYYAAAA"},
+      {rep("CW", 40) + "CC", rep("CY", 40) + "CC"},
+      {rep("AAW", 30), rep("AAY", 30)},
+      {"CAAAA", "CWAAAA"},
+      {rep("CAAAAK", 15), rep("CWAAAAK", 15)},
+  };
+  std::vector<std::string> seqs;
+  seqs.reserve(2 * std::size(ascii));  // jobs view these strings in place
+  std::vector<PairJob> jobs;
+  for (const auto& [a, b] : ascii) {
+    seqs.push_back(seq::encode(a));
+    seqs.push_back(seq::encode(b));
+    const std::string_view va = seqs[seqs.size() - 2], vb = seqs.back();
+    for (const auto& [x, y] : {std::pair{va, vb}, std::pair{vb, va}}) {
+      jobs.push_back({x, y, 0, -1});
+      for (const std::int64_t diag : {-3, -1, 0, 1, 2}) {
+        jobs.push_back({x, y, diag, 0});
+      }
+      for (const std::int64_t diag : {-9, 0, 4, 17}) {
+        jobs.push_back({x, y, diag, 32});
+      }
+    }
+  }
+
+  // identity(1, -1) returns to exactly 0 at each lone mismatch;
+  // identity(1, -3) with a gap-open cost of 1 leaves gap states at 0
+  // that the traceback must walk through.
+  const ScoringScheme schemes[] = {blosum62(), identity_scoring(1, -1, 1, 1),
+                                   identity_scoring(1, -3, 0, 1)};
+  for (std::size_t k = 0; k < std::size(schemes); ++k) {
+    const ScoringScheme& scheme = schemes[k];
+    std::vector<AlignmentResult> want(jobs.size());
+    for (std::size_t p = 0; p < jobs.size(); ++p) {
+      const PairJob& job = jobs[p];
+      want[p] = job.band < 0
+                    ? local_align(job.a, job.b, scheme)
+                    : banded_local_align(job.a, job.b, scheme, job.diagonal,
+                                         static_cast<std::uint32_t>(job.band));
+      expect_identical(want[p], scalar_reference(job, scheme),
+                       "scheme=" + std::to_string(k) +
+                           " score-only pair=" + std::to_string(p));
+    }
+    for (const Isa isa : kAllIsas) {
+      IsaGuard guard(isa);
+      std::vector<AlignmentResult> got(jobs.size());
+      align_score_batch(jobs.data(), jobs.size(), scheme, got.data());
+      for (std::size_t p = 0; p < jobs.size(); ++p) {
+        expect_identical(want[p], got[p],
+                         "scheme=" + std::to_string(k) + " isa=" +
+                             isa_name(current_isa()) + " pair=" +
+                             std::to_string(p));
+      }
+    }
+  }
+}
+
+TEST(BatchSimd, CountsWhereEachPairWasScored) {
+  // Every pair counts once: read from a lane (align.simd_pairs) or scored
+  // by the scalar engine (align.scalar_pairs) — here a side over the
+  // 2047-residue lane cap and a saturated lane, which also counts under
+  // align.overflow_pairs. Under Isa::kScalar, or a scheme without a
+  // gap-open cost, every pair is scalar.
+  util::Xoshiro256 rng(7006);
+  const ScoringScheme hot = identity_scoring(1000, -1000, 3, 1);
+  std::vector<std::string> seqs;
+  seqs.reserve(16);  // jobs view these strings in place
+  std::vector<PairJob> jobs;
+  constexpr std::size_t kOrdinary = 6;
+  for (std::size_t k = 0; k < kOrdinary; ++k) {
+    // At most 20 matches x 1000 stays below the 29000 saturation guard.
+    seqs.push_back(random_peptide(rng, 5 + rng.below(16)));
+    seqs.push_back(random_peptide(rng, 5 + rng.below(16)));
+    jobs.push_back({seqs[seqs.size() - 2], seqs.back(), 0,
+                    k % 2 == 0 ? -1 : 4});
+  }
+  seqs.push_back(random_peptide(rng, 2048));
+  seqs.push_back(random_peptide(rng, 40));
+  jobs.push_back({seqs[seqs.size() - 2], seqs.back(), 0, -1});
+  seqs.push_back(random_peptide(rng, 60));
+  jobs.push_back({seqs.back(), seqs.back(), 0, -1});  // 60 x 1000 saturates
+
+  const auto routes = [] {
+    const util::MetricsSnapshot snap = util::metrics().snapshot();
+    return std::array<std::uint64_t, 3>{snap.counter("align.simd_pairs"),
+                                        snap.counter("align.scalar_pairs"),
+                                        snap.counter("align.overflow_pairs")};
+  };
+  for (const Isa isa : kAllIsas) {
+    IsaGuard guard(isa);
+    const bool lanes = current_isa() != Isa::kScalar;
+    const std::string what = std::string("isa=") + isa_name(current_isa());
+    const auto before = routes();
+    std::vector<AlignmentResult> got(jobs.size());
+    align_score_batch(jobs.data(), jobs.size(), hot, got.data());
+    const auto after = routes();
+    EXPECT_EQ(after[0] - before[0], lanes ? kOrdinary : 0) << what;
+    EXPECT_EQ(after[1] - before[1], lanes ? 2 : jobs.size()) << what;
+    EXPECT_EQ(after[2] - before[2], lanes ? 1 : 0) << what;
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+      expect_identical(scalar_reference(jobs[k], hot), got[k],
+                       what + " pair=" + std::to_string(k));
+    }
+  }
+
+  // Without a gap-open cost a gap run can end at an M cell of score 0,
+  // which the lanes' traceback codes cannot mark: such schemes score every
+  // pair in scalar code.
+  const ScoringScheme free_gaps = identity_scoring(2, -1, 0, 0);
+  const auto before = routes();
+  std::vector<AlignmentResult> got(jobs.size());
+  align_score_batch(jobs.data(), jobs.size(), free_gaps, got.data());
+  const auto after = routes();
+  EXPECT_EQ(after[0] - before[0], 0u);
+  EXPECT_EQ(after[1] - before[1], jobs.size());
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    expect_identical(scalar_reference(jobs[k], free_gaps), got[k],
+                     "free gaps pair=" + std::to_string(k));
+  }
 }
 
 TEST(BatchSimd, FuzzRandomGeometry) {

@@ -1,13 +1,15 @@
 // Structured run reports: schema validity, the alignment-work identity
 // (attempted + skipped_by_cluster_filter == candidate_pairs) on serial AND
-// faulted simulated runs, resume provenance, rank levels as the simulated
-// phases ran them, and trace emission around a real pipeline run.
+// faulted simulated runs, the SIMD-vs-scalar routing counters, resume
+// provenance, rank levels as the simulated phases ran them, and trace
+// emission around a real pipeline run.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "pclust/align/simd.hpp"
 #include "pclust/mpsim/fault_plan.hpp"
 #include "pclust/pipeline/analysis.hpp"
 #include "pclust/pipeline/pipeline.hpp"
@@ -83,6 +85,41 @@ TEST(RunReport, SerialRunSatisfiesIdentityAndValidates) {
                 .as_u64(),
             report.at("phases").array[0].at("speculative").as_u64() +
                 report.at("phases").array[1].at("speculative").as_u64());
+}
+
+TEST(RunReport, AlignmentRoutesAreReportedAndOptional) {
+  const auto d = make_data(87);
+  PipelineConfig config;
+  util::metrics().reset();
+  const auto result = run(d.sequences, config);
+  util::JsonValue report = report_for(result, config);
+  std::string error;
+  EXPECT_TRUE(validate_report(report, &error)) << error;
+
+  // The alignment section carries the registry's routing counters; every
+  // pair here fits a lane, so only an ISA without lanes scores any scalar.
+  const util::JsonValue& alignment = report.at("alignment");
+  const util::JsonValue& counters = report.at("metrics").at("counters");
+  const std::uint64_t simd = alignment.at("simd_pairs").as_u64();
+  const std::uint64_t scalar = alignment.at("scalar_pairs").as_u64();
+  EXPECT_EQ(simd, counters.at("align.simd_pairs").as_u64());
+  EXPECT_EQ(scalar, counters.at("align.scalar_pairs").as_u64());
+  EXPECT_GT(simd + scalar, 0u);
+  if (align::current_isa() != align::Isa::kScalar) {
+    EXPECT_EQ(scalar, 0u);
+  } else {
+    EXPECT_EQ(simd, 0u);
+  }
+
+  // Reports written before the fields existed still validate.
+  for (auto& [key, section] : report.object) {
+    if (key != "alignment") continue;
+    std::erase_if(section.object, [](const auto& member) {
+      return member.first == "simd_pairs" || member.first == "scalar_pairs";
+    });
+  }
+  ASSERT_EQ(report.at("alignment").find("simd_pairs"), nullptr);
+  EXPECT_TRUE(validate_report(report, &error)) << error;
 }
 
 TEST(RunReport, FaultedHealedParallelRunSatisfiesIdentity) {
