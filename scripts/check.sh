@@ -43,15 +43,19 @@ cmake --build build-tsan -j --target test_exec test_align test_pace \
 
 # Memory-error check. The suites that parse untrusted bytes (FASTA,
 # checkpoints), the self-healing engine, the SIMD batch kernels (raw
-# pointer lanes + hand-managed scratch) and RR's q-gram gate (indexes
-# residues and a 3-gram table) run under ASan+UBSan.
+# pointer lanes + hand-managed scratch), RR's q-gram gate (indexes
+# residues and a 3-gram table), the Shingle passes (flat element slots and
+# CSR offsets) and ConcatText's block table (raw position offsets) run
+# under ASan+UBSan.
 cmake --preset asan
 cmake --build build-asan -j --target test_util test_seq test_align \
-  test_mpsim test_pace test_prov test_pipeline
+  test_mpsim test_pace test_prov test_pipeline test_shingle test_suffix
 (cd build-asan
  ./tests/test_util
  ./tests/test_seq
  ./tests/test_align --gtest_filter='BatchSimd*:ScorePath*:ContainmentGate*'
+ ./tests/test_shingle --gtest_filter='MinWise*:Shingle*:ParallelShingle*'
+ ./tests/test_suffix --gtest_filter='ConcatText*'
  ./tests/test_mpsim
  ./tests/test_pace --gtest_filter='FaultTolerance*:CcdProvenance*'
  ./tests/test_prov

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 
 #include "pclust/dsu/union_find.hpp"
 #include "pclust/exec/pool.hpp"
@@ -26,22 +25,58 @@ void canonicalize(std::vector<std::uint32_t>& v) {
   v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
-/// Indices per pool lane mapped before their results are folded: bounds
-/// the unfolded per-index results alive at once (a vertex's shingle set is
-/// ~c1 element lists) while leaving each lane many grains per block.
+/// Indices per pool chunk of the Shingle loops.
+constexpr std::size_t kGrain = 16;
+
+/// Indices per pool lane sketched before their shingles are folded: bounds
+/// the unfolded shingles alive at once (up to c per index) while leaving
+/// each lane many chunks per block.
 constexpr std::size_t kBlockPerLane = 256;
 
-/// map(i) for every i in [0, n) on the pool's lanes, handed to
-/// fold(i, result) serially in index order, one block at a time.
-template <typename Map, typename Fold>
-void map_then_fold(exec::Pool& lanes, std::size_t n, const Map& map,
-                   const Fold& fold) {
+/// The distinct shingles of links_of(i) for every i in [0, n), sketched on
+/// the pool's lanes a block at a time and handed to fold(i, shingles)
+/// serially in index order. Chunk c of a block (indices [c * kGrain,
+/// (c + 1) * kGrain)) owns slot c, which keeps its Sketch and output
+/// buffer from block to block, so once warm the loop allocates nothing per
+/// index.
+template <typename LinksOf, typename Fold>
+void sketch_then_fold(exec::Pool& lanes, std::size_t n, std::uint32_t s,
+                      std::span<const std::uint64_t> keys,
+                      const LinksOf& links_of, const Fold& fold) {
+  struct Slot {
+    Sketch sketch;
+    std::vector<SketchEntry> shingles;  // the chunk's, index after index
+    std::vector<std::size_t> ends;      // where each index's shingles end
+  };
   const std::size_t block = kBlockPerLane * lanes.size();
+  std::vector<Slot> slots((std::min(block, n) + kGrain - 1) / kGrain,
+                          Slot{Sketch(s, keys), {}, {}});
   for (std::size_t lo = 0; lo < n; lo += block) {
-    auto results = exec::parallel_map<decltype(map(lo))>(
-        lanes, std::min(block, n - lo), 16,
-        [&](std::size_t k) { return map(lo + k); });
-    for (std::size_t k = 0; k < results.size(); ++k) fold(lo + k, results[k]);
+    const std::size_t m = std::min(block, n - lo);
+    const std::size_t chunks = (m + kGrain - 1) / kGrain;
+    lanes.for_range(chunks, 1, [&](std::size_t c0, std::size_t c1) {
+      for (std::size_t c = c0; c < c1; ++c) {
+        Slot& slot = slots[c];
+        slot.shingles.clear();
+        slot.ends.clear();
+        const std::size_t end = std::min(m, (c + 1) * kGrain);
+        for (std::size_t i = c * kGrain; i < end; ++i) {
+          const auto shingles = slot.sketch.shingles(links_of(lo + i));
+          slot.shingles.insert(slot.shingles.end(), shingles.begin(),
+                               shingles.end());
+          slot.ends.push_back(slot.shingles.size());
+        }
+      }
+    });
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const Slot& slot = slots[c];
+      const std::span<const SketchEntry> shingles(slot.shingles);
+      const std::size_t first = lo + c * kGrain;
+      for (std::size_t k = 0, begin = 0; k < slot.ends.size(); ++k) {
+        fold(first + k, shingles.subspan(begin, slot.ends[k] - begin));
+        begin = slot.ends[k];
+      }
+    }
   }
 }
 
@@ -54,84 +89,110 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
   util::Timer timer;
   DsdStats local;
   exec::Pool& lanes = exec::or_serial(pool);
+  const std::size_t s1 = params.s1;
+
+  // Every table of the stage, flat. First-level node i is the run
+  // [node_begin[i], node_begin[i+1]) of the value-sorted tuples; its
+  // producers are that run's vertices (CSR) and its s1 elements sit at
+  // elements[i * s1].
+  struct Tuple {
+    std::uint64_t value;
+    std::uint32_t vertex;
+    std::uint32_t perm;  // the lowest permutation that selected the value
+  };
+  std::vector<Tuple> tuples;
+  std::vector<std::uint32_t> node_begin;
+  std::vector<std::uint32_t> producers;
+  std::vector<std::uint32_t> elements;
+  dsu::UnionFind uf;
+  OwnerTable owners;
+  const auto producers_of = [&](std::size_t i) {
+    return std::span<const std::uint32_t>(producers).subspan(
+        node_begin[i], node_begin[i + 1] - node_begin[i]);
+  };
+  // Publishes the working set as it stands. Called at the peak of each
+  // pass, so every gauge's high-water mark is a footprint that existed.
+  const auto record = [&] {
+    util::MemoryBreakdown b("shingle");
+    b.add("tuples", util::vector_bytes(tuples));
+    b.add("s1_nodes",
+          util::vector_bytes(node_begin) + util::vector_bytes(producers));
+    b.add("shingle_elements", util::vector_bytes(elements));
+    b.add("union_find", uf.memory_usage().total());
+    b.add("s2_owners", owners.bytes());
+    util::record_memory(b, "dsd");
+  };
 
   // ---- Pass I: (s1, c1)-shingles of every left vertex -----------------
-  // Vertices are shingled on the pool's lanes (each vertex's shingle set
-  // depends only on its own links), then folded in vertex order.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> tuples;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> elements_of;
-  map_then_fold(
-      lanes, graph.left_count(),
+  // Vertices are sketched on the pool's lanes; each distinct shingle of a
+  // vertex becomes one <value, vertex, permutation> tuple.
+  const auto keys1 = permutation_keys(params.seed, params.c1);
+  sketch_then_fold(
+      lanes, graph.left_count(), params.s1, keys1,
       [&](std::size_t l) {
-        return shingle_set(graph.out_links(static_cast<std::uint32_t>(l)),
-                           params.s1, params.c1, params.seed);
+        return graph.out_links(static_cast<std::uint32_t>(l));
       },
-      [&](std::size_t l, std::vector<Shingle>& shingles) {
-        for (Shingle& sh : shingles) {
-          tuples.emplace_back(sh.value, static_cast<std::uint32_t>(l));
-          elements_of.try_emplace(sh.value, std::move(sh.elements));
+      [&](std::size_t l, std::span<const SketchEntry> shingles) {
+        for (const SketchEntry& e : shingles) {
+          tuples.push_back({e.value, static_cast<std::uint32_t>(l), e.perm});
         }
       });
   local.tuples = tuples.size();
-  std::sort(tuples.begin(), tuples.end());
-
-  // Group tuples by shingle value -> first-level shingle nodes.
-  struct S1Node {
-    std::uint64_t value;
-    std::vector<std::uint32_t> producers;  // left vertices, sorted unique
-  };
-  std::vector<S1Node> s1;
-  for (std::size_t i = 0; i < tuples.size();) {
-    std::size_t j = i;
-    S1Node node;
-    node.value = tuples[i].first;
-    while (j < tuples.size() && tuples[j].first == node.value) {
-      node.producers.push_back(tuples[j].second);
-      ++j;
-    }
-    canonicalize(node.producers);
-    s1.push_back(std::move(node));
-    i = j;
-  }
-  local.first_level_shingles = s1.size();
-
-  // Charge the Pass I working set as soon as it exists, so the spill
-  // decision below sees the pressure this table actually creates (both
-  // charges fold into the whole-stage charge once the peak breakdown is
-  // taken after Pass II).
+  // Charge the tuple table as soon as it exists, so the governor sees the
+  // pressure it creates.
   util::MemoryCharge tuples_charge("shingle.tuples",
                                    util::vector_bytes(tuples));
-  util::MemoryCharge elements_charge;
-  {
-    std::uint64_t bytes = util::hash_container_bytes(elements_of);
-    for (const auto& [value, elems] : elements_of) {
-      bytes += util::vector_bytes(elems);
-    }
-    elements_charge.add("shingle.elements", bytes);
-  }
+  std::sort(tuples.begin(), tuples.end(), [](const Tuple& a, const Tuple& b) {
+    return a.value != b.value ? a.value < b.value : a.vertex < b.vertex;
+  });
 
-  // The element table is cold through all of Pass II — only Pass I fills
-  // it and the report phase reads it back — so under memory pressure the
-  // governor spills it through the IoEnv (ArtifactClass::kSpill) and the
-  // report reloads it. A spill I/O failure just keeps the table in memory:
-  // spilling is an optimization, losing spilled data would not be. The
-  // reload reconstructs the same key -> elements mapping, so the reported
-  // families are bit-identical either way.
+  // Group the tuples by value: one first-level node per run. A vertex's
+  // values are distinct, so each run's vertices are sorted and unique.
+  producers.resize(tuples.size());
+  for (std::size_t k = 0; k < tuples.size(); ++k) {
+    if (k == 0 || tuples[k].value != tuples[k - 1].value) {
+      node_begin.push_back(static_cast<std::uint32_t>(k));
+    }
+    producers[k] = tuples[k].vertex;
+  }
+  const std::size_t n1 = node_begin.size();
+  node_begin.push_back(static_cast<std::uint32_t>(tuples.size()));
+  local.first_level_shingles = n1;
+  const util::MemoryCharge nodes_charge(
+      "shingle.s1_nodes",
+      util::vector_bytes(node_begin) + util::vector_bytes(producers));
+
+  // A node's elements are those its lowest producer's permutation selects
+  // (equal values mean equal element sets), re-derived on the pool's lanes.
+  elements.resize(n1 * s1);
+  util::MemoryCharge elements_charge("shingle.elements",
+                                     util::vector_bytes(elements));
+  lanes.for_range(n1, kGrain, [&](std::size_t a, std::size_t b) {
+    Sketch sketch(params.s1, keys1);
+    for (std::size_t i = a; i < b; ++i) {
+      const Tuple& lowest = tuples[node_begin[i]];
+      const auto e = sketch.select(graph.out_links(lowest.vertex), lowest.perm);
+      std::copy(e.begin(), e.end(), elements.begin() + i * s1);
+    }
+  });
+  record();
+  std::vector<Tuple>().swap(tuples);
+  tuples_charge.reset();
+
+  // The element table is cold through all of Pass II — the merge list and
+  // the report read it back — so under memory pressure the governor spills
+  // it through the IoEnv (ArtifactClass::kSpill) as one flat block. A
+  // spill I/O failure just keeps the table in memory: spilling is an
+  // optimization, losing spilled data would not be. The reload restores
+  // the same bytes, so the reported families are bit-identical either way.
   std::unique_ptr<util::io::SpillFile> spill;
-  if (!elements_of.empty() && util::governor().should_spill("dsd")) {
+  if (!elements.empty() && util::governor().should_spill("dsd")) {
     try {
       auto file = std::make_unique<util::io::SpillFile>("shingle-elements");
-      for (const auto& [value, elems] : elements_of) {
-        const std::uint64_t v = value;
-        const auto n = static_cast<std::uint32_t>(elems.size());
-        file->write(&v, sizeof v);
-        file->write(&n, sizeof n);
-        file->write(elems.data(), n * sizeof(std::uint32_t));
-      }
+      file->write(elements.data(), elements.size() * sizeof(std::uint32_t));
       file->finish();
       spill = std::move(file);
-      std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>().swap(
-          elements_of);
+      std::vector<std::uint32_t>().swap(elements);
       elements_charge.reset();  // the table now lives on disk
     } catch (const util::io::IoError& err) {
       PCLUST_WARN << "shingle: spill failed, keeping element table in "
@@ -142,87 +203,51 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
 
   // ---- Pass II: (s2, c2)-shingles of each first-level shingle ----------
   // First-level shingles sharing a second-level shingle are linked; the
-  // S2->S1 connected components are extracted with union-find.
-  dsu::UnionFind uf(s1.size());
-  std::unordered_map<std::uint64_t, std::uint32_t> s2_first_owner;
-  const std::uint64_t seed2 = params.seed ^ 0xD5DEADBEEF00ULL;
+  // S2->S1 connected components are extracted with union-find. Nodes are
+  // sketched on the pool's lanes and folded serially in node order, each
+  // node's values ascending, so union-find state evolves in one fixed
+  // order at every pool size.
+  uf.reset(n1);
   // Provenance sink: surviving merges recorded as node-index pairs at
   // decision time; resolved to ShingleMerge after the (possibly spilled)
   // element table is back in memory.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> merged_nodes;
-  const auto fold = [&](std::uint32_t i, std::uint64_t value) {
-    const auto [it, inserted] = s2_first_owner.try_emplace(value, i);
-    if (!inserted && uf.merge(i, it->second) && merges) {
-      merged_nodes.emplace_back(i, it->second);
-    }
-  };
-  // Hash on the pool's lanes, merge serially in node order: union-find
-  // state evolves in one fixed order at every pool size.
-  map_then_fold(
-      lanes, s1.size(),
-      [&](std::size_t i) {
-        return shingle_values(s1[i].producers, params.s2, params.c2, seed2);
-      },
-      [&](std::size_t i, const std::vector<std::uint64_t>& values) {
-        for (const std::uint64_t value : values) {
-          fold(static_cast<std::uint32_t>(i), value);
+  const auto keys2 =
+      permutation_keys(params.seed ^ 0xD5DEADBEEF00ULL, params.c2);
+  sketch_then_fold(
+      lanes, n1, params.s2, keys2, producers_of,
+      [&](std::size_t i, std::span<const SketchEntry> shingles) {
+        const auto node = static_cast<std::uint32_t>(i);
+        for (const SketchEntry& e : shingles) {
+          const std::uint32_t owner = owners.claim(e.value, node);
+          if (owner != node && uf.merge(node, owner) && merges) {
+            merged_nodes.emplace_back(node, owner);
+          }
         }
       });
-  local.second_level_shingles = s2_first_owner.size();
+  local.second_level_shingles = owners.size();
+  const util::MemoryCharge pass2_charge(
+      "shingle.s2_owners", uf.memory_usage().total() + owners.bytes());
+  record();
 
-  // Peak working set of the two-level shingling pass: everything (except
-  // a spilled element table) is alive here. Must scale with V + E of the
-  // reduction graph, not |V|^2.
-  util::MemoryCharge shingle_charge;
-  {
-    util::MemoryBreakdown b("shingle");
-    b.add("tuples", util::vector_bytes(tuples));
-    std::uint64_t s1_bytes = util::vector_bytes(s1);
-    for (const S1Node& n : s1) s1_bytes += util::vector_bytes(n.producers);
-    b.add("s1_nodes", s1_bytes);
-    std::uint64_t elem_bytes = util::hash_container_bytes(elements_of);
-    for (const auto& [value, elems] : elements_of) {
-      elem_bytes += util::vector_bytes(elems);
-    }
-    b.add("shingle_elements", elem_bytes);
-    b.add("union_find", uf.memory_usage());
-    b.add("s2_owners", util::hash_container_bytes(s2_first_owner));
-    util::record_memory(b, "dsd");
-    // Fold the Pass I charges into the whole-stage charge (b already
-    // counts tuples and the — possibly spilled-to-zero — element table).
-    tuples_charge.reset();
-    elements_charge.reset();
-    shingle_charge.add("shingle", b.total());
-  }
-
-  // Reload a spilled element table for the report phase.
+  // Reload a spilled element table for the merge list and the report.
   if (spill) {
     const std::vector<std::uint8_t> bytes = spill->read_all();
-    std::size_t pos = 0;
-    while (pos < bytes.size()) {
-      std::uint64_t value = 0;
-      std::uint32_t n = 0;
-      std::memcpy(&value, bytes.data() + pos, sizeof value);
-      pos += sizeof value;
-      std::memcpy(&n, bytes.data() + pos, sizeof n);
-      pos += sizeof n;
-      std::vector<std::uint32_t> elems(n);
-      std::memcpy(elems.data(), bytes.data() + pos,
-                  n * sizeof(std::uint32_t));
-      pos += n * sizeof(std::uint32_t);
-      elements_of.emplace(value, std::move(elems));
-    }
+    elements.resize(n1 * s1);
+    std::memcpy(elements.data(), bytes.data(),
+                elements.size() * sizeof(std::uint32_t));
     spill.reset();
+    elements_charge.add("shingle.elements", util::vector_bytes(elements));
   }
 
-  // Resolve the recorded merge decisions now that the element table is
-  // guaranteed in memory: producer-overlap counts as evidence, each node's
-  // smallest element (shingle elements are sorted) as the endpoint.
+  // Resolve the recorded merge decisions: producer-overlap counts as
+  // evidence, each node's smallest element (elements are sorted) as the
+  // endpoint.
   if (merges) {
     merges->reserve(merges->size() + merged_nodes.size());
     for (const auto& [i, j] : merged_nodes) {
-      const auto& pa = s1[i].producers;
-      const auto& pb = s1[j].producers;
+      const auto pa = producers_of(i);
+      const auto pb = producers_of(j);
       std::uint32_t inter = 0;
       for (std::size_t x = 0, y = 0; x < pa.size() && y < pb.size();) {
         if (pa[x] < pb[y]) {
@@ -234,8 +259,8 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
         }
       }
       ShingleMerge m;
-      m.a = elements_of.at(s1[i].value).front();
-      m.b = elements_of.at(s1[j].value).front();
+      m.a = elements[i * s1];
+      m.b = elements[j * s1];
       m.matches = inter;
       m.columns =
           static_cast<std::uint32_t>(pa.size() + pb.size()) - inter;
@@ -245,13 +270,13 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
 
   // ---- Report: components -> (A, B) ------------------------------------
   std::vector<DenseSubgraph> out;
-  for (auto& members : uf.extract_sets()) {
+  for (const auto& members : uf.extract_sets()) {
     DenseSubgraph ds;
-    for (std::uint32_t node : members) {
-      const S1Node& n = s1[node];
-      ds.left.insert(ds.left.end(), n.producers.begin(), n.producers.end());
-      const auto& elems = elements_of.at(n.value);
-      ds.right.insert(ds.right.end(), elems.begin(), elems.end());
+    for (const std::uint32_t node : members) {
+      const auto p = producers_of(node);
+      ds.left.insert(ds.left.end(), p.begin(), p.end());
+      const auto e = elements.begin() + node * s1;
+      ds.right.insert(ds.right.end(), e, e + s1);
     }
     canonicalize(ds.left);
     canonicalize(ds.right);
@@ -295,7 +320,7 @@ std::vector<std::vector<seq::SeqId>> report_families(
   }
 
   std::vector<std::vector<seq::SeqId>> families;
-  std::unordered_set<std::uint32_t> claimed;  // right-vertex universe
+  std::vector<bool> claimed(component.members.size());  // right universe
   for (const DenseSubgraph& ds : candidates) {
     std::vector<std::uint32_t> nodes;
     if (component.reduction == bigraph::Reduction::kDuplicate) {
@@ -321,7 +346,9 @@ std::vector<std::vector<seq::SeqId>> report_families(
     // assigned to an earlier (larger) family drop out.
     std::vector<seq::SeqId> family;
     for (std::uint32_t v : nodes) {
-      if (claimed.insert(v).second) family.push_back(component.members[v]);
+      if (claimed[v]) continue;
+      claimed[v] = true;
+      family.push_back(component.members[v]);
     }
     if (family.size() >= params.min_size) {
       std::sort(family.begin(), family.end());

@@ -2,8 +2,10 @@
 // structures are built.
 //
 // Layout: seq_0 SEP seq_1 SEP ... seq_{n-1} SEP  (SEP = seq::kRankSeparator).
-// A position's owning sequence is recovered by binary search over sequence
-// start offsets; exact matches never cross a separator (the LCP array is
+// A position's owning sequence is found in O(1): a block table holds the
+// owner of every 64th position, and a short forward step over the start
+// offsets (one per sequence starting inside that block) finishes the
+// lookup. Exact matches never cross a separator (the LCP array is
 // truncated accordingly, see lcp.hpp).
 #pragma once
 
@@ -61,11 +63,17 @@ class ConcatText {
   [[nodiscard]] util::MemoryBreakdown memory_usage() const;
 
  private:
+  static constexpr unsigned kBlockShift = 6;  // 64 positions per block
+
   void build(const seq::SequenceSet& set, const std::vector<seq::SeqId>& ids);
+
+  /// Subset index of the sequence whose residues or separator sit at @p pos.
+  [[nodiscard]] std::size_t index_at(std::size_t pos) const;
 
   std::string text_;
   std::vector<std::size_t> starts_;   // global start of each subset sequence
   std::vector<seq::SeqId> original_;  // subset index -> original SeqId
+  std::vector<std::uint32_t> block_owner_;  // index_at(b * 64) per block b
 };
 
 }  // namespace pclust::suffix

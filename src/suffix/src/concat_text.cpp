@@ -1,6 +1,5 @@
 #include "pclust/suffix/concat_text.hpp"
 
-#include <algorithm>
 #include <numeric>
 
 #include "pclust/seq/alphabet.hpp"
@@ -30,26 +29,35 @@ void ConcatText::build(const seq::SequenceSet& set,
     text_.append(set.residues(id));
     text_.push_back(static_cast<char>(seq::kRankSeparator));
   }
+  block_owner_.resize((text_.size() + (1u << kBlockShift) - 1) >> kBlockShift);
+  for (std::size_t b = 0, idx = 0; b < block_owner_.size(); ++b) {
+    const std::size_t pos = b << kBlockShift;
+    while (idx + 1 < starts_.size() && starts_[idx + 1] <= pos) ++idx;
+    block_owner_[b] = static_cast<std::uint32_t>(idx);
+  }
+}
+
+std::size_t ConcatText::index_at(std::size_t pos) const {
+  std::size_t idx = block_owner_[pos >> kBlockShift];
+  while (idx + 1 < starts_.size() && starts_[idx + 1] <= pos) ++idx;
+  return idx;
 }
 
 seq::SeqId ConcatText::sequence_at(std::size_t pos) const {
-  const auto it = std::upper_bound(starts_.begin(), starts_.end(), pos);
-  const auto idx = static_cast<std::size_t>(
-      std::distance(starts_.begin(), it) - 1);
-  return original_[idx];
+  return original_[index_at(pos)];
 }
 
 std::uint32_t ConcatText::offset_at(std::size_t pos) const {
-  const auto it = std::upper_bound(starts_.begin(), starts_.end(), pos);
-  const auto idx = static_cast<std::size_t>(
-      std::distance(starts_.begin(), it) - 1);
-  return static_cast<std::uint32_t>(pos - starts_[idx]);
+  return static_cast<std::uint32_t>(pos - starts_[index_at(pos)]);
 }
 
 std::uint32_t ConcatText::run_length(std::size_t pos) const {
-  std::uint32_t len = 0;
-  while (pos + len < text_.size() && !is_separator(pos + len)) ++len;
-  return len;
+  if (is_separator(pos)) return 0;
+  const std::size_t idx = index_at(pos);
+  // The owning sequence's separator sits just before the next start.
+  const std::size_t end =
+      idx + 1 < starts_.size() ? starts_[idx + 1] - 1 : text_.size() - 1;
+  return static_cast<std::uint32_t>(end - pos);
 }
 
 std::uint8_t ConcatText::left_char(std::size_t pos) const {
@@ -62,6 +70,7 @@ util::MemoryBreakdown ConcatText::memory_usage() const {
   b.add("text", util::string_bytes(text_));
   b.add("starts", util::vector_bytes(starts_));
   b.add("original_ids", util::vector_bytes(original_));
+  b.add("blocks", util::vector_bytes(block_owner_));
   return b;
 }
 

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
+
+#include "pclust/util/rng.hpp"
 
 namespace pclust::shingle {
 namespace {
@@ -12,6 +15,17 @@ std::vector<std::uint32_t> iota_links(std::uint32_t n, std::uint32_t start = 0) 
   std::vector<std::uint32_t> v(n);
   std::iota(v.begin(), v.end(), start);
   return v;
+}
+
+/// The values of shingle_set(links, s, c, seed), ascending.
+std::vector<std::uint64_t> shingle_values(std::span<const std::uint32_t> links,
+                                          std::uint32_t s, std::uint32_t c,
+                                          std::uint64_t seed) {
+  std::vector<std::uint64_t> values;
+  for (const Shingle& sh : shingle_set(links, s, c, seed)) {
+    values.push_back(sh.value);
+  }
+  return values;
 }
 
 TEST(MinWise, TooFewLinksGivesNothing) {
@@ -120,6 +134,109 @@ TEST(MinWise, ShinglesDeduplicated) {
   }
   // Only C(6,5) = 6 possible distinct shingles exist.
   EXPECT_LE(set.size(), 6u);
+}
+
+/// The selection the sketch core replaced, kept as its reference: per
+/// permutation, rank every link by its keyed hash and partial_sort the s
+/// smallest; then sort the shingles by value and drop repeated values.
+std::vector<Shingle> reference_shingle_set(std::span<const std::uint32_t> links,
+                                           std::uint32_t s, std::uint32_t c,
+                                           std::uint64_t seed) {
+  const auto canonical = [](const std::vector<std::uint32_t>& elements) {
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (std::uint32_t e : elements) h = util::hash_combine(h, e);
+    return h;
+  };
+  std::vector<Shingle> out;
+  if (s == 0 || links.size() < s) return out;
+  if (links.size() == s) {
+    std::vector<std::uint32_t> all(links.begin(), links.end());
+    std::sort(all.begin(), all.end());
+    out.push_back(Shingle{canonical(all), std::move(all)});
+    return out;
+  }
+  for (std::uint32_t k = 0; k < c; ++k) {
+    util::SplitMix64 sm(
+        seed ^ (static_cast<std::uint64_t>(k) * 0x9e3779b97f4a7c15ULL));
+    const std::uint64_t key = sm.next() | 1ULL;
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> ranked;
+    for (std::uint32_t x : links) {
+      ranked.emplace_back(
+          util::mix64((static_cast<std::uint64_t>(x) + 1) * key), x);
+    }
+    std::partial_sort(ranked.begin(), ranked.begin() + s, ranked.end());
+    std::vector<std::uint32_t> elements(s);
+    for (std::uint32_t i = 0; i < s; ++i) elements[i] = ranked[i].second;
+    std::sort(elements.begin(), elements.end());
+    out.push_back(Shingle{canonical(elements), std::move(elements)});
+  }
+  std::sort(out.begin(), out.end(), [](const Shingle& a, const Shingle& b) {
+    return a.value < b.value;
+  });
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const Shingle& a, const Shingle& b) {
+                          return a.value == b.value;
+                        }),
+            out.end());
+  return out;
+}
+
+TEST(MinWise, SketchMatchesPartialSortReference) {
+  util::Xoshiro256 rng(4242);
+  for (const std::uint32_t s : {1u, 2u, 4u, 5u, 33u, 64u}) {
+    for (const std::uint32_t n : {s - 1, s, s + 1, 4 * s, 300u}) {
+      // Distinct, unsorted links drawn from a wide id range.
+      std::set<std::uint32_t> drawn;
+      while (drawn.size() < n) {
+        drawn.insert(static_cast<std::uint32_t>(rng.below(1u << 24)));
+      }
+      std::vector<std::uint32_t> links(drawn.begin(), drawn.end());
+      std::shuffle(links.begin(), links.end(), rng);
+      for (const std::uint32_t c : {1u, 60u, 150u}) {
+        const std::uint64_t seed = rng();
+        const auto expected = reference_shingle_set(links, s, c, seed);
+        const auto actual = shingle_set(links, s, c, seed);
+        ASSERT_EQ(actual.size(), expected.size())
+            << "s=" << s << " |links|=" << n << " c=" << c;
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ(actual[i].value, expected[i].value);
+          EXPECT_EQ(actual[i].elements, expected[i].elements)
+              << "s=" << s << " |links|=" << n << " c=" << c;
+        }
+      }
+    }
+  }
+}
+
+TEST(MinWise, OwnerTableKeepsFirstOwnerThroughGrowthAndClear) {
+  // Enough values to grow the table several times; every value keeps the
+  // owner that claimed it first, also after the slots were rehashed.
+  OwnerTable table;
+  util::Xoshiro256 rng(77);
+  std::vector<std::uint64_t> values;
+  for (std::uint32_t k = 0; k < 1000; ++k) {
+    values.push_back(rng());
+    EXPECT_EQ(table.claim(values.back(), k), k);
+  }
+  // Values that all hash to slot 0 (value 0 among them) share one probe
+  // run.
+  for (std::uint32_t k = 0; k < 40; ++k) {
+    values.push_back((std::uint64_t{k} << 32) | k);
+    EXPECT_EQ(table.claim(values.back(), 1000 + k), 1000 + k);
+  }
+  EXPECT_EQ(table.size(), values.size());
+  for (std::uint32_t k = 0; k < values.size(); ++k) {
+    EXPECT_EQ(table.claim(values[k], 5000 + k), k);
+  }
+  EXPECT_EQ(table.size(), values.size());
+
+  const std::uint64_t bytes = table.bytes();
+  table.clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.bytes(), bytes);
+  EXPECT_EQ(table.claim(values[7], 3), 3u);
+  EXPECT_EQ(table.claim(values[7], 4), 3u);
+  EXPECT_EQ(table.size(), 1u);
 }
 
 TEST(MinWise, CIncreasesCoverage) {
