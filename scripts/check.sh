@@ -156,7 +156,9 @@ cmp "$smoke/a.tsv" "$smoke/ioc-budget.tsv"
 echo "check.sh: io-chaos green (storms, exit codes, budget bit-identity)"
 
 # metrics-smoke: run reports + traces end to end. A serial run on a dense
-# single-family workload must validate against the report schema AND show
+# single-family workload must validate against the report schema (the
+# alignment-work and ledger-coverage identities included), list the RR and
+# CCD promising-pair streams among its charged structures, AND show
 # the paper's cluster-filter effect (CCD skip ratio > 0.99) and RR's
 # q-gram gate at work (gated_directions > 0); the same run on 4 threads
 # must count exactly the same RR and CCD alignment work and gated
@@ -172,6 +174,10 @@ echo "check.sh: io-chaos green (storms, exit codes, budget bit-identity)"
   --report-out "$smoke/serial.json" --trace-out "$smoke/serial.trace.json" \
   --out "$smoke/dense.tsv" >/dev/null
 "$pclust" report-check "$smoke/serial.json" --min-ccd-skip-ratio 0.99
+for structure in rr.pair_stream ccd.pair_stream; do
+  grep -q "\"$structure\":{\"peak_total_bytes\":[1-9]" "$smoke/serial.json" \
+    || { echo "the serial dense.fa report does not list $structure"; exit 1; }
+done
 grep -q '"simd_pairs":[1-9]' "$smoke/serial.json" \
   || { echo "the serial dense.fa run scored no pair in a SIMD lane"; exit 1; }
 grep -q '"scalar_pairs":0[,}]' "$smoke/serial.json" \

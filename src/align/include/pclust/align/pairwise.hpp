@@ -32,10 +32,6 @@ struct AlignmentResult {
   [[nodiscard]] double identity() const {
     return columns ? static_cast<double>(matches) / columns : 0.0;
   }
-  /// Fraction of positive-scoring columns (BLAST's "positives").
-  [[nodiscard]] double positive_rate() const {
-    return columns ? static_cast<double>(positives) / columns : 0.0;
-  }
   /// Fraction of sequence a/b covered by the aligned region.
   [[nodiscard]] double a_coverage(std::size_t a_len) const {
     return a_len ? static_cast<double>(a_end - a_begin) / a_len : 0.0;

@@ -6,7 +6,7 @@
 #include "pclust/pace/components.hpp"
 #include "pclust/pace/engine.hpp"
 #include "pclust/suffix/kmer_index.hpp"
-#include "pclust/util/memsize.hpp"
+#include "pclust/util/memgov.hpp"
 
 namespace pclust::bigraph {
 
@@ -68,7 +68,6 @@ ComponentGraph build_bd(const seq::SequenceSet& set,
   out.graph = BipartiteGraph(static_cast<std::uint32_t>(members.size()),
                              static_cast<std::uint32_t>(members.size()),
                              master.take_edges());
-  util::record_memory(out.graph.memory_usage(), "bgg");
   return out;
 }
 
@@ -82,7 +81,7 @@ ComponentGraph build_bm(const seq::SequenceSet& set,
   const auto dense = pace::dense_index(members);
 
   const suffix::KmerIndex index(set, members, {.w = params.w});
-  util::record_memory(index.memory_usage(), "bgg");
+  const util::MemoryCharge charge("bgg", index.memory_usage());
 
   std::vector<Edge> edges;
   out.words.reserve(index.word_count());
@@ -97,7 +96,6 @@ ComponentGraph build_bm(const seq::SequenceSet& set,
   out.graph = BipartiteGraph(static_cast<std::uint32_t>(out.words.size()),
                              static_cast<std::uint32_t>(members.size()),
                              std::move(edges));
-  util::record_memory(out.graph.memory_usage(), "bgg");
   return out;
 }
 

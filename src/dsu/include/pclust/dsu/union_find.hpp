@@ -58,18 +58,6 @@ class UnionFind {
   /// index is out of range or the pointers contain a cycle.
   void restore(std::vector<std::uint32_t> parents);
 
-  /// Canonical per-element component labels: label[x] is the SMALLEST
-  /// member of x's set. Unlike find(), the result is a pure function of
-  /// the partition — independent of merge/find history — so two
-  /// UnionFinds encode the same partition iff their label vectors are
-  /// equal. O(n), never mutates.
-  [[nodiscard]] std::vector<std::uint32_t> component_labels() const;
-
-  /// The parent chain from x up to (and including) its root, WITHOUT
-  /// path compression — a read-only walk for provenance/debug tooling
-  /// that must not perturb the stored forest shape.
-  [[nodiscard]] std::vector<std::uint32_t> root_path(std::uint32_t x) const;
-
   /// Heap footprint: the parent forest and per-root set sizes — O(n), the
   /// linear-space argument for transitive-closure clustering.
   [[nodiscard]] util::MemoryBreakdown memory_usage() const;

@@ -84,35 +84,6 @@ std::vector<std::vector<std::uint32_t>> UnionFind::extract_sets(
   return out;
 }
 
-std::vector<std::uint32_t> UnionFind::component_labels() const {
-  const std::size_t n = parent_.size();
-  std::vector<std::uint32_t> label(n, 0xFFFFFFFFu);
-  // Ascending scan: the first element reaching each root is the set's
-  // smallest member, so its id becomes the canonical label.
-  for (std::uint32_t x = 0; x < n; ++x) {
-    // Walk without compression; find() would mutate and this accessor
-    // promises not to.
-    std::uint32_t root = x;
-    while (parent_[root] != root) root = parent_[root];
-    if (label[root] == 0xFFFFFFFFu) label[root] = x;
-    label[x] = label[root];
-  }
-  return label;
-}
-
-std::vector<std::uint32_t> UnionFind::root_path(std::uint32_t x) const {
-  if (x >= parent_.size()) {
-    throw std::invalid_argument("UnionFind::root_path: index out of range");
-  }
-  std::vector<std::uint32_t> path;
-  path.push_back(x);
-  while (parent_[x] != x) {
-    x = parent_[x];
-    path.push_back(x);
-  }
-  return path;
-}
-
 util::MemoryBreakdown UnionFind::memory_usage() const {
   util::MemoryBreakdown b("union_find");
   b.add("parents", util::vector_bytes(parent_));

@@ -41,7 +41,7 @@ class CcdWorker final : public WorkerPolicy {
   void jobs(const PairTask& task,
             std::vector<align::PairJob>& out) const override;
   Verdict verdict(
-      const PairTask& task,
+      const PairTask& task, std::span<const align::PairJob> jobs,
       std::span<const align::AlignmentResult> results) const override;
 
  private:

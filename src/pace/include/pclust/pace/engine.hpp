@@ -164,10 +164,10 @@ class WorkerPolicy {
   /// none).
   virtual void jobs(const PairTask& task,
                     std::vector<align::PairJob>& out) const = 0;
-  /// The verdict for @p task from @p results, the results of the jobs
-  /// jobs(task) appended, in that order.
+  /// The verdict for @p task from @p jobs, the jobs jobs(task) appended,
+  /// and @p results, their results in that order.
   virtual Verdict verdict(
-      const PairTask& task,
+      const PairTask& task, std::span<const align::PairJob> jobs,
       std::span<const align::AlignmentResult> results) const = 0;
 };
 

@@ -9,7 +9,7 @@
 #include "pclust/align/predicates.hpp"
 #include "pclust/dsu/union_find.hpp"
 #include "pclust/pace/provenance.hpp"
-#include "pclust/util/memsize.hpp"
+#include "pclust/util/memgov.hpp"
 #include "pclust/util/metrics.hpp"
 
 namespace pclust::pace {
@@ -54,10 +54,11 @@ class CcdShard final : public ShardPolicy {
 
 class CcdMaster final : public MasterPolicy {
  public:
-  explicit CcdMaster(const std::vector<seq::SeqId>& ids)
-      : ids_(ids), dense_(dense_index(ids)) {
-    uf_.reset(ids.size());
-  }
+  /// The union–find is charged under @p phase_label from here on, so the
+  /// ledger holds it beside the suffix index the engine builds next.
+  CcdMaster(const std::vector<seq::SeqId>& ids, const char* phase_label)
+      : ids_(ids), dense_(dense_index(ids)), uf_(ids.size()),
+        charge_(phase_label ? phase_label : "ccd", uf_.memory_usage()) {}
 
   bool needs_alignment(const PairTask& task) override {
     return !uf_.same(dense_.at(task.a), dense_.at(task.b));
@@ -102,6 +103,7 @@ class CcdMaster final : public MasterPolicy {
           "id set");
     }
     uf_.restore(parents);
+    charge_.set(uf_.memory_usage());
   }
 
   [[nodiscard]] std::vector<std::vector<seq::SeqId>> components() const {
@@ -122,16 +124,11 @@ class CcdMaster final : public MasterPolicy {
     return out;
   }
 
-  /// Publish the master's union–find footprint under the phase prefix.
-  void record_memory(const char* phase_label) const {
-    util::record_memory(uf_.memory_usage(),
-                        phase_label ? phase_label : "ccd");
-  }
-
  private:
   const std::vector<seq::SeqId>& ids_;
   std::unordered_map<seq::SeqId, std::uint32_t> dense_;
   dsu::UnionFind uf_;
+  util::MemoryCharge charge_;
   std::function<void(const Verdict&)> on_merge_;
 };
 
@@ -196,7 +193,7 @@ void CcdWorker::jobs(const PairTask& task,
 }
 
 Verdict CcdWorker::verdict(
-    const PairTask& task,
+    const PairTask& task, std::span<const align::PairJob> /*jobs*/,
     std::span<const align::AlignmentResult> results) const {
   const align::AlignmentResult& r = results.front();
   const bool accepted = align::overlap_outcome(r, set_.length(task.a),
@@ -230,11 +227,10 @@ ComponentsResult detect_components(const seq::SequenceSet& set,
                                    const PaceParams& params, exec::Pool* pool,
                                    const mpsim::FaultPlan* plan) {
   ComponentsResult result;
-  CcdMaster master(ids);
+  CcdMaster master(ids, params.phase_label);
   const CcdWorker worker(set, params);
   result.run = run_parallel(set, ids, p, model, params, master, worker,
                             &result.counters, pool, plan);
-  master.record_memory(params.phase_label);
   result.components = master.components();
   return result;
 }
@@ -246,7 +242,7 @@ ComponentsResult detect_components_serial(
     const std::function<void(const CcdProgress&)>& on_checkpoint,
     const std::function<void(const Verdict&)>& on_merge) {
   ComponentsResult result;
-  CcdMaster master(ids);
+  CcdMaster master(ids, params.phase_label);
   const CcdWorker worker(set, params);
   if (on_merge) master.set_merge_recorder(on_merge);
 
@@ -266,7 +262,6 @@ ComponentsResult detect_components_serial(
   result.counters = run_serial(set, ids, params, master, worker, pool,
                                use_hooks ? &hooks : nullptr);
   record_engine_counters(result.counters);
-  master.record_memory(params.phase_label);
   result.components = master.components();
   return result;
 }

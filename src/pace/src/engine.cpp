@@ -37,6 +37,10 @@ namespace {
 constexpr std::uint64_t kPairBytes = 20;
 constexpr std::uint64_t kVerdictBytes = 9;
 
+const char* phase_name(const PaceParams& params) {
+  return params.phase_label ? params.phase_label : "pace";
+}
+
 /// Index structures shared (read-only) by all ranks.
 struct SharedIndex {
   suffix::ConcatText text;
@@ -76,19 +80,17 @@ struct SharedIndex {
       bucket_owner.assign(buckets.size(), kSerialStream);
     }
 
-    // Publish the index footprint under the phase prefix (rr/ccd): the GST
-    // replacement (SA + LCP + buckets) must stay linear in the text.
+    // Charged under the phase prefix (rr/ccd/bgg) while the index lives:
+    // the GST replacement (SA + LCP + buckets) must stay linear in the
+    // text, and it dominates the RR/CCD footprint, so the charge is what
+    // puts the governor under pressure (and shrinks evaluation grains).
     util::MemoryBreakdown b("suffix_index");
     b.add("concat_text", text.memory_usage());
     b.add("suffix_array", util::vector_bytes(sa));
     b.add("lcp", util::vector_bytes(lcp));
     b.add("buckets", util::vector_bytes(buckets));
     b.add("bucket_owners", util::vector_bytes(bucket_owner));
-    util::record_memory(b, params.phase_label ? params.phase_label : "pace");
-    // The index dominates the RR/CCD footprint; charging it is what puts
-    // the governor under pressure (and shrinks evaluation grains) while
-    // the phase runs. Released with the index by ~MemoryCharge.
-    charge_.add("suffix_index", b.total());
+    charge_ = util::MemoryCharge(phase_name(params), b);
   }
 
   static suffix::MaximalMatchParams match_params(const PaceParams& params) {
@@ -184,9 +186,12 @@ void evaluate_tasks(const std::vector<PairTask>& tasks,
   align::align_score_batch(jobs.data(), jobs.size(), align::blosum62(),
                            results.data(), pool);
   for (std::size_t k = 0; k < tasks.size(); ++k) {
+    const std::size_t count = first[k + 1] - first[k];
     const auto own = std::span<const align::AlignmentResult>(results).subspan(
-        first[k], first[k + 1] - first[k]);
-    Verdict v = policy.verdict(tasks[k], own);
+        first[k], count);
+    Verdict v = policy.verdict(
+        tasks[k], std::span<const align::PairJob>(jobs).subspan(first[k], count),
+        own);
     v.alignments = static_cast<std::uint32_t>(own.size());
     for (const align::AlignmentResult& r : own) v.cells += r.cells;
     if (comm) {
@@ -217,7 +222,7 @@ std::function<mpsim::MwAdmit(const PairTask&)> admit_hook(Filter filter) {
 
 mpsim::MwOptions protocol_options(const PaceParams& params) {
   mpsim::MwOptions opt;
-  opt.phase = params.phase_label ? params.phase_label : "pace";
+  opt.phase = phase_name(params);
   opt.metrics_prefix = "pace";
   opt.masters = std::max(1, params.masters);
   opt.batch_size = params.batch_size;
@@ -242,7 +247,7 @@ mpsim::RunResult run_parallel(
   if (phase.hierarchical() && !master_policy.make_shard()) {
     throw std::invalid_argument(
         std::string("pace::run_parallel: this phase (") +
-        (params.phase_label ? params.phase_label : "pace") +
+        phase_name(params) +
         ") applies verdicts order-dependently and does not support "
         "hierarchical masters; use masters=1");
   }
@@ -345,6 +350,12 @@ EngineCounters run_serial(const seq::SequenceSet& set,
 
   EngineCounters c;
   std::unordered_set<std::uint64_t> seen;
+  // The stream and its seen-set stay charged until the loop returns.
+  util::MemoryCharge stream(
+      phase_name(params),
+      util::MemoryBreakdown("pair_stream")
+          .add("pairs", util::vector_bytes(pairs))
+          .add("seen", util::hash_container_bytes(seen)));
 
   // Admit-then-re-check: collect the pairs the filter admits, align them as
   // one batch (on the pool when there is one), then walk the verdicts in
@@ -368,6 +379,7 @@ EngineCounters run_serial(const seq::SequenceSet& set,
       master_policy.apply(verdicts[k]);
     }
     batch.clear();
+    stream.set("seen", util::hash_container_bytes(seen));
     report_progress(next_pair);
   };
   for (std::uint64_t i = start; i < pairs.size(); ++i) {

@@ -83,7 +83,7 @@ class RrWorker final : public WorkerPolicy {
   RrWorker(const seq::SequenceSet& set, const PaceParams& params)
       : set_(set), params_(params) {}
 
-  /// Each containment direction that passes the gates (see direction):
+  /// Each containment direction that passes both gates (see passes):
   /// a-in-b first, then b-in-a.
   void jobs(const PairTask& task,
             std::vector<align::PairJob>& out) const override {
@@ -92,16 +92,18 @@ class RrWorker final : public WorkerPolicy {
     const std::int64_t band =
         params_.band > 0 ? static_cast<std::int64_t>(params_.band)
                          : std::int64_t{-1};
-    if (direction(res_a, res_b) == kAlign) {
+    if (passes(res_a, res_b)) {
       out.push_back({res_a, res_b, task.diagonal(), band});
     }
-    if (direction(res_b, res_a) == kAlign) {
+    if (passes(res_b, res_a)) {
       out.push_back({res_b, res_a, -task.diagonal(), band});
     }
   }
 
+  /// A direction past the length gate is either the next job, aligned, or
+  /// was ruled out by the q-gram gate; the gate does not run again.
   Verdict verdict(
-      const PairTask& task,
+      const PairTask& task, std::span<const align::PairJob> jobs,
       std::span<const align::AlignmentResult> results) const override {
     const auto res_a = set_.residues(task.a);
     const auto res_b = set_.residues(task.b);
@@ -109,15 +111,16 @@ class RrWorker final : public WorkerPolicy {
     std::size_t next = 0;
     const auto contained = [&](std::string_view inner,
                                std::string_view outer) {
-      const Direction d = direction(inner, outer);
-      if (d == kGated) {
+      if (too_long(inner, outer)) return false;
+      if (next == jobs.size() || jobs[next].a.data() != inner.data() ||
+          jobs[next].a.size() != inner.size()) {
         ++v.gated;
         v.scanned += inner.size() + outer.size();
+        return false;
       }
-      return d == kAlign &&
-             align::containment_outcome(results[next++], inner.size(),
+      return align::containment_outcome(results[next++], inner.size(),
                                         params_.containment)
-                 .accepted;
+          .accepted;
     };
     const bool a_in_b = contained(res_a, res_b);
     const bool b_in_a = contained(res_b, res_a);
@@ -126,26 +129,24 @@ class RrWorker final : public WorkerPolicy {
   }
 
  private:
-  enum Direction : std::uint8_t { kTooLong, kGated, kAlign };
-
-  /// How the inner-in-outer direction is decided. kTooLong: the length
-  /// gate, a heuristic kept from the paper's worker, skips an inner
-  /// longer than outer/c. Definition 1 only forces n >= s·c·m (the span
-  /// holds >= c·m inner residues, >= s of its columns match, and every
-  /// match takes an outer residue), so a direction with
+  /// The length gate, a heuristic kept from the paper's worker, skips an
+  /// inner longer than outer/c. Definition 1 only forces n >= s·c·m (the
+  /// span holds >= c·m inner residues, >= s of its columns match, and
+  /// every match takes an outer residue), so a direction with
   /// s·c·m <= n < c·m that the DP would accept is never aligned.
-  /// kGated: the q-gram gate (PaceParams::qgram_gate) rules it out, which
-  /// it does only for directions the DP would reject. kAlign otherwise.
-  Direction direction(std::string_view inner, std::string_view outer) const {
-    if (static_cast<double>(inner.size()) * params_.containment.min_coverage >
-        static_cast<double>(outer.size())) {
-      return kTooLong;
-    }
-    if (params_.qgram_gate &&
-        !align::containment_possible(inner, outer, params_.containment)) {
-      return kGated;
-    }
-    return kAlign;
+  bool too_long(std::string_view inner, std::string_view outer) const {
+    return static_cast<double>(inner.size()) *
+               params_.containment.min_coverage >
+           static_cast<double>(outer.size());
+  }
+
+  /// Whether the inner-in-outer direction is aligned: it passes the
+  /// length gate and the q-gram gate (PaceParams::qgram_gate), which rules
+  /// out only directions the DP would reject.
+  bool passes(std::string_view inner, std::string_view outer) const {
+    return !too_long(inner, outer) &&
+           (!params_.qgram_gate ||
+            align::containment_possible(inner, outer, params_.containment));
   }
 
   static std::uint8_t code_of(bool a_in_b, bool b_in_a) {

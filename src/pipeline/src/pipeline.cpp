@@ -674,10 +674,6 @@ PipelineResult run(const seq::SequenceSet& input,
     }
     return bigraph::build_bm(set, component, config.bm);
   };
-  const auto graph_bytes = [](const bigraph::ComponentGraph& g) {
-    return g.graph.memory_usage().total() + util::vector_bytes(g.members) +
-           util::vector_bytes(g.words);
-  };
   // The one fold of a graph's DSD record, in component order, for the
   // serial drain, the simulated stage and the resume replay: note its
   // evidence (surviving Shingle merges, expected merge count) and, unless
@@ -722,7 +718,7 @@ PipelineResult run(const seq::SequenceSet& input,
     for (const auto& component : result.ccd.components) {
       if (component.size() < config.min_component) continue;
       const bigraph::ComponentGraph graph = build_graph(component);
-      const util::MemoryCharge charge("bgg.graphs", graph_bytes(graph));
+      const util::MemoryCharge charge("bgg", graph.graph.memory_usage());
       fold(graph, shingle_graph(graph, config.shingle, &pool, want_prov));
       // The resume replay runs after its phase has ended: no progress.
       if (families_resumed) continue;
@@ -751,14 +747,14 @@ PipelineResult run(const seq::SequenceSet& input,
   families.compute = [&](const util::Timer& timer) -> Computed {
     if (dsd_parallel) {
       // LPT distribution needs every graph's cost estimate up front, so the
-      // protocol path always materializes; the memory charge still makes
+      // protocol path always materializes; each graph's charge still makes
       // the footprint visible to the governor and the budget-exceeded exit.
       std::vector<bigraph::ComponentGraph> graphs;
-      util::MemoryCharge graphs_charge;
+      std::vector<util::MemoryCharge> charges;
       for (const auto& component : result.ccd.components) {
         if (component.size() < config.min_component) continue;
         graphs.push_back(build_graph(component));
-        graphs_charge.add("bgg.graphs", graph_bytes(graphs.back()));
+        charges.emplace_back("bgg", graphs.back().graph.memory_usage());
       }
       // The paper's batched distribution (LPT on the estimated shingle
       // cost, ~ edges x c1 hash-and-select operations) on the resilient

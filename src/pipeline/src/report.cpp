@@ -482,7 +482,13 @@ bool validate_report(const util::JsonValue& report, std::string* error) {
 
     // `memory`: non-negative byte counts; a structure's parts, when
     // itemized, must cover its peak total (part maxima each dominate the
-    // parts of the peak instance, so their sum can only over-count).
+    // parts of the peak instance, so their sum can only over-count). The
+    // ledger-coverage identity: a structure gauge moves only with the
+    // charge that holds the structure in the governor's ledger, so no
+    // structure peaks above the `memgov.high_water_bytes` gauge (reports
+    // that predate the governor carry none).
+    const util::JsonValue* high_water =
+        report.at("metrics").at("gauges").find("memgov.high_water_bytes");
     const util::JsonValue& memory = report.at("memory");
     if (memory.at("rss_peak_bytes").as_number() < 0.0 ||
         memory.at("rss_current_bytes").as_number() < 0.0) {
@@ -504,6 +510,11 @@ bool validate_report(const util::JsonValue& report, std::string* error) {
       const double total = st.at("peak_total_bytes").as_number();
       if (total < 0.0) {
         return fail(error, "memory.structures." + name + ": negative total");
+      }
+      if (high_water && total > high_water->at("max").as_number()) {
+        return fail(error, "memory.structures." + name +
+                               ": peak_total_bytes above the governor's "
+                               "high-water (memgov.high_water_bytes)");
       }
       if (const util::JsonValue* pts = st.find("parts")) {
         if (!pts->is_object()) {

@@ -110,18 +110,9 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
     return std::span<const std::uint32_t>(producers).subspan(
         node_begin[i], node_begin[i + 1] - node_begin[i]);
   };
-  // Publishes the working set as it stands. Called at the peak of each
-  // pass, so every gauge's high-water mark is a footprint that existed.
-  const auto record = [&] {
-    util::MemoryBreakdown b("shingle");
-    b.add("tuples", util::vector_bytes(tuples));
-    b.add("s1_nodes",
-          util::vector_bytes(node_begin) + util::vector_bytes(producers));
-    b.add("shingle_elements", util::vector_bytes(elements));
-    b.add("union_find", uf.memory_usage().total());
-    b.add("s2_owners", owners.bytes());
-    util::record_memory(b, "dsd");
-  };
+  // The stage's one charge: each table's part is set as the table is
+  // built, freed, spilled or reloaded.
+  util::MemoryCharge charge("dsd", util::MemoryBreakdown("shingle"));
 
   // ---- Pass I: (s1, c1)-shingles of every left vertex -----------------
   // Vertices are sketched on the pool's lanes; each distinct shingle of a
@@ -138,10 +129,7 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
         }
       });
   local.tuples = tuples.size();
-  // Charge the tuple table as soon as it exists, so the governor sees the
-  // pressure it creates.
-  util::MemoryCharge tuples_charge("shingle.tuples",
-                                   util::vector_bytes(tuples));
+  charge.set("tuples", util::vector_bytes(tuples));
   std::sort(tuples.begin(), tuples.end(), [](const Tuple& a, const Tuple& b) {
     return a.value != b.value ? a.value < b.value : a.vertex < b.vertex;
   });
@@ -158,15 +146,13 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
   const std::size_t n1 = node_begin.size();
   node_begin.push_back(static_cast<std::uint32_t>(tuples.size()));
   local.first_level_shingles = n1;
-  const util::MemoryCharge nodes_charge(
-      "shingle.s1_nodes",
-      util::vector_bytes(node_begin) + util::vector_bytes(producers));
+  charge.set("s1_nodes",
+             util::vector_bytes(node_begin) + util::vector_bytes(producers));
 
   // A node's elements are those its lowest producer's permutation selects
   // (equal values mean equal element sets), re-derived on the pool's lanes.
   elements.resize(n1 * s1);
-  util::MemoryCharge elements_charge("shingle.elements",
-                                     util::vector_bytes(elements));
+  charge.set("shingle_elements", util::vector_bytes(elements));
   lanes.for_range(n1, kGrain, [&](std::size_t a, std::size_t b) {
     Sketch sketch(params.s1, keys1);
     for (std::size_t i = a; i < b; ++i) {
@@ -175,9 +161,8 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
       std::copy(e.begin(), e.end(), elements.begin() + i * s1);
     }
   });
-  record();
   std::vector<Tuple>().swap(tuples);
-  tuples_charge.reset();
+  charge.set("tuples", 0);
 
   // The element table is cold through all of Pass II — the merge list and
   // the report read it back — so under memory pressure the governor spills
@@ -193,7 +178,7 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
       file->finish();
       spill = std::move(file);
       std::vector<std::uint32_t>().swap(elements);
-      elements_charge.reset();  // the table now lives on disk
+      charge.set("shingle_elements", 0);  // the table now lives on disk
     } catch (const util::io::IoError& err) {
       PCLUST_WARN << "shingle: spill failed, keeping element table in "
                      "memory: "
@@ -208,6 +193,7 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
   // node's values ascending, so union-find state evolves in one fixed
   // order at every pool size.
   uf.reset(n1);
+  charge.set("union_find", uf.memory_usage().total());
   // Provenance sink: surviving merges recorded as node-index pairs at
   // decision time; resolved to ShingleMerge after the (possibly spilled)
   // element table is back in memory.
@@ -226,9 +212,7 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
         }
       });
   local.second_level_shingles = owners.size();
-  const util::MemoryCharge pass2_charge(
-      "shingle.s2_owners", uf.memory_usage().total() + owners.bytes());
-  record();
+  charge.set("s2_owners", owners.bytes());
 
   // Reload a spilled element table for the merge list and the report.
   if (spill) {
@@ -237,7 +221,7 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
     std::memcpy(elements.data(), bytes.data(),
                 elements.size() * sizeof(std::uint32_t));
     spill.reset();
-    elements_charge.add("shingle.elements", util::vector_bytes(elements));
+    charge.set("shingle_elements", util::vector_bytes(elements));
   }
 
   // Resolve the recorded merge decisions: producer-overlap counts as

@@ -1,9 +1,13 @@
-// MemoryGovernor — the --mem-budget enforcement layer.
+// MemoryGovernor — the --mem-budget enforcement layer, and the one memory
+// ledger of a run.
 //
-// Built on util/memsize capacity accounting: the structures that dominate
-// a run's footprint (suffix indexes, component graphs, shingle tables)
-// charge their heap bytes into a process-wide ledger and release them when
-// freed. The ledger is a pure function of the input and configuration
+// A footprint is accounted one way: a MemoryCharge (below) names a
+// structure and holds its live parts, sized by util/memsize capacity
+// accounting. Setting a part moves the process-wide ledger by the
+// difference and republishes the `mem.[<phase>.]<structure>.<part>` and
+// `.total` gauges, so a gauge's high-water mark is a footprint the ledger
+// held; the run report's `memory` section lists exactly what was charged.
+// The ledger is a pure function of the input and configuration
 // (capacities, not RSS), so every decision the governor makes is
 // host-independent and reproducible.
 //
@@ -34,7 +38,11 @@
 #include <utility>
 #include <vector>
 
+#include "pclust/util/memsize.hpp"
+
 namespace pclust::util {
+
+class Gauge;
 
 /// The ledger stayed above twice the budget through every degradation
 /// lever. Thrown at a phase boundary (checkpoints already flushed), so a
@@ -68,9 +76,6 @@ class MemoryGovernor {
   /// know which phase they run in (the alignment engine's grain choice).
   void set_phase(std::string_view phase);
 
-  void charge(std::string_view what, std::uint64_t bytes);
-  void release(std::uint64_t bytes);
-
   [[nodiscard]] std::uint64_t ledger() const;
   [[nodiscard]] std::uint64_t high_water() const;
   /// ledger / budget; 0 when unbudgeted.
@@ -100,7 +105,13 @@ class MemoryGovernor {
   void check_phase_boundary(std::string_view phase, bool resumable) const;
 
  private:
+  friend class MemoryCharge;
+
   MemoryGovernor() = default;
+
+  /// The ledger primitives; only MemoryCharge moves the ledger.
+  void charge(std::string_view what, std::uint64_t bytes);
+  void release(std::uint64_t bytes);
 
   [[nodiscard]] std::size_t shrink(std::size_t normal, const char* action);
 
@@ -116,31 +127,46 @@ class MemoryGovernor {
 /// Shorthand for MemoryGovernor::instance().
 [[nodiscard]] MemoryGovernor& governor();
 
-/// RAII ledger charge: charges on construction (or via add()), releases
-/// the accumulated total on destruction. Move-only.
+/// One structure's live footprint in the governor's ledger. A named charge
+/// is the structure `mem.[<phase>.]<name>`: set() moves the ledger by the
+/// difference and republishes the part's gauge and the `total` gauge (the
+/// live sum of the parts). An unnamed charge moves the ledger only.
+/// Destruction releases every part; the gauges keep their marks. Move-only:
+/// a moved-from charge holds nothing.
 class MemoryCharge {
  public:
   MemoryCharge() = default;
-  MemoryCharge(std::string_view what, std::uint64_t bytes) { add(what, bytes); }
-  MemoryCharge(MemoryCharge&& other) noexcept
-      : bytes_(std::exchange(other.bytes_, 0)) {}
-  MemoryCharge& operator=(MemoryCharge&& other) noexcept {
-    if (this != &other) {
-      reset();
-      bytes_ = std::exchange(other.bytes_, 0);
-    }
-    return *this;
-  }
+  /// The structure @p footprint names, under @p phase (empty: none),
+  /// holding @p footprint's parts.
+  MemoryCharge(std::string_view phase, const MemoryBreakdown& footprint);
+  MemoryCharge(MemoryCharge&& other) noexcept { *this = std::move(other); }
+  MemoryCharge& operator=(MemoryCharge&& other) noexcept;
   MemoryCharge(const MemoryCharge&) = delete;
   MemoryCharge& operator=(const MemoryCharge&) = delete;
   ~MemoryCharge() { reset(); }
 
-  void add(std::string_view what, std::uint64_t bytes);
+  /// Part @p part now holds @p bytes.
+  void set(std::string_view part, std::uint64_t bytes);
+  /// Every part of @p footprint now holds its bytes.
+  void set(const MemoryBreakdown& footprint);
+  /// Part @p part grows by @p bytes.
+  void add(std::string_view part, std::uint64_t bytes);
+  /// Releases every part.
   void reset();
   [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
 
  private:
+  struct Part {
+    std::string key;  // the gauge key (named), or the bare part name
+    std::uint64_t bytes = 0;
+    Gauge* gauge = nullptr;  // null when unnamed
+  };
+  Part& part(std::string_view name);
+
+  std::string base_;  // `mem.[<phase>.]<name>.`; empty when unnamed
+  std::vector<Part> parts_;
   std::uint64_t bytes_ = 0;
+  Gauge* total_ = nullptr;
 };
 
 }  // namespace pclust::util

@@ -13,12 +13,14 @@
 //
 // listing its heap-allocated parts (nodes, edges, buckets, payload bytes)
 // by *capacity*, i.e. what the allocator actually holds, not just what is
-// in use. record_memory() publishes a breakdown as `mem.<name>.<part>`
-// gauges in the metrics registry; the gauge high-water mark then gives the
-// per-phase peak even when a structure is built once per component. The
-// run report's `memory` section is assembled from these gauges plus the
-// process peak RSS, which is what makes the paper's linear-space claim
-// (bytes / n stays flat as n grows) checkable from report artifacts alone.
+// in use. A breakdown is what a util::MemoryCharge (memgov.hpp) holds: the
+// charge keeps the structure's live parts in the governor's ledger and
+// publishes them as `mem.[<phase>.]<name>.<part>` gauges whose high-water
+// marks are the peak footprints the ledger held, even when a structure is
+// built once per component. The run report's `memory` section is
+// assembled from these gauges plus the process peak RSS, which is what
+// makes the paper's linear-space claim (bytes / n stays flat as n grows)
+// checkable from report artifacts alone.
 
 namespace pclust::util {
 
@@ -78,12 +80,5 @@ template <typename HashContainer>
 
 /// Peak resident set size in bytes (VmHWM); 0 where /proc is absent.
 [[nodiscard]] std::uint64_t peak_rss_bytes();
-
-/// Publish a breakdown to the metrics registry as gauges:
-/// `mem.[<prefix>.]<name>.<part>` for each part plus `...<name>.total`.
-/// Gauges keep a high-water mark, so repeated records (e.g. one index per
-/// component) yield the peak footprint of the largest instance.
-void record_memory(const MemoryBreakdown& breakdown,
-                   std::string_view prefix = {});
 
 }  // namespace pclust::util

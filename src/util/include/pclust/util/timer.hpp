@@ -2,57 +2,21 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 
 namespace pclust::util {
 
-/// Monotonic stopwatch. start() on construction; elapsed_* reads do not stop it.
+/// Monotonic stopwatch, started on construction; reading it does not stop it.
 class Timer {
  public:
   Timer() : start_(Clock::now()) {}
-
-  void reset() { start_ = Clock::now(); }
 
   [[nodiscard]] double elapsed_seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  [[nodiscard]] std::int64_t elapsed_ms() const {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                                 start_)
-        .count();
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates time across multiple start/stop intervals (e.g. per phase).
-class IntervalTimer {
- public:
-  void start() {
-    running_ = true;
-    begin_ = Clock::now();
-  }
-
-  void stop() {
-    if (!running_) return;
-    total_ += Clock::now() - begin_;
-    running_ = false;
-  }
-
-  [[nodiscard]] double total_seconds() const {
-    auto t = total_;
-    if (running_) t += Clock::now() - begin_;
-    return std::chrono::duration<double>(t).count();
-  }
-
- private:
-  using Clock = std::chrono::steady_clock;
-  Clock::duration total_{};
-  Clock::time_point begin_{};
-  bool running_ = false;
 };
 
 }  // namespace pclust::util

@@ -1,6 +1,7 @@
 #include "pclust/util/memgov.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "pclust/util/log.hpp"
 #include "pclust/util/metrics.hpp"
@@ -97,33 +98,23 @@ double MemoryGovernor::pressure() const {
 }
 
 std::size_t MemoryGovernor::shrink(std::size_t normal, const char* action) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (budget_ == 0 || normal <= kGrainFloor) return normal;
-  const double p =
-      static_cast<double>(ledger_) / static_cast<double>(budget_);
+  std::string phase;
+  double p = 0.0;
   std::size_t shrunk = normal;
-  if (p >= kGrainQuarterPressure) {
-    shrunk = std::max(kGrainFloor, normal / 4);
-  } else if (p >= kGrainPressure) {
-    shrunk = std::max(kGrainFloor, normal / 2);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (budget_ == 0 || normal <= kGrainFloor) return normal;
+    p = static_cast<double>(ledger_) / static_cast<double>(budget_);
+    if (p >= kGrainQuarterPressure) {
+      shrunk = std::max(kGrainFloor, normal / 4);
+    } else if (p >= kGrainPressure) {
+      shrunk = std::max(kGrainFloor, normal / 2);
+    }
+    phase = phase_;
   }
   if (shrunk != normal) {
-    const std::string detail =
-        format("%zu -> %zu at pressure %.2f", normal, shrunk, p);
-    bool seen = false;
-    for (const auto& e : log_) {
-      if (e.phase == phase_ && e.action == action) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) {
-      log_.push_back({phase_, action, detail});
-      metrics().counter("memgov.degradations").add(1);
-      log_line(LogLevel::kInfo,
-               format("memgov: %s %s (%s)", phase_.c_str(), action,
-                      detail.c_str()));
-    }
+    note_degradation(phase, action,
+                     format("%zu -> %zu at pressure %.2f", normal, shrunk, p));
   }
   return shrunk;
 }
@@ -200,17 +191,68 @@ void MemoryGovernor::check_phase_boundary(std::string_view phase,
              guidance));
 }
 
-void MemoryCharge::add(std::string_view what, std::uint64_t bytes) {
-  if (bytes == 0) return;
-  governor().charge(what, bytes);
-  bytes_ += bytes;
+MemoryCharge::MemoryCharge(std::string_view phase,
+                           const MemoryBreakdown& footprint)
+    : base_("mem.") {
+  if (!phase.empty()) {
+    base_ += phase;
+    base_ += '.';
+  }
+  base_ += footprint.name;
+  base_ += '.';
+  total_ = &metrics().gauge(base_ + "total");
+  set(footprint);
+}
+
+MemoryCharge& MemoryCharge::operator=(MemoryCharge&& other) noexcept {
+  if (this != &other) {
+    reset();
+    base_ = std::exchange(other.base_, {});
+    parts_ = std::exchange(other.parts_, {});
+    bytes_ = std::exchange(other.bytes_, 0);
+    total_ = std::exchange(other.total_, nullptr);
+  }
+  return *this;
+}
+
+MemoryCharge::Part& MemoryCharge::part(std::string_view name) {
+  for (Part& p : parts_) {
+    if (std::string_view(p.key).substr(base_.size()) == name) return p;
+  }
+  Part& p = parts_.emplace_back();
+  p.key = base_;
+  p.key += name;
+  if (total_) p.gauge = &metrics().gauge(p.key);
+  return p;
+}
+
+void MemoryCharge::set(std::string_view name, std::uint64_t bytes) {
+  Part& p = part(name);
+  if (bytes > p.bytes) {
+    governor().charge(p.key, bytes - p.bytes);
+  } else if (bytes < p.bytes) {
+    governor().release(p.bytes - bytes);
+  }
+  bytes_ = bytes_ - p.bytes + bytes;
+  p.bytes = bytes;
+  if (total_) {
+    p.gauge->set(bytes);
+    total_->set(bytes_);
+  }
+}
+
+void MemoryCharge::set(const MemoryBreakdown& footprint) {
+  for (const auto& [name, bytes] : footprint.parts) set(name, bytes);
+}
+
+void MemoryCharge::add(std::string_view name, std::uint64_t bytes) {
+  set(name, part(name).bytes + bytes);
 }
 
 void MemoryCharge::reset() {
-  if (bytes_ > 0) {
-    governor().release(bytes_);
-    bytes_ = 0;
-  }
+  if (bytes_ > 0) governor().release(bytes_);
+  for (Part& p : parts_) p.bytes = 0;
+  bytes_ = 0;
 }
 
 }  // namespace pclust::util

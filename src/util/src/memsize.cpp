@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "pclust/util/metrics.hpp"
-
 namespace pclust::util {
 
 namespace {
@@ -44,19 +42,5 @@ std::uint64_t string_bytes(const std::string& s) {
 std::uint64_t current_rss_bytes() { return status_kb("VmRSS") * 1024; }
 
 std::uint64_t peak_rss_bytes() { return status_kb("VmHWM") * 1024; }
-
-void record_memory(const MemoryBreakdown& breakdown, std::string_view prefix) {
-  std::string base = "mem.";
-  if (!prefix.empty()) {
-    base += prefix;
-    base += '.';
-  }
-  base += breakdown.name;
-  base += '.';
-  for (const auto& [part, bytes] : breakdown.parts) {
-    metrics().gauge(base + part).set(bytes);
-  }
-  metrics().gauge(base + "total").set(breakdown.total());
-}
 
 }  // namespace pclust::util

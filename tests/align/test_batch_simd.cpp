@@ -439,7 +439,8 @@ TEST(BatchSimd, PooledSplitMatchesOneCall) {
        {std::pair{&four, std::size_t{1}}, std::pair{&one, std::size_t{0}}}) {
     gov.configure(1000);
     gov.set_phase("pooled-split");
-    const util::MemoryCharge pressure("pressure", 800);
+    util::MemoryCharge pressure;
+    pressure.add("pressure", 800);
     ASSERT_GE(gov.pressure(), 0.7);
     const std::string what =
         "lanes=" + std::to_string(pool->size()) + " under pressure";

@@ -253,6 +253,21 @@ TEST(BuildBm, FamilyMembersShareWords) {
   }
 }
 
+TEST(BuildBm, KmerIndexChargedAndReleased) {
+  // The k-mer index is held in the ledger while the graph is built from
+  // it; the graph is the caller's to charge.
+  const auto d = family_data(58, 30);
+  util::metrics().reset();
+  util::governor().configure(0);
+  const auto cg = build_bm(d.sequences, all_ids(d.sequences), BmParams{});
+  ASSERT_GT(cg.graph.edge_count(), 0u);
+  const std::uint64_t total =
+      util::metrics().gauge("mem.bgg.kmer_index.total").max();
+  EXPECT_GT(total, 0u);
+  EXPECT_GE(util::governor().high_water(), total);
+  EXPECT_EQ(util::governor().ledger(), 0u);
+}
+
 TEST(BuildBm, EmptyComponentSafe) {
   seq::SequenceSet set;
   set.add("a", "ACDEFGHIKL");

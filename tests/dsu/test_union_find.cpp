@@ -145,47 +145,6 @@ TEST(UnionFind, RestoreRejectsCorruptForests) {
   EXPECT_EQ(uf.set_count(), 1u);
 }
 
-TEST(UnionFind, ComponentLabelsArePureFunctionsOfThePartition) {
-  // Build the same partition {0,2,4} {1,3} {5} along two different merge
-  // orders; find() roots may differ, the canonical labels may not.
-  UnionFind a(6);
-  a.merge(0, 2);
-  a.merge(2, 4);
-  a.merge(1, 3);
-
-  UnionFind b(6);
-  b.merge(4, 2);
-  b.merge(3, 1);
-  b.merge(4, 0);
-
-  const std::vector<std::uint32_t> expected{0, 1, 0, 1, 0, 5};
-  EXPECT_EQ(a.component_labels(), expected);
-  EXPECT_EQ(b.component_labels(), expected);
-
-  // Labels never mutate the forest: extracting them twice is stable and
-  // leaves the partition intact.
-  EXPECT_EQ(a.component_labels(), expected);
-  EXPECT_EQ(a.set_count(), 3u);
-}
-
-TEST(UnionFind, RootPathWalksToTheRootWithoutCompression) {
-  // Equal-size union hangs root 2 under root 0 while 3 stays under 2,
-  // leaving the depth-2 chain 3 -> 2 -> 0.
-  UnionFind uf(4);
-  uf.merge(0, 1);
-  uf.merge(2, 3);
-  uf.merge(1, 3);
-  const std::vector<std::uint32_t> before = uf.parents();
-
-  EXPECT_EQ(uf.root_path(3), (std::vector<std::uint32_t>{3, 2, 0}));
-  EXPECT_EQ(uf.root_path(0), (std::vector<std::uint32_t>{0}));
-  EXPECT_THROW((void)uf.root_path(4), std::invalid_argument);
-
-  // The walk is read-only: the stored pointers are untouched (find()
-  // would have halved 3's parent straight to the root).
-  EXPECT_EQ(uf.parents(), before);
-}
-
 TEST(UnionFind, MemoryUsageIsLinearInElementCount) {
   UnionFind uf(1000);
   const auto b = uf.memory_usage();

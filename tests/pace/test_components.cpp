@@ -4,10 +4,13 @@
 
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "pclust/pace/redundancy.hpp"
 #include "pclust/pace/reference.hpp"
 #include "pclust/synth/generator.hpp"
+#include "pclust/util/memgov.hpp"
+#include "pclust/util/metrics.hpp"
 
 namespace pclust::pace {
 namespace {
@@ -150,6 +153,29 @@ TEST(ComponentsSerial, SubsetOfIdsHonored) {
     for (auto id : c) EXPECT_EQ(id % 2, 0u);
   }
   EXPECT_EQ(total, ids.size());
+}
+
+TEST(ComponentsSerial, LedgerHoldsUnionFindBesideTheIndex) {
+  // The master's union–find lives through the index build, so the ledger
+  // held both at once; the pair stream is charged beside them too.
+  const auto d = make_data(41, 120);
+  PaceParams params;
+  params.phase_label = "ccd";
+  util::metrics().reset();
+  util::governor().configure(0);
+  (void)detect_components_serial(d.sequences, all_ids(d.sequences), params);
+  const auto total = [](const char* structure) {
+    return util::metrics()
+        .gauge(std::string("mem.ccd.") + structure + ".total")
+        .max();
+  };
+  EXPECT_GT(total("suffix_index"), 0u);
+  EXPECT_GT(total("union_find"), 0u);
+  EXPECT_GT(total("pair_stream"), 0u);
+  EXPECT_GE(util::governor().high_water(),
+            total("suffix_index") + total("union_find") +
+                total("pair_stream"));
+  EXPECT_EQ(util::governor().ledger(), 0u);
 }
 
 TEST(ComponentsParallel, PartitionIdenticalToSerialForAnyP) {

@@ -1,12 +1,14 @@
 // Structured run reports: schema validity, the alignment-work identity
 // (attempted + skipped_by_cluster_filter == candidate_pairs) on serial AND
-// faulted simulated runs, the SIMD-vs-scalar routing counters, resume
-// provenance, rank levels as the simulated phases ran them, and trace
-// emission around a real pipeline run.
+// faulted simulated runs, the ledger-coverage identity (no structure peaks
+// above the governor's high-water), the SIMD-vs-scalar routing counters,
+// resume provenance, rank levels as the simulated phases ran them, and
+// trace emission around a real pipeline run.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pclust/align/simd.hpp"
@@ -16,6 +18,7 @@
 #include "pclust/pipeline/report.hpp"
 #include "pclust/synth/generator.hpp"
 #include "pclust/util/json.hpp"
+#include "pclust/util/memgov.hpp"
 #include "pclust/util/metrics.hpp"
 #include "pclust/util/trace.hpp"
 #include "scoped_temp_dir.hpp"
@@ -219,6 +222,67 @@ TEST(RunReport, MalformedReportsAreRejected) {
                       R"("attempted":5,"speculative":6)");
   EXPECT_FALSE(validate_report(util::parse_json(speculative), &error));
   EXPECT_NE(error.find("speculative"), std::string::npos);
+}
+
+/// Mutable member lookup; @p key must be present.
+util::JsonValue& member(util::JsonValue& object, std::string_view key) {
+  for (auto& [name, value] : object.object) {
+    if (name == key) return value;
+  }
+  throw util::JsonError("missing member " + std::string(key));
+}
+
+TEST(RunReport, LedgerCoversEveryStructureItLists) {
+  // A structure gauge moves only with the charge that holds the structure
+  // in the governor's ledger, so no structure peaks above the high-water,
+  // and run() leaves nothing charged.
+  const auto d = make_data(88);
+  for (const unsigned threads : {1u, 4u}) {
+    for (const bigraph::Reduction reduction :
+         {bigraph::Reduction::kDuplicate, bigraph::Reduction::kMatchBased}) {
+      const bool bd = reduction == bigraph::Reduction::kDuplicate;
+      SCOPED_TRACE(std::string(bd ? "B_d" : "B_m") + " at threads " +
+                   std::to_string(threads));
+      const test::ScopedTempDir dir;
+      PipelineConfig config;
+      config.threads = threads;
+      config.reduction = reduction;
+      config.provenance = true;
+      config.checkpoint_dir = dir.string();
+      util::metrics().reset();
+      const auto result = run(d.sequences, config);
+      EXPECT_EQ(util::governor().ledger(), 0u);
+
+      util::JsonValue report = report_for(result, config);
+      std::string error;
+      EXPECT_TRUE(validate_report(report, &error)) << error;
+      const double high_water = report.at("metrics")
+                                    .at("gauges")
+                                    .at("memgov.high_water_bytes")
+                                    .at("max")
+                                    .as_number();
+      const util::JsonValue& structures =
+          report.at("memory").at("structures");
+      for (const char* name :
+           {"rr.suffix_index", "rr.pair_stream", "ccd.suffix_index",
+            "ccd.pair_stream", "ccd.union_find", "bgg.bigraph", "dsd.shingle",
+            bd ? "bgg.pair_stream" : "bgg.kmer_index"}) {
+        EXPECT_NE(structures.find(name), nullptr) << name;
+      }
+      for (const auto& [name, structure] : structures.object) {
+        EXPECT_LE(structure.at("peak_total_bytes").as_number(), high_water)
+            << name;
+      }
+
+      // A structure above the ledger's peak breaks the identity.
+      member(member(member(member(report, "metrics"), "gauges"),
+                    "memgov.high_water_bytes"),
+             "max")
+          .number = 0.0;
+      EXPECT_FALSE(validate_report(report, &error));
+      EXPECT_NE(error.find("high-water"), std::string::npos) << error;
+    }
+  }
 }
 
 TEST(RunReport, GatedDirectionsAreCountedAndBounded) {

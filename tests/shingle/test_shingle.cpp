@@ -272,7 +272,8 @@ TEST_F(ShingleSpill, PressureSpillsElementTableAndOutputIsUnchanged) {
   ASSERT_FALSE(free_run.merges.empty());
 
   util::governor().configure(kBudget);
-  const util::MemoryCharge squeeze("test.squeeze", kBudget / 10 * 8);
+  util::MemoryCharge squeeze;
+  squeeze.add("squeeze", kBudget / 10 * 8);
   auto& spilled_bytes = util::metrics().counter("io.spill_bytes");
   const std::uint64_t before = spilled_bytes.value();
   const DsdRun pressured = run_dsd(g);
@@ -295,7 +296,8 @@ TEST_F(ShingleSpill, FailedSpillKeepsElementTableInMemory) {
   util::io::io().configure(
       util::io::IoFaultPlan::parse("spill:enospc@1:sticky"));
   util::governor().configure(kBudget);
-  const util::MemoryCharge squeeze("test.squeeze", kBudget / 10 * 8);
+  util::MemoryCharge squeeze;
+  squeeze.add("squeeze", kBudget / 10 * 8);
   const util::LogLevel saved = util::log_level();
   util::set_log_level(util::LogLevel::kWarn);
   ::testing::internal::CaptureStderr();

@@ -2,10 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "pclust/util/metrics.hpp"
 
 namespace pclust::util {
 namespace {
+
+/// Puts @p bytes in the ledger under an unnamed charge.
+MemoryCharge held(std::uint64_t bytes) {
+  MemoryCharge charge;
+  charge.add("held", bytes);
+  return charge;
+}
+
+/// The gauge `mem.<key>`.
+const Gauge& gauge(const std::string& key) {
+  return util::metrics().gauge("mem." + key);
+}
 
 /// The governor is process-global: every test reinstalls a known state
 /// and leaves it unbudgeted.
@@ -19,17 +34,17 @@ class MemGovTest : public ::testing::Test {
 };
 
 TEST_F(MemGovTest, LedgerTracksChargesAndReleases) {
-  governor().charge("a", 100);
-  governor().charge("b", 50);
+  const MemoryCharge a = held(100);
+  MemoryCharge b = held(50);
   EXPECT_EQ(governor().ledger(), 150u);
   EXPECT_EQ(governor().high_water(), 150u);
-  governor().release(50);
+  b.reset();
   EXPECT_EQ(governor().ledger(), 100u);
   EXPECT_EQ(governor().high_water(), 150u);  // high-water never recedes
 }
 
 TEST_F(MemGovTest, UnbudgetedGovernorNeverDegrades) {
-  governor().charge("a", 1u << 30);
+  const MemoryCharge a = held(1u << 30);
   EXPECT_FALSE(governor().budgeted());
   EXPECT_EQ(governor().pressure(), 0.0);
   EXPECT_EQ(governor().recommend_grain(64), 64u);
@@ -42,7 +57,7 @@ TEST_F(MemGovTest, UnbudgetedGovernorNeverDegrades) {
 
 TEST_F(MemGovTest, ConfigureResetsLedgerAndLog) {
   governor().configure(1000);
-  governor().charge("a", 900);
+  MemoryCharge a = held(900);
   (void)governor().should_spill("dsd");
   governor().configure(1000);
   EXPECT_EQ(governor().ledger(), 0u);
@@ -52,35 +67,35 @@ TEST_F(MemGovTest, ConfigureResetsLedgerAndLog) {
 
 TEST_F(MemGovTest, GrainHalvesAtPressureAndQuartersNearBudget) {
   governor().configure(1000);
-  governor().charge("a", 500);  // pressure 0.5 — below the grain lever
+  MemoryCharge charge = held(500);  // pressure 0.5 — below the grain lever
   EXPECT_EQ(governor().recommend_grain(64), 64u);
-  governor().charge("b", 250);  // pressure 0.75
+  charge.add("held", 250);  // pressure 0.75
   EXPECT_EQ(governor().recommend_grain(64), 32u);
-  governor().charge("c", 210);  // pressure 0.96
+  charge.add("held", 210);  // pressure 0.96
   EXPECT_EQ(governor().recommend_grain(64), 16u);
   EXPECT_EQ(governor().recommend_batch(256), 64u);
 }
 
 TEST_F(MemGovTest, ShrunkenGrainNeverDropsBelowFloor) {
   governor().configure(100);
-  governor().charge("a", 99);
+  const MemoryCharge a = held(99);
   EXPECT_EQ(governor().recommend_grain(16), 8u);
   EXPECT_EQ(governor().recommend_grain(4), 4u);  // already tiny: untouched
 }
 
 TEST_F(MemGovTest, StreamAndSpillLeversFireAtTheirThresholds) {
   governor().configure(1000);
-  governor().charge("a", 400);  // pressure 0.4
+  MemoryCharge charge = held(400);  // pressure 0.4
   EXPECT_FALSE(governor().should_spill("dsd"));
-  governor().charge("b", 150);  // pressure 0.55
+  charge.add("held", 150);  // pressure 0.55
   EXPECT_FALSE(governor().should_spill("dsd"));
-  governor().charge("c", 200);  // pressure 0.75
+  charge.add("held", 200);  // pressure 0.75
   EXPECT_TRUE(governor().should_spill("dsd"));
 }
 
 TEST_F(MemGovTest, LeversAreRecordedOncePerPhaseAndAction) {
   governor().configure(1000);
-  governor().charge("a", 990);
+  const MemoryCharge a = held(990);
   (void)governor().should_spill("dsd");
   (void)governor().should_spill("dsd");
   (void)governor().recommend_grain(64);
@@ -94,10 +109,10 @@ TEST_F(MemGovTest, LeversAreRecordedOncePerPhaseAndAction) {
 
 TEST_F(MemGovTest, HardExceedTripsOnlyPastTwiceTheBudget) {
   governor().configure(1000);
-  governor().charge("a", 1999);
+  MemoryCharge charge = held(1999);
   EXPECT_FALSE(governor().hard_exceeded());
   EXPECT_NO_THROW(governor().check_phase_boundary("rr", false));
-  governor().charge("b", 2);  // ledger 2001 > 2x budget
+  charge.add("held", 2);  // ledger 2001 > 2x budget
   EXPECT_TRUE(governor().hard_exceeded());
   EXPECT_THROW(governor().check_phase_boundary("rr", false),
                MemoryBudgetExceeded);
@@ -105,8 +120,7 @@ TEST_F(MemGovTest, HardExceedTripsOnlyPastTwiceTheBudget) {
 
 TEST_F(MemGovTest, HardExceedStaysTrippedAfterRelease) {
   governor().configure(100);
-  governor().charge("a", 300);
-  governor().release(300);
+  held(300).reset();
   // The peak happened; shedding memory afterwards does not un-doom the
   // run — the phase boundary still reports it.
   EXPECT_TRUE(governor().hard_exceeded());
@@ -116,7 +130,7 @@ TEST_F(MemGovTest, HardExceedStaysTrippedAfterRelease) {
 
 TEST_F(MemGovTest, BoundaryMessageCarriesResumeGuidance) {
   governor().configure(100);
-  governor().charge("a", 300);
+  const MemoryCharge a = held(300);
   try {
     governor().check_phase_boundary("rr", /*resumable=*/true);
     FAIL() << "expected MemoryBudgetExceeded";
@@ -134,10 +148,11 @@ TEST_F(MemGovTest, BoundaryMessageCarriesResumeGuidance) {
 TEST_F(MemGovTest, MemoryChargeReleasesOnDestruction) {
   governor().configure(1000);
   {
-    MemoryCharge charge("table", 400);
+    MemoryCharge charge = held(400);
     EXPECT_EQ(governor().ledger(), 400u);
     charge.add("more", 100);
     EXPECT_EQ(governor().ledger(), 500u);
+    EXPECT_EQ(charge.bytes(), 500u);
   }
   EXPECT_EQ(governor().ledger(), 0u);
   EXPECT_EQ(governor().high_water(), 500u);
@@ -145,7 +160,7 @@ TEST_F(MemGovTest, MemoryChargeReleasesOnDestruction) {
 
 TEST_F(MemGovTest, MemoryChargeMoveTransfersOwnership) {
   governor().configure(1000);
-  MemoryCharge a("table", 200);
+  MemoryCharge a = held(200);
   MemoryCharge b(std::move(a));
   EXPECT_EQ(a.bytes(), 0u);
   EXPECT_EQ(b.bytes(), 200u);
@@ -154,9 +169,93 @@ TEST_F(MemGovTest, MemoryChargeMoveTransfersOwnership) {
   EXPECT_EQ(governor().ledger(), 0u);
 }
 
+TEST_F(MemGovTest, NamedChargeMovesTheLedgerByEachPartsDifference) {
+  // A bystander charge keeps the ledger off zero, so a double release
+  // would show instead of clamping.
+  const MemoryCharge bystander = held(1000);
+  {
+    MemoryCharge charge("rr", MemoryBreakdown("table"));
+    EXPECT_EQ(governor().ledger(), 1000u);
+    charge.set("rows", 100);  // set
+    charge.set("index", 40);
+    EXPECT_EQ(governor().ledger(), 1140u);
+    charge.add("rows", 60);  // grow
+    EXPECT_EQ(governor().ledger(), 1200u);
+    charge.set("rows", 30);  // shrink
+    EXPECT_EQ(governor().ledger(), 1070u);
+    charge.set("index", 0);  // zero
+    EXPECT_EQ(governor().ledger(), 1030u);
+    charge.set("index", 90);  // regrow beside the shrunken rows
+    EXPECT_EQ(governor().ledger(), 1120u);
+    EXPECT_EQ(charge.bytes(), 120u);
+    EXPECT_EQ(governor().high_water(), 1200u);
+
+    // The gauges hold the live parts and their high-water marks: the
+    // total peaked at 200 (rows 160 + index 40), never at the 250 the
+    // part maxima would add up to.
+    EXPECT_EQ(gauge("rr.table.rows").last(), 30u);
+    EXPECT_EQ(gauge("rr.table.rows").max(), 160u);
+    EXPECT_EQ(gauge("rr.table.index").last(), 90u);
+    EXPECT_EQ(gauge("rr.table.index").max(), 90u);
+    EXPECT_EQ(gauge("rr.table.total").last(), 120u);
+    EXPECT_EQ(gauge("rr.table.total").max(), 200u);
+  }
+  // Destruction released all 120 bytes once; the gauges keep their marks.
+  EXPECT_EQ(governor().ledger(), 1000u);
+  EXPECT_EQ(gauge("rr.table.total").max(), 200u);
+}
+
+TEST_F(MemGovTest, ChargePublishesPartAndTotalGaugesWithHighWaterMark) {
+  MemoryBreakdown b("memsize_test_struct");
+  b.add("nodes", 100).add("edges", 50);
+  {
+    const MemoryCharge charge({}, b);
+    EXPECT_EQ(governor().ledger(), 150u);
+    EXPECT_EQ(gauge("memsize_test_struct.nodes").last(), 100u);
+    EXPECT_EQ(gauge("memsize_test_struct.edges").last(), 50u);
+    EXPECT_EQ(gauge("memsize_test_struct.total").last(), 150u);
+  }
+  // A smaller second instance must not lower the high-water mark — that is
+  // what makes "one index per component" report the largest instance.
+  MemoryBreakdown smaller("memsize_test_struct");
+  smaller.add("nodes", 10).add("edges", 5);
+  const MemoryCharge charge({}, smaller);
+  EXPECT_EQ(gauge("memsize_test_struct.total").last(), 15u);
+  EXPECT_EQ(gauge("memsize_test_struct.total").max(), 150u);
+  EXPECT_EQ(governor().ledger(), 15u);
+}
+
+TEST_F(MemGovTest, ChargePrefixesGaugeKeysWithThePhase) {
+  MemoryBreakdown b("memsize_test_struct");
+  b.add("nodes", 7);
+  const MemoryCharge charge("rr", b);
+  EXPECT_EQ(gauge("rr.memsize_test_struct.nodes").last(), 7u);
+  EXPECT_EQ(gauge("rr.memsize_test_struct.total").last(), 7u);
+}
+
+TEST_F(MemGovTest, MovedFromChargeReleasesNothing) {
+  const MemoryCharge bystander = held(1000);
+  MemoryBreakdown b("table");
+  b.add("rows", 300);
+  MemoryCharge a("dsd", b);
+  {
+    MemoryCharge b2(std::move(a));
+    EXPECT_EQ(governor().ledger(), 1300u);
+    a.reset();  // moved from: holds nothing, releases nothing
+    EXPECT_EQ(governor().ledger(), 1300u);
+    b2.set("rows", 200);  // the new owner keeps publishing
+    EXPECT_EQ(gauge("dsd.table.total").last(), 200u);
+    MemoryCharge c;
+    c = std::move(b2);
+    EXPECT_EQ(governor().ledger(), 1200u);
+  }
+  EXPECT_EQ(governor().ledger(), 1000u);
+  EXPECT_EQ(governor().high_water(), 1300u);
+}
+
 TEST_F(MemGovTest, HighWaterGaugeIsPublished) {
   governor().configure(0);
-  governor().charge("a", 12345);
+  const MemoryCharge a = held(12345);
   EXPECT_EQ(util::metrics().gauge("memgov.high_water_bytes").max(), 12345u);
 }
 

@@ -6,8 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "pclust/util/metrics.hpp"
-
 namespace pclust::util {
 namespace {
 
@@ -65,39 +63,6 @@ TEST(MemSize, RssReadsProcAndPeakDominatesCurrent) {
   // at least a page resident.
   EXPECT_GT(current, 0u);
   EXPECT_GE(peak, current);
-}
-
-TEST(MemSize, RecordMemoryPublishesGaugesWithHighWaterMark) {
-  metrics().reset();
-  MemoryBreakdown b("memsize_test_struct");
-  b.add("nodes", 100).add("edges", 50);
-  record_memory(b);
-
-  MetricsSnapshot snap = metrics().snapshot();
-  EXPECT_EQ(snap.gauges.at("mem.memsize_test_struct.nodes").last, 100u);
-  EXPECT_EQ(snap.gauges.at("mem.memsize_test_struct.edges").last, 50u);
-  EXPECT_EQ(snap.gauges.at("mem.memsize_test_struct.total").last, 150u);
-
-  // A smaller second instance must not lower the high-water mark — that is
-  // what makes "one index per component" report the largest instance.
-  MemoryBreakdown smaller("memsize_test_struct");
-  smaller.add("nodes", 10).add("edges", 5);
-  record_memory(smaller);
-  snap = metrics().snapshot();
-  EXPECT_EQ(snap.gauges.at("mem.memsize_test_struct.total").last, 15u);
-  EXPECT_EQ(snap.gauges.at("mem.memsize_test_struct.total").max, 150u);
-  metrics().reset();
-}
-
-TEST(MemSize, RecordMemoryPrefixesGaugeKeys) {
-  metrics().reset();
-  MemoryBreakdown b("memsize_test_struct");
-  b.add("nodes", 7);
-  record_memory(b, "rr");
-  const MetricsSnapshot snap = metrics().snapshot();
-  EXPECT_EQ(snap.gauges.at("mem.rr.memsize_test_struct.nodes").last, 7u);
-  EXPECT_EQ(snap.gauges.at("mem.rr.memsize_test_struct.total").last, 7u);
-  metrics().reset();
 }
 
 }  // namespace
