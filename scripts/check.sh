@@ -15,7 +15,7 @@ cmake --build build -j
 # (tests/support). Re-run those cases in parallel, five times over, so a
 # path shared between cases fails the check instead of flaking.
 (cd build && ctest --output-on-failure -j --repeat until-fail:5 \
-  -R '^(IoEnvTest|JsonlTest|CheckpointTest|EndToEndFiles|ResourcePipelineTest|CheckpointResumeTest|ProvenanceResumeTest)\.|^RunReport\.ResumeProvenanceIsRecorded$|^ProvLedger\.FileRoundTrip$|^Fasta\.WriteFailureThrowsAndLeavesNoFile$')
+  -R '^(IoEnvTest|JsonlTest|CheckpointTest|EndToEndFiles|ResourcePipelineTest|CheckpointResumeTest|ProvenanceResumeTest|PipelineDrain)\.|^RunReport\.ResumeProvenanceIsRecorded$|^ProvLedger\.FileRoundTrip$|^Fasta\.WriteFailureThrowsAndLeavesNoFile$')
 
 # Data-race check. Only the thread-touching suites are worth the TSan
 # slowdown: the pool itself, the pooled alignment splitter, the
@@ -25,8 +25,10 @@ cmake --build build -j
 # graph build (a pooled run_serial run), the pooled Shingle passes and
 # suffix-index scans (their pooled code is the only code), the simulated
 # DSD stage (its rank threads run the shared MwPhase protocol and share
-# the pool with the Shingle passes), and the fault-injected simulator
-# runtime (failure marks cross threads).
+# the pool with the Shingle passes), the pooled BGG+DSD drain (component
+# graphs on concurrent lanes, nested Shingle loops, the drain's gate) and
+# pooled job building (RR's gate and verdict read-back on every lane), and
+# the fault-injected simulator runtime (failure marks cross threads).
 cmake --preset tsan
 cmake --build build-tsan -j --target test_exec test_align test_pace \
   test_mpsim test_bigraph test_shingle test_suffix test_pipeline
@@ -34,11 +36,11 @@ cmake --build build-tsan -j --target test_exec test_align test_pace \
  ./tests/test_exec
  ./tests/test_align --gtest_filter='BatchSimd.Pooled*'
  ./tests/test_pace \
-   --gtest_filter='Determinism*:FaultTolerance*:CcdProvenance*:Hierarchy*'
+   --gtest_filter='Determinism*:PooledEvaluateTasks*:FaultTolerance*:CcdProvenance*:Hierarchy*'
  ./tests/test_bigraph --gtest_filter='Pools/BuildBdPool*'
  ./tests/test_shingle --gtest_filter='ParallelShingle*'
  ./tests/test_suffix --gtest_filter='Parallel*'
- ./tests/test_pipeline --gtest_filter='ParallelDsd*'
+ ./tests/test_pipeline --gtest_filter='ParallelDsd*:PipelineDrain*'
  ./tests/test_mpsim)
 
 # Memory-error check. The suites that parse untrusted bytes (FASTA,
@@ -153,6 +155,18 @@ rc=0; "$pclust" families "$smoke/in.fa" --mem-budget 16k \
 "$pclust" families "$smoke/in.fa" --mem-budget 2g \
   --out "$smoke/ioc-budget.tsv" >/dev/null
 cmp "$smoke/a.tsv" "$smoke/ioc-budget.tsv"
+# The pooled drain under a budget: a B_m run on four lanes whose ledger
+# peaked above 70% of --mem-budget starts one component graph at a time
+# (a bgg+dsd/shrink-drain event) and writes the unbudgeted families.
+"$pclust" generate --preset 22k --n 800 --out "$smoke/22k.fa" >/dev/null
+"$pclust" families "$smoke/22k.fa" --reduction bm --threads 4 \
+  --out "$smoke/22k-plain.tsv" >/dev/null
+"$pclust" families "$smoke/22k.fa" --reduction bm --threads 4 \
+  --mem-budget 3m --out "$smoke/22k-budget.tsv" \
+  --report-out "$smoke/22k-budget.json" >/dev/null
+cmp "$smoke/22k-plain.tsv" "$smoke/22k-budget.tsv"
+grep -q '"phase":"bgg+dsd","action":"shrink-drain"' "$smoke/22k-budget.json" \
+  || { echo "the budgeted 22k B_m run did not narrow its drain"; exit 1; }
 echo "check.sh: io-chaos green (storms, exit codes, budget bit-identity)"
 
 # metrics-smoke: run reports + traces end to end. A serial run on a dense

@@ -50,10 +50,11 @@ void align_score_batch(const PairJob* jobs, std::size_t count,
                        const ScoringScheme& scheme, AlignmentResult* out);
 
 /// The same, split across @p pool: the library's one alignment splitter.
-/// Several lanes score slices of kPoolGrain jobs (fewer under memory
-/// pressure) through one call above each; a null or one-lane pool scores
-/// the whole list in one call. Results land at their job's index, so they
-/// are bit-identical for every pool size.
+/// Several lanes score slices through one call above each: slices of
+/// min(kPoolGrain (fewer under memory pressure), max(one SIMD chunk,
+/// ceil(count / lanes))) jobs, so a short call still reaches every lane.
+/// A null or one-lane pool scores the whole list in one call. Results land
+/// at their job's index, so they are bit-identical for every pool size.
 void align_score_batch(const PairJob* jobs, std::size_t count,
                        const ScoringScheme& scheme, AlignmentResult* out,
                        exec::Pool* pool);

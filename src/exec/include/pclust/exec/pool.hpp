@@ -11,6 +11,9 @@
 //    even when every pool thread is busy with other jobs. This also makes
 //    the pool safely shareable by mpsim's simulated ranks: concurrent
 //    for_range() calls from different rank threads interleave chunk-wise.
+//    A body may itself call for_range() (the BGG+DSD drain's graphs nest
+//    their Shingle loops): its lane then runs only chunks of that inner
+//    loop, and idle lanes take the oldest loop with chunks left.
 //  - Determinism contract: chunk execution ORDER is unspecified, so bodies
 //    must only write to disjoint, index-addressed slots. Reductions are then
 //    folded serially in index order by the caller (see parallel_map), which

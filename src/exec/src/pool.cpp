@@ -2,15 +2,44 @@
 
 #include <algorithm>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "pclust/util/metrics.hpp"
 
 namespace pclust::exec {
+
+namespace {
+
+/// glibc gives every thread its own malloc arena and, by default, trims an
+/// arena's free top only above twice a dynamic mmap threshold that rises
+/// to the largest mapped block ever freed (1–2.5 MB in a pipeline run). A
+/// lane that builds and drops a component graph's tables would keep them
+/// resident for the life of the process, one graph per lane. Pinning both
+/// thresholds at 512 KiB returns a lane's freed tables to the kernel; see
+/// DESIGN.md §8. Set once, by the first pool that spawns a thread.
+constexpr int kMallocThresholdBytes = 512 * 1024;
+
+void pin_malloc_thresholds() {
+#if defined(__GLIBC__)
+  static const bool pinned = [] {
+    mallopt(M_MMAP_THRESHOLD, kMallocThresholdBytes);
+    mallopt(M_TRIM_THRESHOLD, kMallocThresholdBytes);
+    return true;
+  }();
+  (void)pinned;
+#endif
+}
+
+}  // namespace
 
 Pool::Pool(unsigned threads) {
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   // A bogus huge request (e.g. a negative CLI value cast to unsigned) would
   // otherwise abort the process once thread creation starts failing.
   size_ = std::min(threads, 1024u);
+  if (size_ > 1) pin_malloc_thresholds();
   workers_.reserve(size_ - 1);
   for (unsigned t = 0; t + 1 < size_; ++t) {
     workers_.emplace_back([this] { worker_main(); });

@@ -46,7 +46,8 @@
 // Both paths score a chunk of pairs the same way: the worker policy names
 // each pair's alignment jobs, one pooled align_score_batch call scores
 // them all (the library's one alignment splitter), and the policy reads
-// each pair's results back into its verdict, in task order.
+// each pair's results back into its verdict. Jobs and verdicts are built
+// on the pool's lanes into task-indexed slots and joined in task order.
 #pragma once
 
 #include <cstdint>
@@ -258,7 +259,7 @@ struct SerialHooks {
 /// enumeration and alignment.
 /// Pairs that pass the filter are collected into batches of
 /// params.batch_size, and each batch's jobs are scored by one pooled
-/// align_score_batch call (one unpooled call at one lane, kPoolGrain-job
+/// align_score_batch call (one unpooled call at one lane, lane-sized
 /// slices across several); each verdict carries its pair's DP cells.
 /// Before each verdict is applied, in task order, the filter is asked
 /// again; a pair it now rejects is counted as filtered (and speculative)

@@ -4,13 +4,13 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "pclust/align/scoring.hpp"
 #include "pclust/exec/pool.hpp"
 #include "pclust/mpsim/masterworker.hpp"
 #include "pclust/suffix/lcp.hpp"
 #include "pclust/suffix/suffix_array.hpp"
+#include "pclust/util/key_set.hpp"
 #include "pclust/util/memgov.hpp"
 #include "pclust/util/memsize.hpp"
 #include "pclust/util/metrics.hpp"
@@ -106,7 +106,8 @@ struct SharedIndex {
   /// The owned buckets are split into runs of consecutive buckets that
   /// are enumerated concurrently; their lists are concatenated in bucket
   /// order, which is the order one run enumerating bucket by bucket
-  /// appends in (the stable sort then ties on it).
+  /// appends in (the stable sort then ties on it), into one list sized
+  /// exactly, so its footprint is the same at every lane count.
   [[nodiscard]] std::vector<PairTask> worker_pairs(int worker_rank) const {
     suffix::MaximalMatchEnumerator enumerator(text, sa, lcp, mp);
     std::vector<std::size_t> owned;
@@ -116,7 +117,7 @@ struct SharedIndex {
 
     // Several lanes get about kRunsPerLane runs each, so dynamic chunking
     // evens out uneven buckets; one lane enumerates every owned bucket as
-    // one run, whose list becomes the stream without a copy.
+    // one run.
     const std::size_t runs = std::min(
         owned.size(),
         lanes_.size() > 1 ? kRunsPerLane * std::size_t{lanes_.size()} : 1);
@@ -134,10 +135,13 @@ struct SharedIndex {
           }
           return pairs;
         });
-    if (per_run.empty()) return {};
-    std::vector<PairTask> out = std::move(per_run.front());
-    for (std::size_t r = 1; r < per_run.size(); ++r) {
-      out.insert(out.end(), per_run[r].begin(), per_run[r].end());
+    std::size_t total = 0;
+    for (const auto& pairs : per_run) total += pairs.size();
+    std::vector<PairTask> out;
+    out.reserve(total);
+    for (auto& pairs : per_run) {
+      out.insert(out.end(), pairs.begin(), pairs.end());
+      std::vector<PairTask>().swap(pairs);
     }
     std::stable_sort(out.begin(), out.end(),
                      [](const PairTask& x, const PairTask& y) {
@@ -166,40 +170,73 @@ struct SharedIndex {
   util::MemoryCharge charge_;
 };
 
-/// Score one chunk of tasks: every task's jobs go through one pooled
-/// align_score_batch call, then verdicts are read back and their cells
-/// and scanned residues charged to @p comm serially in task order, so
-/// both the results and the virtual clock are independent of pool
-/// scheduling.
+/// Task slices per pool lane when evaluate_tasks builds jobs and reads
+/// verdicts on several lanes: enough for dynamic chunking to even out RR's
+/// gate scans, few enough that the per-slice job lists stay cheap.
+constexpr std::size_t kSlicesPerLane = 4;
+
+/// Score one chunk of tasks. Each task's jobs are built, and its verdict
+/// read back, on the pool's lanes into index-addressed slots (RR's q-gram
+/// gate runs inside jobs(), so it spreads across the lanes too); the jobs
+/// are joined in task order and scored by one pooled align_score_batch
+/// call. Cells and scanned residues are then charged to @p comm serially
+/// in task order, so the verdicts and the virtual clock are independent
+/// of pool scheduling. One lane builds every job into one list.
 void evaluate_tasks(const std::vector<PairTask>& tasks,
                     const WorkerPolicy& policy, mpsim::Communicator* comm,
                     exec::Pool* pool, std::vector<Verdict>& verdicts) {
-  std::vector<align::PairJob> jobs;
-  std::vector<std::size_t> first;  // task k's jobs: [first[k], first[k + 1])
-  first.reserve(tasks.size() + 1);
-  for (const PairTask& task : tasks) {
-    first.push_back(jobs.size());
-    policy.jobs(task, jobs);
+  const std::size_t n = tasks.size();
+  if (n == 0) return;
+  exec::Pool& lanes = exec::or_serial(pool);
+  const std::size_t slices =
+      lanes.size() > 1 ? std::min(n, kSlicesPerLane * lanes.size()) : 1;
+  const std::size_t grain = (n + slices - 1) / slices;
+  std::vector<std::vector<align::PairJob>> built((n + grain - 1) / grain);
+  std::vector<std::size_t> first(n + 1);  // task k: [first[k], first[k + 1])
+  lanes.for_range(built.size(), 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t s = lo; s < hi; ++s) {
+      for (std::size_t k = s * grain; k < std::min(n, (s + 1) * grain); ++k) {
+        first[k] = built[s].size();
+        policy.jobs(tasks[k], built[s]);
+      }
+    }
+  });
+  std::size_t total = 0;
+  for (const auto& slice : built) total += slice.size();
+  std::vector<align::PairJob> jobs = std::move(built.front());
+  jobs.reserve(total);
+  for (std::size_t s = 1; s < built.size(); ++s) {
+    for (std::size_t k = s * grain; k < std::min(n, (s + 1) * grain); ++k) {
+      first[k] += jobs.size();
+    }
+    jobs.insert(jobs.end(), built[s].begin(), built[s].end());
   }
-  first.push_back(jobs.size());
+  first[n] = jobs.size();
+
   std::vector<align::AlignmentResult> results(jobs.size());
   align::align_score_batch(jobs.data(), jobs.size(), align::blosum62(),
                            results.data(), pool);
-  for (std::size_t k = 0; k < tasks.size(); ++k) {
-    const std::size_t count = first[k + 1] - first[k];
-    const auto own = std::span<const align::AlignmentResult>(results).subspan(
-        first[k], count);
-    Verdict v = policy.verdict(
-        tasks[k], std::span<const align::PairJob>(jobs).subspan(first[k], count),
-        own);
-    v.alignments = static_cast<std::uint32_t>(own.size());
-    for (const align::AlignmentResult& r : own) v.cells += r.cells;
-    if (comm) {
-      comm->charge_cells(v.cells);
-      if (v.scanned > 0) comm->charge_hashes(v.scanned);
-      comm->count("alignments_computed");
+  const std::size_t base = verdicts.size();
+  verdicts.resize(base + n);
+  lanes.for_range(n, grain, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t k = lo; k < hi; ++k) {
+      const std::size_t count = first[k + 1] - first[k];
+      const auto own = std::span<const align::AlignmentResult>(results)
+                           .subspan(first[k], count);
+      Verdict v = policy.verdict(
+          tasks[k],
+          std::span<const align::PairJob>(jobs).subspan(first[k], count),
+          own);
+      v.alignments = static_cast<std::uint32_t>(count);
+      for (const align::AlignmentResult& r : own) v.cells += r.cells;
+      verdicts[base + k] = v;
     }
-    verdicts.push_back(v);
+  });
+  if (!comm) return;
+  for (std::size_t k = base; k < verdicts.size(); ++k) {
+    comm->charge_cells(verdicts[k].cells);
+    if (verdicts[k].scanned > 0) comm->charge_hashes(verdicts[k].scanned);
+    comm->count("alignments_computed");
   }
 }
 
@@ -208,9 +245,8 @@ void evaluate_tasks(const std::vector<PairTask>& tasks,
 /// shard replica).
 template <typename Filter>
 std::function<mpsim::MwAdmit(const PairTask&)> admit_hook(Filter filter) {
-  return [seen = std::unordered_set<std::uint64_t>(),
-          filter](const PairTask& task) mutable {
-    if (!seen.insert(task.pair_key()).second) {
+  return [seen = util::KeySet(), filter](const PairTask& task) mutable {
+    if (!seen.insert(task.pair_key())) {
       return mpsim::MwAdmit::kDuplicate;
     }
     if (!filter->needs_alignment(task)) return mpsim::MwAdmit::kFiltered;
@@ -335,8 +371,9 @@ EngineCounters run_serial(const seq::SequenceSet& set,
 
   // Telemetry: serial progress is pairs INSPECTED over the full stream
   // (dup/filtered pairs advance it too), reported at batch granularity so
-  // the per-pair cost stays one relaxed load. poll_deadline() runs on this
-  // (the orchestrating) thread — the only place the watchdog may throw.
+  // the per-pair cost stays one relaxed load. poll_deadline() runs on the
+  // thread that runs this loop: the orchestrating thread, or a drain lane
+  // whose pooled loop rethrows the watchdog's throw there.
   if (pairs.size() > start) {
     util::telemetry::progress_enqueued(pairs.size() - start);
   }
@@ -349,13 +386,13 @@ EngineCounters run_serial(const seq::SequenceSet& set,
   };
 
   EngineCounters c;
-  std::unordered_set<std::uint64_t> seen;
+  util::KeySet seen;
   // The stream and its seen-set stay charged until the loop returns.
   util::MemoryCharge stream(
       phase_name(params),
       util::MemoryBreakdown("pair_stream")
           .add("pairs", util::vector_bytes(pairs))
-          .add("seen", util::hash_container_bytes(seen)));
+          .add("seen", seen.bytes()));
 
   // Admit-then-re-check: collect the pairs the filter admits, align them as
   // one batch (on the pool when there is one), then walk the verdicts in
@@ -379,7 +416,7 @@ EngineCounters run_serial(const seq::SequenceSet& set,
       master_policy.apply(verdicts[k]);
     }
     batch.clear();
-    stream.set("seen", util::hash_container_bytes(seen));
+    stream.set("seen", seen.bytes());
     report_progress(next_pair);
   };
   for (std::uint64_t i = start; i < pairs.size(); ++i) {
@@ -387,7 +424,7 @@ EngineCounters run_serial(const seq::SequenceSet& set,
     const PairTask& task = pairs[static_cast<std::size_t>(i)];
     ++c.promising_pairs;
     bool full = false;
-    if (!seen.insert(task.pair_key()).second) {
+    if (!seen.insert(task.pair_key())) {
       ++c.duplicate_pairs;
     } else if (!master_policy.needs_alignment(task)) {
       ++c.filtered_pairs;

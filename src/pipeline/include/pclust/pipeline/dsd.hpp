@@ -1,8 +1,8 @@
 // Dense-subgraph detection per component graph (paper §V: components are
 // batched across cluster nodes; §VI suggests parallelizing Shingle).
-// shingle_graph is the per-graph step of both schedules, the serial drain
+// shingle_graph is the per-graph step of both schedules, the pooled drain
 // and the simulated stage's workers; its GraphFamilies record is all the
-// pipeline folds for a graph.
+// pipeline folds for a graph, so the graph can be freed once it is made.
 //
 // The simulated stage runs each graph as one task on the resilient
 // master–worker protocol (mpsim::MwPhase, which owns the rank layout and
@@ -13,7 +13,7 @@
 // stream to a survivor, so the phase completes under any fault plan that
 // leaves the master and at least one worker alive. Records fill graph-keyed
 // slots (first application wins) and return in graph order, so the folded
-// output is BIT-IDENTICAL to the serial drain's under any rank count,
+// output is BIT-IDENTICAL to the pooled drain's under any rank count,
 // healing, duplicated delivery or straggler.
 #pragma once
 
@@ -29,9 +29,18 @@
 
 namespace pclust::pipeline {
 
+/// One reported dense subgraph with its quality measurements.
+struct Family {
+  std::vector<seq::SeqId> members;  // sorted
+  double mean_degree = 0.0;  // within-subgraph, duplicate reduction only
+  double density = 0.0;      // mean_degree / (|members| - 1)
+};
+
 /// One component graph's DSD output: everything the pipeline folds for it.
 struct GraphFamilies {
-  std::vector<std::vector<seq::SeqId>> families;  // report_families
+  /// report_families' families with their B_d degree and density, measured
+  /// in the graph (0 under B_m).
+  std::vector<Family> families;
   /// Surviving Pass II merges, lifted to sequence ids (captured only).
   std::vector<shingle::ShingleMerge> merges;
   /// Shingle tallies: the graph's expected DSD merges are their difference.
@@ -39,8 +48,9 @@ struct GraphFamilies {
   std::uint64_t raw_components = 0;
 };
 
-/// The per-graph DSD step: shingle::report_families on @p pool's lanes,
-/// capturing the surviving merges only when @p capture_merges is set.
+/// The per-graph DSD step: shingle::report_families on @p pool's lanes
+/// and each family's B_d degree and density, capturing the surviving
+/// merges only when @p capture_merges is set.
 [[nodiscard]] GraphFamilies shingle_graph(
     const bigraph::ComponentGraph& graph, const shingle::ShingleParams& params,
     exec::Pool* pool, bool capture_merges);

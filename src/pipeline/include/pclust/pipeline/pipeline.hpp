@@ -18,6 +18,7 @@
 #include "pclust/pace/components.hpp"
 #include "pclust/pace/params.hpp"
 #include "pclust/pace/redundancy.hpp"
+#include "pclust/pipeline/dsd.hpp"
 #include "pclust/prov/ledger.hpp"
 #include "pclust/seq/sequence_set.hpp"
 #include "pclust/shingle/shingle.hpp"
@@ -120,13 +121,6 @@ struct PipelineConfig {
   /// master tree). Its graph-keyed verdicts make its family output
   /// bit-identical under ANY survivable plan (see pipeline/dsd.hpp).
   const mpsim::FaultPlan* dsd_fault_plan = nullptr;
-};
-
-/// One reported dense subgraph with its quality measurements.
-struct Family {
-  std::vector<seq::SeqId> members;  // sorted
-  double mean_degree = 0.0;  // within-subgraph, duplicate reduction only
-  double density = 0.0;      // mean_degree / (|members| - 1)
 };
 
 struct PipelineResult {

@@ -3,10 +3,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "pclust/mpsim/masterworker.hpp"
+#include "pclust/pace/components.hpp"
 #include "pclust/pace/engine.hpp"
 #include "pclust/util/trace.hpp"
 
@@ -33,10 +35,27 @@ GraphFamilies shingle_graph(const bigraph::ComponentGraph& graph,
                             exec::Pool* pool, bool capture_merges) {
   GraphFamilies out;
   shingle::DsdStats stats;
-  out.families = shingle::report_families(
+  auto families = shingle::report_families(
       graph, params, &stats, pool, capture_merges ? &out.merges : nullptr);
   out.s1_nodes = stats.first_level_shingles;
   out.raw_components = stats.raw_components;
+  // B_d's left index is its right index: a family's nodes are its members'
+  // places in the component.
+  const bool duplicate = graph.reduction == bigraph::Reduction::kDuplicate;
+  const auto dense = duplicate
+                         ? pace::dense_index(graph.members)
+                         : std::unordered_map<seq::SeqId, std::uint32_t>{};
+  out.families.reserve(families.size());
+  for (auto& members : families) {
+    Family& family = out.families.emplace_back();
+    family.members = std::move(members);
+    if (!duplicate) continue;
+    std::vector<std::uint32_t> nodes;
+    nodes.reserve(family.members.size());
+    for (const seq::SeqId id : family.members) nodes.push_back(dense.at(id));
+    family.mean_degree = bigraph::mean_subgraph_degree(graph.graph, nodes);
+    family.density = bigraph::subgraph_density(graph.graph, nodes);
+  }
   return out;
 }
 

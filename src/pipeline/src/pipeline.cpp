@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <string_view>
-#include <unordered_map>
 
 #include "pclust/exec/pool.hpp"
 #include "pclust/pace/provenance.hpp"
@@ -437,6 +438,50 @@ void run_phase(const PhaseSteps& phase, Checkpoints& ckpt, bool want_prov,
   util::telemetry::poll_deadline();
 }
 
+/// The pooled drain's memory lever. Under --mem-budget, once the ledger's
+/// high-water reached 0.70 of the budget (MemoryGovernor::narrow_drain), a
+/// lane starts a new component graph only when no other graph is in
+/// flight, so concurrent graphs cannot break the budget. Several lanes ask
+/// the governor at every graph start, so a narrowed drain is logged
+/// whether or not a lane had to wait; one lane has nothing to narrow.
+/// Output invariant: which lane runs which graph, and when, never reaches
+/// the fold.
+class DrainGate {
+ public:
+  explicit DrainGate(bool concurrent) : concurrent_(concurrent) {}
+
+  /// One graph in flight: blocks until its lane may start it.
+  class Slot {
+   public:
+    explicit Slot(DrainGate& gate) : gate_(gate) {
+      const bool narrow =
+          gate_.concurrent_ && util::governor().narrow_drain();
+      std::unique_lock<std::mutex> lock(gate_.mutex_);
+      gate_.idle_.wait(lock,
+                       [&] { return !narrow || gate_.in_flight_ == 0; });
+      ++gate_.in_flight_;
+    }
+    ~Slot() {
+      {
+        const std::lock_guard<std::mutex> lock(gate_.mutex_);
+        --gate_.in_flight_;
+      }
+      gate_.idle_.notify_all();
+    }
+    Slot(const Slot&) = delete;
+    Slot& operator=(const Slot&) = delete;
+
+   private:
+    DrainGate& gate_;
+  };
+
+ private:
+  const bool concurrent_;
+  std::mutex mutex_;
+  std::condition_variable idle_;
+  std::size_t in_flight_ = 0;
+};
+
 /// The master count the simulated DSD stage runs with. DSD may run on a
 /// different rank count than CCD; when it is too narrow to host the
 /// configured master tree (needs >= masters + 2 ranks), the stage falls
@@ -655,11 +700,13 @@ PipelineResult run(const seq::SequenceSet& input,
               << util::format_duration(result.ccd_seconds) << ")";
 
   // ---- Phases 3 + 4: bipartite graphs + dense subgraphs -------------------
-  std::size_t qualifying = 0;
+  std::vector<const std::vector<seq::SeqId>*> qualifying;
   for (const auto& component : result.ccd.components) {
-    if (component.size() >= config.min_component) ++qualifying;
+    if (component.size() >= config.min_component) {
+      qualifying.push_back(&component);
+    }
   }
-  const bool dsd_parallel = config.dsd_processors >= 2 && qualifying > 0;
+  const bool dsd_parallel = config.dsd_processors >= 2 && !qualifying.empty();
   pace::PaceParams dsd_engine = config.pace;
   dsd_engine.masters = dsd_masters(config);
   const bool dsd_flat_fallback =
@@ -675,18 +722,16 @@ PipelineResult run(const seq::SequenceSet& input,
     return bigraph::build_bm(set, component, config.bm);
   };
   // The one fold of a graph's DSD record, in component order, for the
-  // serial drain, the simulated stage and the resume replay: note its
+  // pooled drain, the simulated stage and the resume replay: note its
   // evidence (surviving Shingle merges, expected merge count) and, unless
-  // the phase resumed with final families, add its families with their B_d
-  // density (left index == right index). It needs only THAT graph, so the
-  // serial drain can free each graph as soon as it is folded.
+  // the phase resumed with final families, add its families. The record
+  // already carries the B_d densities, so the fold needs no graph.
   const prov::Rule dsd_rule = config.reduction == bigraph::Reduction::kDuplicate
                                   ? prov::Rule::kBd
                                   : prov::Rule::kBm;
   Evidence dsd_noted;
   bool families_resumed = false;
-  const auto fold = [&](const bigraph::ComponentGraph& graph,
-                        GraphFamilies record) {
+  const auto fold = [&](GraphFamilies record) {
     dsd_noted.merges += record.s1_nodes - record.raw_components;
     for (const shingle::ShingleMerge& m : record.merges) {
       dsd_noted.edges.push_back(
@@ -695,36 +740,34 @@ PipelineResult run(const seq::SequenceSet& input,
            .matches = m.matches, .columns = m.columns});
     }
     if (families_resumed) return;
-    const auto dense = config.reduction == bigraph::Reduction::kDuplicate
-                           ? pace::dense_index(graph.members)
-                           : std::unordered_map<seq::SeqId, std::uint32_t>{};
-    for (auto& members : record.families) {
-      Family family;
-      family.members = std::move(members);
-      if (config.reduction == bigraph::Reduction::kDuplicate) {
-        std::vector<std::uint32_t> nodes;
-        nodes.reserve(family.members.size());
-        for (seq::SeqId id : family.members) nodes.push_back(dense.at(id));
-        family.mean_degree = bigraph::mean_subgraph_degree(graph.graph, nodes);
-        family.density = bigraph::subgraph_density(graph.graph, nodes);
-      }
+    for (Family& family : record.families) {
       result.families.push_back(std::move(family));
     }
   };
-  // Serial BGG + DSD: build each qualifying component's graph, Shingle it,
-  // fold it and free it, strictly in component order — so at most one
-  // graph is alive at a time. Merges are captured when provenance is on.
-  const auto drain_serial = [&] {
-    for (const auto& component : result.ccd.components) {
-      if (component.size() < config.min_component) continue;
-      const bigraph::ComponentGraph graph = build_graph(component);
-      const util::MemoryCharge charge("bgg", graph.graph.memory_usage());
-      fold(graph, shingle_graph(graph, config.shingle, &pool, want_prov));
-      // The resume replay runs after its phase has ended: no progress.
-      if (families_resumed) continue;
-      util::telemetry::progress_done(1);
-      util::telemetry::poll_deadline();
-    }
+  // Pooled BGG + DSD: one loop over the qualifying components in component
+  // order (largest first), one component per chunk. A lane builds its
+  // graph, Shingles it on the same pool (nested loops let idle lanes help
+  // inside the largest graphs), measures its densities into the record and
+  // frees it, so at most one graph per lane is alive. The fold then walks
+  // the records in component order, so families and evidence do not depend
+  // on which lane ran which graph; one lane runs the components in order.
+  // Merges are captured when provenance is on.
+  const auto drain = [&] {
+    std::vector<GraphFamilies> records(qualifying.size());
+    DrainGate gate(pool.size() > 1);
+    pool.for_range(qualifying.size(), 1, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t g = lo; g < hi; ++g) {
+        const DrainGate::Slot slot(gate);
+        const bigraph::ComponentGraph graph = build_graph(*qualifying[g]);
+        const util::MemoryCharge charge("bgg", graph.graph.memory_usage());
+        records[g] = shingle_graph(graph, config.shingle, &pool, want_prov);
+        // The resume replay runs after its phase has ended: no progress.
+        if (families_resumed) continue;
+        util::telemetry::progress_done(1);
+        util::telemetry::poll_deadline();
+      }
+    });
+    for (GraphFamilies& record : records) fold(std::move(record));
   };
 
   PhaseSteps families{
@@ -751,9 +794,8 @@ PipelineResult run(const seq::SequenceSet& input,
       // the footprint visible to the governor and the budget-exceeded exit.
       std::vector<bigraph::ComponentGraph> graphs;
       std::vector<util::MemoryCharge> charges;
-      for (const auto& component : result.ccd.components) {
-        if (component.size() < config.min_component) continue;
-        graphs.push_back(build_graph(component));
+      for (const auto* component : qualifying) {
+        graphs.push_back(build_graph(*component));
         charges.emplace_back("bgg", graphs.back().graph.memory_usage());
       }
       // The paper's batched distribution (LPT on the estimated shingle
@@ -773,17 +815,15 @@ PipelineResult run(const seq::SequenceSet& input,
           config.dsd_fault_plan, want_prov);
       result.dsd_run = std::move(dsd.run);
       // Graph order == component order, so the fold is bit-identical to
-      // the serial drain's whichever rank evaluated which graph.
-      for (std::size_t g = 0; g < graphs.size(); ++g) {
-        fold(graphs[g], std::move(dsd.per_graph[g]));
-      }
+      // the pooled drain's whichever rank evaluated which graph.
+      for (GraphFamilies& record : dsd.per_graph) fold(std::move(record));
     } else {
       // One progress unit per component graph, the same granularity the
       // protocol path reports via its verdict stream, plus each B_d
       // graph's candidate pairs, which its engine run reports as it
       // inspects them.
-      util::telemetry::progress_enqueued(qualifying);
-      drain_serial();
+      util::telemetry::progress_enqueued(qualifying.size());
+      drain();
     }
     const double seconds = timer.elapsed_seconds();
     std::sort(result.families.begin(), result.families.end(),
@@ -808,9 +848,9 @@ PipelineResult run(const seq::SequenceSet& input,
     return components_hash(result.ccd.components);
   };
   // A computed phase noted its evidence as it folded. A resumed one
-  // replays the serial drain, whose fold then only notes evidence.
+  // replays the drain, whose fold then only notes evidence.
   families.derive = [&] {
-    if (families_resumed) drain_serial();
+    if (families_resumed) drain();
     return std::move(dsd_noted);
   };
   run_phase(families, ckpt, want_prov, result.phase_log, dsd_evidence);

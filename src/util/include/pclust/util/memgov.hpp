@@ -21,6 +21,12 @@
 //                     batched-engine guarantee)
 //   pressure >= 0.70  the shingle pass spills its cold element table to a
 //                     temp file through the IoEnv between passes
+//   peak >= 0.70      the pooled BGG+DSD drain starts a component graph
+//                     only while no other graph is in flight (the fold is
+//                     in component order whoever built which graph). It
+//                     reads the ledger's high-water, not its level: a graph
+//                     charges its Shingle tables late, after the next graph
+//                     has started
 //
 // Every lever taken is recorded as a DegradationEvent; the run report's
 // `degradation` section is assembled from this log. When the ledger
@@ -90,6 +96,12 @@ class MemoryGovernor {
   /// True when a cold table should spill through the IoEnv
   /// (pressure >= 0.70); records a DegradationEvent when taken.
   [[nodiscard]] bool should_spill(std::string_view phase);
+
+  /// True when the pooled BGG+DSD drain should start a graph only while no
+  /// other is in flight: the ledger's high-water has reached 0.70 of the
+  /// budget. Records a `shrink-drain` DegradationEvent the first time it
+  /// narrows in a phase.
+  [[nodiscard]] bool narrow_drain();
 
   void note_degradation(std::string_view phase, std::string_view action,
                         std::string_view detail);

@@ -63,18 +63,6 @@ template <typename T>
 /// inside the object and cost no heap.
 [[nodiscard]] std::uint64_t string_bytes(const std::string& s);
 
-/// Estimated heap bytes of a node-based hash container (unordered_map /
-/// unordered_set): the bucket pointer array plus one heap node (next
-/// pointer + cached hash + value) per element. An estimate — libstdc++'s
-/// actual node layout — good to the word size, which is all the trend
-/// analysis needs.
-template <typename HashContainer>
-[[nodiscard]] std::uint64_t hash_container_bytes(const HashContainer& c) {
-  return static_cast<std::uint64_t>(c.bucket_count()) * sizeof(void*) +
-         static_cast<std::uint64_t>(c.size()) *
-             (2 * sizeof(void*) + sizeof(typename HashContainer::value_type));
-}
-
 /// Current resident set size in bytes (VmRSS); 0 where /proc is absent.
 [[nodiscard]] std::uint64_t current_rss_bytes();
 

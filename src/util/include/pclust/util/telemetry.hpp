@@ -116,7 +116,8 @@ void record_round_trip(double virtual_seconds);
 void virtual_tick(double virtual_now);
 
 /// Throw WatchdogDeadlineExceeded if the watchdog flagged a fatal stall.
-/// Call only from the orchestrating (main) thread.
+/// Call from the orchestrating (main) thread, or from a pool loop body,
+/// whose for_range rethrows it on the thread that called it.
 void poll_deadline();
 
 /// Point-in-time stream counters, e.g. for the run report's provenance

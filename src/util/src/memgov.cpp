@@ -14,6 +14,7 @@ constexpr double kHardExceedFactor = 2.0;
 constexpr double kGrainPressure = 0.70;
 constexpr double kGrainQuarterPressure = 0.95;
 constexpr double kSpillPressure = 0.70;
+constexpr double kDrainPressure = 0.70;
 constexpr std::size_t kGrainFloor = 8;
 
 std::string format_bytes(std::uint64_t bytes) {
@@ -136,6 +137,21 @@ bool MemoryGovernor::should_spill(std::string_view phase) {
     if (p < kSpillPressure) return false;
   }
   note_degradation(phase, "spill", "cold table spilled to temp file");
+  return true;
+}
+
+bool MemoryGovernor::narrow_drain() {
+  std::string phase;
+  double p = 0.0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (budget_ == 0) return false;
+    p = static_cast<double>(high_water_) / static_cast<double>(budget_);
+    if (p < kDrainPressure) return false;
+    phase = phase_;
+  }
+  note_degradation(phase, "shrink-drain",
+                   format("one graph in flight at peak pressure %.2f", p));
   return true;
 }
 

@@ -459,5 +459,41 @@ TEST(BatchSimd, PooledSplitMatchesOneCall) {
   gov.configure(0);
 }
 
+TEST(BatchSimd, PooledLaneSlicesMatchOneCall) {
+  // Several lanes cut a call into one slice per lane (never below one SIMD
+  // chunk, never above kPoolGrain), so the slice boundaries move with both
+  // the count and the pool size. Every count from 1 to 300 must still
+  // score each job exactly as one unpooled call does.
+  util::Xoshiro256 rng(9211);
+  const ScoringScheme& s = blosum62();
+  constexpr std::size_t kMost = 300;
+  std::vector<std::string> residues;
+  residues.reserve(2 * kMost);
+  std::vector<PairJob> jobs;
+  for (std::size_t k = 0; k < kMost; ++k) {
+    residues.push_back(random_peptide(rng, 16 + rng.below(48)));
+    residues.push_back(mutate(rng, residues.back(), 0.2));
+    const std::int64_t band = k % 2 == 0 ? -1 : 12;
+    jobs.push_back({residues[2 * k], residues[2 * k + 1],
+                    static_cast<std::int64_t>(rng.below(5)) - 2, band});
+  }
+  std::vector<AlignmentResult> want(kMost);
+  align_score_batch(jobs.data(), kMost, s, want.data());
+
+  for (const unsigned lanes : {1u, 2u, 4u, 8u}) {
+    exec::Pool pool(lanes);
+    std::vector<AlignmentResult> got(kMost);
+    for (std::size_t count = 1; count <= kMost; ++count) {
+      align_score_batch(jobs.data(), count, s, got.data(), &pool);
+      for (std::size_t k = 0; k < count; ++k) {
+        expect_identical(want[k], got[k],
+                         "lanes=" + std::to_string(lanes) +
+                             " count=" + std::to_string(count) +
+                             " job=" + std::to_string(k));
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pclust::align

@@ -99,6 +99,44 @@ TEST(Pool, ConcurrentForRangeFromManyThreads) {
   for (std::uint64_t s : sums) EXPECT_EQ(s, kN);
 }
 
+TEST(Pool, NestedLoopsKeepOneOuterChunkPerLane) {
+  // The BGG+DSD drain's shape: an outer loop of grain 1 whose bodies run
+  // their own loops on the same pool. Every inner index runs once, a lane
+  // inside an outer body takes no second outer chunk (so at most one per
+  // lane is in flight), and an inner throw reaches the outer caller.
+  Pool pool(4);
+  constexpr std::size_t kOuter = 24;
+  constexpr std::size_t kInner = 300;
+  std::vector<std::vector<std::uint32_t>> hits(
+      kOuter, std::vector<std::uint32_t>(kInner, 0));
+  std::atomic<int> in_flight{0};
+  std::atomic<int> most{0};
+  parallel_for(pool, kOuter, 1, [&](std::size_t g) {
+    const int now = ++in_flight;
+    int seen = most.load();
+    while (now > seen && !most.compare_exchange_weak(seen, now)) {
+    }
+    parallel_for(pool, kInner, 7, [&](std::size_t i) { hits[g][i]++; });
+    --in_flight;
+  });
+  for (const auto& row : hits) {
+    EXPECT_EQ(std::accumulate(row.begin(), row.end(), std::uint64_t{0}),
+              kInner);
+  }
+  EXPECT_LE(most.load(), static_cast<int>(pool.size()));
+
+  EXPECT_THROW(parallel_for(pool, kOuter, 1,
+                            [&](std::size_t g) {
+                              parallel_for(pool, kInner, 7,
+                                           [g](std::size_t i) {
+                                             if (g == 5 && i == 123) {
+                                               throw std::logic_error("inner");
+                                             }
+                                           });
+                            }),
+               std::logic_error);
+}
+
 TEST(Pool, NestedWorkFromPoolSizesAgrees) {
   // The same computation on pools of size 1, 2, and 8 gives the same bytes.
   std::vector<std::vector<std::uint64_t>> results;

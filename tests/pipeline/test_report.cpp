@@ -285,6 +285,32 @@ TEST(RunReport, LedgerCoversEveryStructureItLists) {
   }
 }
 
+TEST(RunReport, PairStreamIsSizedExactlyAtEveryThreadCount) {
+  // The serial engine's stream holds exactly its promising pairs, whether
+  // one lane enumerated it or several lanes' runs were joined, so the
+  // charged footprint is the same at every thread count.
+  const auto d = make_data(89);
+  std::uint64_t one_lane = 0;
+  for (const unsigned threads : {1u, 4u}) {
+    PipelineConfig config;
+    config.threads = threads;
+    util::metrics().reset();
+    const auto result = run(d.sequences, config);
+    const util::JsonValue report = report_for(result, config);
+    const util::JsonValue& pairs = report.at("memory")
+                                       .at("structures")
+                                       .at("rr.pair_stream")
+                                       .at("parts")
+                                       .at("pairs");
+    EXPECT_EQ(pairs.as_u64(), result.rr.counters.promising_pairs *
+                                  sizeof(pace::PairTask))
+        << "threads=" << threads;
+    if (threads == 1) one_lane = pairs.as_u64();
+    EXPECT_EQ(pairs.as_u64(), one_lane) << "threads=" << threads;
+  }
+  EXPECT_GT(one_lane, 0u);
+}
+
 TEST(RunReport, GatedDirectionsAreCountedAndBounded) {
   const auto d = make_data(86);
   PipelineConfig config;

@@ -99,6 +99,50 @@ TEST(ResourcePipelineTest, HopelessBudgetExitsStructuredAndResumes) {
   expect_same_families(golden, resumed);
 }
 
+TEST(ResourcePipelineTest, BudgetNarrowsTheDrainBitIdentically) {
+  // A budget RR alone fills: the ledger's high-water passes 70% of it
+  // before the drain, so on several lanes the drain starts a component
+  // graph only while no other is in flight. The families stay the
+  // unbudgeted run's, and the lever is recorded once as a
+  // bgg+dsd/shrink-drain event. One lane has nothing to narrow.
+  synth::DatasetSpec spec;
+  spec.seed = 85;
+  spec.num_sequences = 260;
+  spec.num_families = 8;
+  spec.mean_length = 80;
+  spec.redundant_fraction = 0.1;
+  spec.noise_fraction = 0.1;
+  const auto d = synth::generate(spec);
+  PipelineConfig plain;
+  plain.reduction = bigraph::Reduction::kMatchBased;
+  plain.threads = 4;
+  util::metrics().reset();
+  const auto golden = run(d.sequences, plain);
+  ASSERT_GE(golden.components_min_size, 2u);
+  const std::uint64_t rr_peak =
+      util::metrics().gauge("mem.rr.suffix_index.total").max() +
+      util::metrics().gauge("mem.rr.pair_stream.total").max();
+  ASSERT_GT(rr_peak, 0u);
+
+  const auto drain_events = [] {
+    std::size_t n = 0;
+    for (const auto& e : util::governor().degradation_log()) {
+      if (e.action != "shrink-drain") continue;
+      EXPECT_EQ(e.phase, "bgg+dsd");
+      ++n;
+    }
+    return n;
+  };
+  for (const unsigned threads : {4u, 1u}) {
+    PipelineConfig budgeted = plain;
+    budgeted.threads = threads;
+    budgeted.mem_budget_bytes = rr_peak;
+    const auto result = run(d.sequences, budgeted);
+    expect_same_families(golden, result);
+    EXPECT_EQ(drain_events(), threads > 1 ? 1u : 0u) << "threads=" << threads;
+  }
+}
+
 TEST(ResourcePipelineTest, AccountingRunsEvenUnbudgeted) {
   const auto d = make_data(84);
   PipelineConfig plain;

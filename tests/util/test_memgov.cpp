@@ -93,6 +93,24 @@ TEST_F(MemGovTest, StreamAndSpillLeversFireAtTheirThresholds) {
   EXPECT_TRUE(governor().should_spill("dsd"));
 }
 
+TEST_F(MemGovTest, DrainNarrowsOnceTheHighWaterReachedThreshold) {
+  // The drain's lever reads the high-water: a graph charges its tables
+  // late, so the level at a graph's start understates what is coming.
+  EXPECT_FALSE(governor().narrow_drain());  // unbudgeted
+  governor().configure(1000);
+  governor().set_phase("bgg+dsd");
+  MemoryCharge charge = held(650);  // peak 0.65
+  EXPECT_FALSE(governor().narrow_drain());
+  charge.add("held", 100);  // peak 0.75
+  charge.reset();           // level 0, peak 0.75
+  EXPECT_TRUE(governor().narrow_drain());
+  EXPECT_TRUE(governor().narrow_drain());
+  const auto log = governor().degradation_log();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].phase, "bgg+dsd");
+  EXPECT_EQ(log[0].action, "shrink-drain");
+}
+
 TEST_F(MemGovTest, LeversAreRecordedOncePerPhaseAndAction) {
   governor().configure(1000);
   const MemoryCharge a = held(990);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace pclust::util {
@@ -43,17 +42,6 @@ TEST(MemSize, StringBytesIgnoresSsoButCountsHeap) {
   EXPECT_EQ(string_bytes(small), 0u);
   const std::string big(4096, 'x');
   EXPECT_GE(string_bytes(big), big.capacity());
-}
-
-TEST(MemSize, HashContainerBytesScalesWithSizeAndBuckets) {
-  std::unordered_map<std::uint64_t, std::uint64_t> m;
-  const std::uint64_t empty = hash_container_bytes(m);
-  for (std::uint64_t i = 0; i < 1000; ++i) m[i] = i;
-  const std::uint64_t filled = hash_container_bytes(m);
-  // At minimum: one node (two pointers + kv pair) per element beyond the
-  // empty container's bucket array.
-  EXPECT_GE(filled, empty + 1000 * (2 * sizeof(void*) + 16));
-  EXPECT_GE(filled, m.bucket_count() * sizeof(void*));
 }
 
 TEST(MemSize, RssReadsProcAndPeakDominatesCurrent) {
