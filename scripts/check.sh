@@ -126,8 +126,10 @@ rc=0; "$pclust" generate --n 300 --families 5 --seed 8 --out "$smoke/other.fa" >
 # and rolled back or recomputed — a --resume abort is a failure — and the
 # resource classes (artifact I/O storms, squeezed --mem-budget) must
 # degrade without touching the family output. 10 seeds = one pass over
-# all 9 classes.
+# all 9 classes. The four-lane pass runs every class on the pooled drain,
+# the one place a budget can take a lever.
 "$pclust" chaos --seeds 10 --n 200 --workdir "$smoke/chaos"
+"$pclust" chaos --seeds 9 --n 200 --threads 4 --workdir "$smoke/chaos4"
 
 # io-chaos: the injectable I/O layer at the CLI. A sticky disk-full storm
 # on every checkpoint write must not change the output (roll back and
@@ -167,6 +169,7 @@ cmp "$smoke/a.tsv" "$smoke/ioc-budget.tsv"
 cmp "$smoke/22k-plain.tsv" "$smoke/22k-budget.tsv"
 grep -q '"phase":"bgg+dsd","action":"shrink-drain"' "$smoke/22k-budget.json" \
   || { echo "the budgeted 22k B_m run did not narrow its drain"; exit 1; }
+"$pclust" report-check "$smoke/22k-budget.json"
 echo "check.sh: io-chaos green (storms, exit codes, budget bit-identity)"
 
 # metrics-smoke: run reports + traces end to end. A serial run on a dense

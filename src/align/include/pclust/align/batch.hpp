@@ -51,8 +51,8 @@ void align_score_batch(const PairJob* jobs, std::size_t count,
 
 /// The same, split across @p pool: the library's one alignment splitter.
 /// Several lanes score slices through one call above each: slices of
-/// min(kPoolGrain (fewer under memory pressure), max(one SIMD chunk,
-/// ceil(count / lanes))) jobs, so a short call still reaches every lane.
+/// min(kPoolGrain, max(one SIMD chunk, ceil(count / lanes))) jobs, so a
+/// short call still reaches every lane.
 /// A null or one-lane pool scores the whole list in one call. Results land
 /// at their job's index, so they are bit-identical for every pool size.
 void align_score_batch(const PairJob* jobs, std::size_t count,

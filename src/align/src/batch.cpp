@@ -10,7 +10,6 @@
 #include "batch_detail.hpp"
 #include "pclust/align/simd.hpp"
 #include "pclust/exec/pool.hpp"
-#include "pclust/util/memgov.hpp"
 #include "pclust/util/metrics.hpp"
 
 namespace pclust::align {
@@ -257,18 +256,14 @@ void align_score_batch(const PairJob* jobs, std::size_t count,
                        const ScoringScheme& scheme, AlignmentResult* out,
                        exec::Pool* pool) {
   // One lane scores the whole list in one call, the widest batch for lane
-  // packing. Several lanes ask the governor for the grain before anything
-  // else, so a budgeted run records its shrink event whatever the count;
-  // shrinking moves only the transient scratch footprint, never a result.
-  // A call of fewer than lanes x grain jobs is cut into one slice per lane
-  // (but never below one SIMD chunk), so a 256-pair flush reaches every
-  // lane.
+  // packing. Several lanes cut a call of fewer than lanes x kPoolGrain jobs
+  // into one slice per lane (but never below one SIMD chunk), so a
+  // 256-pair flush reaches every lane.
   exec::Pool& lanes = exec::or_serial(pool);
   std::size_t grain = count;
   if (lanes.size() > 1) {
     const std::size_t per_lane = (count + lanes.size() - 1) / lanes.size();
-    grain = std::min(util::governor().recommend_grain(kPoolGrain),
-                     std::max(isa_lanes(current_isa()), per_lane));
+    grain = std::min(kPoolGrain, std::max(isa_lanes(current_isa()), per_lane));
   }
   lanes.for_range(count, grain, [&](std::size_t lo, std::size_t hi) {
     align_score_batch(jobs + lo, hi - lo, scheme, out + lo);

@@ -82,8 +82,7 @@ struct SharedIndex {
 
     // Charged under the phase prefix (rr/ccd/bgg) while the index lives:
     // the GST replacement (SA + LCP + buckets) must stay linear in the
-    // text, and it dominates the RR/CCD footprint, so the charge is what
-    // puts the governor under pressure (and shrinks evaluation grains).
+    // text, and it dominates the RR/CCD footprint.
     util::MemoryBreakdown b("suffix_index");
     b.add("concat_text", text.memory_usage());
     b.add("suffix_array", util::vector_bytes(sa));
@@ -430,11 +429,7 @@ EngineCounters run_serial(const seq::SequenceSet& set,
       ++c.filtered_pairs;
     } else {
       batch.push_back(task);
-      // Flush threshold, not grouping: verdicts apply in task order at any
-      // batch size, so the governor shrinking the batch under memory
-      // pressure trades throughput for footprint only.
-      full = batch.size() >=
-             util::governor().recommend_batch(params.batch_size);
+      full = batch.size() >= params.batch_size;
     }
     const bool checkpoint_due = stride > 0 && i + 1 - last_ckpt >= stride;
     if (full || checkpoint_due) flush(i + 1);

@@ -85,12 +85,12 @@ struct PipelineConfig {
   std::uint64_t ccd_checkpoint_stride = 100'000;
 
   /// Memory budget in bytes for the capacity ledger (util/memgov);
-  /// 0 = unlimited. Under pressure the run degrades along
-  /// output-invariant levers only (smaller evaluation grains/batches,
-  /// shingle-table spill), so the family output stays
-  /// bit-identical to an unconstrained run; a run that exceeds twice the
-  /// budget despite degradation exits structured at the next phase
-  /// boundary (MemoryBudgetExceeded), resumable when checkpointing is on.
+  /// 0 = unlimited. Once the ledger's high-water nears the budget, the
+  /// pooled BGG+DSD drain holds one component graph in flight, an
+  /// output-invariant lever, so families, provenance and work counters
+  /// stay bit-identical to an unconstrained run; a run that exceeds twice
+  /// the budget exits structured at the next phase boundary
+  /// (MemoryBudgetExceeded), resumable when checkpointing is on.
   /// Not part of the checkpoint fingerprint: like thread count, the
   /// budget never changes results.
   std::uint64_t mem_budget_bytes = 0;

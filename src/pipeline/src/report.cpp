@@ -613,10 +613,10 @@ bool validate_report(const util::JsonValue& report, std::string* error) {
     }
 
     // `degradation` (optional — present for --mem-budget runs): a positive
-    // budget and well-formed events. Each event must name one of the
-    // governor's output-invariant levers and a real pipeline phase — an
-    // unknown action in a report means either schema drift or a lever that
-    // was never vetted for output invariance, both worth failing loudly.
+    // budget and well-formed events. Each event must name an
+    // output-invariant lever and a real pipeline phase — an unknown action
+    // in a report means either schema drift or a lever that was never
+    // vetted for output invariance, both worth failing loudly.
     if (const util::JsonValue* degr = report.find("degradation")) {
       if (!degr->is_object()) {
         return fail(error, "degradation must be an object");
@@ -631,15 +631,18 @@ bool validate_report(const util::JsonValue& report, std::string* error) {
       if (!events.is_array()) {
         return fail(error, "degradation.events must be an array");
       }
+      // `shrink-drain` is the governor's lever; the others stay accepted so
+      // reports written by earlier releases, which also shrank grains and
+      // batches, streamed BGG and spilled Shingle tables, still validate.
+      static constexpr std::string_view kLevers[] = {
+          "shrink-drain", "shrink-grain", "shrink-batch", "stream", "spill"};
       for (const util::JsonValue& e : events.array) {
         const std::string& action = e.at("action").as_string();
-        // `stream` stays accepted so reports written by earlier releases,
-        // whose BGG stage streamed only under pressure, still validate.
-        if (action != "shrink-grain" && action != "shrink-batch" &&
-            action != "stream" && action != "spill") {
+        if (std::find(std::begin(kLevers), std::end(kLevers), action) ==
+            std::end(kLevers)) {
           return fail(error, "degradation.events: unknown action '" + action +
-                                 "' (levers: shrink-grain, shrink-batch, "
-                                 "stream, spill)");
+                                 "' (levers: shrink-drain, shrink-grain, "
+                                 "shrink-batch, stream, spill)");
         }
         const std::string& phase = e.at("phase").as_string();
         if (phase != "rr" && phase != "ccd" && phase != "bgg+dsd" &&

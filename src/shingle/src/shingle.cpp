@@ -1,15 +1,11 @@
 #include "pclust/shingle/shingle.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <memory>
 #include <span>
 
 #include "pclust/dsu/union_find.hpp"
 #include "pclust/exec/pool.hpp"
 #include "pclust/shingle/minwise.hpp"
-#include "pclust/util/io.hpp"
-#include "pclust/util/log.hpp"
 #include "pclust/util/memgov.hpp"
 #include "pclust/util/memsize.hpp"
 #include "pclust/util/metrics.hpp"
@@ -111,7 +107,7 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
         node_begin[i], node_begin[i + 1] - node_begin[i]);
   };
   // The stage's one charge: each table's part is set as the table is
-  // built, freed, spilled or reloaded.
+  // built or freed.
   util::MemoryCharge charge("dsd", util::MemoryBreakdown("shingle"));
 
   // ---- Pass I: (s1, c1)-shingles of every left vertex -----------------
@@ -135,11 +131,15 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
   });
 
   // Group the tuples by value: one first-level node per run. A vertex's
-  // values are distinct, so each run's vertices are sorted and unique.
+  // values are distinct, so each run's vertices are sorted and unique; the
+  // run's first tuple is its lowest producer's, and its permutation is all
+  // of the tuple the elements need, so the tuples are freed right after.
+  std::vector<std::uint32_t> node_perm;
   producers.resize(tuples.size());
   for (std::size_t k = 0; k < tuples.size(); ++k) {
     if (k == 0 || tuples[k].value != tuples[k - 1].value) {
       node_begin.push_back(static_cast<std::uint32_t>(k));
+      node_perm.push_back(tuples[k].perm);
     }
     producers[k] = tuples[k].vertex;
   }
@@ -148,6 +148,9 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
   local.first_level_shingles = n1;
   charge.set("s1_nodes",
              util::vector_bytes(node_begin) + util::vector_bytes(producers));
+  charge.set("s1_perms", util::vector_bytes(node_perm));
+  std::vector<Tuple>().swap(tuples);
+  charge.set("tuples", 0);
 
   // A node's elements are those its lowest producer's permutation selects
   // (equal values mean equal element sets), re-derived on the pool's lanes.
@@ -156,35 +159,13 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
   lanes.for_range(n1, kGrain, [&](std::size_t a, std::size_t b) {
     Sketch sketch(params.s1, keys1);
     for (std::size_t i = a; i < b; ++i) {
-      const Tuple& lowest = tuples[node_begin[i]];
-      const auto e = sketch.select(graph.out_links(lowest.vertex), lowest.perm);
+      const auto e = sketch.select(graph.out_links(producers[node_begin[i]]),
+                                   node_perm[i]);
       std::copy(e.begin(), e.end(), elements.begin() + i * s1);
     }
   });
-  std::vector<Tuple>().swap(tuples);
-  charge.set("tuples", 0);
-
-  // The element table is cold through all of Pass II — the merge list and
-  // the report read it back — so under memory pressure the governor spills
-  // it through the IoEnv (ArtifactClass::kSpill) as one flat block. A
-  // spill I/O failure just keeps the table in memory: spilling is an
-  // optimization, losing spilled data would not be. The reload restores
-  // the same bytes, so the reported families are bit-identical either way.
-  std::unique_ptr<util::io::SpillFile> spill;
-  if (!elements.empty() && util::governor().should_spill("dsd")) {
-    try {
-      auto file = std::make_unique<util::io::SpillFile>("shingle-elements");
-      file->write(elements.data(), elements.size() * sizeof(std::uint32_t));
-      file->finish();
-      spill = std::move(file);
-      std::vector<std::uint32_t>().swap(elements);
-      charge.set("shingle_elements", 0);  // the table now lives on disk
-    } catch (const util::io::IoError& err) {
-      PCLUST_WARN << "shingle: spill failed, keeping element table in "
-                     "memory: "
-                  << err.what();
-    }
-  }
+  std::vector<std::uint32_t>().swap(node_perm);
+  charge.set("s1_perms", 0);
 
   // ---- Pass II: (s2, c2)-shingles of each first-level shingle ----------
   // First-level shingles sharing a second-level shingle are linked; the
@@ -195,8 +176,7 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
   uf.reset(n1);
   charge.set("union_find", uf.memory_usage().total());
   // Provenance sink: surviving merges recorded as node-index pairs at
-  // decision time; resolved to ShingleMerge after the (possibly spilled)
-  // element table is back in memory.
+  // decision time, resolved to ShingleMerge after the pass.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> merged_nodes;
   const auto keys2 =
       permutation_keys(params.seed ^ 0xD5DEADBEEF00ULL, params.c2);
@@ -213,16 +193,6 @@ std::vector<DenseSubgraph> dense_subgraphs(const bigraph::BipartiteGraph& graph,
       });
   local.second_level_shingles = owners.size();
   charge.set("s2_owners", owners.bytes());
-
-  // Reload a spilled element table for the merge list and the report.
-  if (spill) {
-    const std::vector<std::uint8_t> bytes = spill->read_all();
-    elements.resize(n1 * s1);
-    std::memcpy(elements.data(), bytes.data(),
-                elements.size() * sizeof(std::uint32_t));
-    spill.reset();
-    charge.set("shingle_elements", util::vector_bytes(elements));
-  }
 
   // Resolve the recorded merge decisions: producer-overlap counts as
   // evidence, each node's smallest element (elements are sorted) as the

@@ -2,7 +2,7 @@
 //
 // All durable outputs — family clusterings, generated FASTA, checkpoints,
 // run reports, telemetry JSONL, trace timelines, the optional log sink, and
-// spill files — go through the process-wide IoEnv. It provides
+// provenance ledgers — go through the process-wide IoEnv. It provides
 //
 //   * atomic commits (tmp file + rename, optional fsync-on-commit) with
 //     short-write detection, retried with exponential backoff
@@ -13,7 +13,8 @@
 //     pure function of the plan and the write ordinal, never wall-clock,
 //   * a per-class degradation policy once retries are exhausted:
 //
-//       families, report, spill  -> throw IoError (class+path attributed)
+//       families, report,        -> throw IoError (class+path attributed)
+//       provenance
 //       checkpoint               -> throw IoError; write_checkpoint rolls
 //                                   back to the previous generation and
 //                                   the run continues (checkpointing is
@@ -51,12 +52,11 @@ enum class ArtifactClass : int {
   kTelemetry,     // JSONL stream — drop-and-count
   kTrace,         // trace-event timeline — drop-and-count
   kLog,           // PCLUST_LOG_FILE sink — drop-and-count (stderr remains)
-  kSpill,         // memory-governor spill files — throw; caller keeps RAM
   kProvenance,    // merge-provenance ledgers/sidecars — fatal (an audit
                   // artifact the operator asked for; silently losing the
                   // evidence trail would defeat its purpose)
 };
-inline constexpr int kArtifactClassCount = 8;
+inline constexpr int kArtifactClassCount = 7;
 
 [[nodiscard]] std::string_view class_name(ArtifactClass cls);
 /// Throws std::invalid_argument for an unknown name.
@@ -151,8 +151,8 @@ class IoEnv {
                            std::string_view bytes,
                            bool fsync_on_commit = true);
 
-  /// Gate one streaming append (telemetry record, trace flush, log line,
-  /// spill block). Returns false when the fault plan says this write
+  /// Gate one streaming append (telemetry record, trace flush, log
+  /// line). Returns false when the fault plan says this write
   /// fails — the caller drops (drop-and-count classes) or throws (fatal
   /// classes). Appends have no retry loop, so a transient fault costs
   /// exactly one record.
@@ -191,33 +191,5 @@ class IoEnv {
 
 /// Shorthand for IoEnv::instance().
 [[nodiscard]] IoEnv& io();
-
-/// A temporary spill file written through the IoEnv (ArtifactClass::
-/// kSpill): the memory governor's pressure valve for cold in-memory
-/// tables. write()/finish() stage bytes out; read_all() loads them back;
-/// the destructor removes the file. A spill-write failure throws IoError —
-/// the caller's contract is to catch it and keep the data in memory
-/// (spilling is an optimization, losing spilled data would not be).
-class SpillFile {
- public:
-  explicit SpillFile(std::string_view label);
-  ~SpillFile();
-  SpillFile(const SpillFile&) = delete;
-  SpillFile& operator=(const SpillFile&) = delete;
-
-  void write(const void* data, std::size_t size);
-  /// Flush and close the write side; write() is invalid afterwards.
-  void finish();
-  /// Read the whole spill back (finish()es first if still open).
-  [[nodiscard]] std::vector<std::uint8_t> read_all();
-
-  [[nodiscard]] const std::filesystem::path& path() const { return path_; }
-  [[nodiscard]] std::uint64_t bytes_written() const { return written_; }
-
- private:
-  std::filesystem::path path_;
-  std::FILE* out_ = nullptr;
-  std::uint64_t written_ = 0;
-};
 
 }  // namespace pclust::util::io

@@ -11,16 +11,10 @@
 // (capacities, not RSS), so every decision the governor makes is
 // host-independent and reproducible.
 //
-// Phases consult the governor at allocation decision points and degrade
-// along OUTPUT-INVARIANT levers only — the bit-identity contract
-// (chaos class 8: a budgeted run's families equal the unconstrained
-// run's) restricts which knobs may move:
+// The governor has one lever, and it keeps the output invariant — the
+// bit-identity contract (chaos class 8: a budgeted run's families,
+// provenance ledger and work counters equal the unconstrained run's):
 //
-//   pressure >= 0.70  evaluation grains and serial batch sizes shrink
-//                     (verdict order is batch-size independent by the
-//                     batched-engine guarantee)
-//   pressure >= 0.70  the shingle pass spills its cold element table to a
-//                     temp file through the IoEnv between passes
 //   peak >= 0.70      the pooled BGG+DSD drain starts a component graph
 //                     only while no other graph is in flight (the fold is
 //                     in component order whoever built which graph). It
@@ -28,7 +22,11 @@
 //                     charges its Shingle tables late, after the next graph
 //                     has started
 //
-// Every lever taken is recorded as a DegradationEvent; the run report's
+// Serial structures keep their footprint down by construction (no
+// quadratic tables; Shingle frees its tuples before it builds the element
+// table), so one lane has nothing to degrade.
+//
+// The lever taken is recorded as a DegradationEvent; the run report's
 // `degradation` section is assembled from this log. When the ledger
 // exceeds TWICE the budget despite degradation, the situation is
 // hopeless: the pipeline throws MemoryBudgetExceeded at the next phase
@@ -79,23 +77,11 @@ class MemoryGovernor {
   [[nodiscard]] bool budgeted() const { return budget() > 0; }
 
   /// The phase label used for degradation events from callees that do not
-  /// know which phase they run in (the alignment engine's grain choice).
+  /// know which phase they run in (the pooled drain).
   void set_phase(std::string_view phase);
 
   [[nodiscard]] std::uint64_t ledger() const;
   [[nodiscard]] std::uint64_t high_water() const;
-  /// ledger / budget; 0 when unbudgeted.
-  [[nodiscard]] double pressure() const;
-
-  /// Shrunken evaluation grain / batch size under pressure (>= 0.70
-  /// halves, >= 0.95 quarters, floor 8). Returns @p normal unbudgeted.
-  /// Records a DegradationEvent the first time it shrinks in a phase.
-  [[nodiscard]] std::size_t recommend_grain(std::size_t normal);
-  [[nodiscard]] std::size_t recommend_batch(std::size_t normal);
-
-  /// True when a cold table should spill through the IoEnv
-  /// (pressure >= 0.70); records a DegradationEvent when taken.
-  [[nodiscard]] bool should_spill(std::string_view phase);
 
   /// True when the pooled BGG+DSD drain should start a graph only while no
   /// other is in flight: the ledger's high-water has reached 0.70 of the
@@ -124,8 +110,6 @@ class MemoryGovernor {
   /// The ledger primitives; only MemoryCharge moves the ledger.
   void charge(std::string_view what, std::uint64_t bytes);
   void release(std::uint64_t bytes);
-
-  [[nodiscard]] std::size_t shrink(std::size_t normal, const char* action);
 
   mutable std::mutex mu_;
   std::uint64_t budget_ = 0;

@@ -18,8 +18,8 @@ namespace pclust::util::io {
 namespace {
 
 constexpr std::string_view kClassNames[kArtifactClassCount] = {
-    "families",  "checkpoint", "report", "telemetry",
-    "trace",     "log",        "spill",  "provenance"};
+    "families", "checkpoint", "report",    "telemetry",
+    "trace",    "log",        "provenance"};
 
 constexpr std::string_view kKindNames[] = {"enospc", "eio", "short", "fsync"};
 
@@ -114,8 +114,7 @@ ArtifactClass class_from_name(std::string_view name) {
   }
   throw std::invalid_argument("unknown artifact class '" + std::string(name) +
                               "' (use families, checkpoint, report, "
-                              "telemetry, trace, log, spill, or "
-                              "provenance)");
+                              "telemetry, trace, log, or provenance)");
 }
 
 std::string_view kind_name(FaultKind kind) {
@@ -345,68 +344,6 @@ std::uint64_t IoEnv::dropped_total() const {
     n += dropped_[c].load(std::memory_order_relaxed);
   }
   return n;
-}
-
-SpillFile::SpillFile(std::string_view label) {
-  static std::atomic<std::uint64_t> counter{0};
-  const std::uint64_t id = counter.fetch_add(1, std::memory_order_relaxed);
-  path_ = std::filesystem::temp_directory_path() /
-          ("pclust-spill-" + std::string(label) + "-" +
-           std::to_string(::getpid()) + "-" + std::to_string(id) + ".bin");
-  out_ = io().open_stream(ArtifactClass::kSpill, path_.string(), "wb");
-  if (!out_) {
-    throw IoError(ArtifactClass::kSpill, path_,
-                  "cannot open spill file for writing");
-  }
-}
-
-SpillFile::~SpillFile() {
-  if (out_) std::fclose(out_);
-  std::error_code ec;
-  std::filesystem::remove(path_, ec);
-}
-
-void SpillFile::write(const void* data, std::size_t size) {
-  if (!out_) {
-    throw IoError(ArtifactClass::kSpill, path_, "spill already finished");
-  }
-  if (!io().admit_append(ArtifactClass::kSpill)) {
-    throw IoError(ArtifactClass::kSpill, path_,
-                  "injected I/O fault on spill write");
-  }
-  if (std::fwrite(data, 1, size, out_) != size) {
-    throw IoError(ArtifactClass::kSpill, path_,
-                  "short write to spill file: " + errno_message());
-  }
-  written_ += size;
-  metrics().counter("io.spill_bytes").add(size);
-}
-
-void SpillFile::finish() {
-  if (!out_) return;
-  const bool ok = std::fflush(out_) == 0;
-  std::fclose(out_);
-  out_ = nullptr;
-  if (!ok) {
-    throw IoError(ArtifactClass::kSpill, path_, "flush failed on spill file");
-  }
-}
-
-std::vector<std::uint8_t> SpillFile::read_all() {
-  finish();
-  std::FILE* in = std::fopen(path_.string().c_str(), "rb");
-  if (!in) {
-    throw IoError(ArtifactClass::kSpill, path_,
-                  "cannot reopen spill file for reading");
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(written_));
-  const std::size_t n = std::fread(bytes.data(), 1, bytes.size(), in);
-  std::fclose(in);
-  if (n != bytes.size()) {
-    throw IoError(ArtifactClass::kSpill, path_,
-                  "spill file truncated on read-back");
-  }
-  return bytes;
 }
 
 }  // namespace pclust::util::io

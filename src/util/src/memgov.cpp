@@ -11,11 +11,7 @@ namespace pclust::util {
 namespace {
 
 constexpr double kHardExceedFactor = 2.0;
-constexpr double kGrainPressure = 0.70;
-constexpr double kGrainQuarterPressure = 0.95;
-constexpr double kSpillPressure = 0.70;
 constexpr double kDrainPressure = 0.70;
-constexpr std::size_t kGrainFloor = 8;
 
 std::string format_bytes(std::uint64_t bytes) {
   if (bytes >= 1024ull * 1024ull * 1024ull) {
@@ -90,54 +86,6 @@ std::uint64_t MemoryGovernor::ledger() const {
 std::uint64_t MemoryGovernor::high_water() const {
   std::lock_guard<std::mutex> lock(mu_);
   return high_water_;
-}
-
-double MemoryGovernor::pressure() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (budget_ == 0) return 0.0;
-  return static_cast<double>(ledger_) / static_cast<double>(budget_);
-}
-
-std::size_t MemoryGovernor::shrink(std::size_t normal, const char* action) {
-  std::string phase;
-  double p = 0.0;
-  std::size_t shrunk = normal;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (budget_ == 0 || normal <= kGrainFloor) return normal;
-    p = static_cast<double>(ledger_) / static_cast<double>(budget_);
-    if (p >= kGrainQuarterPressure) {
-      shrunk = std::max(kGrainFloor, normal / 4);
-    } else if (p >= kGrainPressure) {
-      shrunk = std::max(kGrainFloor, normal / 2);
-    }
-    phase = phase_;
-  }
-  if (shrunk != normal) {
-    note_degradation(phase, action,
-                     format("%zu -> %zu at pressure %.2f", normal, shrunk, p));
-  }
-  return shrunk;
-}
-
-std::size_t MemoryGovernor::recommend_grain(std::size_t normal) {
-  return shrink(normal, "shrink-grain");
-}
-
-std::size_t MemoryGovernor::recommend_batch(std::size_t normal) {
-  return shrink(normal, "shrink-batch");
-}
-
-bool MemoryGovernor::should_spill(std::string_view phase) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (budget_ == 0) return false;
-    const double p =
-        static_cast<double>(ledger_) / static_cast<double>(budget_);
-    if (p < kSpillPressure) return false;
-  }
-  note_degradation(phase, "spill", "cold table spilled to temp file");
-  return true;
 }
 
 bool MemoryGovernor::narrow_drain() {

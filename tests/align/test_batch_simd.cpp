@@ -23,7 +23,6 @@
 #include "pclust/align/simd.hpp"
 #include "pclust/exec/pool.hpp"
 #include "pclust/seq/alphabet.hpp"
-#include "pclust/util/memgov.hpp"
 #include "pclust/util/metrics.hpp"
 #include "pclust/util/rng.hpp"
 
@@ -428,35 +427,6 @@ TEST(BatchSimd, PooledSplitMatchesOneCall) {
           std::string("pool=") + name + " count=" + std::to_string(count));
     }
   }
-
-  // Under memory pressure several lanes ask the governor for a smaller
-  // grain before deciding whether to split (so even one job records the
-  // shrink, once per phase); one lane never asks.
-  std::vector<AlignmentResult> want(most);
-  align_score_batch(jobs.data(), most, s, want.data());
-  util::MemoryGovernor& gov = util::governor();
-  for (const auto& [pool, events] :
-       {std::pair{&four, std::size_t{1}}, std::pair{&one, std::size_t{0}}}) {
-    gov.configure(1000);
-    gov.set_phase("pooled-split");
-    util::MemoryCharge pressure;
-    pressure.add("pressure", 800);
-    ASSERT_GE(gov.pressure(), 0.7);
-    const std::string what =
-        "lanes=" + std::to_string(pool->size()) + " under pressure";
-    const auto shrinks = [&gov] {
-      std::size_t n = 0;
-      for (const util::DegradationEvent& e : gov.degradation_log()) {
-        n += e.action == "shrink-grain" ? 1 : 0;
-      }
-      return n;
-    };
-    expect_split_matches(pool, {want.front()}, what);
-    EXPECT_EQ(shrinks(), events) << what << ", one job";
-    expect_split_matches(pool, want, what);
-    EXPECT_EQ(shrinks(), events) << what;
-  }
-  gov.configure(0);
 }
 
 TEST(BatchSimd, PooledLaneSlicesMatchOneCall) {

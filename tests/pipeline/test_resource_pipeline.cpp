@@ -1,17 +1,22 @@
-// --mem-budget at the pipeline level: a generous budget changes nothing,
-// a squeezed budget degrades along output-invariant levers only (same
-// families, populated degradation log), and a hopeless budget exits
-// structured at a phase boundary with flushed checkpoints so --resume
-// with a larger budget completes bit-identically.
+// --mem-budget at the pipeline level: a generous budget changes nothing;
+// a squeezed budget may only narrow the pooled drain, so families, the
+// provenance ledger and every work counter stay the unbudgeted run's, and
+// the run's report validates; and a hopeless budget exits structured at a
+// phase boundary with flushed checkpoints so --resume with a larger budget
+// completes bit-identically.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "pclust/pipeline/pipeline.hpp"
+#include "pclust/pipeline/report.hpp"
+#include "pclust/prov/ledger.hpp"
 #include "pclust/synth/generator.hpp"
+#include "pclust/util/json.hpp"
 #include "pclust/util/memgov.hpp"
 #include "pclust/util/metrics.hpp"
 #include "scoped_temp_dir.hpp"
@@ -41,6 +46,44 @@ void expect_same_families(const PipelineResult& a, const PipelineResult& b) {
   }
 }
 
+/// One run as a budget must leave it: its families, provenance ledger and
+/// registry counters, plus what the governor saw.
+struct Observed {
+  PipelineResult result;
+  std::string ledger;
+  util::MetricsSnapshot metrics;
+  std::uint64_t high_water = 0;
+  std::vector<util::DegradationEvent> events;
+};
+
+Observed observe(const synth::Dataset& d, const PipelineConfig& config) {
+  util::metrics().reset();
+  Observed o;
+  o.result = run(d.sequences, config);
+  o.metrics = util::metrics().snapshot();
+  o.high_water = util::governor().high_water();
+  o.events = util::governor().degradation_log();
+  o.ledger = prov::render_ledger(o.result.provenance);
+  return o;
+}
+
+/// The budget contract: the same families and ledger, and every registry
+/// counter but memgov.degradations equal to the unbudgeted run's.
+void expect_same_work(const Observed& golden, const Observed& budgeted) {
+  expect_same_families(golden.result, budgeted.result);
+  EXPECT_EQ(golden.ledger, budgeted.ledger);
+  std::set<std::string> names;
+  for (const auto& [name, value] : golden.metrics.counters) names.insert(name);
+  for (const auto& [name, value] : budgeted.metrics.counters) {
+    names.insert(name);
+  }
+  for (const std::string& name : names) {
+    if (name == "memgov.degradations") continue;
+    EXPECT_EQ(budgeted.metrics.counter(name), golden.metrics.counter(name))
+        << name;
+  }
+}
+
 TEST(ResourcePipelineTest, GenerousBudgetChangesNothing) {
   const auto d = make_data(81);
   PipelineConfig plain;
@@ -54,23 +97,31 @@ TEST(ResourcePipelineTest, GenerousBudgetChangesNothing) {
 }
 
 TEST(ResourcePipelineTest, SqueezedBudgetDegradesBitIdentically) {
+  // A budget at 60% of the unbudgeted peak may only narrow the pooled
+  // drain. One lane has no lever: it logs nothing and peaks where the
+  // unbudgeted run did. Several lanes log at most bgg+dsd/shrink-drain.
   const auto d = make_data(82);
-  PipelineConfig plain;
-  const auto golden = run(d.sequences, plain);
-  const std::uint64_t peak = util::governor().high_water();
-  ASSERT_GT(peak, 0u);
+  for (const unsigned threads : {1u, 4u}) {
+    PipelineConfig plain;
+    plain.threads = threads;
+    plain.provenance = true;
+    const Observed golden = observe(d, plain);
+    ASSERT_GT(golden.high_water, 0u);
 
-  PipelineConfig budgeted = plain;
-  budgeted.mem_budget_bytes =
-      static_cast<std::uint64_t>(static_cast<double>(peak) * 0.6);
-  const auto result = run(d.sequences, budgeted);
-  expect_same_families(golden, result);
-  const auto events = util::governor().degradation_log();
-  EXPECT_FALSE(events.empty())
-      << "a run squeezed to 60% of its peak must take at least one lever";
-  for (const auto& e : events) {
-    EXPECT_FALSE(e.phase.empty());
-    EXPECT_FALSE(e.action.empty());
+    PipelineConfig budgeted = plain;
+    budgeted.mem_budget_bytes = static_cast<std::uint64_t>(
+        static_cast<double>(golden.high_water) * 0.6);
+    const Observed squeezed = observe(d, budgeted);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_same_work(golden, squeezed);
+    if (threads == 1) {
+      EXPECT_TRUE(squeezed.events.empty());
+      EXPECT_EQ(squeezed.high_water, golden.high_water);
+    }
+    for (const auto& e : squeezed.events) {
+      EXPECT_EQ(e.phase, "bgg+dsd");
+      EXPECT_EQ(e.action, "shrink-drain");
+    }
   }
 }
 
@@ -103,8 +154,9 @@ TEST(ResourcePipelineTest, BudgetNarrowsTheDrainBitIdentically) {
   // A budget RR alone fills: the ledger's high-water passes 70% of it
   // before the drain, so on several lanes the drain starts a component
   // graph only while no other is in flight. The families stay the
-  // unbudgeted run's, and the lever is recorded once as a
-  // bgg+dsd/shrink-drain event. One lane has nothing to narrow.
+  // unbudgeted run's, the lever is recorded once as a
+  // bgg+dsd/shrink-drain event, and the report carrying it validates.
+  // One lane has nothing to narrow.
   synth::DatasetSpec spec;
   spec.seed = 85;
   spec.num_sequences = 260;
@@ -140,6 +192,12 @@ TEST(ResourcePipelineTest, BudgetNarrowsTheDrainBitIdentically) {
     const auto result = run(d.sequences, budgeted);
     expect_same_families(golden, result);
     EXPECT_EQ(drain_events(), threads > 1 ? 1u : 0u) << "threads=" << threads;
+    std::string error;
+    EXPECT_TRUE(validate_report(
+        util::parse_json(render_report(result, budgeted,
+                                       {"families", "synthetic", ""})),
+        &error))
+        << "threads=" << threads << ": " << error;
   }
 }
 

@@ -5,9 +5,6 @@
 #include <set>
 #include <string>
 
-#include "pclust/util/io.hpp"
-#include "pclust/util/log.hpp"
-#include "pclust/util/memgov.hpp"
 #include "pclust/util/metrics.hpp"
 #include "pclust/util/rng.hpp"
 
@@ -220,95 +217,21 @@ TEST(Shingle, LargerCRaisesTupleCount) {
   EXPECT_LT(ss.tuples, sl.tuples);
 }
 
-/// One run's whole output, for comparing a pressured run with a free one.
-struct DsdRun {
-  std::vector<DenseSubgraph> candidates;
-  DsdStats stats;
-  std::vector<ShingleMerge> merges;
-};
-
-DsdRun run_dsd(const BipartiteGraph& g) {
-  DsdRun r;
-  r.candidates = dense_subgraphs(g, quick_params(), &r.stats, nullptr,
-                                 &r.merges);
-  return r;
-}
-
-void expect_same_run(const DsdRun& a, const DsdRun& b) {
-  ASSERT_EQ(a.candidates.size(), b.candidates.size());
-  for (std::size_t i = 0; i < a.candidates.size(); ++i) {
-    EXPECT_EQ(a.candidates[i].left, b.candidates[i].left);
-    EXPECT_EQ(a.candidates[i].right, b.candidates[i].right);
-  }
-  EXPECT_EQ(a.stats.tuples, b.stats.tuples);
-  EXPECT_EQ(a.stats.first_level_shingles, b.stats.first_level_shingles);
-  EXPECT_EQ(a.stats.second_level_shingles, b.stats.second_level_shingles);
-  EXPECT_EQ(a.stats.raw_components, b.stats.raw_components);
-  ASSERT_EQ(a.merges.size(), b.merges.size());
-  for (std::size_t k = 0; k < a.merges.size(); ++k) {
-    EXPECT_EQ(a.merges[k].a, b.merges[k].a);
-    EXPECT_EQ(a.merges[k].b, b.merges[k].b);
-    EXPECT_EQ(a.merges[k].matches, b.merges[k].matches);
-    EXPECT_EQ(a.merges[k].columns, b.merges[k].columns);
-  }
-}
-
-/// The governor and the I/O environment are process-global: each case
-/// squeezes the budget itself and leaves both unconstrained. A ledger
-/// charge of 80 % of a 1 GiB budget puts the spill lever (pressure 0.70)
-/// in play without the stage's own few kilobytes mattering.
-class ShingleSpill : public ::testing::Test {
- protected:
-  static constexpr std::uint64_t kBudget = 1ull << 30;
-  void TearDown() override {
-    util::governor().configure(0);
-    util::io::io().reset();
-  }
-};
-
-TEST_F(ShingleSpill, PressureSpillsElementTableAndOutputIsUnchanged) {
-  const auto g = cliques_graph({15, 10, 8}, /*noise_edges=*/6);
-  const DsdRun free_run = run_dsd(g);
-  ASSERT_FALSE(free_run.merges.empty());
-
-  util::governor().configure(kBudget);
-  util::MemoryCharge squeeze;
-  squeeze.add("squeeze", kBudget / 10 * 8);
-  auto& spilled_bytes = util::metrics().counter("io.spill_bytes");
-  const std::uint64_t before = spilled_bytes.value();
-  const DsdRun pressured = run_dsd(g);
-  expect_same_run(pressured, free_run);
-
-  // The element table (s1 = 3 elements per first-level node) went to disk
-  // as one block, and the lever was logged once.
-  EXPECT_EQ(spilled_bytes.value() - before,
-            free_run.stats.first_level_shingles * 3 * sizeof(std::uint32_t));
-  const auto log = util::governor().degradation_log();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].phase, "dsd");
-  EXPECT_EQ(log[0].action, "spill");
-}
-
-TEST_F(ShingleSpill, FailedSpillKeepsElementTableInMemory) {
-  const auto g = cliques_graph({15, 10, 8}, /*noise_edges=*/6);
-  const DsdRun free_run = run_dsd(g);
-
-  util::io::io().configure(
-      util::io::IoFaultPlan::parse("spill:enospc@1:sticky"));
-  util::governor().configure(kBudget);
-  util::MemoryCharge squeeze;
-  squeeze.add("squeeze", kBudget / 10 * 8);
-  const util::LogLevel saved = util::log_level();
-  util::set_log_level(util::LogLevel::kWarn);
-  ::testing::internal::CaptureStderr();
-  const DsdRun pressured = run_dsd(g);
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  util::set_log_level(saved);
-
-  expect_same_run(pressured, free_run);
-  EXPECT_NE(err.find("shingle: spill failed, keeping element table in memory"),
-            std::string::npos)
-      << err;
+TEST(Shingle, ElementTableIsBuiltAfterTheTuplesAreFreed) {
+  // Pass I keeps each first-level node's lowest permutation and frees the
+  // tuple table before it derives the element table, so the stage's peak
+  // never holds the tuples, the nodes and the elements at once.
+  util::metrics().reset();
+  [[maybe_unused]] auto r = dense_subgraphs(
+      cliques_graph({15, 10, 8}, /*noise_edges=*/6), quick_params());
+  const auto peak = [](const char* part) {
+    return util::metrics()
+        .gauge(std::string("mem.dsd.shingle.") + part)
+        .max();
+  };
+  ASSERT_GT(peak("shingle_elements"), 0u);
+  EXPECT_LT(peak("total"),
+            peak("tuples") + peak("s1_nodes") + peak("shingle_elements"));
 }
 
 }  // namespace

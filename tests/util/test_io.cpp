@@ -2,11 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "pclust/util/metrics.hpp"
 #include "scoped_temp_dir.hpp"
@@ -53,7 +51,7 @@ TEST(IoFaultPlanTest, ParsesClassKindOrdinalAndSticky) {
 
 TEST(IoFaultPlanTest, ParsesEveryClassAndKind) {
   for (const char* cls : {"families", "checkpoint", "report", "telemetry",
-                          "trace", "log", "spill"}) {
+                          "trace", "log", "provenance"}) {
     for (const char* kind : {"enospc", "eio", "short", "fsync"}) {
       const std::string spec = std::string(cls) + ":" + kind + "@1";
       const IoFaultPlan plan = IoFaultPlan::parse(spec);
@@ -198,30 +196,6 @@ TEST_F(IoEnvTest, OpenFaultAtWriteZeroFailsTheOpen) {
   std::FILE* f = io().open_stream(ArtifactClass::kLog, path, "a");
   ASSERT_NE(f, nullptr);
   std::fclose(f);
-}
-
-// ---- SpillFile ---------------------------------------------------------
-
-TEST_F(IoEnvTest, SpillFileRoundTripsAndRemovesItself) {
-  fs::path spilled;
-  const std::vector<std::uint8_t> payload = {1, 2, 3, 250, 251, 252};
-  {
-    SpillFile spill("test-table");
-    spill.write(payload.data(), payload.size());
-    spill.finish();
-    spilled = spill.path();
-    EXPECT_TRUE(fs::exists(spilled));
-    EXPECT_EQ(spill.bytes_written(), payload.size());
-    EXPECT_EQ(spill.read_all(), payload);
-  }
-  EXPECT_FALSE(fs::exists(spilled));  // destructor removes the file
-}
-
-TEST_F(IoEnvTest, SpillWriteFaultThrowsSoCallerKeepsRam) {
-  io().configure(IoFaultPlan::parse("spill:enospc@1:sticky"));
-  SpillFile spill("test-table");
-  const char byte = 'x';
-  EXPECT_THROW(spill.write(&byte, 1), IoError);
 }
 
 }  // namespace

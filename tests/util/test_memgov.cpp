@@ -46,10 +46,7 @@ TEST_F(MemGovTest, LedgerTracksChargesAndReleases) {
 TEST_F(MemGovTest, UnbudgetedGovernorNeverDegrades) {
   const MemoryCharge a = held(1u << 30);
   EXPECT_FALSE(governor().budgeted());
-  EXPECT_EQ(governor().pressure(), 0.0);
-  EXPECT_EQ(governor().recommend_grain(64), 64u);
-  EXPECT_EQ(governor().recommend_batch(256), 256u);
-  EXPECT_FALSE(governor().should_spill("dsd"));
+  EXPECT_FALSE(governor().narrow_drain());
   EXPECT_FALSE(governor().hard_exceeded());
   EXPECT_NO_THROW(governor().check_phase_boundary("rr", false));
   EXPECT_TRUE(governor().degradation_log().empty());
@@ -58,39 +55,11 @@ TEST_F(MemGovTest, UnbudgetedGovernorNeverDegrades) {
 TEST_F(MemGovTest, ConfigureResetsLedgerAndLog) {
   governor().configure(1000);
   MemoryCharge a = held(900);
-  (void)governor().should_spill("dsd");
+  (void)governor().narrow_drain();
   governor().configure(1000);
   EXPECT_EQ(governor().ledger(), 0u);
   EXPECT_EQ(governor().high_water(), 0u);
   EXPECT_TRUE(governor().degradation_log().empty());
-}
-
-TEST_F(MemGovTest, GrainHalvesAtPressureAndQuartersNearBudget) {
-  governor().configure(1000);
-  MemoryCharge charge = held(500);  // pressure 0.5 — below the grain lever
-  EXPECT_EQ(governor().recommend_grain(64), 64u);
-  charge.add("held", 250);  // pressure 0.75
-  EXPECT_EQ(governor().recommend_grain(64), 32u);
-  charge.add("held", 210);  // pressure 0.96
-  EXPECT_EQ(governor().recommend_grain(64), 16u);
-  EXPECT_EQ(governor().recommend_batch(256), 64u);
-}
-
-TEST_F(MemGovTest, ShrunkenGrainNeverDropsBelowFloor) {
-  governor().configure(100);
-  const MemoryCharge a = held(99);
-  EXPECT_EQ(governor().recommend_grain(16), 8u);
-  EXPECT_EQ(governor().recommend_grain(4), 4u);  // already tiny: untouched
-}
-
-TEST_F(MemGovTest, StreamAndSpillLeversFireAtTheirThresholds) {
-  governor().configure(1000);
-  MemoryCharge charge = held(400);  // pressure 0.4
-  EXPECT_FALSE(governor().should_spill("dsd"));
-  charge.add("held", 150);  // pressure 0.55
-  EXPECT_FALSE(governor().should_spill("dsd"));
-  charge.add("held", 200);  // pressure 0.75
-  EXPECT_TRUE(governor().should_spill("dsd"));
 }
 
 TEST_F(MemGovTest, DrainNarrowsOnceTheHighWaterReachedThreshold) {
@@ -114,15 +83,20 @@ TEST_F(MemGovTest, DrainNarrowsOnceTheHighWaterReachedThreshold) {
 TEST_F(MemGovTest, LeversAreRecordedOncePerPhaseAndAction) {
   governor().configure(1000);
   const MemoryCharge a = held(990);
-  (void)governor().should_spill("dsd");
-  (void)governor().should_spill("dsd");
-  (void)governor().recommend_grain(64);
-  (void)governor().recommend_grain(64);
+  governor().set_phase("bgg+dsd");
+  EXPECT_TRUE(governor().narrow_drain());
+  EXPECT_TRUE(governor().narrow_drain());
+  governor().note_degradation("bgg+dsd", "shrink-drain", "again");
+  governor().note_degradation("dsd", "shrink-drain", "another phase");
+  governor().set_phase("rr");
+  EXPECT_TRUE(governor().narrow_drain());
   const auto log = governor().degradation_log();
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0].phase, "dsd");
-  EXPECT_EQ(log[0].action, "spill");
-  EXPECT_EQ(log[1].action, "shrink-grain");
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[0].phase, "bgg+dsd");
+  EXPECT_EQ(log[0].action, "shrink-drain");
+  EXPECT_EQ(log[1].phase, "dsd");
+  EXPECT_EQ(log[2].phase, "rr");
+  EXPECT_EQ(metrics().counter("memgov.degradations").value(), 3u);
 }
 
 TEST_F(MemGovTest, HardExceedTripsOnlyPastTwiceTheBudget) {

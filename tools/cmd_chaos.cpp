@@ -37,9 +37,11 @@
 //            IoError and leave no torn artifact behind; transient faults
 //            must heal through the retry layer (io.retries > 0).
 //   class 8  memory-budget degradation: --mem-budget at 55–65 % of the
-//            unconstrained serial peak — the run must complete
-//            bit-identically through output-invariant levers only, with a
-//            populated degradation log and a validating report.
+//            unconstrained peak — the run must match the unconstrained
+//            one bit for bit (families, ledger, every work counter but
+//            memgov.degradations) with a validating report. One lane has
+//            no lever: it logs no event and keeps the unconstrained
+//            high-water; several lanes log only bgg+dsd/shrink-drain.
 //
 // Every run also captures the merge-provenance ledger. Wherever the family
 // contract is bit-identity (classes 0, 1, 3–8), the rendered ledger must
@@ -56,6 +58,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cli_common.hpp"
@@ -127,6 +130,29 @@ bool families_well_formed(const std::vector<pipeline::Family>& families,
       }
       used[id] = 1;
     }
+  }
+  return true;
+}
+
+/// Every registry counter but memgov.degradations must read as in the
+/// golden run: a memory budget may change how many graphs are in flight,
+/// never the work done. A counter absent from one side reads 0.
+bool same_counters(const util::MetricsSnapshot& got,
+                   const util::MetricsSnapshot& golden, std::string* why) {
+  const auto differs = [&](const std::string& name) {
+    if (name == "memgov.degradations" ||
+        got.counter(name) == golden.counter(name)) {
+      return false;
+    }
+    *why = "counter " + name + " is " + std::to_string(got.counter(name)) +
+           ", the unconstrained run's " + std::to_string(golden.counter(name));
+    return true;
+  };
+  for (const auto& [name, value] : got.counters) {
+    if (differs(name)) return false;
+  }
+  for (const auto& [name, value] : golden.counters) {
+    if (differs(name)) return false;
   }
   return true;
 }
@@ -282,8 +308,10 @@ int cmd_chaos(int argc, const char* const* argv) {
   util::metrics().reset();
   const pipeline::PipelineResult golden_serial = pipeline::run(sequences, base);
   // The unconstrained capacity peak calibrates the memory-budget class:
-  // class 8 budgets a fraction of this and must still land bit-identically.
+  // class 8 budgets a fraction of this and must still land bit-identically,
+  // its work counters included.
   const std::uint64_t golden_high_water = util::governor().high_water();
+  const util::MetricsSnapshot golden_metrics = util::metrics().snapshot();
   pipeline::PipelineConfig parallel_config = base;
   parallel_config.processors = processors;
   parallel_config.dsd_processors = dsd_processors;
@@ -645,9 +673,10 @@ int cmd_chaos(int argc, const char* const* argv) {
       continue;
     }
     if (klass == 8) {
-      // Memory-budget degradation: 55–65 % of the unconstrained serial
-      // peak. Output-invariant levers must absorb the squeeze — same
-      // families, a populated degradation log, a validating report.
+      // Memory-budget degradation: 55–65 % of the unconstrained peak. The
+      // one lever, narrowing the pooled drain, changes no work: families,
+      // ledger and counters equal the golden's. One lane never narrows, so
+      // it logs nothing and peaks where the golden did.
       const double frac = 0.55 + 0.05 * static_cast<double>((seed / 9) % 3);
       pipeline::PipelineConfig cfg = base;
       cfg.mem_budget_bytes = std::max<std::uint64_t>(
@@ -656,20 +685,37 @@ int cmd_chaos(int argc, const char* const* argv) {
       const std::string label =
           "mem-budget[" + std::to_string(static_cast<int>(frac * 100)) +
           "%]";
+      const bool one_lane =
+          threads == 1 ||
+          (threads == 0 && std::thread::hardware_concurrency() <= 1);
       try {
         const pipeline::PipelineResult result = pipeline::run(sequences, cfg);
+        const util::MetricsSnapshot after = util::metrics().snapshot();
         const auto events = util::governor().degradation_log();
+        const auto unexpected = std::find_if(
+            events.begin(), events.end(), [&](const util::DegradationEvent& e) {
+              return one_lane || e.phase != "bgg+dsd" ||
+                     e.action != "shrink-drain";
+            });
         if (!same_families(result.families, golden_serial.families)) {
           report_failure(seed, label.c_str(),
                          "budgeted families differ from the unconstrained "
                          "run");
-        } else if (events.empty()) {
-          report_failure(seed, label.c_str(),
-                         "run under a 2x-exceedable budget recorded no "
-                         "degradation events");
-        } else if (!ledger_matches(result, golden_serial_ledger, &why) ||
+        } else if (!same_counters(after, golden_metrics, &why) ||
+                   !ledger_matches(result, golden_serial_ledger, &why) ||
                    !report_validates(result, cfg, &why)) {
           report_failure(seed, label.c_str(), why);
+        } else if (unexpected != events.end()) {
+          report_failure(seed, label.c_str(),
+                         "unexpected degradation event " + unexpected->phase +
+                             "/" + unexpected->action);
+        } else if (one_lane &&
+                   util::governor().high_water() != golden_high_water) {
+          report_failure(seed, label.c_str(),
+                         "one-lane high-water " +
+                             std::to_string(util::governor().high_water()) +
+                             " differs from the unconstrained " +
+                             std::to_string(golden_high_water));
         } else {
           std::printf("chaos: seed %llu (%s): ok, bit-identical through %zu "
                       "degradation action(s), peak %llu / budget %llu\n",

@@ -135,12 +135,13 @@ int cmd_families(int argc, const char* const* argv) {
                  "(0 = off)");
   options.define("mem-budget", "",
                  "memory budget for the capacity ledger (e.g. 512m, 2g); "
-                 "the run degrades along output-invariant levers under "
-                 "pressure and exits resumable (code 5) past 2x budget");
+                 "near it the pooled BGG+DSD drain runs one component "
+                 "graph at a time, and past 2x budget the run exits "
+                 "resumable (code 5)");
   options.define("io-fault", "",
                  "seeded I/O fault plan, comma-separated "
                  "class:kind@N[:sticky] entries (classes families/"
-                 "checkpoint/report/telemetry/trace/log/spill; kinds "
+                 "checkpoint/report/telemetry/trace/log/provenance; kinds "
                  "enospc/eio/short/fsync; N=0 targets stream opens)");
   define_simd_option(options);
   options.parse(argc, argv);
