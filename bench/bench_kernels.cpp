@@ -124,8 +124,9 @@ void BM_SuffixArray(benchmark::State& state) {
     auto sa = suffix::build_suffix_array(text.text(), seq::kIndexAlphabetSize);
     benchmark::DoNotOptimize(sa.data());
   }
-  state.counters["chars/s"] = benchmark::Counter(
-      static_cast<double>(text.size()), benchmark::Counter::kIsRate);
+  state.counters["chars/s"] =
+      benchmark::Counter(static_cast<double>(text.size()),
+                         benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_SuffixArray)->Arg(200)->Arg(1000)->Arg(4000);
 

@@ -47,7 +47,8 @@ cmake --build build-tsan -j --target test_exec test_align test_pace \
 # checkpoints), the self-healing engine, the SIMD batch kernels (raw
 # pointer lanes + hand-managed scratch), RR's q-gram gate (indexes
 # residues and a 3-gram table), the Shingle passes (flat element slots and
-# CSR offsets) and ConcatText's block table (raw position offsets) run
+# CSR offsets), ConcatText's block table (raw position offsets) and the
+# suffix sorter (counting-sort slots and ranks read at sa[j] + h) run
 # under ASan+UBSan.
 cmake --preset asan
 cmake --build build-asan -j --target test_util test_seq test_align \
@@ -57,7 +58,7 @@ cmake --build build-asan -j --target test_util test_seq test_align \
  ./tests/test_seq
  ./tests/test_align --gtest_filter='BatchSimd*:ScorePath*:ContainmentGate*'
  ./tests/test_shingle --gtest_filter='MinWise*:Shingle*:ParallelShingle*'
- ./tests/test_suffix --gtest_filter='ConcatText*'
+ ./tests/test_suffix --gtest_filter='ConcatText*:SuffixArray*:Parallel*'
  ./tests/test_mpsim
  ./tests/test_pace --gtest_filter='FaultTolerance*:CcdProvenance*'
  ./tests/test_prov

@@ -64,8 +64,8 @@ struct SharedIndex {
           "PaceParams: bucket_prefix must be <= psi (nodes may not span "
           "buckets)");
     }
-    // SA-IS is linear and serial at every pool size; the LCP and bucket
-    // scans split across the pool's lanes.
+    // The suffix sort runs on the calling lane at every pool size; the LCP
+    // and bucket scans split across the pool's lanes.
     sa = suffix::build_suffix_array(text.text(), seq::kIndexAlphabetSize);
     lcp = suffix::build_lcp_parallel(text, sa, lanes_);
     const suffix::MaximalMatchEnumerator enumerator(text, sa, lcp, mp);
@@ -123,14 +123,17 @@ struct SharedIndex {
     auto per_run = exec::parallel_map<std::vector<PairTask>>(
         lanes_, runs, 1, [&](std::size_t r) {
           std::vector<PairTask> pairs;
+          suffix::MaximalMatchEnumerator::Scratch scratch;
+          const std::function<bool(const suffix::MaximalMatch&)> keep =
+              [&pairs](const suffix::MaximalMatch& m) {
+                pairs.push_back(
+                    PairTask{m.a, m.b, m.a_pos, m.b_pos, m.length});
+                return true;
+              };
           for (std::size_t k = owned.size() * r / runs;
                k < owned.size() * (r + 1) / runs; ++k) {
             enumerator.enumerate(buckets[owned[k]].lb, buckets[owned[k]].rb,
-                                 [&pairs](const suffix::MaximalMatch& m) {
-                                   pairs.push_back(PairTask{m.a, m.b, m.a_pos,
-                                                            m.b_pos, m.length});
-                                   return true;
-                                 });
+                                 keep, scratch);
           }
           return pairs;
         });

@@ -54,11 +54,11 @@ struct PipelineConfig {
 
   /// REAL shared-memory threads (exec::Pool) used inside every phase: LCP
   /// and bucket construction, pair enumeration, batched RR/CCD/B_d
-  /// verdicts, and the Shingle passes. The suffix array is SA-IS at every
-  /// thread count. Every pooled step is one code path: 1 runs it on one
-  /// lane, inline; 0 = hardware_concurrency. Composes with `processors`:
-  /// mpsim ranks share the one pool. All outputs are thread-count
-  /// independent.
+  /// verdicts, and the Shingle passes. The suffix array is sorted on one
+  /// lane at every thread count. Every pooled step is one code path: 1
+  /// runs it on one lane, inline; 0 = hardware_concurrency. Composes with
+  /// `processors`: mpsim ranks share the one pool. All outputs are
+  /// thread-count independent.
   unsigned threads = 1;
 
   /// Parallel Shingle stage (the paper's §VI future work, and the batched

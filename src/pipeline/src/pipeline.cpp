@@ -304,8 +304,12 @@ std::optional<Evidence> load_sidecar(const std::filesystem::path& path,
 void commit_sidecar(const std::filesystem::path& path, std::string_view phase,
                     std::uint64_t fp, std::uint64_t result_hash,
                     const Evidence& evidence) {
-  std::string bytes = sidecar_meta(phase, fp, result_hash, evidence.merges,
-                                   evidence.edges.size());
+  const std::string meta = sidecar_meta(phase, fp, result_hash,
+                                        evidence.merges, evidence.edges.size());
+  std::string bytes;
+  bytes.reserve(meta.size() + 1 +
+                prov::kMaxEdgeLineBytes * evidence.edges.size());
+  bytes += meta;
   bytes += '\n';
   for (const prov::Edge& e : evidence.edges) {
     bytes += prov::render_edge(e);

@@ -75,6 +75,10 @@ struct Ledger {
 /// Render one edge as its canonical JSONL line (no trailing newline).
 [[nodiscard]] std::string render_edge(const Edge& edge);
 
+/// The most bytes a render_edge() line and its newline take, every field
+/// at its widest: writers of edge lines reserve this per edge up front.
+inline constexpr std::size_t kMaxEdgeLineBytes = 169;
+
 /// Parse one render_edge() line back; throws std::runtime_error on any
 /// malformed input (used by the pipeline's per-phase sidecar files, whose
 /// edge lines share the ledger's format).

@@ -159,7 +159,11 @@ void write_counts(util::JsonWriter& w, const LedgerCounts& c) {
 }
 
 std::string render_ledger(const Ledger& ledger) {
+  // The edge lines plus room for the meta and summary lines, so a ledger
+  // of many megabytes is allocated once instead of grown by doubling.
+  constexpr std::size_t kFramingBytes = 1024;
   std::string out;
+  out.reserve(kMaxEdgeLineBytes * ledger.edges.size() + kFramingBytes);
   {
     util::JsonWriter w;
     w.begin_object()

@@ -64,12 +64,39 @@ class MaximalMatchEnumerator {
                          const std::vector<std::int32_t>& lcp,
                          MaximalMatchParams params = {});
 
+  /// The buffers of one enumeration. A caller that enumerates many ranges
+  /// on one thread hands every call the same Scratch, so the calls
+  /// allocate only while the buffers grow.
+  class Scratch {
+    friend class MaximalMatchEnumerator;
+    struct Interval {
+      std::int32_t depth;
+      std::int32_t lb;
+      std::int32_t rb;
+    };
+    struct Leaf {
+      seq::SeqId sequence;
+      std::uint32_t offset;
+      std::uint8_t left;
+    };
+    std::vector<Interval> candidates_;
+    std::vector<Interval> open_;  // the LCP-interval stack (rb unused)
+    std::vector<Leaf> prev_;
+    std::vector<Leaf> block_;
+  };
+
   /// Visit matches in non-increasing length order, restricted to suffix-tree
   /// nodes fully inside SA range [range_lo, range_hi] (pass 0, sa.size()-1
   /// for everything). Return false from @p visit to stop early.
   EnumerationStats enumerate(
       std::int32_t range_lo, std::int32_t range_hi,
       const std::function<bool(const MaximalMatch&)>& visit) const;
+
+  /// The same enumeration in the buffers of @p scratch.
+  EnumerationStats enumerate(
+      std::int32_t range_lo, std::int32_t range_hi,
+      const std::function<bool(const MaximalMatch&)>& visit,
+      Scratch& scratch) const;
 
   /// Convenience: all matches over the whole text.
   [[nodiscard]] std::vector<MaximalMatch> all() const;

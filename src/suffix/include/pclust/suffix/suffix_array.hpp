@@ -1,5 +1,6 @@
-// Suffix array construction via SA-IS (Nong, Zhang & Chan 2009): linear
-// time, linear extra space, induced sorting.
+// Suffix array construction by prefix doubling (Larsson & Sadakane 2007):
+// counting-sort passes over each suffix's first symbols, then doubling
+// rounds that re-sort only the still-tied groups.
 //
 // pclust's generalized suffix tree is never materialized: maximal-match
 // enumeration (maximal_match.hpp) walks the LCP intervals of the suffix
@@ -22,14 +23,16 @@ namespace pclust::suffix {
 
 class ConcatText;
 
-/// Suffix array of @p text (values in [0, alphabet)). An implicit sentinel
-/// smaller than every symbol is appended internally; the returned array has
-/// exactly text.size() entries (the sentinel's suffix is dropped).
+/// Suffix array of @p text (values in [0, alphabet)). Suffixes compare as
+/// if an implicit sentinel smaller than every symbol ended the text; the
+/// array has exactly text.size() entries. Throws std::invalid_argument for a
+/// symbol out of range and std::length_error for a text too long for int32
+/// positions.
 [[nodiscard]] std::vector<std::int32_t> build_suffix_array(
     std::string_view text, int alphabet);
 
-/// Same as build_suffix_array(text.text(), seq::kIndexAlphabetSize): SA-IS
-/// builds every index at every pool size (DESIGN.md §8). The pool is
+/// Same as build_suffix_array(text.text(), seq::kIndexAlphabetSize): one
+/// lane sorts every index at every pool size (DESIGN.md §8). The pool is
 /// unused.
 [[nodiscard]] std::vector<std::int32_t> build_suffix_array_parallel(
     const ConcatText& text, exec::Pool& pool);

@@ -27,18 +27,6 @@ struct StatsRecorder {
   }
 };
 
-struct Candidate {
-  std::int32_t depth;
-  std::int32_t lb;
-  std::int32_t rb;
-};
-
-struct Leaf {
-  seq::SeqId sequence;
-  std::uint32_t offset;
-  std::uint8_t left;
-};
-
 /// Bucket key of the suffix at SA position i: its first prefix_len symbols,
 /// stopped early at a separator (short suffixes form their own buckets).
 std::uint64_t bucket_key(const ConcatText& text,
@@ -93,6 +81,16 @@ MaximalMatchEnumerator::MaximalMatchEnumerator(
 EnumerationStats MaximalMatchEnumerator::enumerate(
     std::int32_t range_lo, std::int32_t range_hi,
     const std::function<bool(const MaximalMatch&)>& visit) const {
+  Scratch scratch;
+  return enumerate(range_lo, range_hi, visit, scratch);
+}
+
+EnumerationStats MaximalMatchEnumerator::enumerate(
+    std::int32_t range_lo, std::int32_t range_hi,
+    const std::function<bool(const MaximalMatch&)>& visit,
+    Scratch& scratch) const {
+  using Interval = Scratch::Interval;
+  using Leaf = Scratch::Leaf;
   EnumerationStats stats;
   const StatsRecorder recorder{stats};
   if (sa_->empty() || range_hi < range_lo) return stats;
@@ -101,41 +99,39 @@ EnumerationStats MaximalMatchEnumerator::enumerate(
   const auto min_len = static_cast<std::int32_t>(params_.min_length);
 
   // Phase A: collect LCP-interval nodes of depth >= ψ inside the range.
-  std::vector<Candidate> candidates;
+  auto& candidates = scratch.candidates_;
+  candidates.clear();
   {
-    struct Entry {
-      std::int32_t depth;
-      std::int32_t lb;
-    };
-    std::vector<Entry> stack;
-    stack.push_back(Entry{0, range_lo});
+    auto& stack = scratch.open_;
+    stack.clear();
+    stack.push_back(Interval{0, range_lo, 0});
     for (std::int32_t i = range_lo + 1; i <= range_hi + 1; ++i) {
       const std::int32_t cur =
           (i <= range_hi) ? lcp[static_cast<std::size_t>(i)] : 0;
       std::int32_t lb = i - 1;
       while (stack.back().depth > cur) {
-        const Entry e = stack.back();
+        const Interval e = stack.back();
         stack.pop_back();
         if (e.depth >= min_len) {
-          candidates.push_back(Candidate{e.depth, e.lb, i - 1});
+          candidates.push_back(Interval{e.depth, e.lb, i - 1});
         }
         lb = e.lb;
       }
-      if (stack.back().depth < cur) stack.push_back(Entry{cur, lb});
+      if (stack.back().depth < cur) stack.push_back(Interval{cur, lb, 0});
     }
   }
 
   // Phase B: deepest-first, regenerate child blocks and emit cross-block
   // left-maximal pairs.
   std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
+            [](const Interval& a, const Interval& b) {
               if (a.depth != b.depth) return a.depth > b.depth;
               return a.lb < b.lb;
             });
 
-  std::vector<Leaf> prev;
-  std::vector<Leaf> block;
-  for (const Candidate& c : candidates) {
+  auto& prev = scratch.prev_;
+  auto& block = scratch.block_;
+  for (const Interval& c : candidates) {
     ++stats.nodes_visited;
     const auto occurrences = static_cast<std::uint32_t>(c.rb - c.lb + 1);
     if (params_.max_node_occurrences != 0 &&

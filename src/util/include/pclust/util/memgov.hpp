@@ -98,8 +98,9 @@ class MemoryGovernor {
   [[nodiscard]] bool hard_exceeded() const;
 
   /// Phase-boundary check: throws MemoryBudgetExceeded when
-  /// hard_exceeded(). @p resumable selects the operator guidance in the
-  /// message (resume vs. re-run with a larger budget).
+  /// hard_exceeded(), quoting the ledger level and the charge that tripped
+  /// it. @p resumable selects the operator guidance in the message (resume
+  /// vs. re-run with a larger budget).
   void check_phase_boundary(std::string_view phase, bool resumable) const;
 
  private:
@@ -116,6 +117,10 @@ class MemoryGovernor {
   std::uint64_t ledger_ = 0;
   std::uint64_t high_water_ = 0;
   bool hard_exceeded_ = false;
+  /// The ledger level, and the charge, that tripped hard_exceeded_: by the
+  /// phase boundary the phase has usually released its charges.
+  std::uint64_t exceeded_ledger_ = 0;
+  std::string exceeded_by_;
   std::string phase_ = "run";
   std::vector<DegradationEvent> log_;
 };

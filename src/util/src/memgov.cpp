@@ -38,6 +38,8 @@ void MemoryGovernor::configure(std::uint64_t budget_bytes) {
   ledger_ = 0;
   high_water_ = 0;
   hard_exceeded_ = false;
+  exceeded_ledger_ = 0;
+  exceeded_by_.clear();
   phase_ = "run";
   log_.clear();
   if (budget_ > 0) {
@@ -64,6 +66,8 @@ void MemoryGovernor::charge(std::string_view what, std::uint64_t bytes) {
       static_cast<double>(ledger_) >
           kHardExceedFactor * static_cast<double>(budget_)) {
     hard_exceeded_ = true;
+    exceeded_ledger_ = ledger_;
+    exceeded_by_.assign(what);
     log_line(LogLevel::kWarn, format("memgov: ledger %s exceeds 2x budget %s after "
                          "charging %s for %.*s",
                          format_bytes(ledger_).c_str(),
@@ -136,11 +140,13 @@ void MemoryGovernor::check_phase_boundary(std::string_view phase,
                                           bool resumable) const {
   std::uint64_t ledger;
   std::uint64_t budget;
+  std::string by;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!hard_exceeded_) return;
-    ledger = ledger_;
+    ledger = exceeded_ledger_;
     budget = budget_;
+    by = exceeded_by_;
   }
   const char* guidance =
       resumable ? "checkpoints are flushed; re-run with --resume and a "
@@ -148,11 +154,11 @@ void MemoryGovernor::check_phase_boundary(std::string_view phase,
                 : "re-run with a larger --mem-budget (or --checkpoint-dir "
                   "to make the run resumable)";
   throw MemoryBudgetExceeded(
-      format("memory budget exceeded after phase %.*s: ledger %s > 2x "
-             "budget %s despite degradation; %s",
+      format("memory budget exceeded after phase %.*s: ledger %s (on "
+             "charging %s) > 2x budget %s despite degradation; %s",
              static_cast<int>(phase.size()), phase.data(),
-             format_bytes(ledger).c_str(), format_bytes(budget).c_str(),
-             guidance));
+             format_bytes(ledger).c_str(), by.c_str(),
+             format_bytes(budget).c_str(), guidance));
 }
 
 MemoryCharge::MemoryCharge(std::string_view phase,

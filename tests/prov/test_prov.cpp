@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -71,6 +72,16 @@ TEST(ProvLedger, EdgeRoundTripsThroughItsJsonLine) {
 
   const Edge d = dsd_edge(5, 5);  // a == b is legal for shingle merges
   EXPECT_EQ(parse_edge(render_edge(d)), d);
+}
+
+TEST(ProvLedger, WidestEdgeLineFitsTheReservedBound) {
+  Edge e;
+  e.phase = Phase::kCcd;
+  e.rule = Rule::kContainment;
+  e.a = e.b = e.matches = e.columns = e.a_span = e.b_span =
+      std::numeric_limits<std::uint32_t>::max();
+  e.score = std::numeric_limits<std::int32_t>::min();
+  EXPECT_EQ(render_edge(e).size() + 1, kMaxEdgeLineBytes);
 }
 
 TEST(ProvLedger, MalformedEdgeLinesThrow) {

@@ -88,8 +88,7 @@ TEST(ParallelPrefixBuckets, MatchesSerialAcrossPoolSizes) {
 }
 
 TEST(ParallelSuffixArray, TinyTextFallsBackToSerial) {
-  // Below 2 * pool.size() characters the parallel builder must defer to
-  // SA-IS rather than degenerate to empty blocks.
+  // A pool far larger than the text does not change the array.
   const auto set = make_set(81, 1, 4);
   const ConcatText text(set);
   exec::Pool pool(8);

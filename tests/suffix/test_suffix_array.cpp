@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <string>
+#include <string_view>
 
+#include "pclust/seq/alphabet.hpp"
+#include "pclust/seq/sequence_set.hpp"
+#include "pclust/suffix/concat_text.hpp"
+#include "pclust/synth/generator.hpp"
+#include "pclust/synth/presets.hpp"
 #include "pclust/util/rng.hpp"
 
 namespace pclust::suffix {
@@ -29,6 +36,51 @@ std::string random_text(std::uint64_t seed, std::size_t len, int alphabet) {
     c = static_cast<char>(rng.below(static_cast<std::uint64_t>(alphabet)));
   }
   return s;
+}
+
+/// Linear-time suffix array check (Burkhardt & Kärkkäinen 2003): @p sa is
+/// the suffix array of @p text iff it is a permutation and each adjacent
+/// pair of suffixes is strictly increasing, compared by the first symbol
+/// and then by the rank of the suffix one symbol on (the empty suffix
+/// ranks lowest). It needs no reference builder and no long comparisons.
+::testing::AssertionResult is_suffix_array(
+    std::string_view text, const std::vector<std::int32_t>& sa) {
+  const std::size_t n = text.size();
+  if (sa.size() != n) return ::testing::AssertionFailure() << "wrong size";
+  std::vector<std::int64_t> rank(n + 1, -1);  // rank[n]: the empty suffix
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto p = static_cast<std::size_t>(sa[i]);
+    if (sa[i] < 0 || p >= n || rank[p] >= 0) {
+      return ::testing::AssertionFailure() << "not a permutation at " << i;
+    }
+    rank[p] = static_cast<std::int64_t>(i);
+  }
+  for (std::size_t i = 1; i < n; ++i) {
+    const auto a = static_cast<std::size_t>(sa[i - 1]);
+    const auto b = static_cast<std::size_t>(sa[i]);
+    const auto first_a = static_cast<unsigned char>(text[a]);
+    const auto first_b = static_cast<unsigned char>(text[b]);
+    if (first_a > first_b ||
+        (first_a == first_b && rank[a + 1] >= rank[b + 1])) {
+      return ::testing::AssertionFailure() << "suffixes out of order at " << i;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The index text of @p copies copies of one encoded sequence.
+ConcatText repeated_text(const std::string& ranks, std::uint32_t copies) {
+  seq::SequenceSet set;
+  for (std::uint32_t c = 0; c < copies; ++c) {
+    set.add_encoded("copy" + std::to_string(c), ranks);
+  }
+  return ConcatText(set);
+}
+
+/// The sorted suffix array of @p text, as the index builds it.
+::testing::AssertionResult sorts(const ConcatText& text) {
+  return is_suffix_array(
+      text.text(), build_suffix_array(text.text(), seq::kIndexAlphabetSize));
 }
 
 TEST(SuffixArray, EmptyText) {
@@ -116,6 +168,30 @@ TEST(SuffixArray, InvertIsInverse) {
     EXPECT_EQ(rank[static_cast<std::size_t>(sa[i])],
               static_cast<std::int32_t>(i));
   }
+}
+
+TEST(SuffixArray, SortsWorkloadTexts) {
+  // The benchmark's texts: paper_160k at n = 500 and paper_22k at n = 200.
+  const auto p160k = synth::generate(synth::paper_160k(500 / 160'000.0, 7));
+  EXPECT_TRUE(sorts(ConcatText(p160k.sequences))) << "paper_160k";
+  const auto p22k = synth::generate(synth::paper_22k(200 / 22'186.0, 7));
+  EXPECT_TRUE(sorts(ConcatText(p22k.sequences))) << "paper_22k";
+}
+
+TEST(SuffixArray, SortsDegenerateTexts) {
+  // A unary text needs log2 n doubling rounds, each over one group of
+  // about n suffixes that most share one key (ternary-split quicksort
+  // closes them as one new group in one partition step).
+  EXPECT_TRUE(sorts(repeated_text(std::string(200'000, '\3'), 1))) << "unary";
+  std::string period2(200'000, '\4');
+  for (std::size_t i = 1; i < period2.size(); i += 2) period2[i] = '\7';
+  EXPECT_TRUE(sorts(repeated_text(period2, 1))) << "period 2";
+  // One long ORF present twice: its suffixes pair up with LCPs of up to
+  // 35,000 residues.
+  util::Xoshiro256 rng(101);
+  std::string orf(35'000, '\0');
+  for (auto& c : orf) c = static_cast<char>(rng.below(seq::kNumResidues));
+  EXPECT_TRUE(sorts(repeated_text(orf, 2))) << "35,000-residue sequence twice";
 }
 
 }  // namespace

@@ -137,6 +137,24 @@ TEST_F(MemGovTest, BoundaryMessageCarriesResumeGuidance) {
   }
 }
 
+TEST_F(MemGovTest, BoundaryMessageQuotesTheLevelThatTripped) {
+  // A phase releases its charges before its boundary is checked, so the
+  // message must quote the level at the trip, not the level at the check.
+  governor().configure(1000);
+  MemoryCharge charge("rr", MemoryBreakdown("suffix_index").add("lcp", 2500));
+  charge.reset();
+  ASSERT_EQ(governor().ledger(), 0u);
+  try {
+    governor().check_phase_boundary("rr", /*resumable=*/true);
+    FAIL() << "expected MemoryBudgetExceeded";
+  } catch (const MemoryBudgetExceeded& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("ledger 2500 B"), std::string::npos) << what;
+    EXPECT_NE(what.find("mem.rr.suffix_index.lcp"), std::string::npos) << what;
+    EXPECT_NE(what.find("budget 1000 B"), std::string::npos) << what;
+  }
+}
+
 TEST_F(MemGovTest, MemoryChargeReleasesOnDestruction) {
   governor().configure(1000);
   {
